@@ -28,6 +28,7 @@ from .orbits import (
     admissible,
     admissible_for_case,
     braid_rank_ai,
+    centralizer_dim,
     component_group_order,
     d_check_dual,
     d_check_stratum,
@@ -37,8 +38,10 @@ from .orbits import (
     full_support_stratum_ii,
     is_distinguished_ai,
     is_distinguished_ii,
+    orbit_dim,
     peel_ai,
     peel_ii,
+    stratum_dim_ai,
 )
 from .series import (
     TruncSeries,
@@ -56,8 +59,6 @@ from .oracle import (
     centralizer_dim_k,
     centralizer_g1,
     is_distinguished_oracle,
-    orbit_dim,
-    stratum_dim_ai,
 )
 from .sheaves import (
     CentralCharacter,

@@ -1,7 +1,8 @@
 """Command-line front end: enumeration listings, counting tables, catalogs
 and verification reports, in text, CSV or JSON form.
 
-Exit codes: 0 success/verified, 1 verification failure, 2 usage error.
+Exit codes: 0 success/verified, 1 verification failure, 2 usage or I/O
+error.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ from .orbits import (
     duality,
     is_distinguished_ai,
     is_distinguished_ii,
-)
-from .oracle import (
-    build_representative,
-    is_distinguished_oracle,
-    matrix_to_strings,
     orbit_dim,
 )
+from .oracle import build_representative, is_distinguished_oracle, matrix_to_strings
 from .series import (
     COUNT_FAMILIES,
     gf_distinguished_ai,
@@ -61,15 +58,19 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ValueError(f"--dims must be a comma-separated integer list, got {text!r}")
 
 
-def _grading_from_args(args) -> GradingSpec:
+def _modulus_from_args(args) -> int:
+    """The modulus: --m0 for case AII, --m for the others."""
     if args.case == "AII":
         if args.m0 is None:
             raise ValueError("case AII requires --m0")
-        modulus = args.m0
-    else:
-        if args.m is None:
-            raise ValueError(f"case {args.case} requires --m")
-        modulus = args.m
+        return args.m0
+    if args.m is None:
+        raise ValueError(f"case {args.case} requires --m")
+    return args.m
+
+
+def _grading_from_args(args) -> GradingSpec:
+    modulus = _modulus_from_args(args)
     if args.dims is None:
         raise ValueError("this command requires --dims")
     return GradingSpec(args.case, modulus, _parse_dims(args.dims))
@@ -83,6 +84,8 @@ def _emit(args, text: str) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+        # Flush here so that a closed pipe fails inside main(), not at exit.
+        sys.stdout.flush()
 
 
 def _render_table(header, rows, fmt: str) -> str:
@@ -373,14 +376,9 @@ def cmd_cuspidal(args) -> int:
 def cmd_distinguished(args) -> int:
     if (args.dims is None) == (args.size is None):
         raise ValueError("give exactly one of --dims or --N")
-    if args.case == "AII":
-        if args.m0 is None:
-            raise ValueError("case AII requires --m0")
-        modulus = args.m0
-    else:
-        if args.m is None:
-            raise ValueError(f"case {args.case} requires --m")
-        modulus = args.m
+    modulus = _modulus_from_args(args)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.oracle and args.case != "AI":
         raise ValueError("--oracle applies to case AI only")
     if args.oracle and args.a != 1:
@@ -515,7 +513,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError covers an unwritable --output path and a closed stdout
+        # (BrokenPipeError); neither is a verification failure.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

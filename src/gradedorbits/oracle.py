@@ -5,6 +5,11 @@ centralizer dimensions come from exact nullspaces of commutator maps over the
 rationals, and a seeded Monte Carlo test certifies non-distinguishedness by
 exhibiting a non-nilpotent element of the opposite-degree centralizer.
 
+The library's orbit and stratum dimensions come from the closed form in
+`orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the nullspace
+path here (`centralizer_dim_gl`, `centralizer_dim_k`) is the independent
+reference that the tests compare them against.
+
 Rank decisions are exact: no floating point is used anywhere.
 """
 
@@ -13,10 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .diagrams import FilledDiagram, PLUS, dimension_vector
-from .orbits import GradingSpec, StratumAI, duality
+from .orbits import GradingSpec, duality
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -315,33 +319,6 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
         if not _is_nilpotent(combo, n):
             return False
     return True
-
-
-def orbit_dim(diagram: FilledDiagram, grading: GradingSpec | None = None) -> int:
-    """Dimension of the orbit through the diagram's representative."""
-    if grading is None:
-        grading = GradingSpec("AI", diagram.modulus, dimension_vector(diagram))
-    if grading.total == 0:
-        return 0
-    plus = diagram if diagram.sign == PLUS else duality(diagram)
-    x = build_representative(plus, grading)
-    dim_k = sum(v * v for v in grading.dims) - 1
-    return dim_k - centralizer_dim_k(x)
-
-
-def stratum_dim_ai(stratum: StratumAI, grading: GradingSpec) -> int:
-    """Dimension of the dual stratum: sum d_i^2 - c_mu - l*k + l, where c_mu
-    is the residual's centralizer dimension without the trace condition."""
-    if grading.case != "AI":
-        raise ValueError("stratum dimensions are defined for case AI")
-    m = grading.modulus
-    d = gcd(stratum.a, m)
-    per_label = stratum.a // d
-    mu = stratum.mu
-    sub = GradingSpec("AI", m, dimension_vector(mu))
-    plus = mu if mu.sign == PLUS else duality(mu)
-    c_mu = centralizer_dim_gl(build_representative(plus, sub))
-    return sum(v * v for v in grading.dims) - c_mu - stratum.rank * per_label + stratum.rank
 
 
 def conjugate(x: GradedMatrix, conjugators) -> GradedMatrix:

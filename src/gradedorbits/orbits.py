@@ -3,7 +3,8 @@
 Provides the per-family admissibility test for filled diagrams, component
 group orders, the two distinguishedness predicates, the sign-flip duality on
 diagrams, the peeling maps that split a diagram into a uniform padding plus a
-distinguished residual, and enumeration of stratum labels.
+distinguished residual, enumeration of stratum labels, and the closed-form
+centralizer, orbit and stratum dimensions of case AI.
 
 Diagrams labelling orbits on the negative side of the grading use the '-'
 fill convention; all stratum residuals are stored on that side as well.
@@ -23,6 +24,7 @@ from .diagrams import (
     PLUS,
     Partition,
     canonicalize,
+    dimension_vector,
     empty_diagram,
     enumerate_diagrams,
     reduce_label,
@@ -347,6 +349,62 @@ def braid_rank_ai(a: int, mu: FilledDiagram, grading: GradingSpec) -> int:
     if num % den:
         raise ValueError("inconsistent stratum: braid rank is not an integer")
     return num // den
+
+
+def centralizer_dim(diagram: FilledDiagram) -> int:
+    """Dimension of the block-diagonal centralizer, inside the product of
+    general linear Lie algebras (no trace condition), of the diagram's string
+    representative.
+
+    The representative is a nilpotent representation of the cyclic quiver
+    with one string per row, and its centralizer is the representation's
+    endomorphism algebra.  On the '+' side ('-' diagrams are dualized first,
+    which keeps the dimension), a row of length p starting at label s maps to
+    a row of length q starting at label t in one dimension for every
+    j in [max(0, q - p), q) with t - j = s (mod m): the map sends the top of
+    the first string to box j of the second.
+    """
+    plus = diagram if diagram.sign == PLUS else duality(diagram)
+    m = plus.modulus
+    total = 0
+    for src in plus.rows:
+        p, s = src.length, src.start
+        for dst in plus.rows:
+            q = dst.length
+            r = (dst.start - s) % m
+            low = max(0, q - p)
+            # j = r (mod m) in [low, q), counted as a difference of floors
+            total += (q - r - 1) // m - (low - r - 1) // m
+    return total
+
+
+def orbit_dim(diagram: FilledDiagram, grading: GradingSpec | None = None) -> int:
+    """Dimension of the orbit through the diagram's representative:
+    sum d_i^2 minus the centralizer dimension."""
+    if grading is None:
+        grading = GradingSpec("AI", diagram.modulus, dimension_vector(diagram))
+    if grading.case != "AI":
+        raise ValueError("dimensions are defined for case AI only")
+    if dimension_vector(diagram) != grading.dims:
+        raise ValueError("diagram box counts do not match the grading")
+    return sum(v * v for v in grading.dims) - centralizer_dim(diagram)
+
+
+def stratum_dim_ai(stratum: StratumAI, grading: GradingSpec) -> int:
+    """Dimension of the dual stratum: sum d_i^2 - c_mu - l*k + l, where c_mu
+    is the residual's centralizer dimension without the trace condition and
+    k = a / gcd(a, m) is the padding per label."""
+    if grading.case != "AI":
+        raise ValueError("dimensions are defined for case AI only")
+    per_label = stratum.a // gcd(stratum.a, grading.modulus)
+    padding = per_label * stratum.rank
+    mu = stratum.mu
+    if mu.modulus != grading.modulus or any(
+        v + padding != d for v, d in zip(dimension_vector(mu), grading.dims)
+    ):
+        raise ValueError("stratum box counts do not match the grading")
+    c_mu = centralizer_dim(mu)
+    return sum(v * v for v in grading.dims) - c_mu - padding + stratum.rank
 
 
 def enumerate_strata_ii(grading: GradingSpec) -> list[StratumII]:

@@ -34,16 +34,9 @@ class TruncSeries:
             raise ValueError(f"degree {n} beyond truncation {self.truncation}")
         return self.coeffs[n]
 
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        return series_mul(self, other)
-
 
 def series_one(n_max: int) -> TruncSeries:
     return TruncSeries((1,) + (0,) * n_max)
-
-
-def series_from(coeffs: Sequence[int]) -> TruncSeries:
-    return TruncSeries(tuple(coeffs))
 
 
 def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:

@@ -34,8 +34,8 @@ from .orbits import (
     full_support_stratum_ii,
     peel_ai,
     peel_ii,
+    stratum_dim_ai,
 )
-from .oracle import stratum_dim_ai
 
 
 def divisors(n: int) -> tuple[int, ...]:

@@ -24,13 +24,13 @@ from gradedorbits.orbits import (
     enumerate_strata_ai,
     is_distinguished_ai,
     is_distinguished_ii,
+    orbit_dim,
+    stratum_dim_ai,
 )
 from gradedorbits.oracle import (
     build_representative,
     centralizer_dim_k,
     is_distinguished_oracle,
-    orbit_dim,
-    stratum_dim_ai,
 )
 from gradedorbits.series import (
     gf_distinguished_ai,

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+from conftest import PKG_ROOT
 
 
 def test_orbits_ai_text(run_cli):
@@ -155,6 +160,16 @@ def test_distinguished_oracle_restrictions(run_cli):
     )
 
 
+def test_distinguished_rejects_nonpositive_trials(run_cli):
+    for trials in ("0", "-3"):
+        result = run_cli(
+            "distinguished", "--case", "AI", "--m", "2", "--N", "2", "--oracle",
+            "--trials", trials,
+        )
+        assert result.returncode == 2
+        assert "--trials" in result.stderr
+
+
 def test_distinguished_dump_matrices(run_cli):
     result = run_cli(
         "distinguished", "--case", "AI", "--m", "2", "--dims", "1,1",
@@ -186,6 +201,37 @@ def test_output_file(run_cli, tmp_path):
     assert result.returncode == 0
     assert result.stdout == ""
     assert target.read_text().splitlines()[0] == "n,gf_coeff,weight_sum,enum_count,match"
+
+
+def test_unwritable_output_exit_2(run_cli, tmp_path):
+    result = run_cli(
+        "count", "--family", "A", "--l", "1", "--n", "2",
+        "--output", str(tmp_path / "missing" / "out.txt"),
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_closed_stdout_exit_2():
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails with a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "gradedorbits", "count", "--family", "A",
+             "--l", "1", "--n", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

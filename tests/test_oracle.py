@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gradedorbits.diagrams import (
     canonicalize,
@@ -13,11 +15,16 @@ from gradedorbits.diagrams import (
 from gradedorbits.orbits import (
     GradingSpec,
     StratumAI,
+    centralizer_dim,
+    duality,
     enumerate_strata_ai,
     is_distinguished_ai,
+    orbit_dim,
+    stratum_dim_ai,
 )
 from gradedorbits.oracle import (
     build_representative,
+    centralizer_dim_gl,
     centralizer_dim_k,
     centralizer_g1,
     conjugate,
@@ -25,9 +32,7 @@ from gradedorbits.oracle import (
     is_distinguished_oracle,
     mat_mul,
     matrix_rank,
-    orbit_dim,
     random_conjugators,
-    stratum_dim_ai,
 )
 
 from conftest import compositions
@@ -196,3 +201,48 @@ def test_dense_stratum_dimension():
                 dense = [s for s in strata if s.mu.is_empty]
                 assert len(dense) == 1
                 assert stratum_dim_ai(dense[0], g) == g.dim_g1
+
+
+@st.composite
+def small_diagrams(draw):
+    """A diagram of either sign with modulus <= 4 and at most 8 boxes, built
+    row by row."""
+    m = draw(st.integers(1, 4))
+    sign = draw(st.sampled_from(["+", "-"]))
+    room = draw(st.integers(0, 8))
+    rows = []
+    while room:
+        length = draw(st.integers(1, room))
+        rows.append((length, draw(st.integers(1, m))))
+        room -= length
+    return canonicalize(rows, m, sign)
+
+
+@given(small_diagrams())
+def test_centralizer_dim_matches_nullspace(lam):
+    assert centralizer_dim(lam) == centralizer_dim_gl(build_representative(lam))
+
+
+def _stratum_dim_nullspace(stratum, g):
+    """The stratum dimension with c_mu taken from the exact nullspace."""
+    mu = stratum.mu
+    plus = mu if mu.sign == "+" else duality(mu)
+    sub = GradingSpec("AI", g.modulus, dimension_vector(mu))
+    c_mu = centralizer_dim_gl(build_representative(plus, sub))
+    per_label = stratum.a // gcd(stratum.a, g.modulus)
+    return sum(v * v for v in g.dims) - c_mu - stratum.rank * per_label + stratum.rank
+
+
+def test_stratum_dim_matches_nullspace_exhaustive():
+    checked = 0
+    for m in (1, 2, 3):
+        for total in range(1, 7):
+            for dims in compositions(total, m):
+                g = GradingSpec("AI", m, dims)
+                for a in range(1, total + 1):
+                    if total % a:
+                        continue
+                    for stratum in enumerate_strata_ai(g, a):
+                        assert stratum_dim_ai(stratum, g) == _stratum_dim_nullspace(stratum, g)
+                        checked += 1
+    assert checked == 613

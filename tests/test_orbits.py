@@ -11,6 +11,7 @@ from gradedorbits.diagrams import (
 )
 from gradedorbits.orbits import (
     GradingSpec,
+    StratumAI,
     StratumII,
     admissible,
     admissible_for_case,
@@ -24,8 +25,10 @@ from gradedorbits.orbits import (
     full_support_stratum_ii,
     is_distinguished_ai,
     is_distinguished_ii,
+    orbit_dim,
     peel_ai,
     peel_ii,
+    stratum_dim_ai,
     support_diagram_ai,
     support_diagram_ii,
 )
@@ -360,3 +363,19 @@ def test_strata_ii_padding_is_admissible():
                 support = support_diagram_ii(stratum)
                 assert admissible_for_case(support, case)
                 assert dimension_vector(support) == g.dims
+
+
+def test_dimension_input_checks():
+    lam = canonicalize([(2, 1)], 2, "-")
+    with pytest.raises(ValueError):
+        orbit_dim(lam, GradingSpec("AI", 2, (2, 0)))
+    with pytest.raises(ValueError):
+        orbit_dim(empty_diagram(3), GradingSpec("AII", 3, (0, 0, 0)))
+    g = GradingSpec("AI", 2, (1, 1))
+    with pytest.raises(ValueError):
+        stratum_dim_ai(StratumAI(1, 0, lam, 2), GradingSpec("AII", 3, (1, 0, 1)))
+    # one padding row per label plus the residual overfills (1, 1)
+    with pytest.raises(ValueError):
+        stratum_dim_ai(StratumAI(1, 1, lam, 2), g)
+    with pytest.raises(ValueError):
+        stratum_dim_ai(StratumAI(1, 0, canonicalize([(2, 1)], 3, "-"), 1), g)
