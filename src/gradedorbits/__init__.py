@@ -14,10 +14,12 @@ from .diagrams import (
     MINUS,
     PLUS,
     canonicalize,
+    count_diagrams,
     dimension_vector,
     empty_diagram,
     enumerate_by_size,
     enumerate_diagrams,
+    iter_diagrams,
     multipartitions,
     partitions,
 )

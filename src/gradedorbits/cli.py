@@ -16,18 +16,16 @@ import sys
 from . import __version__
 from .diagrams import (
     MINUS,
-    canonicalize,
+    count_diagrams,
     diagram_to_json,
-    enumerate_by_size,
-    enumerate_diagrams,
+    iter_diagrams,
     partitions,
 )
 from .orbits import (
     CASES,
     GradingSpec,
     StratumAI,
-    TYPE_II_CASES,
-    admissible_for_case,
+    check_modulus,
     component_group_order,
     duality,
     is_distinguished_ai,
@@ -59,14 +57,14 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _modulus_from_args(args) -> int:
-    """The modulus: --m0 for case AII, --m for the others."""
-    if args.case == "AII":
-        if args.m0 is None:
-            raise ValueError("case AII requires --m0")
-        return args.m0
-    if args.m is None:
-        raise ValueError(f"case {args.case} requires --m")
-    return args.m
+    """The modulus, --m0 for case AII and --m for the others, checked
+    against the case."""
+    flag = "--m0" if args.case == "AII" else "--m"
+    modulus = args.m0 if args.case == "AII" else args.m
+    if modulus is None:
+        raise ValueError(f"case {args.case} requires {flag}")
+    check_modulus(args.case, modulus)
+    return modulus
 
 
 def _grading_from_args(args) -> GradingSpec:
@@ -89,7 +87,7 @@ def _emit(args, text: str) -> None:
 
 
 def _render_table(header, rows, fmt: str) -> str:
-    cells = [[str(v) for v in row] for row in rows]
+    cells = [[_bool(v) if isinstance(v, bool) else str(v) for v in row] for row in rows]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -150,110 +148,75 @@ def _tau_str(tau) -> str:
 
 def cmd_orbits(args) -> int:
     grading = _grading_from_args(args)
-    diagrams = enumerate_diagrams(grading.modulus, MINUS, grading.dims)
-    if grading.case != "AI":
-        diagrams = [d for d in diagrams if admissible_for_case(d, grading.case)]
-    entries = []
-    for lam in diagrams:
-        if grading.case == "AI":
-            entries.append(
-                {
-                    "diagram": lam,
-                    "d_lambda": lam.part_gcd,
-                    "distinguished": is_distinguished_ai(lam, 1),
-                    "orbit_dim": orbit_dim(lam, grading),
-                }
-            )
-        else:
-            entries.append(
-                {
-                    "diagram": lam,
-                    "component_group": component_group_order(lam, grading),
-                    "distinguished": is_distinguished_ii(lam),
-                }
-            )
+    if grading.case == "AI":
+        header = ["diagram", "d_lambda", "distinguished", "orbit_dim"]
+
+        def describe(lam):
+            return lam, lam.part_gcd, is_distinguished_ai(lam, 1), orbit_dim(lam, grading)
+    else:
+        header = ["diagram", "component_group", "distinguished"]
+
+        def describe(lam):
+            return lam, component_group_order(lam, grading), is_distinguished_ii(lam)
+
+    entries = [
+        describe(lam)
+        for lam in iter_diagrams(grading.modulus, MINUS, grading.dims, case=grading.case)
+    ]
     if args.format == "json":
         payload = {
             "case": grading.case,
             "modulus": grading.modulus,
             "dims": list(grading.dims),
             "orbits": [
-                {**e, "diagram": diagram_to_json(e["diagram"])} for e in entries
+                {**dict(zip(header, e)), "diagram": diagram_to_json(e[0])} for e in entries
             ],
         }
         _emit(args, json.dumps(payload, indent=2))
         return EXIT_OK
-    if grading.case == "AI":
-        header = ["diagram", "d_lambda", "distinguished", "orbit_dim"]
-        rows = [
-            (str(e["diagram"]), e["d_lambda"], _bool(e["distinguished"]), e["orbit_dim"])
-            for e in entries
-        ]
-    else:
-        header = ["diagram", "component_group", "distinguished"]
-        rows = [
-            (str(e["diagram"]), e["component_group"], _bool(e["distinguished"]))
-            for e in entries
-        ]
-    _emit(args, _render_table(header, rows, args.format))
+    _emit(args, _render_table(header, entries, args.format))
     return EXIT_OK
 
 
 def _count_rows(args):
+    """(n, series coefficient, weight sum, enumerated count) for n = 0..--n."""
     family = args.family
     n_max = args.n
     if n_max < 0:
         raise ValueError("--n must be nonnegative")
-    rows = []
     if family == "dist-AI":
         if args.m is None or args.a is None:
             raise ValueError("family dist-AI requires --m and --a")
         m, a = args.m, args.a
         gf = gf_distinguished_ai(m, a, n_max)
-        for n in range(n_max + 1):
-            coeff = gf.coefficient(n)
-            weights = sum(
-                weight_count(mu, family, m=m, a=a) for mu in partitions(n)
-            )
-            enum = 0
-            for small in enumerate_by_size(m, MINUS, n):
-                scaled = canonicalize(
-                    [(r.length * a, r.start) for r in small.rows], m, MINUS
-                )
-                if is_distinguished_ai(scaled, a):
-                    enum += 1
-            rows.append((n, coeff, weights, enum))
-        return rows
-    if args.l is None:
-        raise ValueError(f"family {family} requires --l")
-    l = args.l
-    base = family.removeprefix("dist-")
-    modulus = 2 * l + 1 if base == "A" else 2 * l
-    case = FAMILY_CASE[base]
-    distinguished = family.startswith("dist-")
-    gf = (
-        gf_distinguished_ii(base, l, n_max)
-        if distinguished
-        else gf_orbit_count(base, l, n_max)
-    )
-    for n in range(n_max + 1):
-        coeff = gf.coefficient(n)
-        weights = sum(weight_count(mu, family, l=l) for mu in partitions(n))
-        enum = 0
-        for lam in enumerate_by_size(modulus, MINUS, 2 * n):
-            if not admissible_for_case(lam, case):
-                continue
-            if distinguished and not is_distinguished_ii(lam):
-                continue
-            enum += 1
-        rows.append((n, coeff, weights, enum))
-    return rows
+        weight_params = {"m": m, "a": a}
+        # row n counts the diagrams of size a*n distinguished at order a
+        modulus, step, rule = m, a, {"distinguished": True, "order": a}
+    else:
+        if args.l is None:
+            raise ValueError(f"family {family} requires --l")
+        l = args.l
+        base = family.removeprefix("dist-")
+        distinguished = family.startswith("dist-")
+        gf = (gf_distinguished_ii if distinguished else gf_orbit_count)(base, l, n_max)
+        weight_params = {"l": l}
+        modulus, step = (2 * l + 1 if base == "A" else 2 * l), 2
+        rule = {"case": FAMILY_CASE[base], "distinguished": distinguished}
+    return [
+        (
+            n,
+            gf.coefficient(n),
+            sum(weight_count(mu, family, **weight_params) for mu in partitions(n)),
+            count_diagrams(modulus, MINUS, size=step * n, **rule),
+        )
+        for n in range(n_max + 1)
+    ]
 
 
 def cmd_count(args) -> int:
     rows = _count_rows(args)
     table = [
-        (n, coeff, weights, enum, _bool(coeff == weights == enum))
+        (n, coeff, weights, enum, coeff == weights == enum)
         for n, coeff, weights, enum in rows
     ]
     all_match = all(coeff == weights == enum for _, coeff, weights, enum in rows)
@@ -293,9 +256,9 @@ def _labels_output(args, labels, context) -> None:
                 lab.stratum.d_check,
                 f"{lab.psi.index}/{lab.psi.modulus}",
                 _tau_str(lab.tau),
-                _bool(lab.nilpotent_support),
-                _bool(lab.full_support),
-                _bool(lab.cuspidal_conjectural),
+                lab.nilpotent_support,
+                lab.full_support,
+                lab.cuspidal_conjectural,
             )
             for lab in labels
         ]
@@ -306,8 +269,8 @@ def _labels_output(args, labels, context) -> None:
                 lab.stratum.rank,
                 str(lab.stratum.mu),
                 json.dumps(list(lab.tau[0]), separators=(",", ":")),
-                _bool(lab.nilpotent_support),
-                _bool(lab.full_support),
+                lab.nilpotent_support,
+                lab.full_support,
             )
             for lab in labels
         ]
@@ -385,19 +348,11 @@ def cmd_distinguished(args) -> int:
         raise ValueError("the nilpotency oracle tests order 1 distinguishedness only")
     if args.dump_matrices and args.format != "json":
         raise ValueError("--dump-matrices requires --format json")
-    if args.dims is not None:
-        diagrams = enumerate_diagrams(modulus, MINUS, _parse_dims(args.dims))
-    else:
-        diagrams = enumerate_by_size(modulus, MINUS, args.size)
-    if args.case in TYPE_II_CASES:
-        diagrams = [d for d in diagrams if admissible_for_case(d, args.case)]
+    dims = None if args.dims is None else _parse_dims(args.dims)
     entries = []
     all_agree = True
-    for lam in diagrams:
-        if args.case == "AI":
-            pred = is_distinguished_ai(lam, args.a)
-        else:
-            pred = is_distinguished_ii(lam)
+    for lam in iter_diagrams(modulus, MINUS, dims, size=args.size, case=args.case):
+        pred = is_distinguished_ai(lam, args.a) if args.case == "AI" else is_distinguished_ii(lam)
         entry = {"diagram": lam, "distinguished": pred}
         if args.oracle:
             verdict = is_distinguished_oracle(lam, trials=args.trials, seed=args.seed)
@@ -425,12 +380,7 @@ def cmd_distinguished(args) -> int:
         _emit(args, json.dumps(payload, indent=2))
     else:
         header = ["diagram", "distinguished"] + (["oracle", "agrees"] if args.oracle else [])
-        rows = []
-        for e in entries:
-            row = [str(e["diagram"]), _bool(e["distinguished"])]
-            if args.oracle:
-                row += [_bool(e["oracle"]), _bool(e["agrees"])]
-            rows.append(tuple(row))
+        rows = [list(e.values()) for e in entries]
         _emit(args, _render_table(header, rows, args.format))
     return EXIT_OK if all_agree else EXIT_VERIFY_FAILED
 
@@ -492,10 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cuspidal)
 
     p = sub.add_parser("distinguished", help="distinguished orbits, optionally oracle-checked")
-    p.add_argument("--case", required=True, choices=CASES)
-    p.add_argument("--m", type=int, default=None, help="modulus (AI, CII, DII)")
-    p.add_argument("--m0", type=int, default=None, help="odd modulus (AII)")
-    p.add_argument("--dims", default=None, help="comma-separated box counts per label")
+    _add_grading_options(p)
     p.add_argument("--N", dest="size", type=int, default=None, help="sweep all box-count vectors of this total size")
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--oracle", action="store_true", help="cross-check with the nilpotency oracle (AI)")

@@ -89,23 +89,6 @@ def matrix_rank(rows, ncols) -> int:
     return rank
 
 
-def mat_inverse(a):
-    n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 @dataclass(frozen=True)
 class GradedMatrix:
     """Block matrix of pure degree: block(i) maps the label-i summand to the
@@ -319,31 +302,6 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
         if not _is_nilpotent(combo, n):
             return False
     return True
-
-
-def conjugate(x: GradedMatrix, conjugators) -> GradedMatrix:
-    """Conjugate by a block-diagonal invertible element: block i becomes
-    P_{i - degree} x_i P_i^{-1}."""
-    m = x.grading.modulus
-    inverses = [mat_inverse(p) for p in conjugators]
-    new_blocks = []
-    for i in range(1, m + 1):
-        tgt = (i - 1 - x.degree) % m
-        prod = mat_mul(mat_mul(conjugators[tgt], [list(r) for r in x.block(i)]), inverses[i - 1])
-        new_blocks.append(_freeze(prod))
-    return GradedMatrix(x.grading, x.degree, tuple(new_blocks))
-
-
-def random_conjugators(grading: GradingSpec, rng: random.Random):
-    """Random invertible block-diagonal element with small integer entries."""
-    out = []
-    for v in grading.dims:
-        while True:
-            mat = [[Fraction(rng.randint(-3, 3)) for _ in range(v)] for _ in range(v)]
-            if matrix_rank(mat, v) == v:
-                out.append(mat)
-                break
-    return out
 
 
 def matrix_to_strings(mat) -> list[list[str]]:

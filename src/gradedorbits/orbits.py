@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .diagrams import (
+    CASES,
     DimensionVector,
     FilledDiagram,
     FilledRow,
@@ -25,13 +26,24 @@ from .diagrams import (
     Partition,
     canonicalize,
     dimension_vector,
-    empty_diagram,
-    enumerate_diagrams,
+    iter_diagrams,
     reduce_label,
 )
 
-CASES = ("AI", "AII", "CII", "DII")
 TYPE_II_CASES = ("AII", "CII", "DII")
+
+
+def check_modulus(case: str, modulus: int) -> None:
+    """Reject an unknown case, or a modulus the case does not allow: every
+    case needs m >= 1, AII an odd m, and CII and DII an even m."""
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    if case == "AII" and modulus % 2 == 0:
+        raise ValueError("AII modulus must be odd")
+    if case in ("CII", "DII") and modulus % 2:
+        raise ValueError(f"{case} modulus must be even")
 
 
 @dataclass(frozen=True)
@@ -43,11 +55,8 @@ class GradingSpec:
     dims: DimensionVector
 
     def __post_init__(self):
-        if self.case not in CASES:
-            raise ValueError(f"unknown case {self.case!r}")
+        check_modulus(self.case, self.modulus)
         k = self.modulus
-        if k < 1:
-            raise ValueError(f"modulus must be >= 1, got {k}")
         dims = tuple(int(v) for v in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) != k:
@@ -55,8 +64,6 @@ class GradingSpec:
         if any(v < 0 for v in dims):
             raise ValueError("dimensions must be nonnegative")
         if self.case == "AII":
-            if k % 2 == 0:
-                raise ValueError("AII modulus must be odd")
             half = (k - 1) // 2
             for i in range(1, half + 1):
                 if dims[i - 1] != dims[k - i]:
@@ -64,8 +71,6 @@ class GradingSpec:
             if dims[half] % 2:
                 raise ValueError(f"AII requires d_{half + 1} even")
         elif self.case == "CII":
-            if k % 2:
-                raise ValueError("CII modulus must be even")
             half = k // 2
             for i in range(1, half):
                 if dims[i - 1] != dims[k - i - 1]:
@@ -73,8 +78,6 @@ class GradingSpec:
             if dims[half - 1] % 2 or dims[k - 1] % 2:
                 raise ValueError(f"CII requires d_{half} and d_{k} even")
         elif self.case == "DII":
-            if k % 2:
-                raise ValueError("DII modulus must be even")
             for i in range(1, k + 1):
                 if dims[i - 1] != dims[k - i]:
                     raise ValueError(f"DII requires d_{i} == d_{k + 1 - i}")
@@ -309,8 +312,9 @@ class StratumII:
 def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[StratumAI]:
     """All AI stratum labels at order a for the given grading.
 
-    Empty unless a divides the total box count.  When gcd(a, m) = m the only
-    candidate is the fully padded stratum, which exists exactly when the box
+    Empty unless a divides the total box count, since every part of a
+    residual does.  When gcd(a, m) = m the residual is empty, so the only
+    stratum is the fully padded one, which exists exactly when the box
     counts are uniform.
     """
     if grading.case != "AI":
@@ -319,25 +323,16 @@ def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[StratumAI]:
         raise ValueError("order must be >= 1")
     m = grading.modulus
     total = grading.total
-    if total % a:
-        return []
     d = gcd(a, m)
     out: list[StratumAI] = []
-    if d == m:
-        uniform = total // m
-        if all(v == uniform for v in grading.dims):
-            mu = empty_diagram(m, MINUS)
-            out.append(StratumAI(a, total // a, mu, d_check_stratum(a, mu)))
-        return out
     per_label = a // d
     max_rank = total * d // (m * a)
     for rank in range(max_rank + 1):
         sub = tuple(v - per_label * rank for v in grading.dims)
         if any(v < 0 for v in sub):
             continue
-        for mu in enumerate_diagrams(m, MINUS, sub):
-            if is_distinguished_ai(mu, a):
-                out.append(StratumAI(a, rank, mu, d_check_stratum(a, mu)))
+        for mu in iter_diagrams(m, MINUS, sub, distinguished=True, order=a):
+            out.append(StratumAI(a, rank, mu, d_check_stratum(a, mu)))
     return out
 
 
@@ -417,9 +412,8 @@ def enumerate_strata_ii(grading: GradingSpec) -> list[StratumII]:
     max_rank = min(v // 2 for v in grading.dims)
     for rank in range(max_rank + 1):
         sub = tuple(v - 2 * rank for v in grading.dims)
-        for mu in enumerate_diagrams(m, MINUS, sub):
-            if admissible_for_case(mu, grading.case) and is_distinguished_ii(mu):
-                out.append(StratumII(rank, mu))
+        for mu in iter_diagrams(m, MINUS, sub, case=grading.case, distinguished=True):
+            out.append(StratumII(rank, mu))
     return out
 
 

@@ -19,7 +19,7 @@ from .diagrams import (
     MINUS,
     MultiPartition,
     empty_diagram,
-    enumerate_diagrams,
+    iter_diagrams,
     multipartitions,
     partitions,
 )
@@ -112,19 +112,17 @@ def orbital_complexes(grading: GradingSpec, a: int = 1):
     each with every exact-order-a character of its component group.  For the
     type II cases the component groups are trivial and a is ignored.
     """
-    out = []
+    diagrams = iter_diagrams(grading.modulus, MINUS, grading.dims, case=grading.case)
     if grading.case == "AI":
         if a < 1:
             raise ValueError("order must be >= 1")
-        for lam in enumerate_diagrams(grading.modulus, MINUS, grading.dims):
-            for psi in exact_order_characters(lam.part_gcd, a):
-                out.append((lam, psi))
-        return out
+        return [
+            (lam, psi)
+            for lam in diagrams
+            for psi in exact_order_characters(lam.part_gcd, a)
+        ]
     trivial = CentralCharacter(1, 0)
-    for lam in enumerate_diagrams(grading.modulus, MINUS, grading.dims):
-        if admissible_for_case(lam, grading.case):
-            out.append((lam, trivial))
-    return out
+    return [(lam, trivial) for lam in diagrams]
 
 
 def _is_cuspidal_ai(grading: GradingSpec, a: int, stratum: StratumAI) -> bool:
@@ -272,15 +270,9 @@ def cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
         return []
     out = []
     if total % m:
-        regular = next(
-            (
-                lam
-                for lam in enumerate_diagrams(m, MINUS, grading.dims)
-                if lam.partition == (total,)
-            ),
-            None,
-        )
-        if regular is None:
+        # the canonical order puts a single-row diagram, if any, first
+        regular = next(iter_diagrams(m, MINUS, grading.dims))
+        if regular.partition != (total,):
             return []
         stratum = StratumAI(total, 0, regular, d_check_stratum(total, regular))
         tau = multipartitions(gcd(total, m), 0)[0]

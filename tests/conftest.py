@@ -8,7 +8,7 @@ combinations-with-replacement, so agreement is a real check.
 import os
 import subprocess
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -57,6 +57,20 @@ def brute_force_diagrams(k, sign, dims):
                 continue
             if naive_diagram_counts(combo, k, sign) == tuple(dims):
                 found.add(tuple(sorted(combo)))
+    return found
+
+
+def brute_force_by_size(k, size):
+    """All row multisets with `size` boxes in total over every box-count
+    vector, as sorted tuples of (length, start) pairs: every multiset of row
+    lengths summing to the size, with every start label on every row."""
+    found = set()
+    for nrows in range(size + 1):
+        for lengths in combinations_with_replacement(range(1, size + 1), nrows):
+            if sum(lengths) != size:
+                continue
+            for starts in product(range(1, k + 1), repeat=nrows):
+                found.add(tuple(sorted(zip(lengths, starts))))
     return found
 
 

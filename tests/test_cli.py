@@ -160,6 +160,17 @@ def test_distinguished_oracle_restrictions(run_cli):
     )
 
 
+@pytest.mark.parametrize(
+    "modulus_args",
+    [("--case", "AI", "--m", "0"), ("--case", "CII", "--m", "3"), ("--case", "AII", "--m0", "4")],
+)
+def test_distinguished_sweep_rejects_bad_modulus(run_cli, modulus_args):
+    result = run_cli("distinguished", *modulus_args, "--N", "2")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "modulus" in result.stderr
+
+
 def test_distinguished_rejects_nonpositive_trials(run_cli):
     for trials in ("0", "-3"):
         result = run_cli(

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,6 +148,15 @@ def test_multipartitions_examples():
     assert len(multipartitions(1, 4)) == 5
 
 
+def test_multipartitions_builds_only_the_size_compositions():
+    # cuspidal_ai asks for multipartitions(d, 1) with d up to the modulus;
+    # looping over all (n + 1)^(iota - 1) heads would take minutes here.
+    start = time.perf_counter()
+    assert multipartitions(30, 1) == tuple(
+        tuple((1,) if slot == i else () for slot in range(30)) for i in range(30)
+    )
+    assert len(multipartitions(12, 4)) == 2535  # x^4 in (1 + x + 2x^2 + 3x^3 + 5x^4)^12
+    assert time.perf_counter() - start < 5
 def test_multipartition_count_matches_series():
     # |P_iota(n)| is the x^n coefficient of (sum_j p(j) x^j)^iota
     n_max = 5

@@ -1,8 +1,12 @@
+import json
+
 import pytest
 
-from gradedorbits.diagrams import enumerate_by_size, partitions
+from gradedorbits import cli
+from gradedorbits.diagrams import canonicalize, enumerate_by_size, partitions
 from gradedorbits.orbits import (
     admissible_for_case,
+    is_distinguished_ai,
     is_distinguished_ii,
 )
 from gradedorbits.series import (
@@ -34,6 +38,51 @@ def enum_count(base, l, n, distinguished=False):
             continue
         count += 1
     return count
+
+
+def enum_count_dist_ai(m, a, n):
+    """Diagrams of size n over Z/m that are distinguished at order a once
+    every row length is multiplied by a."""
+    count = 0
+    for small in enumerate_by_size(m, "-", n):
+        scaled = canonicalize([(r.length * a, r.start) for r in small.rows], m, "-")
+        if is_distinguished_ai(scaled, a):
+            count += 1
+    return count
+
+
+def cli_enum_counts(tmp_path, *argv):
+    target = tmp_path / "count.json"
+    cli.main(["count", *argv, "--format", "json", "--output", str(target)])
+    return [row["enum_count"] for row in json.loads(target.read_text())["rows"]]
+
+
+# The count tables of the benchmark's count-tables workload at their deepest
+# degrees: (family, l, n) and, for dist-AI, (m, n) at every order a <= 2m
+# that m does not divide.
+DEEPEST_II_TABLES = [
+    (family, l, n)
+    for family in ("A", "C", "D", "dist-A", "dist-C", "dist-D")
+    for l, n in ((1, 6), (2, 5))
+]
+DEEPEST_DIST_AI_TABLES = [
+    (m, a, n) for m, n in ((2, 9), (3, 9), (4, 7)) for a in range(1, 2 * m + 1) if a % m
+]
+
+
+@pytest.mark.parametrize("family,l,n_max", DEEPEST_II_TABLES)
+def test_count_enum_column_matches_enumerate_then_filter(tmp_path, family, l, n_max):
+    base = family.removeprefix("dist-")
+    distinguished = family.startswith("dist-")
+    expected = [enum_count(base, l, n, distinguished) for n in range(n_max + 1)]
+    assert cli_enum_counts(tmp_path, "--family", family, "--l", str(l), "--n", str(n_max)) == expected
+
+
+@pytest.mark.parametrize("m,a,n_max", DEEPEST_DIST_AI_TABLES)
+def test_count_dist_ai_enum_column_matches_enumerate_then_filter(tmp_path, m, a, n_max):
+    expected = [enum_count_dist_ai(m, a, n) for n in range(n_max + 1)]
+    argv = ("--family", "dist-AI", "--m", str(m), "--a", str(a), "--n", str(n_max))
+    assert cli_enum_counts(tmp_path, *argv) == expected
 
 
 def test_geom_pow_examples():
