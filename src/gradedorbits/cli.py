@@ -339,7 +339,11 @@ def cmd_cuspidal(args) -> int:
 def cmd_distinguished(args) -> int:
     if (args.dims is None) == (args.size is None):
         raise ValueError("give exactly one of --dims or --N")
-    modulus = _modulus_from_args(args)
+    if args.dims is None:
+        modulus, dims = _modulus_from_args(args), None
+    else:
+        grading = _grading_from_args(args)
+        modulus, dims = grading.modulus, grading.dims
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.oracle and args.case != "AI":
@@ -348,7 +352,6 @@ def cmd_distinguished(args) -> int:
         raise ValueError("the nilpotency oracle tests order 1 distinguishedness only")
     if args.dump_matrices and args.format != "json":
         raise ValueError("--dump-matrices requires --format json")
-    dims = None if args.dims is None else _parse_dims(args.dims)
     entries = []
     all_agree = True
     for lam in iter_diagrams(modulus, MINUS, dims, size=args.size, case=args.case):

@@ -77,10 +77,13 @@ class FilledDiagram:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         if self.sign not in SIGNS:
             raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
+        prev = None
         for row in self.rows:
             _check_row(row, self.modulus)
-        if list(self.rows) != sorted(self.rows, key=_row_key):
-            raise ValueError("rows not in canonical order; build via canonicalize()")
+            key = _row_key(row)
+            if prev is not None and key < prev:
+                raise ValueError("rows not in canonical order; build via canonicalize()")
+            prev = key
 
     @property
     def size(self) -> int:

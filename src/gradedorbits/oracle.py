@@ -1,9 +1,12 @@
 """Exact linear-algebra oracle for the cyclic-quiver realization (case AI).
 
-A filled diagram is realized as a block matrix with one basis vector per box;
-centralizer dimensions come from exact nullspaces of commutator maps over the
-rationals, and a seeded Monte Carlo test certifies non-distinguishedness by
-exhibiting a non-nilpotent element of the opposite-degree centralizer.
+A filled diagram is realized as a block matrix x with one basis vector per
+box.  One commutator system, {z : x z = z x} for block matrices z of a single
+degree, serves everything here: at degree 0 its exact nullspace over the
+rationals gives the block-diagonal centralizer dimension, and at degree
+-(deg x) it gives the opposite-degree centralizer, whose seeded random
+combinations a Monte Carlo test checks for nilpotency to certify
+non-distinguishedness.
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the nullspace
@@ -18,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .diagrams import FilledDiagram, PLUS, dimension_vector
 from .orbits import GradingSpec, duality
@@ -165,41 +169,47 @@ def build_representative(diagram: FilledDiagram, grading: GradingSpec | None = N
     return GradedMatrix(grading, degree, tuple(_freeze(b) for b in blocks))
 
 
-def _g0_commutator_rows(x: GradedMatrix):
-    """Linear system on block-diagonal z expressing z x = x z."""
-    g = x.grading
-    m = g.modulus
-    dims = g.dims
-    deg = x.degree
+def _commutator_rows(x: GradedMatrix, degree: int):
+    """The system {z : x z = z x} for block matrices z of the given degree.
+
+    Returns the unknown cells, as (row, column) positions in the full matrix
+    taken block by source label and row-major inside a block, and one row of
+    x z - z x = 0 per position of degree `degree + x.degree`."""
+    dims = x.grading.dims
+    m = len(dims)
     offsets = [0]
     for v in dims:
-        offsets.append(offsets[-1] + v * v)
-    n_unknowns = offsets[-1]
+        offsets.append(offsets[-1] + v)
+
+    def positions(deg):
+        return [
+            (offsets[(i - deg) % m] + r, offsets[i] + c)
+            for i in range(m)
+            for r in range(dims[(i - deg) % m])
+            for c in range(dims[i])
+        ]
+
+    cells = positions(degree)
+    index = {cell: k for k, cell in enumerate(cells)}
+    full = full_matrix(x)
     rows = []
-    for i in range(1, m + 1):
-        src = dims[i - 1]
-        tgt_label = (i - 1 - deg) % m
-        tgt = dims[tgt_label]
-        xb = x.block(i)
-        for r in range(tgt):
-            for c in range(src):
-                row = [Fraction(0)] * n_unknowns
-                for t in range(tgt):
-                    if xb[t][c]:
-                        row[offsets[tgt_label] + r * tgt + t] += xb[t][c]
-                for t in range(src):
-                    if xb[r][t]:
-                        row[offsets[i - 1] + t * src + c] -= xb[r][t]
-                if any(row):
-                    rows.append(row)
-    return rows, n_unknowns
+    for r, c in positions(degree + x.degree):
+        row = [0] * len(cells)
+        for t in range(offsets[-1]):
+            if full[r][t] and (t, c) in index:
+                row[index[t, c]] += full[r][t]
+            if full[t][c] and (r, t) in index:
+                row[index[r, t]] -= full[t][c]
+        if any(row):
+            rows.append(row)
+    return cells, rows
 
 
 def centralizer_dim_gl(x: GradedMatrix) -> int:
     """Dimension of the block-diagonal centralizer inside the full product of
     general linear Lie algebras (no trace condition)."""
-    rows, n_unknowns = _g0_commutator_rows(x)
-    return n_unknowns - matrix_rank(rows, n_unknowns)
+    cells, rows = _commutator_rows(x, 0)
+    return len(cells) - matrix_rank(rows, len(cells))
 
 
 def centralizer_dim_k(x: GradedMatrix) -> int:
@@ -211,51 +221,19 @@ def centralizer_dim_k(x: GradedMatrix) -> int:
 def centralizer_g1(x: GradedMatrix):
     """Dimension and exact basis of the opposite-degree centralizer
     {y : x y = y x} in the degree -(deg x) block space."""
-    g = x.grading
-    m = g.modulus
-    dims = g.dims
-    deg = x.degree
-    shapes = [(dims[(i + deg) % m], dims[i]) for i in range(m)]
-    offsets = [0]
-    for tgt, src in shapes:
-        offsets.append(offsets[-1] + tgt * src)
-    n_unknowns = offsets[-1]
-    rows = []
-    for i in range(1, m + 1):
-        di = dims[i - 1]
-        up = (i - 1 + deg) % m      # label of M_{i+deg}, the y_i target
-        down = (i - 1 - deg) % m    # label of M_{i-deg}, the x_i target
-        x_up = x.block(up + 1)      # maps M_{i+deg} -> M_i
-        x_i = x.block(i)            # maps M_i -> M_{i-deg}
-        d_up = dims[up]
-        d_down = dims[down]
-        for r in range(di):
-            for c in range(di):
-                row = [Fraction(0)] * n_unknowns
-                for t in range(d_up):
-                    if x_up[r][t]:
-                        row[offsets[i - 1] + t * di + c] += x_up[r][t]
-                for t in range(d_down):
-                    if x_i[t][c]:
-                        row[offsets[down] + r * d_down + t] -= x_i[t][c]
-                if any(row):
-                    rows.append(row)
-    dim, vectors = nullspace(rows, n_unknowns)
-    dim = n_unknowns - dim
+    dims = x.grading.dims
+    m = len(dims)
+    cells, rows = _commutator_rows(x, -x.degree)
+    rank, vectors = nullspace(rows, len(cells))
     basis = []
     for vec in vectors:
-        blocks = []
-        for i in range(m):
-            tgt, src = shapes[i]
-            base = offsets[i]
-            blocks.append(
-                tuple(
-                    tuple(vec[base + r * src + c] for c in range(src))
-                    for r in range(tgt)
-                )
-            )
-        basis.append(GradedMatrix(g, -deg, tuple(blocks)))
-    return dim, basis
+        entries = iter(vec)
+        blocks = tuple(
+            tuple(tuple(islice(entries, dims[i])) for _ in range(dims[(i + x.degree) % m]))
+            for i in range(m)
+        )
+        basis.append(GradedMatrix(x.grading, -x.degree, blocks))
+    return len(cells) - rank, basis
 
 
 def _is_nilpotent(full, n: int) -> bool:
@@ -284,21 +262,19 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     plus = diagram if diagram.sign == PLUS else duality(diagram)
     grading = GradingSpec("AI", plus.modulus, dimension_vector(plus))
     x = build_representative(plus, grading)
-    _, basis = centralizer_g1(x)
+    cells, rows = _commutator_rows(x, -x.degree)
+    _, basis = nullspace(rows, len(cells))
     if not basis:
         return True
     n = grading.total
-    full_basis = [full_matrix(b) for b in basis]
+    supports = [[(cells[k], v) for k, v in enumerate(vec) if v] for vec in basis]
     rng = random.Random(seed)
     for _ in range(trials):
-        coeffs = [rng.randint(-9, 9) for _ in full_basis]
         combo = _zeros(n, n)
-        for coeff, mat in zip(coeffs, full_basis):
-            if coeff:
-                for r in range(n):
-                    for c in range(n):
-                        if mat[r][c]:
-                            combo[r][c] += coeff * mat[r][c]
+        for support in supports:
+            coeff = rng.randint(-9, 9)
+            for (r, c), v in support:
+                combo[r][c] += coeff * v
         if not _is_nilpotent(combo, n):
             return False
     return True

@@ -87,15 +87,6 @@ class GradingSpec:
         return sum(self.dims)
 
     @property
-    def half(self) -> int:
-        """The parameter l: (modulus - 1) / 2 for AII, modulus / 2 for CII/DII."""
-        if self.case == "AII":
-            return (self.modulus - 1) // 2
-        if self.case in ("CII", "DII"):
-            return self.modulus // 2
-        raise ValueError("half is defined for the type II cases only")
-
-    @property
     def rank(self) -> int:
         if self.case == "AI":
             return min(self.dims)

@@ -72,37 +72,36 @@ def series_geom_pow(j: int, e: int, n_max: int) -> TruncSeries:
     return TruncSeries(tuple(out))
 
 
-def _one_plus(j: int, n_max: int, inverse: bool = False) -> TruncSeries:
-    """(1 + x^j) or its inverse, truncated."""
-    out = [0] * (n_max + 1)
-    if inverse:
-        for t in range(n_max // j + 1):
-            out[j * t] = (-1) ** t
-    else:
-        out[0] = 1
-        if j <= n_max:
-            out[j] = 1
-    return TruncSeries(tuple(out))
+def _family_factors(case: str, l: int) -> tuple[tuple[int, int], ...]:
+    """(step, e) pairs whose factors (1 - x^(step k))^(-e) multiply to the
+    family's factor at k: (1 - x^k)^(-(l+1)) for A, (1 + x^k)(1 - x^k)^(-l)
+    = (1 - x^2k)(1 - x^k)^(-(l+1)) for C, and (1 - x^k)^(-(l+1))(1 + x^k)^(-1)
+    = (1 - x^k)^(-l)(1 - x^2k)^(-1) for D."""
+    if case not in ORBIT_FAMILIES:
+        raise ValueError(f"family must be one of {ORBIT_FAMILIES}, got {case!r}")
+    if l < 1:
+        raise ValueError("parameter l must be >= 1")
+    if case == "A":
+        return ((1, l + 1),)
+    if case == "C":
+        return ((2, -1), (1, l + 1))
+    return ((1, l), (2, 1))
+
+
+def _product(factors, n_max: int) -> TruncSeries:
+    """The product over k = 1..n_max of (1 - x^(step k))^(-e) over the
+    (step, e) factors, truncated at degree n_max."""
+    s = series_one(n_max)
+    for k in range(1, n_max + 1):
+        for step, e in factors:
+            s = series_mul(s, series_geom_pow(step * k, e, n_max))
+    return s
 
 
 def gf_orbit_count(case: str, l: int, n_max: int) -> TruncSeries:
     """Series whose n-th coefficient counts the admissible diagrams with 2n
     boxes for the family: A over modulus 2l+1, C and D over modulus 2l."""
-    if case not in ORBIT_FAMILIES:
-        raise ValueError(f"family must be one of {ORBIT_FAMILIES}, got {case!r}")
-    if l < 1:
-        raise ValueError("parameter l must be >= 1")
-    s = series_one(n_max)
-    for k in range(1, n_max + 1):
-        if case == "A":
-            s = series_mul(s, series_geom_pow(k, l + 1, n_max))
-        elif case == "C":
-            s = series_mul(s, _one_plus(k, n_max))
-            s = series_mul(s, series_geom_pow(k, l, n_max))
-        else:
-            s = series_mul(s, series_geom_pow(k, l + 1, n_max))
-            s = series_mul(s, _one_plus(k, n_max, inverse=True))
-    return s
+    return _product(_family_factors(case, l), n_max)
 
 
 def gf_distinguished_ai(m: int, a: int, n_max: int) -> TruncSeries:
@@ -113,34 +112,16 @@ def gf_distinguished_ai(m: int, a: int, n_max: int) -> TruncSeries:
     d = gcd(a, m)
     if d == m:
         raise ValueError("family is empty when gcd(a, m) equals the modulus")
-    s = series_one(n_max)
-    for k in range(1, n_max + 1):
-        s = series_mul(s, series_geom_pow(k, m, n_max))
-        s = series_mul(s, series_geom_pow((m // d) * k, -d, n_max))
-    return s
+    return _product(((1, m), (m // d, -d)), n_max)
 
 
 def gf_distinguished_ii(case: str, l: int, n_max: int) -> TruncSeries:
     """Series whose n-th coefficient counts the admissible distinguished
-    diagrams with 2n boxes for the family."""
-    if case not in ORBIT_FAMILIES:
-        raise ValueError(f"family must be one of {ORBIT_FAMILIES}, got {case!r}")
-    if l < 1:
-        raise ValueError("parameter l must be >= 1")
-    s = series_one(n_max)
-    for k in range(1, n_max + 1):
-        if case == "A":
-            s = series_mul(s, series_geom_pow(k, l + 1, n_max))
-            s = series_mul(s, series_geom_pow((2 * l + 1) * k, -1, n_max))
-        elif case == "C":
-            s = series_mul(s, _one_plus(k, n_max))
-            s = series_mul(s, series_geom_pow(k, l, n_max))
-            s = series_mul(s, series_geom_pow(2 * l * k, -1, n_max))
-        else:
-            s = series_mul(s, series_geom_pow(k, l + 1, n_max))
-            s = series_mul(s, _one_plus(k, n_max, inverse=True))
-            s = series_mul(s, series_geom_pow(2 * l * k, -1, n_max))
-    return s
+    diagrams with 2n boxes for the family: the orbit count times
+    (1 - x^(modulus k)) at every k."""
+    factors = _family_factors(case, l)
+    modulus = 2 * l + 1 if case == "A" else 2 * l
+    return _product(factors + ((modulus, -1),), n_max)
 
 
 def _stars_and_bars_with_gap(k: int, nvars: int, gap: int) -> int:

@@ -22,8 +22,10 @@ def test_orbits_aii(run_cli):
     assert len(result.stdout.strip().splitlines()) == 2
 
 
-def test_orbits_invalid_dims_exit_2(run_cli):
-    result = run_cli("orbits", "--case", "AII", "--m0", "3", "--dims", "1,1,1")
+@pytest.mark.parametrize("dims", ["1,1,1", "1,2,3"])
+@pytest.mark.parametrize("command", ["orbits", "distinguished"])
+def test_orbits_invalid_dims_exit_2(run_cli, command, dims):
+    result = run_cli(command, "--case", "AII", "--m0", "3", "--dims", dims)
     assert result.returncode == 2
     assert "error" in result.stderr
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedorbits.diagrams import (
+    FilledDiagram,
+    FilledRow,
     canonicalize,
     dimension_vector,
     diagram_from_json,
@@ -40,6 +42,18 @@ def test_canonicalize_empty():
 def test_canonicalize_multiset_multiplicity():
     d = canonicalize([(2, 1), (2, 1)], 2, "+")
     assert d.multiplicities(2) == (2, 0)
+
+
+def test_diagram_checks_row_order():
+    with pytest.raises(ValueError, match="canonical order"):
+        FilledDiagram(2, "+", (FilledRow(1, 1), FilledRow(2, 1)))
+    with pytest.raises(ValueError, match="canonical order"):
+        FilledDiagram(2, "+", (FilledRow(2, 2), FilledRow(2, 1)))
+    with pytest.raises(ValueError, match="canonical order"):
+        FilledDiagram(3, "-", (FilledRow(3, 1), FilledRow(1, 2), FilledRow(2, 1)))
+    rows = (FilledRow(2, 1), FilledRow(2, 1), FilledRow(1, 2), FilledRow(1, 2))
+    assert FilledDiagram(2, "+", rows).rows == rows
+    assert FilledDiagram(2, "+", rows) == canonicalize([(1, 2), (2, 1), (1, 2), (2, 1)], 2, "+")
 
 
 @pytest.mark.parametrize("rows", [[(1, 0)], [(1, 3)], [(0, 1)], [(-2, 1)]])

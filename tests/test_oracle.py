@@ -151,6 +151,24 @@ def test_centralizer_g1_examples():
     assert dim == 2
 
 
+def test_centralizer_g1_basis_commutes_and_is_independent():
+    for m in (1, 2, 3):
+        for sign in ("+", "-"):
+            for size in range(6):
+                for lam in enumerate_by_size(m, sign, size):
+                    x = build_representative(lam)
+                    full_x = full_matrix(x)
+                    dim, basis = centralizer_g1(x)
+                    assert len(basis) == dim
+                    flat = []
+                    for y in basis:
+                        assert y.degree == -x.degree
+                        full_y = full_matrix(y)
+                        assert mat_mul(full_x, full_y) == mat_mul(full_y, full_x)
+                        flat.append([v for row in full_y for v in row])
+                    assert matrix_rank(flat, size * size) == dim
+
+
 def test_orbit_dim_identity():
     for m in (1, 2, 3):
         for size in range(5):
