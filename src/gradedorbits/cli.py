@@ -346,6 +346,9 @@ def cmd_distinguished(args) -> int:
         modulus, dims = grading.modulus, grading.dims
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        # random.Random uses |seed|, so -5 would silently draw as 5
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.oracle and args.case != "AI":
         raise ValueError("--oracle applies to case AI only")
     if args.oracle and args.a != 1:

@@ -1,12 +1,12 @@
 """Exact linear-algebra oracle for the cyclic-quiver realization (case AI).
 
-A filled diagram is realized as a block matrix x with one basis vector per
-box.  One commutator system, {z : x z = z x} for block matrices z of a single
-degree, serves everything here: at degree 0 its exact nullspace over the
-rationals gives the block-diagonal centralizer dimension, and at degree
--(deg x) it gives the opposite-degree centralizer, whose seeded random
-combinations a Monte Carlo test checks for nilpotency to certify
-non-distinguishedness.
+A filled diagram is realized as a 0/1 integer block matrix x with one basis
+vector per box.  One commutator system, {z : x z = z x} for block matrices z
+of a single degree, serves everything here: at degree 0 its exact nullspace,
+by fraction-free elimination over the integers, gives the block-diagonal
+centralizer dimension, and at degree -(deg x) it gives the opposite-degree
+centralizer, whose seeded random combinations a Monte Carlo test checks for
+nilpotency to certify non-distinguishedness.
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the nullspace
@@ -22,19 +22,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 
 from .diagrams import FilledDiagram, PLUS, dimension_vector
 from .orbits import GradingSpec, duality
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
-def _zeros(rows: int, cols: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def _freeze(mat) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in mat)
+def _zeros(rows: int, cols: int) -> list[list[int]]:
+    return [[0] * cols for _ in range(rows)]
 
 
 def mat_mul(a, b):
@@ -51,30 +48,44 @@ def mat_mul(a, b):
 
 
 def mat_is_zero(a) -> bool:
-    return all(v == 0 for row in a for v in row)
+    return not any(map(any, a))
 
 
-def nullspace(rows, ncols):
-    """Rank and a nullspace basis of the system `rows * v = 0`, computed by
-    exact Gauss-Jordan elimination over the rationals."""
-    m = [list(map(Fraction, row)) for row in rows]
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination: rows are scaled to integers and
+    each updated row is divided by its content (the gcd of its entries), so it
+    stays a nonzero multiple of its rational counterpart.  Returns the reduced
+    rows and the pivot columns."""
+    m = []
+    for row in rows:
+        # *list, not *generator: a resized tuple would fill the tuple free lists
+        den = lcm(*[v.denominator for v in row])
+        m.append([int(v * den) for v in row])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
+        pv, prow = m[r][c], m[r]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                row = [pv * x - f * y for x, y in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
+    return m, pivots
+
+
+def nullspace(rows, ncols):
+    """Rank and a nullspace basis of the system `rows * v = 0`, read off the
+    fraction-free elimination; only the basis entries are `Fraction`s."""
+    m, pivots = _eliminate(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free_col in range(ncols):
@@ -83,7 +94,7 @@ def nullspace(rows, ncols):
         v = [Fraction(0)] * ncols
         v[free_col] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -m[i][free_col]
+            v[pc] = -Fraction(m[i][free_col], m[i][pc])
         basis.append(tuple(v))
     return len(pivots), basis
 
@@ -165,8 +176,8 @@ def build_representative(diagram: FilledDiagram, grading: GradingSpec | None = N
             next_index[lab - 1] += 1
         for t in range(len(labels) - 1):
             src = labels[t]
-            blocks[src - 1][indices[t + 1]][indices[t]] = Fraction(1)
-    return GradedMatrix(grading, degree, tuple(_freeze(b) for b in blocks))
+            blocks[src - 1][indices[t + 1]][indices[t]] = 1
+    return GradedMatrix(grading, degree, tuple(tuple(map(tuple, b)) for b in blocks))
 
 
 def _commutator_rows(x: GradedMatrix, degree: int):
@@ -255,9 +266,12 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     """Monte Carlo distinguishedness test.
 
     Samples random integer combinations (coefficients in [-9, 9], seeded) of
-    an exact basis of the opposite-degree centralizer and checks nilpotency.
-    A False answer is certain; True may err with probability vanishing in the
-    number of trials.
+    an exact basis of the opposite-degree centralizer, scaled by the lcm of
+    its denominators so the trials run in integers, and checks nilpotency.
+    False is certain.  True errs only if every trial misses a non-nilpotent
+    element; the characteristic polynomial's coefficients have degree <= N
+    (the total box count) in the combination coefficients, so by
+    Schwartz-Zippel a trial misses with probability <= N/19, void at N >= 19.
     """
     plus = diagram if diagram.sign == PLUS else duality(diagram)
     grading = GradingSpec("AI", plus.modulus, dimension_vector(plus))
@@ -267,7 +281,8 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     if not basis:
         return True
     n = grading.total
-    supports = [[(cells[k], v) for k, v in enumerate(vec) if v] for vec in basis]
+    scale = lcm(*[v.denominator for vec in basis for v in vec])
+    supports = [[(cells[k], int(v * scale)) for k, v in enumerate(vec) if v] for vec in basis]
     rng = random.Random(seed)
     for _ in range(trials):
         combo = _zeros(n, n)

@@ -183,6 +183,20 @@ def test_distinguished_rejects_nonpositive_trials(run_cli):
         assert "--trials" in result.stderr
 
 
+def test_distinguished_rejects_negative_seed(run_cli):
+    # random.Random(-5) draws as random.Random(5), so a negative seed would
+    # report a seed it did not use
+    result = run_cli(
+        "distinguished", "--case", "AI", "--m", "2", "--N", "2", "--oracle", "--seed", "-5",
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "--seed" in result.stderr
+    assert run_cli(
+        "distinguished", "--case", "AI", "--m", "2", "--N", "2", "--oracle", "--seed", "0",
+    ).returncode == 0
+
+
 def test_distinguished_dump_matrices(run_cli):
     result = run_cli(
         "distinguished", "--case", "AI", "--m", "2", "--dims", "1,1",

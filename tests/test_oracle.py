@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gradedorbits.diagrams import (
     canonicalize,
@@ -24,6 +24,8 @@ from gradedorbits.orbits import (
 )
 from gradedorbits.oracle import (
     GradedMatrix,
+    _eliminate,
+    _is_nilpotent,
     build_representative,
     centralizer_dim_gl,
     centralizer_dim_k,
@@ -32,6 +34,7 @@ from gradedorbits.oracle import (
     is_distinguished_oracle,
     mat_mul,
     matrix_rank,
+    nullspace,
 )
 
 from conftest import compositions
@@ -305,3 +308,135 @@ def test_stratum_dim_matches_nullspace_exhaustive():
                         assert stratum_dim_ai(stratum, g) == _stratum_dim_nullspace(stratum, g)
                         checked += 1
     assert checked == 613
+
+
+def reference_nullspace(rows, ncols):
+    """Rank and a nullspace basis of the system `rows * v = 0`, computed by
+    exact Gauss-Jordan elimination over the rationals."""
+    m = [list(map(Fraction, row)) for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    pivot_set = set(pivots)
+    basis = []
+    for free_col in range(ncols):
+        if free_col in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free_col] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][free_col]
+        basis.append(tuple(v))
+    return len(pivots), basis
+
+
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+
+
+@st.composite
+def small_systems(draw):
+    """Up to 8 rows of up to 10 small integer or rational entries, some rows
+    zero; systems with no rows or no columns included."""
+    ncols = draw(st.integers(0, 10))
+    zero_row = st.just([0] * ncols)
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    return draw(st.lists(st.one_of(zero_row, row), max_size=8)), ncols
+
+
+@given(small_systems())
+@example(([[2, 4, 6], [Fraction(1, 3), 0, Fraction(-2, 3)], [0, 0, 0]], 3))
+@example(([[0, -3, 6], [-2, 1, 0]], 3))
+@example(([], 2))
+@example(([[]], 0))
+def test_nullspace_matches_rational_reference(system):
+    rows, ncols = system
+    assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+
+
+@given(small_systems())
+def test_elimination_entries_stay_within_hadamard_bound(system):
+    """Each row of the elimination is proportional to a vector of minors of
+    the integer-scaled system; once divided by its content it divides that
+    vector, so no entry exceeds Hadamard's bound, the product of the row
+    norms.  Without the content division the entries outgrow it."""
+    rows, ncols = system
+    bound_sq = 1
+    for row in rows:
+        den = lcm(*[v.denominator for v in row])
+        bound_sq *= max(1, sum((v * den) ** 2 for v in row))
+    reduced, pivots = _eliminate(rows, ncols)
+    assert len(pivots) == reference_nullspace(rows, ncols)[0]
+    assert all(type(v) is int and v * v <= bound_sq for row in reduced for v in row)
+
+
+def test_representative_entries_are_ints():
+    for lam in enumerate_by_size(3, "+", 5):
+        x = build_representative(lam)
+        assert all(type(v) is int for block in x.blocks for row in block for v in row)
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _reference_power_is_zero(a, n):
+    """Whether a^n = 0, by n products over the rationals."""
+    a = [[Fraction(v) for v in row] for row in a]
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        power = _product(power, a)
+    return all(v == 0 for row in power for v in row)
+
+
+@st.composite
+def unimodular_conjugates(draw):
+    """(n, U T U^-1, U T' U^-1): T strictly upper triangular with small integer
+    entries, T' the same with one nonzero diagonal entry, U a product of
+    integer row operations and a row permutation."""
+    n = draw(st.integers(1, 8))
+    t = [[draw(st.integers(-3, 3)) if j > i else 0 for j in range(n)] for i in range(n)]
+    k = draw(st.integers(0, n - 1))
+    t_eig = [row[:] for row in t]
+    t_eig[k][k] = draw(st.integers(-3, 3).filter(bool))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        f = draw(st.integers(-2, 2))
+        # row i += f * row j on U; column j -= f * column i on U^-1
+        u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] -= f * row[i]
+    perm = draw(st.permutations(range(n)))
+    u = [u[p] for p in perm]
+    u_inv = [[row[p] for p in perm] for row in u_inv]
+    assert _product(u, u_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    return n, _product(_product(u, t), u_inv), _product(_product(u, t_eig), u_inv)
+
+
+@given(unimodular_conjugates())
+def test_integer_nilpotency_kernel(case):
+    n, nilpotent, with_eigenvalue = case
+    assert all(type(v) is int for row in nilpotent + with_eigenvalue for v in row)
+    assert _is_nilpotent(nilpotent, n) is True
+    assert _is_nilpotent(with_eigenvalue, n) is False
+    assert _reference_power_is_zero(nilpotent, n)
+    assert not _reference_power_is_zero(with_eigenvalue, n)
