@@ -14,6 +14,7 @@ from .diagrams import (
     MINUS,
     PLUS,
     canonicalize,
+    count_by_size,
     count_diagrams,
     dimension_vector,
     empty_diagram,

@@ -12,11 +12,12 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from . import __version__
 from .diagrams import (
     MINUS,
-    count_diagrams,
+    count_by_size,
     diagram_to_json,
     iter_diagrams,
     partitions,
@@ -202,14 +203,15 @@ def _count_rows(args):
         weight_params = {"l": l}
         modulus, step = (2 * l + 1 if base == "A" else 2 * l), 2
         rule = {"case": FAMILY_CASE[base], "distinguished": distinguished}
+    counts = count_by_size(modulus, MINUS, [step * n for n in range(n_max + 1)], **rule)
     return [
         (
             n,
             gf.coefficient(n),
             sum(weight_count(mu, family, **weight_params) for mu in partitions(n)),
-            count_diagrams(modulus, MINUS, size=step * n, **rule),
+            count,
         )
-        for n in range(n_max + 1)
+        for n, count in enumerate(counts)
     ]
 
 
@@ -407,7 +409,10 @@ def _add_grading_options(parser) -> None:
     parser.add_argument("--dims", default=None, help="comma-separated box counts per label")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call; every later call
+    in the process returns that same parser, which `main` reuses."""
     parser = argparse.ArgumentParser(
         prog="gradedorbits",
         description="Enumerate graded nilpotent orbits, verify counting series "
@@ -462,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

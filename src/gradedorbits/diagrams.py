@@ -17,12 +17,18 @@ equal counts on paired start labels and an even count on a self-paired one
 diagrams, the per-length condition of `orbits.is_distinguished_ai` or
 `is_distinguished_ii`.  Only the wanted diagrams are built, and with box
 counts given the core prunes by the boxes each label has left.
-`count_diagrams` counts the stream without building a diagram;
 `enumerate_diagrams` and `enumerate_by_size` are lists of it.
+
+`count_diagrams` and `count_by_size` count without the stream, by a dynamic
+program over the length blocks that builds no row: the same per-length rule
+tallies how many allowed vectors of a block leave each slack of box counts,
+and the states are the parts still to place and the boxes left per label.
+`count_by_size` counts a table's every size with one set of tallies.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -173,17 +179,39 @@ def dimension_vector(diagram: FilledDiagram) -> DimensionVector:
     return tuple(counts)
 
 
-class _Fills:
-    """The row tuples of one enumeration, in canonical order; the arguments
-    are those of `iter_diagrams`.
+def _target(k, dims, size):
+    """Check that exactly one of the box counts and the size is given, and
+    return them as (box counts or None, size)."""
+    if (dims is None) == (size is None):
+        raise ValueError("give exactly one of the box counts and the size")
+    if dims is None:
+        if size < 0:
+            raise ValueError("size must be nonnegative")
+        return None, size
+    dims = tuple(dims)
+    if len(dims) != k:
+        raise ValueError(f"expected {k} box counts, got {len(dims)}")
+    if any(v < 0 for v in dims):
+        raise ValueError("box counts must be nonnegative")
+    return dims, sum(dims)
 
-    With box counts given, `slack` is, per label, what is left once every
-    unfilled row takes length // k boxes of each label.  Each row's excess
-    boxes must fit in it; since the shape's lengths sum to the total, a fill
-    that keeps the slack nonnegative ends on exactly the given box counts.
+
+class _Fills:
+    """The fills of one rule, the keyword arguments of `iter_diagrams`, for
+    any box counts or size: `rows` walks them in canonical order and `count`
+    counts them.  The memos live as long as the object, so every call on one
+    object shares them.
+
+    A row of length p takes p // k boxes of each label and p % k excess
+    boxes.  With box counts given, `slack` is, per label, the boxes the
+    excess of the block being filled may take: in the walk, what is left
+    once every unfilled row takes its p // k of each label, and in the count
+    what is left once the block's own rows do.  Since the lengths sum to the
+    total, a fill that keeps the slack nonnegative ends on exactly the given
+    box counts.  Without box counts the slack is None.
     """
 
-    def __init__(self, k, sign, dims=None, *, size=None, case="AI", distinguished=False, order=1):
+    def __init__(self, k, sign, *, case="AI", distinguished=False, order=1):
         if k < 1:
             raise ValueError(f"modulus must be >= 1, got {k}")
         if sign not in SIGNS or case not in CASES:
@@ -192,42 +220,59 @@ class _Fills:
             raise ValueError("order must be >= 1")
         if order != 1 and not (distinguished and case == "AI"):
             raise ValueError("an order applies only to distinguished diagrams of case AI")
-        if (dims is None) == (size is None):
-            raise ValueError("give exactly one of the box counts and the size")
-        if dims is not None:
-            dims = tuple(dims)
-            if len(dims) != k:
-                raise ValueError(f"expected {k} box counts, got {len(dims)}")
-            if any(v < 0 for v in dims):
-                raise ValueError("box counts must be nonnegative")
-            size = sum(dims)
-        elif size < 0:
-            raise ValueError("size must be nonnegative")
-        self.k, self.sign, self.case, self.dims, self.size = k, sign, case, dims, size
+        self.k, self.sign, self.case = k, sign, case
         self.distinguished = distinguished
         self.unit = order if distinguished and case == "AI" else 1
         self.copies = 1 if case == "AI" else 2
         self.classes = gcd(order, k)
         self.orbits: dict = {}
         self.options: dict = {}
+        self.tallies: dict = {}
 
-    def __iter__(self):
+    def rows(self, dims, size):
+        """The row tuples of the diagrams, in canonical order."""
         # Type II row counts per length are even, so their shapes double the
         # multiplicities of a partition; distinguished AI parts are multiples
         # of the order.
         step = self.unit * self.copies
-        for shape in partitions(self.size // step) if self.size % step == 0 else ():
+        for shape in partitions(size // step) if size % step == 0 else ():
             blocks = [
                 (part * self.unit, shape.count(part) * self.copies)
                 for part in sorted(set(shape), reverse=True)
             ]
             slack = None
-            if self.dims is not None:
+            if dims is not None:
                 even = sum(count * (length // self.k) for length, count in blocks)
-                slack = tuple(v - even for v in self.dims)
+                slack = tuple(v - even for v in dims)
                 if min(slack) < 0:
                     continue
             yield from self._fill(blocks, 0, slack, ()) if blocks else [()]
+
+    def count(self, dims, size):
+        """The number of row tuples `rows` yields, by a dynamic program over
+        the length blocks, longest first: its states are the parts still to
+        place and the boxes left per label (None without box counts), and a
+        block moves each state by the tally of its allowed fills."""
+        step = self.unit * self.copies
+        if size % step:
+            return 0
+        ways = {(size // step, dims): 1}
+        for part in range(size // step, 0, -1):
+            length = part * self.unit
+            even = self.copies * (length // self.k)
+            after = defaultdict(int)
+            for (left, boxes), w in ways.items():
+                # the shortest part takes every part still to place
+                for mult in range(left // part + 1) if part > 1 else (left,):
+                    slack = boxes
+                    if boxes is not None:
+                        slack = tuple(v - mult * even for v in boxes)
+                        if min(slack) < 0:
+                            break
+                    for rest, fills in self._tally(length, mult * self.copies, slack).items():
+                        after[left - mult * part, rest] += w * fills
+            ways = after
+        return ways.get((0, None if dims is None else (0,) * self.k), 0)
 
     def _fill(self, blocks, i, slack, prefix):
         for rows, rest in self._options(*blocks[i], slack):
@@ -240,19 +285,35 @@ class _Fills:
         """The allowed fills of one block, as (rows, slack after) pairs."""
         key = (length, count, slack)
         if key not in self.options:
-            if length not in self.orbits:
-                self.orbits[length] = self._orbits(length)
-            self.options[key] = []
-            counts = [0] * self.k
-            self._vectors(length, self.orbits[length], 0, count, counts, slack, self.options[key])
+            out = self.options[key] = []
+
+            def keep(counts, rest):
+                rows = tuple(FilledRow(length, s) for s, c in enumerate(counts, 1) for _ in range(c))
+                out.append((rows, rest))
+
+            self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
         return self.options[key]
+
+    def _tally(self, length, count, slack):
+        """The number of allowed fills of one block per slack they leave."""
+        key = (length, count, slack)
+        if key not in self.tallies:
+            tally = self.tallies[key] = {}
+
+            def keep(counts, rest):
+                tally[rest] = tally.get(rest, 0) + 1
+
+            self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
+        return self.tallies[key]
 
     def _orbits(self, length):
         """The start labels whose row counts the case ties together, by
         smallest label, each with its rows per label and in all for one
         unit, and that unit's excess boxes as (label index, boxes) pairs.
         Type II pairs a <-> b when a + b is the length (AII, DII) or the
-        length minus one (CII) mod k."""
+        length minus one (CII) mod k.  Memoized per length."""
+        if length in self.orbits:
+            return self.orbits[length]
         k = self.k
         target = length - (self.case == "CII")
         step = 1 if self.sign == MINUS else -1
@@ -270,11 +331,13 @@ class _Fills:
                     i = (start - 1 + step * t) % k
                     excess[i] = excess.get(i, 0) + per
             orbits.append((labels, per, per * len(labels), list(excess.items())))
+        self.orbits[length] = orbits
         return orbits
 
-    def _vectors(self, length, orbits, j, left, counts, slack, out):
+    def _vectors(self, orbits, j, left, counts, slack, keep):
         """Set the counts of orbit j and on, largest first, to place the
-        `left` rows still due, and append every kept fill to `out`."""
+        `left` rows still due, and call keep(counts, slack after) on every
+        kept fill; the counts list is reused."""
         labels, per, width, excess = orbits[j]
         last = j == len(orbits) - 1
         top = left // width
@@ -298,10 +361,9 @@ class _Fills:
                     rest[i] -= t * e
                 rest = tuple(rest)
             if not last:
-                self._vectors(length, orbits, j + 1, left - width * t, counts, rest, out)
+                self._vectors(orbits, j + 1, left - width * t, counts, rest, keep)
             elif not self.distinguished or self._keeps(counts):
-                rows = tuple(FilledRow(length, s) for s, c in enumerate(counts, 1) for _ in range(c))
-                out.append((rows, rest))
+                keep(counts, rest)
 
     def _keeps(self, counts):
         """Whether one length's row counts pass the distinguished condition."""
@@ -328,14 +390,25 @@ def iter_diagrams(
     AI (`orbits.is_distinguished_ai`), in the type II sense otherwise.  An
     `order` other than 1 is rejected unless both of those are set.
     """
-    fills = _Fills(k, sign, dims, size=size, case=case, distinguished=distinguished, order=order)
-    return (FilledDiagram(k, sign, rows) for rows in fills)
+    fills = _Fills(k, sign, case=case, distinguished=distinguished, order=order)
+    return (FilledDiagram(k, sign, rows) for rows in fills.rows(*_target(k, dims, size)))
 
 
-def count_diagrams(k: int, sign: str, dims: Sequence[int] | None = None, **options) -> int:
+def count_diagrams(
+    k: int, sign: str, dims: Sequence[int] | None = None, *, size: int | None = None, **rule
+) -> int:
     """The number of diagrams `iter_diagrams` streams for the same arguments,
-    counted from the row stream without building any diagram."""
-    return sum(1 for _ in _Fills(k, sign, dims, **options))
+    by a dynamic program over the length blocks that builds no diagram or
+    row (see the module docstring): its work grows with its states, not
+    with the number of diagrams or of shapes."""
+    return _Fills(k, sign, **rule).count(*_target(k, dims, size))
+
+
+def count_by_size(k: int, sign: str, sizes: Iterable[int], **rule) -> list[int]:
+    """`count_diagrams(k, sign, size=n, **rule)` for each size n in `sizes`,
+    with one set of block tallies for all of them."""
+    fills = _Fills(k, sign, **rule)
+    return [fills.count(*_target(k, None, size)) for size in sizes]
 
 
 def enumerate_diagrams(k: int, sign: str, d: Sequence[int]) -> list[FilledDiagram]:

@@ -265,13 +265,15 @@ def _is_nilpotent(full, n: int) -> bool:
 def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int = 0) -> bool:
     """Monte Carlo distinguishedness test.
 
-    Samples random integer combinations (coefficients in [-9, 9], seeded) of
-    an exact basis of the opposite-degree centralizer, scaled by the lcm of
-    its denominators so the trials run in integers, and checks nilpotency.
-    False is certain.  True errs only if every trial misses a non-nilpotent
-    element; the characteristic polynomial's coefficients have degree <= N
-    (the total box count) in the combination coefficients, so by
-    Schwartz-Zippel a trial misses with probability <= N/19, void at N >= 19.
+    Samples random integer combinations (coefficients in [-R, R] with
+    R = max(9, N), N the total box count, seeded) of an exact basis of the
+    opposite-degree centralizer, scaled by the lcm of its denominators so the
+    trials run in integers, and checks nilpotency.  False is certain.  True
+    errs only if every trial misses a non-nilpotent element; the
+    characteristic polynomial's coefficients have degree <= N in the
+    combination coefficients, so by Schwartz-Zippel a trial misses with
+    probability <= N/(2R + 1) < 1/2, and `trials` trials err with
+    probability < 2^-trials.
     """
     plus = diagram if diagram.sign == PLUS else duality(diagram)
     grading = GradingSpec("AI", plus.modulus, dimension_vector(plus))
@@ -283,11 +285,13 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     n = grading.total
     scale = lcm(*[v.denominator for vec in basis for v in vec])
     supports = [[(cells[k], int(v * scale)) for k, v in enumerate(vec) if v] for vec in basis]
+    # At least 2N + 1 values; N <= 9 keeps the draws of [-9, 9]
+    bound = max(9, n)
     rng = random.Random(seed)
     for _ in range(trials):
         combo = _zeros(n, n)
         for support in supports:
-            coeff = rng.randint(-9, 9)
+            coeff = rng.randint(-bound, bound)
             for (r, c), v in support:
                 combo[r][c] += coeff * v
         if not _is_nilpotent(combo, n):

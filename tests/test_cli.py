@@ -1,9 +1,12 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from gradedorbits import cli
 
 from conftest import PKG_ROOT
 
@@ -280,3 +283,80 @@ def test_repeated_runs_are_byte_identical(run_cli, argv):
     second = run_cli(*argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+README_EXAMPLES = [
+    ("orbits", "--case", "AI", "--m", "2", "--dims", "1,1"),
+    ("orbits", "--case", "AII", "--m0", "3", "--dims", "1,0,1"),
+    ("count", "--family", "A", "--l", "1", "--n", "6", "--format", "csv"),
+    ("count", "--family", "dist-AI", "--m", "2", "--a", "1", "--n", "6"),
+    ("sheaves", "--case", "AI", "--m", "2", "--dims", "1,1", "--a", "1", "--format", "json"),
+    ("sheaves", "--case", "CII", "--m", "2", "--dims", "2,2"),
+    ("verify", "--case", "AI", "--m", "2", "--dims", "1,1", "--a", "1"),
+    ("cuspidal", "--case", "AI", "--m", "2", "--dims", "2,1"),
+    ("distinguished", "--case", "AI", "--m", "2", "--N", "4", "--oracle", "--seed", "0",
+     "--trials", "20"),
+]
+# The README examples, the other formats of the count and oracle examples, a
+# failure inside a subcommand and an argparse usage error.
+ONE_PROCESS_RUNS = README_EXAMPLES + [
+    ("count", "--family", "A", "--l", "1", "--n", "6", "--format", "json"),
+    ("distinguished", "--case", "AI", "--m", "2", "--N", "4", "--oracle", "--seed", "0",
+     "--trials", "20", "--format", "json"),
+    ("count", "--family", "A", "--l", "1", "--n", "6"),
+    ("count", "--family", "A", "--n", "3"),
+    ("count", "--family", "B", "--l", "1", "--n", "3"),
+]
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Every ArgumentParser built while the test runs, subparsers included,
+    starting from no cached parser; the cache is cleared again after."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    yield built
+    cli.build_parser.cache_clear()
+
+
+def test_one_process_runs_match_fresh_processes(capsys, parser_builds):
+    """Each argv twice through cli.main in one process, the second pass in
+    reverse so that subcommands and formats interleave: stdout, stderr and
+    the exit code equal those of a fresh process, and one parser serves
+    every call."""
+    # The fresh processes run side by side; each is small.
+    children = {
+        argv: subprocess.Popen(
+            [sys.executable, "-m", "gradedorbits", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")},
+            cwd=PKG_ROOT,
+        )
+        for argv in ONE_PROCESS_RUNS
+    }
+    fresh = {}
+    for argv, child in children.items():
+        out, err = child.communicate(timeout=120)
+        fresh[argv] = (child.returncode, out, err)
+    after_first = None
+    for argv in ONE_PROCESS_RUNS + ONE_PROCESS_RUNS[::-1]:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == fresh[argv], argv
+        if after_first is None:
+            after_first = len(parser_builds)
+    assert after_first > 0
+    assert len(parser_builds) == after_first
+    assert {code for code, _, _ in fresh.values()} == {0, 2}

@@ -1,13 +1,17 @@
-"""The streamed enumeration core against the brute force in conftest.
+"""The streamed enumeration core and the counting dynamic program against
+the brute force in conftest.
 
 The reference enumerates every row multiset with itertools, then keeps the
 wanted diagrams with the predicates of `orbits`; the core generates only
 those diagrams, so agreement checks its per-length rules, its pruning by box
-counts and its order.
+counts and its order.  The counts share only the per-length rule with the
+core, so they are checked against the brute force and against the stream.
 """
 
 import gc
+from collections import defaultdict
 from functools import cache
+from itertools import product
 
 import pytest
 
@@ -15,6 +19,7 @@ from gradedorbits.diagrams import (
     CASES,
     FilledDiagram,
     canonicalize,
+    count_by_size,
     count_diagrams,
     enumerate_by_size,
     enumerate_diagrams,
@@ -27,6 +32,7 @@ from gradedorbits.orbits import (
     is_distinguished_ai,
     is_distinguished_ii,
 )
+from gradedorbits.series import gf_orbit_count
 
 from conftest import (
     brute_force_by_size,
@@ -60,19 +66,30 @@ def reference_by_dims(k, sign, size):
     return by_dims
 
 
-def wanted(diagrams, case, size):
+def wanted(diagrams, case, orders):
     """(iter_diagrams options, expected diagrams) for the admissible and the
-    distinguished diagrams of the case.  AI takes every order dividing the
-    size, and size + 1, which divides no part of a nonempty diagram."""
+    distinguished diagrams of the case, the latter at each of the orders for
+    AI."""
     admissible = [d for d in diagrams if admissible_for_case(d, case)]
     yield {"case": case}, admissible
     if case == "AI":
-        for a in [a for a in range(1, size + 1) if size % a == 0] + [size + 1]:
+        for a in orders:
             kept = [d for d in admissible if is_distinguished_ai(d, a)]
             yield {"case": case, "distinguished": True, "order": a}, kept
     else:
         kept = [d for d in admissible if is_distinguished_ii(d)]
         yield {"case": case, "distinguished": True}, kept
+
+
+def divisor_orders(size):
+    """Every order dividing the size, and size + 1, which divides no part of
+    a nonempty diagram."""
+    return [a for a in range(1, size + 1) if size % a == 0] + [size + 1]
+
+
+# Every order a <= 2k for every k <= K_MAX; these hold divisor_orders(size)
+# for every size <= SIZE_MAX.
+ORDERS = range(1, 2 * K_MAX + 1)
 
 
 def rows_of(diagram):
@@ -103,10 +120,18 @@ def test_enumerate_lists_are_the_sorted_brute_force(k, sign):
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("case", CASES)
 def test_core_by_size_matches_filtered_brute_force(k, sign, case):
+    """The stream and the counts, size by size and over all sizes at once."""
+    counts = defaultdict(list)
     for size in range(SIZE_MAX + 1):
-        for options, expected in wanted(reference(k, sign, size), case, size):
+        for options, expected in wanted(reference(k, sign, size), case, ORDERS):
             assert list(iter_diagrams(k, sign, size=size, **options)) == expected, options
-            assert count_diagrams(k, sign, size=size, **options) == len(expected)
+            assert count_diagrams(k, sign, size=size, **options) == len(expected), options
+            counts[tuple(options.items())].append(len(expected))
+    for options, expected in counts.items():
+        assert count_by_size(k, sign, range(SIZE_MAX + 1), **dict(options)) == expected, options
+        # any order of sizes, repeats included
+        shuffled = count_by_size(k, sign, [8, 0, 3, 8], **dict(options))
+        assert shuffled == [expected[n] for n in (8, 0, 3, 8)], options
 
 
 @pytest.mark.parametrize("k", range(1, K_MAX + 1))
@@ -115,8 +140,34 @@ def test_core_by_size_matches_filtered_brute_force(k, sign, case):
 def test_core_with_dims_matches_filtered_brute_force(k, sign, case):
     for size in range(SIZE_MAX + 1):
         for dims, diagrams in reference_by_dims(k, sign, size).items():
-            for options, expected in wanted(diagrams, case, size):
+            for options, expected in wanted(diagrams, case, divisor_orders(size)):
                 assert list(iter_diagrams(k, sign, dims, **options)) == expected, (dims, options)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_counts_by_dims_match_stream_and_brute_force(k, sign):
+    """Every box-count vector with entries <= 4: the count equals the length
+    of the stream and, up to size SIZE_MAX, the filtered brute force."""
+    for dims in product(range(5), repeat=k):
+        size = sum(dims)
+        diagrams = reference_by_dims(k, sign, size)[dims] if size <= SIZE_MAX else None
+        for case in CASES:
+            for options, expected in wanted(diagrams or (), case, ORDERS[: 2 * k]):
+                counted = count_diagrams(k, sign, dims, **options)
+                streamed = sum(1 for _ in iter_diagrams(k, sign, dims, **options))
+                assert counted == streamed, (dims, options)
+                if diagrams is not None:
+                    assert counted == len(expected), (dims, options)
+
+
+def test_counts_match_the_series_far_past_the_brute_force():
+    """The A family at l = 1, whose size-2n count is the series coefficient
+    of degree n; degree 60 has 966,467 shapes, which the count never lists."""
+    degrees = (39, 40, 60)
+    series = gf_orbit_count("A", 1, max(degrees))
+    counts = count_by_size(3, "-", [2 * n for n in degrees], case="AII")
+    assert counts == [series.coefficient(n) for n in degrees]
 
 
 def test_core_rejects_bad_arguments():
@@ -134,6 +185,12 @@ def test_core_rejects_bad_arguments():
         iter_diagrams(2, "-", (1, 1), size=2)
     with pytest.raises(ValueError):
         count_diagrams(2, "-", size=-1)
+    with pytest.raises(ValueError):
+        count_diagrams(2, "-", (1, -1))
+    with pytest.raises(ValueError):
+        count_by_size(2, "-", [2, -2])
+    with pytest.raises(ValueError):
+        count_by_size(2, "-", [2], case="AII", order=2)
     for options in ({}, {"distinguished": True, "case": "AII"}, {"case": "AI"}):
         with pytest.raises(ValueError):
             iter_diagrams(3, "-", size=6, order=2, **options)
@@ -146,19 +203,25 @@ def test_core_rejects_bad_arguments():
         lambda: enumerate_by_size(3, "+", 5),
         lambda: list(iter_diagrams(4, "-", size=6, case="CII", distinguished=True)),
         lambda: count_diagrams(3, "-", size=6, distinguished=True, order=2),
+        lambda: count_diagrams(3, "-", (3, 2, 3), case="AI"),
+        lambda: count_by_size(3, "-", range(0, 13, 2), case="AII", distinguished=True),
         lambda: partitions.__wrapped__(7),
         lambda: multipartitions(3, 4),
     ],
     ids=["enumerate_diagrams", "enumerate_by_size", "iter_diagrams", "count_diagrams",
-         "partitions", "multipartitions"],
+         "count_diagrams_dims", "count_by_size", "partitions", "multipartitions"],
 )
 def test_enumeration_leaves_no_reference_cycles(call):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        gc.collect()
+        # Older objects, garbage or not, such as the cached references, are
+        # left out of the collection, which then scans only what the call
+        # allocated.
+        gc.freeze()
         call()
         assert gc.collect() == 0
     finally:
+        gc.unfreeze()
         if was_enabled:
             gc.enable()

@@ -233,6 +233,52 @@ def test_oracle_examples():
     assert not is_distinguished_oracle(diag([(1, 1), (1, 2)], 2), seed=123)
 
 
+class RecordingRandom(random.Random):
+    """A `random.Random` that records each randint call as (a, b, value)."""
+
+    draws: list = []
+
+    def randint(self, a, b):
+        value = super().randint(a, b)
+        self.draws.append((a, b, value))
+        return value
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    monkeypatch.setattr(RecordingRandom, "draws", [])
+    monkeypatch.setattr("gradedorbits.oracle.random.Random", RecordingRandom)
+    return RecordingRandom.draws
+
+
+def test_oracle_draws_from_minus_nine_to_nine_up_to_n_nine(draws):
+    # Up to N = 9, which covers every tier-1 and benchmark input, every
+    # coefficient is randint(-9, 9).
+    for lam in (diag([(2, 1)], 2), diag([(3, 1), (2, 2), (2, 1)], 3), diag([(9, 1)], 2)):
+        assert is_distinguished_oracle(lam, trials=20, seed=7)
+    assert draws and {(a, b) for a, b, _ in draws} == {(-9, 9)}
+
+
+@pytest.mark.parametrize("rows,k", [([(10, 1)], 2), ([(6, 2), (5, 1)], 3), ([(7, 1), (5, 3)], 3)])
+def test_oracle_draws_cover_minus_n_to_n(draws, rows, k):
+    lam = diag(rows, k)
+    n = lam.size
+    assert is_distinguished_oracle(lam, trials=40, seed=3)
+    assert {(a, b) for a, b, _ in draws} == {(-n, n)}
+    assert {v for _, _, v in draws} == set(range(-n, n + 1))
+
+
+def test_oracle_agrees_with_predicate_beyond_n_nine():
+    for k in (1, 2, 3):
+        for size in (10, 11, 12):
+            found = {True: 0, False: 0}
+            for lam in enumerate_by_size(k, "-", size):
+                want = is_distinguished_ai(lam, 1)
+                if found[want] < 2:
+                    found[want] += 1
+                    assert is_distinguished_oracle(lam, trials=10, seed=0) == want, lam
+
+
 def test_oracle_agrees_with_predicate_quick():
     for m in (1, 2):
         for size in range(5):

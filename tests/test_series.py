@@ -51,10 +51,14 @@ def enum_count_dist_ai(m, a, n):
     return count
 
 
-def cli_enum_counts(tmp_path, *argv):
+def cli_count_rows(tmp_path, *argv):
     target = tmp_path / "count.json"
     cli.main(["count", *argv, "--format", "json", "--output", str(target)])
-    return [row["enum_count"] for row in json.loads(target.read_text())["rows"]]
+    return json.loads(target.read_text())["rows"]
+
+
+def cli_enum_counts(tmp_path, *argv):
+    return [row["enum_count"] for row in cli_count_rows(tmp_path, *argv)]
 
 
 # The count tables of the benchmark's count-tables workload at their deepest
@@ -83,6 +87,25 @@ def test_count_dist_ai_enum_column_matches_enumerate_then_filter(tmp_path, m, a,
     expected = [enum_count_dist_ai(m, a, n) for n in range(n_max + 1)]
     argv = ("--family", "dist-AI", "--m", str(m), "--a", str(a), "--n", str(n_max))
     assert cli_enum_counts(tmp_path, *argv) == expected
+
+
+# Deeper tables, beyond the reach of the enumerate-then-filter references
+# within the suite's time: the series coefficient, the weight sum and the
+# enumeration column, counted by the dynamic program, agree on every row.
+DEEP_TABLES = [
+    ("--family", family, "--l", str(l), "--n", str(n))
+    for family in ("A", "C", "D", "dist-A", "dist-C", "dist-D")
+    for l, n in ((1, 9), (2, 8))
+] + [("--family", "dist-AI", "--m", "3", "--a", str(a), "--n", "11") for a in (1, 2, 4, 5)]
+
+
+@pytest.mark.parametrize("argv", DEEP_TABLES, ids=" ".join)
+def test_deep_count_tables_agree_three_ways(tmp_path, argv):
+    rows = cli_count_rows(tmp_path, *argv)
+    assert [row["n"] for row in rows] == list(range(int(argv[-1]) + 1))
+    for row in rows:
+        assert row["gf_coeff"] == row["weight_sum"] == row["enum_count"], row
+        assert row["match"] is True
 
 
 def test_geom_pow_examples():
