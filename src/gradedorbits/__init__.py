@@ -30,7 +30,6 @@ from .orbits import (
     StratumII,
     admissible,
     admissible_for_case,
-    braid_rank_ai,
     centralizer_dim,
     component_group_order,
     d_check_dual,
@@ -54,6 +53,7 @@ from .series import (
     series_geom_pow,
     series_mul,
     weight_count,
+    weight_sum,
 )
 from .oracle import (
     GradedMatrix,

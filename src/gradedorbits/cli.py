@@ -20,7 +20,6 @@ from .diagrams import (
     count_by_size,
     diagram_to_json,
     iter_diagrams,
-    partitions,
 )
 from .orbits import (
     CASES,
@@ -39,7 +38,7 @@ from .series import (
     gf_distinguished_ai,
     gf_distinguished_ii,
     gf_orbit_count,
-    weight_count,
+    weight_sum,
 )
 from .sheaves import catalog_ai, catalog_ii, cuspidal_ai, verify_bijection
 
@@ -208,7 +207,7 @@ def _count_rows(args):
         (
             n,
             gf.coefficient(n),
-            sum(weight_count(mu, family, **weight_params) for mu in partitions(n)),
+            weight_sum(n, family, **weight_params),
             count,
         )
         for n, count in enumerate(counts)

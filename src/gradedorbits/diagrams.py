@@ -470,8 +470,3 @@ def diagram_to_json(diagram: FilledDiagram) -> dict:
         "sign": diagram.sign,
         "rows": [{"len": r.length, "start": r.start} for r in diagram.rows],
     }
-
-
-def diagram_from_json(obj: dict) -> FilledDiagram:
-    rows = [(r["len"], r["start"]) for r in obj["rows"]]
-    return canonicalize(rows, obj["modulus"], obj["sign"])

@@ -4,16 +4,18 @@ A filled diagram is realized as a 0/1 integer block matrix x with one basis
 vector per box.  One commutator system, {z : x z = z x} for block matrices z
 of a single degree, serves everything here: at degree 0 its exact nullspace,
 by fraction-free elimination over the integers, gives the block-diagonal
-centralizer dimension, and at degree -(deg x) it gives the opposite-degree
-centralizer, whose seeded random combinations a Monte Carlo test checks for
-nilpotency to certify non-distinguishedness.
+centralizer dimension, and at degree -(deg x) its integer basis gives the
+opposite-degree centralizer, whose seeded random combinations y a Monte Carlo
+test checks for nilpotency, on the m-step cycle product of y at a smallest
+label, to certify non-distinguishedness.
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the nullspace
 path here (`centralizer_dim_gl`, `centralizer_dim_k`) is the independent
 reference that the tests compare them against.
 
-Rank decisions are exact: no floating point is used anywhere.
+Rank decisions are exact: no floating point is used anywhere.  On the
+oracle's integer systems only `nullspace` forms `Fraction`s, for its basis.
 """
 
 from __future__ import annotations
@@ -99,9 +101,18 @@ def nullspace(rows, ncols):
     return len(pivots), basis
 
 
-def matrix_rank(rows, ncols) -> int:
-    rank, _ = nullspace(rows, ncols)
-    return rank
+def _integer_basis(rows, ncols):
+    """The basis of `nullspace` times L, the lcm of the pivot entries, read
+    straight off the elimination in integers, as sparse (column, value)
+    lists: a free column gets L and a pivot column its multiple of L."""
+    m, pivots = _eliminate(rows, ncols)
+    scale = lcm(*[row[pc] for row, pc in zip(m, pivots)])
+    pivot_set = set(pivots)
+    return [
+        [(free, scale)] + [(pc, -row[free] * (scale // row[pc])) for row, pc in zip(m, pivots) if row[free]]
+        for free in range(ncols)
+        if free not in pivot_set
+    ]
 
 
 @dataclass(frozen=True)
@@ -220,7 +231,7 @@ def centralizer_dim_gl(x: GradedMatrix) -> int:
     """Dimension of the block-diagonal centralizer inside the full product of
     general linear Lie algebras (no trace condition)."""
     cells, rows = _commutator_rows(x, 0)
-    return len(cells) - matrix_rank(rows, len(cells))
+    return len(cells) - nullspace(rows, len(cells))[0]
 
 
 def centralizer_dim_k(x: GradedMatrix) -> int:
@@ -249,8 +260,6 @@ def centralizer_g1(x: GradedMatrix):
 
 def _is_nilpotent(full, n: int) -> bool:
     """Whether the n x n matrix is nilpotent, by repeated squaring."""
-    if n == 0:
-        return True
     power = full
     steps = 1
     while True:
@@ -262,39 +271,54 @@ def _is_nilpotent(full, n: int) -> bool:
         steps *= 2
 
 
+def _cycle_product(blocks, start: int):
+    """Y_{s-1} ... Y_{s+1} Y_s at s = start, for the blocks Y_i (label i to
+    label i + 1, from 0) of a degree -1 element: its m-th power at label s."""
+    product = blocks[start]
+    for t in range(1, len(blocks)):
+        product = mat_mul(blocks[(start + t) % len(blocks)], product)
+    return product
+
+
 def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int = 0) -> bool:
     """Monte Carlo distinguishedness test.
 
-    Samples random integer combinations (coefficients in [-R, R] with
+    Samples random integer combinations y (coefficients in [-R, R] with
     R = max(9, N), N the total box count, seeded) of an exact basis of the
-    opposite-degree centralizer, scaled by the lcm of its denominators so the
-    trials run in integers, and checks nilpotency.  False is certain.  True
-    errs only if every trial misses a non-nilpotent element; the
-    characteristic polynomial's coefficients have degree <= N in the
+    opposite-degree centralizer, in integers straight from the elimination,
+    and checks nilpotency.  As y has degree -1, y^m is block diagonal with
+    the cycle products of its blocks, which share their nonzero eigenvalues;
+    so each trial tests the d x d cycle product at a label of smallest
+    dimension d, and with d = 0 the verdict True is certain.  False is
+    certain.  True errs only if every trial misses a non-nilpotent element;
+    the characteristic polynomial's coefficients have degree <= N in the
     combination coefficients, so by Schwartz-Zippel a trial misses with
     probability <= N/(2R + 1) < 1/2, and `trials` trials err with
     probability < 2^-trials.
     """
     plus = diagram if diagram.sign == PLUS else duality(diagram)
     grading = GradingSpec("AI", plus.modulus, dimension_vector(plus))
+    dims = grading.dims
+    m = len(dims)
+    d = min(dims)
+    if d == 0:
+        return True
     x = build_representative(plus, grading)
     cells, rows = _commutator_rows(x, -x.degree)
-    _, basis = nullspace(rows, len(cells))
-    if not basis:
-        return True
-    n = grading.total
-    scale = lcm(*[v.denominator for vec in basis for v in vec])
-    supports = [[(cells[k], int(v * scale)) for k, v in enumerate(vec) if v] for vec in basis]
+    # the cells as (block, row, column), in the order `_commutator_rows` lists them
+    local = [(i, r, c) for i in range(m) for r in range(dims[(i + 1) % m]) for c in range(dims[i])]
+    supports = [[(local[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
+    start = dims.index(d)
     # At least 2N + 1 values; N <= 9 keeps the draws of [-9, 9]
-    bound = max(9, n)
+    bound = max(9, grading.total)
     rng = random.Random(seed)
     for _ in range(trials):
-        combo = _zeros(n, n)
+        blocks = [_zeros(dims[(i + 1) % m], dims[i]) for i in range(m)]
         for support in supports:
             coeff = rng.randint(-bound, bound)
-            for (r, c), v in support:
-                combo[r][c] += coeff * v
-        if not _is_nilpotent(combo, n):
+            for (i, r, c), v in support:
+                blocks[i][r][c] += coeff * v
+        if not _is_nilpotent(_cycle_product(blocks, start), d):
             return False
     return True
 

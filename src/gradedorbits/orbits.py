@@ -327,16 +327,6 @@ def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[StratumAI]:
     return out
 
 
-def braid_rank_ai(a: int, mu: FilledDiagram, grading: GradingSpec) -> int:
-    """Braid rank of the stratum with residual mu: d(N - |mu|) / (m a)."""
-    m = grading.modulus
-    num = gcd(a, m) * (grading.total - mu.size)
-    den = m * a
-    if num % den:
-        raise ValueError("inconsistent stratum: braid rank is not an integer")
-    return num // den
-
-
 def centralizer_dim(diagram: FilledDiagram) -> int:
     """Dimension of the block-diagonal centralizer, inside the product of
     general linear Lie algebras (no trace condition), of the diagram's string
@@ -418,26 +408,3 @@ def full_support_stratum_ii(grading: GradingSpec) -> StratumII:
     for start, v in enumerate(grading.dims, start=1):
         rows.extend([FilledRow(1, start)] * (v - 2 * r))
     return StratumII(r, canonicalize(rows, grading.modulus, MINUS))
-
-
-def support_diagram_ai(stratum: StratumAI) -> FilledDiagram:
-    """Orbit diagram of an AI stratum: `rank` rows of length a/d at every
-    label, joined with the residual."""
-    mu = stratum.mu
-    m = mu.modulus
-    length = stratum.a // gcd(stratum.a, m)
-    rows = list(mu.rows)
-    for start in range(1, m + 1):
-        rows.extend([FilledRow(length, start)] * stratum.rank)
-    return canonicalize(rows, m, mu.sign)
-
-
-def support_diagram_ii(stratum: StratumII) -> FilledDiagram:
-    """Orbit diagram of a type II stratum: 2k single-box rows at every label,
-    joined with the residual."""
-    mu = stratum.mu
-    m = mu.modulus
-    rows = list(mu.rows)
-    for start in range(1, m + 1):
-        rows.extend([FilledRow(1, start)] * (2 * stratum.rank))
-    return canonicalize(rows, m, mu.sign)

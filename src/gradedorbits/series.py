@@ -134,37 +134,49 @@ def _stars_and_bars_with_gap(k: int, nvars: int, gap: int) -> int:
     return c
 
 
-def weight_count(
-    mu: Sequence[int],
-    family: str,
-    *,
-    l: int | None = None,
-    m: int | None = None,
-    a: int | None = None,
-) -> int:
+def _check_weight_family(family, l, m, a) -> None:
+    if family not in COUNT_FAMILIES:
+        raise ValueError(f"family must be one of {COUNT_FAMILIES}, got {family!r}")
+    if family == "dist-AI":
+        if m is None or a is None:
+            raise ValueError("family dist-AI needs the modulus m and order a")
+        if gcd(a, m) == m:
+            raise ValueError("family is empty when gcd(a, m) equals the modulus")
+    elif l is None or l < 1:
+        raise ValueError(f"family {family} needs a parameter l >= 1")
+
+
+def weight_count(mu: Sequence[int], family: str, *, l=None, m=None, a=None) -> int:
     """Multiplicative weight of a partition for one of the counting families.
 
     Summed over all partitions of n, the weights reproduce the corresponding
     generating-function coefficient at degree n.  Families A/C/D take the
     parameter l; dist-A/C/D likewise; dist-AI takes the modulus m and order a.
     """
-    if family not in COUNT_FAMILIES:
-        raise ValueError(f"family must be one of {COUNT_FAMILIES}, got {family!r}")
+    _check_weight_family(family, l, m, a)
     parts = tuple(mu)
     if any(p < 1 for p in parts):
         raise ValueError("partition parts must be positive")
-    if family == "dist-AI":
-        if m is None or a is None:
-            raise ValueError("family dist-AI needs the modulus m and order a")
-        d = gcd(a, m)
-        if d == m:
-            raise ValueError("family is empty when gcd(a, m) equals the modulus")
-    elif l is None or l < 1:
-        raise ValueError(f"family {family} needs a parameter l >= 1")
     total = 1
     for part, mult in sorted(Counter(parts).items()):
         total *= _part_weight(family, part, mult, l, m, a)
     return total
+
+
+def weight_sum(n: int, family: str, *, l=None, m=None, a=None) -> int:
+    """The sum of `weight_count` over the partitions of n, listing none: over
+    parts <= p it is, summed over the multiplicity k of p, the weight of
+    (p, k) times the sum over parts < p at n - k p."""
+    _check_weight_family(family, l, m, a)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    sums = [1] + [0] * n
+    for part in range(1, n + 1):
+        weights = [_part_weight(family, part, k, l, m, a) for k in range(1, n // part + 1)]
+        # boxes from the top down, so sums[b - k * part] still excludes part
+        for b in range(n, part - 1, -1):
+            sums[b] += sum(w * sums[b - k * part] for k, w in enumerate(weights[: b // part], 1))
+    return sums[n]
 
 
 def _part_weight(family, part, mult, l, m, a):

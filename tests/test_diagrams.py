@@ -8,7 +8,6 @@ from gradedorbits.diagrams import (
     FilledRow,
     canonicalize,
     dimension_vector,
-    diagram_from_json,
     diagram_to_json,
     empty_diagram,
     enumerate_by_size,
@@ -23,6 +22,11 @@ from conftest import brute_force_diagrams, compositions
 
 def rows_of(diagram):
     return tuple((r.length, r.start) for r in diagram.rows)
+
+
+def diagram_from_json(obj: dict) -> FilledDiagram:
+    rows = [(r["len"], r["start"]) for r in obj["rows"]]
+    return canonicalize(rows, obj["modulus"], obj["sign"])
 
 
 def test_canonicalize_sorts_rows():

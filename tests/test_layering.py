@@ -1,4 +1,5 @@
-"""The combinatorial layers never reach the exact linear-algebra oracle.
+"""The combinatorial layers never reach the exact linear-algebra oracle, and
+the oracle never reaches the predicates it checks.
 
 The check parses the sources instead of importing them, because importing
 `gradedorbits` loads every module, `oracle` included.
@@ -49,3 +50,48 @@ def test_detects_oracle_imports():
         "def f():\n    from .oracle import nullspace\n",
     ):
         assert "oracle" in set(imported_modules(ast.parse(source))), source
+
+
+# The oracle is the independent check of these predicates, so it must not
+# reach them, nor the counting and sheaf layers built on them.
+CHECKED_PREDICATES = ("is_distinguished_ai", "is_distinguished_ii", "admissible", "admissible_for_case")
+
+
+def oracle_violations(tree):
+    """Each import of a checked predicate, a `peel_*` map, `series` or
+    `sheaves`, and each attribute use of such a predicate or map."""
+    def forbidden(leaf):
+        return leaf in CHECKED_PREDICATES or leaf.startswith("peel_")
+
+    bad = {
+        name for name in imported_modules(tree)
+        if name.split(".")[0] in ("series", "sheaves") or forbidden(name.rpartition(".")[2])
+    }
+    bad.update(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and forbidden(node.attr)
+    )
+    return sorted(bad)
+
+
+def test_oracle_imports_nothing_it_checks():
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    assert not oracle_violations(tree)
+
+
+def test_detects_oracle_reaching_what_it_checks():
+    for source in (
+        "from .orbits import is_distinguished_ai",
+        "from .orbits import GradingSpec, admissible",
+        "from gradedorbits.orbits import admissible_for_case as ok",
+        "from .orbits import peel_ii",
+        "from . import orbits\norbits.is_distinguished_ii(d)",
+        "import gradedorbits.orbits\ngradedorbits.orbits.peel_ai(d, 1)",
+        "from .series import weight_count",
+        "from . import sheaves",
+        "import gradedorbits.series",
+        "def f():\n    from .sheaves import catalog_ai\n",
+    ):
+        assert oracle_violations(ast.parse(source)), source
+    clean = "from .diagrams import FilledDiagram, PLUS\nfrom .orbits import GradingSpec, duality"
+    assert not oracle_violations(ast.parse(clean))

@@ -24,8 +24,12 @@ from gradedorbits.orbits import (
 )
 from gradedorbits.oracle import (
     GradedMatrix,
+    _commutator_rows,
+    _cycle_product,
     _eliminate,
+    _integer_basis,
     _is_nilpotent,
+    _zeros,
     build_representative,
     centralizer_dim_gl,
     centralizer_dim_k,
@@ -33,7 +37,6 @@ from gradedorbits.oracle import (
     full_matrix,
     is_distinguished_oracle,
     mat_mul,
-    matrix_rank,
     nullspace,
 )
 
@@ -42,6 +45,11 @@ from conftest import compositions
 
 def diag(rows, k, sign="+"):
     return canonicalize(rows, k, sign)
+
+
+def matrix_rank(rows, ncols) -> int:
+    rank, _ = nullspace(rows, ncols)
+    return rank
 
 
 def mat_inverse(a):
@@ -279,6 +287,46 @@ def test_oracle_agrees_with_predicate_beyond_n_nine():
                     assert is_distinguished_oracle(lam, trials=10, seed=0) == want, lam
 
 
+def reference_oracle(diagram, trials=20, seed=0):
+    """The Monte Carlo oracle on the whole N x N matrix: combinations of the
+    `Fraction` basis scaled to integers, each squared until it vanishes."""
+    plus = diagram if diagram.sign == "+" else duality(diagram)
+    grading = GradingSpec("AI", plus.modulus, dimension_vector(plus))
+    x = build_representative(plus, grading)
+    cells, rows = _commutator_rows(x, -x.degree)
+    _, basis = nullspace(rows, len(cells))
+    if not basis:
+        return True
+    n = grading.total
+    scale = lcm(*[v.denominator for vec in basis for v in vec])
+    supports = [[(cells[k], int(v * scale)) for k, v in enumerate(vec) if v] for vec in basis]
+    bound = max(9, n)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        combo = _zeros(n, n)
+        for support in supports:
+            coeff = rng.randint(-bound, bound)
+            for (r, c), v in support:
+                combo[r][c] += coeff * v
+        if not _is_nilpotent(combo, n):
+            return False
+    return True
+
+
+def test_oracle_matches_the_full_matrix_oracle():
+    checked = 0
+    for m in range(1, 5):
+        for sign in ("+", "-"):
+            for size in range(7):
+                for lam in enumerate_by_size(m, sign, size):
+                    for seed in (0, 7):
+                        assert is_distinguished_oracle(lam, seed=seed) == reference_oracle(
+                            lam, seed=seed
+                        ), (lam, seed)
+                    checked += 1
+    assert checked == 3148
+
+
 def test_oracle_agrees_with_predicate_quick():
     for m in (1, 2):
         for size in range(5):
@@ -418,6 +466,25 @@ def test_nullspace_matches_rational_reference(system):
 
 
 @given(small_systems())
+@example(([[0, -3, 6], [-2, 1, 0]], 3))
+@example(([[2, 4, 6], [Fraction(1, 3), 0, Fraction(-2, 3)], [0, 0, 0]], 3))
+def test_integer_basis_is_one_positive_multiple_of_the_nullspace_basis(system):
+    rows, ncols = system
+    basis = nullspace(rows, ncols)[1]
+    integer = _integer_basis(rows, ncols)
+    assert len(integer) == len(basis)
+    ratios = set()
+    for sparse, vec in zip(integer, basis):
+        dense = [0] * ncols
+        for k, v in sparse:
+            dense[k] = v
+        assert all(type(v) is int for v in dense)
+        assert [v == 0 for v in dense] == [v == 0 for v in vec]
+        ratios.update(Fraction(v) / w for v, w in zip(dense, vec) if w)
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
+@given(small_systems())
 def test_elimination_entries_stay_within_hadamard_bound(system):
     """Each row of the elimination is proportional to a vector of minors of
     the integer-scaled system; once divided by its content it divides that
@@ -486,3 +553,59 @@ def test_integer_nilpotency_kernel(case):
     assert _is_nilpotent(with_eigenvalue, n) is False
     assert _reference_power_is_zero(nilpotent, n)
     assert not _reference_power_is_zero(with_eigenvalue, n)
+
+
+def _trace_kernel_is_nilpotent(a, n):
+    """Whether the n x n matrix is nilpotent, by Newton's identities: over a
+    field of characteristic 0, a is nilpotent iff tr(a^k) = 0 for k = 1..n."""
+    power = a
+    for _ in range(n):
+        if sum(power[i][i] for i in range(n)):
+            return False
+        power = _product(power, a)
+    return True
+
+
+@st.composite
+def graded_degree_minus_one(draw):
+    """(dims, blocks) of a Z/m-graded integer matrix of degree -1, m <= 4 and
+    every dimension <= 3, some of them 0; block i maps label i to label i + 1 (labels from 0).
+    Half the draws make every block upper triangular and one of them strictly
+    so; then every cycle product is strictly upper triangular, and the matrix
+    is nilpotent."""
+    m = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    # a zero-dimensional label in about a quarter of the draws
+    if draw(st.integers(0, 3)) == 0:
+        dims[draw(st.integers(0, m - 1))] = 0
+    dims = tuple(dims)
+    triangular = draw(st.booleans())
+    strict = draw(st.integers(0, m - 1))
+    blocks = []
+    for i in range(m):
+        blocks.append([
+            [
+                draw(st.integers(-3, 3))
+                if not triangular or r < c or (r == c and i != strict) else 0
+                for c in range(dims[i])
+            ]
+            for r in range(dims[(i + 1) % m])
+        ])
+    return dims, blocks
+
+
+@given(graded_degree_minus_one())
+@example(((2,), [[[1, 0], [0, 0]]]))
+@example(((1, 2), [[[1], [0]], [[0, 1]]]))
+@example(((2, 2), [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]))
+@example(((0, 3, 1), [[[], [], []], [[1, 2, 3]], []]))
+def test_cycle_product_and_trace_kernel_agree_with_full_matrix(case):
+    dims, blocks = case
+    d = min(dims)
+    by_cycle = d == 0 or _is_nilpotent(_cycle_product(blocks, dims.index(d)), d)
+    y = GradedMatrix(
+        GradingSpec("AI", len(dims), dims), -1, tuple(tuple(map(tuple, b)) for b in blocks)
+    )
+    full = full_matrix(y)
+    n = sum(dims)
+    assert by_cycle == _trace_kernel_is_nilpotent(full, n) == _is_nilpotent(full, n)

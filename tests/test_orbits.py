@@ -3,6 +3,8 @@ from math import gcd
 import pytest
 
 from gradedorbits.diagrams import (
+    FilledDiagram,
+    FilledRow,
     canonicalize,
     dimension_vector,
     empty_diagram,
@@ -15,7 +17,6 @@ from gradedorbits.orbits import (
     StratumII,
     admissible,
     admissible_for_case,
-    braid_rank_ai,
     component_group_order,
     d_check_dual,
     d_check_stratum,
@@ -29,8 +30,6 @@ from gradedorbits.orbits import (
     peel_ai,
     peel_ii,
     stratum_dim_ai,
-    support_diagram_ai,
-    support_diagram_ii,
 )
 
 from conftest import compositions
@@ -38,6 +37,39 @@ from conftest import compositions
 
 def diag(rows, k, sign="-"):
     return canonicalize(rows, k, sign)
+
+
+def braid_rank_ai(a: int, mu: FilledDiagram, grading: GradingSpec) -> int:
+    """Braid rank of the stratum with residual mu: d(N - |mu|) / (m a)."""
+    m = grading.modulus
+    num = gcd(a, m) * (grading.total - mu.size)
+    den = m * a
+    if num % den:
+        raise ValueError("inconsistent stratum: braid rank is not an integer")
+    return num // den
+
+
+def support_diagram_ai(stratum: StratumAI) -> FilledDiagram:
+    """Orbit diagram of an AI stratum: `rank` rows of length a/d at every
+    label, joined with the residual."""
+    mu = stratum.mu
+    m = mu.modulus
+    length = stratum.a // gcd(stratum.a, m)
+    rows = list(mu.rows)
+    for start in range(1, m + 1):
+        rows.extend([FilledRow(length, start)] * stratum.rank)
+    return canonicalize(rows, m, mu.sign)
+
+
+def support_diagram_ii(stratum: StratumII) -> FilledDiagram:
+    """Orbit diagram of a type II stratum: 2k single-box rows at every label,
+    joined with the residual."""
+    mu = stratum.mu
+    m = mu.modulus
+    rows = list(mu.rows)
+    for start in range(1, m + 1):
+        rows.extend([FilledRow(1, start)] * (2 * stratum.rank))
+    return canonicalize(rows, m, mu.sign)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from gradedorbits.series import (
     series_mul,
     series_one,
     weight_count,
+    weight_sum,
 )
 
 FAMILY_CASE = {"A": "AII", "C": "CII", "D": "DII"}
@@ -190,6 +191,30 @@ def test_weight_sums_match_gf_coefficients():
             assert series.coefficient(n) == sum(
                 weight_count(mu, "dist-AI", m=m, a=a) for mu in partitions(n)
             )
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [(f, {"l": l}) for f in ("A", "C", "D", "dist-A", "dist-C", "dist-D") for l in (1, 2, 3)]
+    + [("dist-AI", {"m": m, "a": a}) for m, a in ((2, 1), (3, 1), (3, 2), (4, 2), (6, 2), (6, 3))],
+)
+def test_weight_sum_matches_summed_weight_counts(family, params):
+    for n in range(13):
+        assert weight_sum(n, family, **params) == sum(
+            weight_count(mu, family, **params) for mu in partitions(n)
+        )
+
+
+def test_weight_sum_rejects_bad_arguments():
+    for n, family, params in (
+        (-1, "A", {"l": 1}),
+        (3, "B", {"l": 1}),
+        (3, "C", {"l": 0}),
+        (3, "dist-AI", {"m": 3}),
+        (3, "dist-AI", {"m": 3, "a": 3}),
+    ):
+        with pytest.raises(ValueError):
+            weight_sum(n, family, **params)
 
 
 def test_three_way_agreement_small():
