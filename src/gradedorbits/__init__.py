@@ -50,8 +50,6 @@ from .series import (
     gf_distinguished_ai,
     gf_distinguished_ii,
     gf_orbit_count,
-    series_geom_pow,
-    series_mul,
     weight_count,
     weight_sum,
 )

@@ -17,6 +17,7 @@ from functools import cache
 from . import __version__
 from .diagrams import (
     MINUS,
+    FilledDiagram,
     count_by_size,
     diagram_to_json,
     iter_diagrams,
@@ -25,6 +26,7 @@ from .orbits import (
     CASES,
     GradingSpec,
     StratumAI,
+    StratumII,
     check_modulus,
     component_group_order,
     duality,
@@ -40,7 +42,7 @@ from .series import (
     gf_orbit_count,
     weight_sum,
 )
-from .sheaves import catalog_ai, catalog_ii, cuspidal_ai, verify_bijection
+from .sheaves import SheafLabel, catalog_ai, catalog_ii, cuspidal_ai, verify_bijection
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -74,6 +76,17 @@ def _grading_from_args(args) -> GradingSpec:
     return GradingSpec(args.case, modulus, _parse_dims(args.dims))
 
 
+def _order_from_args(args, grading: GradingSpec):
+    """--a, which case AI requires and the type II cases reject."""
+    if grading.case != "AI":
+        if args.a is not None:
+            raise ValueError(f"--a applies to case AI only, not {grading.case}")
+        return None
+    if args.a is None:
+        raise ValueError("case AI requires --a")
+    return args.a
+
+
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -104,38 +117,55 @@ def _render_table(header, rows, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _write(args, payload, header, rows) -> None:
+    """The payload as indented JSON, or the header and rows as a text or CSV
+    table, whichever --format asks for."""
+    if args.format == "json":
+        _emit(args, json.dumps(_to_json(payload), indent=2))
+    else:
+        _emit(args, _render_table(header, rows, args.format))
+
+
+def _grading_json(grading) -> dict:
+    return {"case": grading.case, "modulus": grading.modulus, "dims": list(grading.dims)}
+
+
+def _to_json(obj):
+    """The payload with each library object in it replaced by its JSON form,
+    in one pass before encoding; other values are kept as they are."""
+    if isinstance(obj, dict):
+        return {key: _to_json(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_to_json(value) for value in obj]
+    if isinstance(obj, FilledDiagram):
+        return diagram_to_json(obj)
+    if isinstance(obj, SheafLabel):
+        return {
+            "type": obj.case,
+            "stratum": _to_json(obj.stratum),
+            "psi": {"mod": obj.psi.modulus, "idx": obj.psi.index, "order": obj.psi.order},
+            "tau": [list(component) for component in obj.tau],
+            "flags": {
+                "nilp": obj.nilpotent_support,
+                "full": obj.full_support,
+                "cuspidal_conj": obj.cuspidal_conjectural,
+            },
+        }
+    if isinstance(obj, StratumAI):
+        return {
+            "a": obj.a,
+            "l": obj.rank,
+            "mu": diagram_to_json(obj.mu),
+            "d_check": obj.d_check,
+            "braid_rank": obj.rank,
+        }
+    if isinstance(obj, StratumII):
+        return {"k": obj.rank, "mu": diagram_to_json(obj.mu)}
+    return obj
+
+
 def _bool(v: bool) -> str:
     return "true" if v else "false"
-
-
-def psi_to_json(psi) -> dict:
-    return {"mod": psi.modulus, "idx": psi.index, "order": psi.order}
-
-
-def stratum_to_json(stratum) -> dict:
-    if isinstance(stratum, StratumAI):
-        return {
-            "a": stratum.a,
-            "l": stratum.rank,
-            "mu": diagram_to_json(stratum.mu),
-            "d_check": stratum.d_check,
-            "braid_rank": stratum.rank,
-        }
-    return {"k": stratum.rank, "mu": diagram_to_json(stratum.mu)}
-
-
-def label_to_json(label) -> dict:
-    return {
-        "type": label.case,
-        "stratum": stratum_to_json(label.stratum),
-        "psi": psi_to_json(label.psi),
-        "tau": [list(component) for component in label.tau],
-        "flags": {
-            "nilp": label.nilpotent_support,
-            "full": label.full_support,
-            "cuspidal_conj": label.cuspidal_conjectural,
-        },
-    }
 
 
 def _tau_str(tau) -> str:
@@ -160,31 +190,24 @@ def cmd_orbits(args) -> int:
             return lam, component_group_order(lam, grading), is_distinguished_ii(lam)
 
     entries = [
-        describe(lam)
+        dict(zip(header, describe(lam)))
         for lam in iter_diagrams(grading.modulus, MINUS, grading.dims, case=grading.case)
     ]
-    if args.format == "json":
-        payload = {
-            "case": grading.case,
-            "modulus": grading.modulus,
-            "dims": list(grading.dims),
-            "orbits": [
-                {**dict(zip(header, e)), "diagram": diagram_to_json(e[0])} for e in entries
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2))
-        return EXIT_OK
-    _emit(args, _render_table(header, entries, args.format))
+    payload = {**_grading_json(grading), "orbits": entries}
+    _write(args, payload, header, (e.values() for e in entries))
     return EXIT_OK
 
 
 def _count_rows(args):
-    """(n, series coefficient, weight sum, enumerated count) for n = 0..--n."""
+    """One row per n = 0..--n: the series coefficient, the weight sum, the
+    enumerated count and whether the three match."""
     family = args.family
     n_max = args.n
     if n_max < 0:
         raise ValueError("--n must be nonnegative")
     if family == "dist-AI":
+        if args.l is not None:
+            raise ValueError("family dist-AI takes --m and --a, not --l")
         if args.m is None or args.a is None:
             raise ValueError("family dist-AI requires --m and --a")
         m, a = args.m, args.a
@@ -193,6 +216,8 @@ def _count_rows(args):
         # row n counts the diagrams of size a*n distinguished at order a
         modulus, step, rule = m, a, {"distinguished": True, "order": a}
     else:
+        if args.m is not None or args.a is not None:
+            raise ValueError(f"family {family} takes --l, not --m or --a")
         if args.l is None:
             raise ValueError(f"family {family} requires --l")
         l = args.l
@@ -203,53 +228,31 @@ def _count_rows(args):
         modulus, step = (2 * l + 1 if base == "A" else 2 * l), 2
         rule = {"case": FAMILY_CASE[base], "distinguished": distinguished}
     counts = count_by_size(modulus, MINUS, [step * n for n in range(n_max + 1)], **rule)
-    return [
-        (
-            n,
-            gf.coefficient(n),
-            weight_sum(n, family, **weight_params),
-            count,
-        )
-        for n, count in enumerate(counts)
-    ]
+    rows = []
+    for n, enum in enumerate(counts):
+        coeff, weights = gf.coefficient(n), weight_sum(n, family, **weight_params)
+        rows.append({
+            "n": n,
+            "gf_coeff": coeff,
+            "weight_sum": weights,
+            "enum_count": enum,
+            "match": coeff == weights == enum,
+        })
+    return rows
 
 
 def cmd_count(args) -> int:
     rows = _count_rows(args)
-    table = [
-        (n, coeff, weights, enum, coeff == weights == enum)
-        for n, coeff, weights, enum in rows
-    ]
-    all_match = all(coeff == weights == enum for _, coeff, weights, enum in rows)
     header = ["n", "gf_coeff", "weight_sum", "enum_count", "match"]
-    if args.format == "json":
-        payload = {
-            "family": args.family,
-            "rows": [
-                {
-                    "n": n,
-                    "gf_coeff": c,
-                    "weight_sum": w,
-                    "enum_count": e,
-                    "match": c == w == e,
-                }
-                for n, c, w, e in rows
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        _emit(args, _render_table(header, table, args.format))
-    return EXIT_OK if all_match else EXIT_VERIFY_FAILED
+    _write(args, {"family": args.family, "rows": rows}, header, (r.values() for r in rows))
+    return EXIT_OK if all(r["match"] for r in rows) else EXIT_VERIFY_FAILED
 
 
-def _labels_output(args, labels, context) -> None:
-    if args.format == "json":
-        payload = {**context, "labels": [label_to_json(lab) for lab in labels]}
-        _emit(args, json.dumps(payload, indent=2))
-        return
-    if context.get("case") == "AI":
+def _labels_output(args, grading, labels, **order) -> None:
+    """The labels as a table, or as JSON after the grading and any order."""
+    if grading.case == "AI":
         header = ["a", "l", "mu", "d_check", "psi", "tau", "nilp", "full", "cuspidal_conj"]
-        rows = [
+        rows = (
             (
                 lab.stratum.a,
                 lab.stratum.rank,
@@ -262,10 +265,10 @@ def _labels_output(args, labels, context) -> None:
                 lab.cuspidal_conjectural,
             )
             for lab in labels
-        ]
+        )
     else:
         header = ["k", "mu", "rho", "nilp", "full"]
-        rows = [
+        rows = (
             (
                 lab.stratum.rank,
                 str(lab.stratum.mu),
@@ -274,55 +277,43 @@ def _labels_output(args, labels, context) -> None:
                 lab.full_support,
             )
             for lab in labels
-        ]
-    _emit(args, _render_table(header, rows, args.format))
+        )
+    _write(args, {**_grading_json(grading), **order, "labels": labels}, header, rows)
 
 
 def cmd_sheaves(args) -> int:
     grading = _grading_from_args(args)
-    if grading.case == "AI":
-        if args.a is None:
-            raise ValueError("case AI requires --a")
-        labels = catalog_ai(grading, args.a)
-        context = {"case": "AI", "modulus": grading.modulus, "dims": list(grading.dims), "a": args.a}
+    a = _order_from_args(args, grading)
+    if a is None:
+        _labels_output(args, grading, catalog_ii(grading))
     else:
-        labels = catalog_ii(grading)
-        context = {"case": grading.case, "modulus": grading.modulus, "dims": list(grading.dims)}
-    _labels_output(args, labels, context)
+        _labels_output(args, grading, catalog_ai(grading, a), a=a)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     grading = _grading_from_args(args)
-    if grading.case == "AI":
-        if args.a is None:
-            raise ValueError("case AI requires --a")
-        report = verify_bijection(grading, args.a)
-    else:
-        report = verify_bijection(grading)
+    a = _order_from_args(args, grading)
+    report = verify_bijection(grading) if a is None else verify_bijection(grading, a)
+    payload = {
+        "case": report.case,
+        "a": report.a,
+        "orbital_complexes": report.complexes,
+        "catalog_labels": report.labels,
+        "counts_equal": report.counts_equal,
+        "injective": report.injective,
+        "surjective": report.surjective,
+        "ok": report.ok,
+    }
     if args.format == "json":
-        payload = {
-            "case": report.case,
-            "a": report.a,
-            "orbital_complexes": report.complexes,
-            "catalog_labels": report.labels,
-            "counts_equal": report.counts_equal,
-            "injective": report.injective,
-            "surjective": report.surjective,
-            "ok": report.ok,
-        }
-        _emit(args, json.dumps(payload, indent=2))
+        _write(args, payload, None, None)
     else:
         lines = [
-            f"case={report.case}",
-            f"a={report.a}",
-            f"orbital_complexes={report.complexes}",
-            f"catalog_labels={report.labels}",
-            f"counts_equal={_bool(report.counts_equal)}",
-            f"injective={_bool(report.injective)}",
-            f"surjective={_bool(report.surjective)}",
-            f"result={'PASS' if report.ok else 'FAIL'}",
+            f"{key}={_bool(value) if isinstance(value, bool) else value}"
+            for key, value in payload.items()
+            if key != "ok"
         ]
+        lines.append(f"result={'PASS' if report.ok else 'FAIL'}")
         _emit(args, "\n".join(lines))
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
@@ -331,9 +322,7 @@ def cmd_cuspidal(args) -> int:
     grading = _grading_from_args(args)
     if grading.case != "AI":
         raise ValueError("the cuspidal catalog is available for case AI only")
-    labels = cuspidal_ai(grading)
-    context = {"case": "AI", "modulus": grading.modulus, "dims": list(grading.dims)}
-    _labels_output(args, labels, context)
+    _labels_output(args, grading, cuspidal_ai(grading))
     return EXIT_OK
 
 
@@ -366,29 +355,20 @@ def cmd_distinguished(args) -> int:
             entry["oracle"] = verdict
             entry["agrees"] = verdict == pred
             all_agree = all_agree and entry["agrees"]
+        if args.dump_matrices:
+            x = build_representative(lam if lam.sign == "+" else duality(lam))
+            entry["blocks"] = [matrix_to_strings(b) for b in x.blocks]
         entries.append(entry)
-    if args.format == "json":
-        payload_rows = []
-        for e in entries:
-            row = {**e, "diagram": diagram_to_json(e["diagram"])}
-            if args.dump_matrices:
-                lam = e["diagram"]
-                x = build_representative(lam if lam.sign == "+" else duality(lam))
-                row["blocks"] = [matrix_to_strings(b) for b in x.blocks]
-            payload_rows.append(row)
-        payload = {
-            "case": args.case,
-            "modulus": modulus,
-            "a": args.a if args.case == "AI" else None,
-            "seed": args.seed if args.oracle else None,
-            "trials": args.trials if args.oracle else None,
-            "diagrams": payload_rows,
-        }
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        header = ["diagram", "distinguished"] + (["oracle", "agrees"] if args.oracle else [])
-        rows = [list(e.values()) for e in entries]
-        _emit(args, _render_table(header, rows, args.format))
+    payload = {
+        "case": args.case,
+        "modulus": modulus,
+        "a": args.a if args.case == "AI" else None,
+        "seed": args.seed if args.oracle else None,
+        "trials": args.trials if args.oracle else None,
+        "diagrams": entries,
+    }
+    header = ["diagram", "distinguished"] + (["oracle", "agrees"] if args.oracle else [])
+    _write(args, payload, header, (e.values() for e in entries))
     return EXIT_OK if all_agree else EXIT_VERIFY_FAILED
 
 

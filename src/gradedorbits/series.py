@@ -1,7 +1,10 @@
-"""Truncated integer power series and the orbit-counting generating functions.
+"""The orbit-counting generating functions and their partition weights.
 
-All arithmetic is exact; infinite products over k >= 1 are cut at the
-truncation degree, which leaves every retained coefficient exact.
+Each generating function is an infinite product over k >= 1 of factors
+(1 - x^(step k))^(-e), cut at the truncation degree, which leaves every
+retained coefficient exact.  The product is formed by stride updates of one
+integer coefficient list; there is no truncated-series arithmetic API, and
+`TruncSeries` only holds the result.
 """
 
 from __future__ import annotations
@@ -35,43 +38,6 @@ class TruncSeries:
         return self.coeffs[n]
 
 
-def series_one(n_max: int) -> TruncSeries:
-    return TruncSeries((1,) + (0,) * n_max)
-
-
-def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """Product truncated to the smaller truncation degree."""
-    n = min(f.truncation, g.truncation)
-    out = [0] * (n + 1)
-    for i, a in enumerate(f.coeffs[: n + 1]):
-        if a:
-            for j in range(n - i + 1):
-                b = g.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-    return TruncSeries(tuple(out))
-
-
-def series_geom_pow(j: int, e: int, n_max: int) -> TruncSeries:
-    """Expansion of (1 - x^j)^(-e); a negative e gives the polynomial
-    (1 - x^j)^(-e) with alternating binomial coefficients."""
-    if j < 1:
-        raise ValueError("exponent step must be >= 1")
-    if n_max < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    out = [0] * (n_max + 1)
-    for t in range(n_max // j + 1):
-        if e >= 1:
-            c = comb(t + e - 1, e - 1)
-        elif e == 0:
-            c = 1 if t == 0 else 0
-        else:
-            p = -e
-            c = (-1) ** t * comb(p, t) if t <= p else 0
-        out[j * t] = c
-    return TruncSeries(tuple(out))
-
-
 def _family_factors(case: str, l: int) -> tuple[tuple[int, int], ...]:
     """(step, e) pairs whose factors (1 - x^(step k))^(-e) multiply to the
     family's factor at k: (1 - x^k)^(-(l+1)) for A, (1 + x^k)(1 - x^k)^(-l)
@@ -90,12 +56,21 @@ def _family_factors(case: str, l: int) -> tuple[tuple[int, int], ...]:
 
 def _product(factors, n_max: int) -> TruncSeries:
     """The product over k = 1..n_max of (1 - x^(step k))^(-e) over the
-    (step, e) factors, truncated at degree n_max."""
-    s = series_one(n_max)
+    (step, e) factors, truncated at degree n_max, by |e| in-place passes of
+    stride step*k per factor: dividing by 1 - x^(step k) is a running sum,
+    multiplying by it a running difference taken from the top down."""
+    c = [1] + [0] * n_max
     for k in range(1, n_max + 1):
         for step, e in factors:
-            s = series_mul(s, series_geom_pow(step * k, e, n_max))
-    return s
+            j = step * k
+            for _ in range(abs(e)):
+                if e > 0:
+                    for i in range(j, n_max + 1):
+                        c[i] += c[i - j]
+                else:
+                    for i in range(n_max, j - 1, -1):
+                        c[i] -= c[i - j]
+    return TruncSeries(tuple(c))
 
 
 def gf_orbit_count(case: str, l: int, n_max: int) -> TruncSeries:

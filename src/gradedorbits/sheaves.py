@@ -148,20 +148,24 @@ def _flags_ai(grading: GradingSpec, a: int, stratum: StratumAI):
     return nilp, full, _is_cuspidal_ai(grading, a, stratum)
 
 
+def _labels_ai(grading: GradingSpec, a: int, stratum: StratumAI) -> list[SheafLabel]:
+    """The catalog's labels on one stratum at order a: every exact-order-a
+    character of its cyclic group with every multipartition of its braid
+    rank into gcd(a, m) components."""
+    nilp, full, cusp = _flags_ai(grading, a, stratum)
+    return [
+        SheafLabel("AI", stratum, psi, tau, nilp, full, cusp)
+        for psi in exact_order_characters(stratum.d_check, a)
+        for tau in multipartitions(gcd(a, grading.modulus), stratum.rank)
+    ]
+
+
 def catalog_ai(grading: GradingSpec, a: int) -> list[SheafLabel]:
-    """The full AI label catalog at order a: every stratum paired with every
-    exact-order-a character of its cyclic group and every multipartition of
-    its braid rank into gcd(a, m) components."""
+    """The full AI label catalog at order a: the labels of every stratum."""
     if grading.case != "AI":
         raise ValueError("catalog_ai requires case AI")
-    d = gcd(a, grading.modulus)
-    labels = []
-    for stratum in enumerate_strata_ai(grading, a):
-        nilp, full, cusp = _flags_ai(grading, a, stratum)
-        for psi in exact_order_characters(stratum.d_check, a):
-            for tau in multipartitions(d, stratum.rank):
-                labels.append(SheafLabel("AI", stratum, psi, tau, nilp, full, cusp))
-    return labels
+    strata = enumerate_strata_ai(grading, a)
+    return [lab for stratum in strata for lab in _labels_ai(grading, a, stratum)]
 
 
 def catalog_ii(grading: GradingSpec) -> list[SheafLabel]:
@@ -254,43 +258,26 @@ def verify_bijection(grading: GradingSpec, a: int = 1) -> BijectionReport:
 
 
 def cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
-    """Conjectural cuspidal labels for case AI.
-
-    When the modulus does not divide the total, these exist only if a single
-    row accounts for all the box counts, and sit on that orbit with the
-    maximal-order characters.  When it does divide, they exist only for
-    uniform box counts, at the orders d'*N/m for divisors d' of m coprime to
-    m/d' against N/m.
-    """
+    """Conjectural cuspidal labels for case AI: the catalog's labels on the
+    only strata the cuspidal flag can accept, where it does.  These are the
+    single-row orbit at order N when the modulus m does not divide the total
+    N, and otherwise the empty residue of braid rank 1 at each order d'*N/m
+    for a divisor d' of m; no other stratum is visited."""
     if grading.case != "AI":
         raise ValueError("the cuspidal catalog is implemented for case AI")
     m = grading.modulus
     total = grading.total
     if total == 0:
         return []
-    out = []
     if total % m:
         # the canonical order puts a single-row diagram, if any, first
-        regular = next(iter_diagrams(m, MINUS, grading.dims))
-        if regular.partition != (total,):
-            return []
-        stratum = StratumAI(total, 0, regular, d_check_stratum(total, regular))
-        tau = multipartitions(gcd(total, m), 0)[0]
-        nilp, full, cusp = _flags_ai(grading, total, stratum)
-        for psi in exact_order_characters(stratum.d_check, total):
-            out.append(SheafLabel("AI", stratum, psi, tau, nilp, full, cusp))
-        return out
-    uniform = total // m
-    if any(v != uniform for v in grading.dims):
-        return []
-    mu = empty_diagram(m, MINUS)
-    for d_prime in divisors(m):
-        if gcd(uniform, m // d_prime) != 1:
-            continue
-        a = d_prime * uniform
-        stratum = StratumAI(a, 1, mu, d_check_stratum(a, mu))
-        nilp, full, cusp = _flags_ai(grading, a, stratum)
-        for psi in exact_order_characters(stratum.d_check, a):
-            for tau in multipartitions(d_prime, 1):
-                out.append(SheafLabel("AI", stratum, psi, tau, nilp, full, cusp))
-    return out
+        candidates = [(total, 0, next(iter_diagrams(m, MINUS, grading.dims)))]
+    else:
+        candidates = [(d * total // m, 1, empty_diagram(m, MINUS)) for d in divisors(m)]
+    strata = [StratumAI(a, rank, mu, d_check_stratum(a, mu)) for a, rank, mu in candidates]
+    return [
+        lab
+        for stratum in strata
+        if _is_cuspidal_ai(grading, stratum.a, stratum)
+        for lab in _labels_ai(grading, stratum.a, stratum)
+    ]

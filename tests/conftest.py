@@ -9,10 +9,13 @@ import os
 import subprocess
 import sys
 from itertools import combinations_with_replacement, product
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+from gradedorbits.series import TruncSeries
 
 settings.register_profile("det", derandomize=True)
 settings.load_profile("det")
@@ -81,6 +84,47 @@ def compositions(total, slots):
     for first in range(total + 1):
         for rest in compositions(total - first, slots - 1):
             yield (first,) + rest
+
+
+# Truncated-series arithmetic, the reference for the generating functions'
+# stride products: each factor expanded in full and convolved in.
+
+
+def series_one(n_max: int) -> TruncSeries:
+    return TruncSeries((1,) + (0,) * n_max)
+
+
+def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
+    """Product truncated to the smaller truncation degree."""
+    n = min(f.truncation, g.truncation)
+    out = [0] * (n + 1)
+    for i, a in enumerate(f.coeffs[: n + 1]):
+        if a:
+            for j in range(n - i + 1):
+                b = g.coeffs[j]
+                if b:
+                    out[i + j] += a * b
+    return TruncSeries(tuple(out))
+
+
+def series_geom_pow(j: int, e: int, n_max: int) -> TruncSeries:
+    """Expansion of (1 - x^j)^(-e); a negative e gives the polynomial
+    (1 - x^j)^(-e) with alternating binomial coefficients."""
+    if j < 1:
+        raise ValueError("exponent step must be >= 1")
+    if n_max < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    out = [0] * (n_max + 1)
+    for t in range(n_max // j + 1):
+        if e >= 1:
+            c = comb(t + e - 1, e - 1)
+        elif e == 0:
+            c = 1 if t == 0 else 0
+        else:
+            p = -e
+            c = (-1) ** t * comb(p, t) if t <= p else 0
+        out[j * t] = c
+    return TruncSeries(tuple(out))
 
 
 @pytest.fixture

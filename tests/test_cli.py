@@ -116,12 +116,42 @@ def test_sheaves_requires_a_for_ai(run_cli):
     assert run_cli("sheaves", "--case", "AI", "--m", "2", "--dims", "1,1").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (("sheaves", "--case", "CII", "--m", "2", "--dims", "2,2"), ("--a", "1")),
+        (("sheaves", "--case", "AII", "--m0", "3", "--dims", "1,0,1"), ("--a", "2")),
+        (("verify", "--case", "DII", "--m", "2", "--dims", "2,2"), ("--a", "1")),
+        (("count", "--family", "dist-AI", "--m", "2", "--a", "1", "--n", "3"), ("--l", "1")),
+        (("count", "--family", "A", "--l", "1", "--n", "3"), ("--m", "3")),
+        (("count", "--family", "dist-C", "--l", "1", "--n", "3"), ("--a", "1")),
+    ],
+)
+def test_ignored_parameters_are_rejected(capsys, argv, extra):
+    """A parameter the command would ignore for this case or family is a
+    usage error; without it the same command succeeds."""
+    assert cli.main([*argv, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and extra[0] in err
+    assert cli.main(list(argv)) == 0
+
+
 def test_cuspidal_anchor(run_cli):
     result = run_cli("cuspidal", "--case", "AI", "--m", "2", "--dims", "2,1")
     assert result.returncode == 0
     lines = result.stdout.strip().splitlines()
     assert len(lines) == 3
     assert all("3_1" in line for line in lines[1:])
+
+
+def test_cuspidal_large_uniform_grading(run_cli):
+    # the order-1 catalog of this grading has about 10^9 labels
+    dims = ",".join(["1"] * 30)
+    result = run_cli("cuspidal", "--case", "AI", "--m", "30", "--dims", dims, "--format", "json")
+    assert result.returncode == 0
+    labels = json.loads(result.stdout)["labels"]
+    assert len(labels) == 441 and all(lab["flags"]["cuspidal_conj"] for lab in labels)
 
 
 def test_cuspidal_rejects_type_ii(run_cli):

@@ -15,9 +15,9 @@ from gradedorbits.diagrams import (
     multipartitions,
     partitions,
 )
-from gradedorbits.series import TruncSeries, series_mul, series_one
+from gradedorbits.series import TruncSeries
 
-from conftest import brute_force_diagrams, compositions
+from conftest import brute_force_diagrams, compositions, series_mul, series_one
 
 
 def rows_of(diagram):

@@ -95,3 +95,44 @@ def test_detects_oracle_reaching_what_it_checks():
         assert oracle_violations(ast.parse(source)), source
     clean = "from .diagrams import FilledDiagram, PLUS\nfrom .orbits import GradingSpec, duality"
     assert not oracle_violations(ast.parse(clean))
+
+
+# No linter runs on the sources, so an import that outlives its last use
+# would go unnoticed.  `__init__` imports only to re-export.
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def unused_imports(tree):
+    """Each name an import statement binds that the module never reads."""
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    # an attribute chain such as `json.dumps` reads its root as a Name
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert not unused_imports(tree), f"{module} imports {unused_imports(tree)} unused"
+
+
+def test_detects_unused_imports():
+    for source, unused in (
+        ("import os", ["os"]),
+        ("from .diagrams import MINUS, empty_diagram\nMINUS", ["empty_diagram"]),
+        ("from .orbits import GradingSpec as G\nGradingSpec", ["G"]),
+        ("import os.path\nimport sys\nos.path.join()", ["sys"]),
+        ("def f():\n    from .sheaves import catalog_ai\n", ["catalog_ai"]),
+    ):
+        assert unused_imports(ast.parse(source)) == unused, source
+    clean = (
+        "from __future__ import annotations\nimport json\nfrom .diagrams import FilledDiagram\n"
+        "def f(d: FilledDiagram) -> str:\n    return json.dumps(d)\n"
+    )
+    assert unused_imports(ast.parse(clean)) == []

@@ -1,4 +1,5 @@
 import json
+from math import gcd
 
 import pytest
 
@@ -14,12 +15,11 @@ from gradedorbits.series import (
     gf_distinguished_ai,
     gf_distinguished_ii,
     gf_orbit_count,
-    series_geom_pow,
-    series_mul,
-    series_one,
     weight_count,
     weight_sum,
 )
+
+from conftest import series_geom_pow, series_mul, series_one
 
 FAMILY_CASE = {"A": "AII", "C": "CII", "D": "DII"}
 
@@ -233,6 +233,44 @@ def test_gf_distinguished_ai_examples():
         gf_distinguished_ai(2, 2, 3)
     with pytest.raises(ValueError):
         gf_distinguished_ai(1, 1, 3)
+
+
+def expanded_product(factors, n_max):
+    """The reference for the stride product: every factor
+    (1 - x^(step k))^(-e) expanded in full and convolved in."""
+    s = series_one(n_max)
+    for k in range(1, n_max + 1):
+        for step, e in factors:
+            s = series_mul(s, series_geom_pow(step * k, e, n_max))
+    return s
+
+
+# Every generating function with its factors (1 - x^(step k))^(-e) as
+# (step, e) pairs: A, C and D at l <= 3, plain and distinguished (times
+# 1 - x^(modulus k)), and dist-AI at m <= 6 for every order a <= 2m with
+# gcd(a, m) < m.
+STRIDE_PRODUCTS = [
+    (gf, (base, l), factors + extra)
+    for l in (1, 2, 3)
+    for base, modulus, factors in (
+        ("A", 2 * l + 1, ((1, l + 1),)),
+        ("C", 2 * l, ((2, -1), (1, l + 1))),
+        ("D", 2 * l, ((1, l), (2, 1))),
+    )
+    for gf, extra in ((gf_orbit_count, ()), (gf_distinguished_ii, ((modulus, -1),)))
+] + [
+    (gf_distinguished_ai, (m, a), ((1, m), (m // gcd(a, m), -gcd(a, m))))
+    for m in range(1, 7)
+    for a in range(1, 2 * m + 1)
+    if gcd(a, m) < m
+]
+
+
+@pytest.mark.parametrize(
+    "gf,params,factors", STRIDE_PRODUCTS, ids=lambda v: v.__name__ if callable(v) else str(v)
+)
+def test_stride_product_matches_expand_and_convolve(gf, params, factors):
+    assert gf(*params, 40) == expanded_product(factors, 40)
 
 
 def test_algebraic_identity_to_degree_20():

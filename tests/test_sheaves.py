@@ -1,9 +1,20 @@
+from math import gcd
+
 import pytest
 
-from gradedorbits.diagrams import canonicalize, empty_diagram, enumerate_diagrams
-from gradedorbits.orbits import GradingSpec, StratumAI, StratumII
+from gradedorbits.diagrams import (
+    MINUS,
+    canonicalize,
+    empty_diagram,
+    enumerate_diagrams,
+    iter_diagrams,
+    multipartitions,
+)
+from gradedorbits.orbits import GradingSpec, StratumAI, StratumII, d_check_stratum
 from gradedorbits.sheaves import (
     CentralCharacter,
+    SheafLabel,
+    _flags_ai,
     catalog_ai,
     catalog_ii,
     cuspidal_ai,
@@ -264,3 +275,90 @@ def test_cuspidal_subset_of_catalog():
             flagged = {lab for lab in catalog if lab.cuspidal_conjectural}
             assert {lab for lab in labels if lab.stratum.a == a} == flagged
             assert flagged <= catalog
+
+
+def reference_cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
+    """The cuspidal labels built by hand, stratum by stratum, from the
+    conditions of the cuspidal flag: the reference for the catalog filter."""
+    if grading.case != "AI":
+        raise ValueError("the cuspidal catalog is implemented for case AI")
+    m = grading.modulus
+    total = grading.total
+    if total == 0:
+        return []
+    out = []
+    if total % m:
+        # the canonical order puts a single-row diagram, if any, first
+        regular = next(iter_diagrams(m, MINUS, grading.dims))
+        if regular.partition != (total,):
+            return []
+        stratum = StratumAI(total, 0, regular, d_check_stratum(total, regular))
+        tau = multipartitions(gcd(total, m), 0)[0]
+        nilp, full, cusp = _flags_ai(grading, total, stratum)
+        for psi in exact_order_characters(stratum.d_check, total):
+            out.append(SheafLabel("AI", stratum, psi, tau, nilp, full, cusp))
+        return out
+    uniform = total // m
+    if any(v != uniform for v in grading.dims):
+        return []
+    mu = empty_diagram(m, MINUS)
+    for d_prime in divisors(m):
+        if gcd(uniform, m // d_prime) != 1:
+            continue
+        a = d_prime * uniform
+        stratum = StratumAI(a, 1, mu, d_check_stratum(a, mu))
+        nilp, full, cusp = _flags_ai(grading, a, stratum)
+        for psi in exact_order_characters(stratum.d_check, a):
+            for tau in multipartitions(d_prime, 1):
+                out.append(SheafLabel("AI", stratum, psi, tau, nilp, full, cusp))
+    return out
+
+
+# Every AI grading with m <= 4 and N <= 8 (714 of them), and the uniform
+# gradings with m <= 6 and 1 to 4 boxes per label.
+CUSPIDAL_GRADINGS = [
+    GradingSpec("AI", m, dims)
+    for m in range(1, 5)
+    for total in range(9)
+    for dims in compositions(total, m)
+] + [GradingSpec("AI", m, (u,) * m) for m in (5, 6) for u in range(1, 5)]
+
+
+def flagged_catalog_labels(grading: GradingSpec, orders) -> list[SheafLabel]:
+    return [lab for a in orders for lab in catalog_ai(grading, a) if lab.cuspidal_conjectural]
+
+
+def test_cuspidal_matches_catalog_filter_and_reference():
+    found = 0
+    for grading in CUSPIDAL_GRADINGS:
+        m, total = grading.modulus, grading.total
+        # every order up to N on the small gradings (the flag accepts no
+        # other); only the orders d'*N/m on the larger uniform ones, whose
+        # order-1 and order-2 catalogs are too large to walk here
+        small = m <= 4
+        orders = range(1, total + 1) if small else [d * total // m for d in divisors(m)]
+        labels = cuspidal_ai(grading)
+        assert labels == flagged_catalog_labels(grading, orders), grading
+        assert labels == reference_cuspidal_ai(grading), grading
+        found += bool(labels)
+    # 74 of them carry cuspidal labels, so the comparison is not vacuous
+    assert len(CUSPIDAL_GRADINGS) == 722 and found == 74
+
+
+def test_cuspidal_visits_only_candidate_strata(monkeypatch):
+    # Uniform box counts 1 at m = 30: the order-1 catalog has about 10^9
+    # labels, so the cuspidal labels must come without walking any catalog.
+    def no_walk(*args):
+        raise AssertionError("cuspidal_ai walked a stratum enumeration")
+
+    monkeypatch.setattr("gradedorbits.sheaves.enumerate_strata_ai", no_walk)
+    labels = cuspidal_ai(GradingSpec("AI", 30, (1,) * 30))
+    # one stratum per divisor d' of 30 at order d', with phi(d') characters
+    # and d' multipartitions of 1 into d' components: sum of phi(d') * d'
+    assert sorted({lab.stratum.a for lab in labels}) == list(divisors(30))
+    assert len(labels) == 441
+    assert all(lab.cuspidal_conjectural and lab.stratum.mu.is_empty for lab in labels)
+    # m divides N = 30 with counts not uniform; and no single row of 32
+    assert cuspidal_ai(GradingSpec("AI", 30, (1,) * 28 + (2, 0))) == []
+    assert cuspidal_ai(GradingSpec("AI", 30, (2, 1, 2) + (1,) * 27)) == []
+    assert len(cuspidal_ai(GradingSpec("AI", 30, (1,) * 29 + (2,)))) == 30
