@@ -76,11 +76,11 @@ def _grading_from_args(args) -> GradingSpec:
     return GradingSpec(args.case, modulus, _parse_dims(args.dims))
 
 
-def _order_from_args(args, grading: GradingSpec):
+def _order_from_args(args, case: str):
     """--a, which case AI requires and the type II cases reject."""
-    if grading.case != "AI":
+    if case != "AI":
         if args.a is not None:
-            raise ValueError(f"--a applies to case AI only, not {grading.case}")
+            raise ValueError(f"--a applies to case AI only, not {case}")
         return None
     if args.a is None:
         raise ValueError("case AI requires --a")
@@ -283,7 +283,7 @@ def _labels_output(args, grading, labels, **order) -> None:
 
 def cmd_sheaves(args) -> int:
     grading = _grading_from_args(args)
-    a = _order_from_args(args, grading)
+    a = _order_from_args(args, grading.case)
     if a is None:
         _labels_output(args, grading, catalog_ii(grading))
     else:
@@ -293,7 +293,7 @@ def cmd_sheaves(args) -> int:
 
 def cmd_verify(args) -> int:
     grading = _grading_from_args(args)
-    a = _order_from_args(args, grading)
+    a = _order_from_args(args, grading.case)
     report = verify_bijection(grading) if a is None else verify_bijection(grading, a)
     payload = {
         "case": report.case,
@@ -334,24 +334,30 @@ def cmd_distinguished(args) -> int:
     else:
         grading = _grading_from_args(args)
         modulus, dims = grading.modulus, grading.dims
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.seed < 0:
+    # --a defaults to 1 here; the type II cases still reject it
+    a = 1 if args.case == "AI" and args.a is None else _order_from_args(args, args.case)
+    if not args.oracle and (args.seed is not None or args.trials is not None):
+        raise ValueError("--seed and --trials apply with --oracle only")
+    seed = 0 if args.seed is None else args.seed
+    trials = 20 if args.trials is None else args.trials
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
+    if seed < 0:
         # random.Random uses |seed|, so -5 would silently draw as 5
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     if args.oracle and args.case != "AI":
         raise ValueError("--oracle applies to case AI only")
-    if args.oracle and args.a != 1:
+    if args.oracle and a != 1:
         raise ValueError("the nilpotency oracle tests order 1 distinguishedness only")
     if args.dump_matrices and args.format != "json":
         raise ValueError("--dump-matrices requires --format json")
     entries = []
     all_agree = True
     for lam in iter_diagrams(modulus, MINUS, dims, size=args.size, case=args.case):
-        pred = is_distinguished_ai(lam, args.a) if args.case == "AI" else is_distinguished_ii(lam)
+        pred = is_distinguished_ai(lam, a) if args.case == "AI" else is_distinguished_ii(lam)
         entry = {"diagram": lam, "distinguished": pred}
         if args.oracle:
-            verdict = is_distinguished_oracle(lam, trials=args.trials, seed=args.seed)
+            verdict = is_distinguished_oracle(lam, trials=trials, seed=seed)
             entry["oracle"] = verdict
             entry["agrees"] = verdict == pred
             all_agree = all_agree and entry["agrees"]
@@ -362,9 +368,9 @@ def cmd_distinguished(args) -> int:
     payload = {
         "case": args.case,
         "modulus": modulus,
-        "a": args.a if args.case == "AI" else None,
-        "seed": args.seed if args.oracle else None,
-        "trials": args.trials if args.oracle else None,
+        "a": a,
+        "seed": seed if args.oracle else None,
+        "trials": trials if args.oracle else None,
         "diagrams": entries,
     }
     header = ["diagram", "distinguished"] + (["oracle", "agrees"] if args.oracle else [])
@@ -434,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distinguished", help="distinguished orbits, optionally oracle-checked")
     _add_grading_options(p)
     p.add_argument("--N", dest="size", type=int, default=None, help="sweep all box-count vectors of this total size")
-    p.add_argument("--a", type=int, default=1)
+    p.add_argument("--a", type=int, default=None, help="central character order (AI, default 1)")
     p.add_argument("--oracle", action="store_true", help="cross-check with the nilpotency oracle (AI)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--seed", type=int, default=None, help="oracle seed (default 0)")
+    p.add_argument("--trials", type=int, default=None, help="oracle trials (default 20)")
     p.add_argument("--dump-matrices", action="store_true", help="include representative blocks (JSON only)")
     _add_io_options(p)
     p.set_defaults(func=cmd_distinguished)

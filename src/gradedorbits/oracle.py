@@ -2,20 +2,22 @@
 
 A filled diagram is realized as a 0/1 integer block matrix x with one basis
 vector per box.  One commutator system, {z : x z = z x} for block matrices z
-of a single degree, serves everything here: at degree 0 its exact nullspace,
-by fraction-free elimination over the integers, gives the block-diagonal
-centralizer dimension, and at degree -(deg x) its integer basis gives the
-opposite-degree centralizer, whose seeded random combinations y a Monte Carlo
-test checks for nilpotency, on the m-step cycle product of y at a smallest
-label, to certify non-distinguishedness.
+of a single degree, serves everything here.  It is written block by block,
+in one order of the unknown cells of z (`_commutator_rows`), and solved by
+fraction-free elimination over the integers: at degree 0 its rank gives the
+block-diagonal centralizer dimension, and at degree -(deg x) its integer
+basis gives the opposite-degree centralizer, whose seeded random
+combinations y a Monte Carlo test checks for nilpotency, on the m-step cycle
+product of y at a smallest label, to certify non-distinguishedness.
 
 The library's orbit and stratum dimensions come from the closed form in
-`orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the nullspace
+`orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the elimination
 path here (`centralizer_dim_gl`, `centralizer_dim_k`) is the independent
 reference that the tests compare them against.
 
-Rank decisions are exact: no floating point is used anywhere.  On the
-oracle's integer systems only `nullspace` forms `Fraction`s, for its basis.
+Rank decisions are exact: no floating point is used anywhere, and no
+`Fraction` is formed.  Rational blocks are accepted; the elimination scales
+each system row to integers.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 
 from .diagrams import FilledDiagram, PLUS, dimension_vector
@@ -34,6 +35,13 @@ Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 def _zeros(rows: int, cols: int) -> list[list[int]]:
     return [[0] * cols for _ in range(rows)]
+
+
+def _zero_blocks(dims, degree: int) -> list[list[list[int]]]:
+    """Zero blocks of the given degree: block i maps label i to label
+    i - degree, labels counted from 0."""
+    m = len(dims)
+    return [_zeros(dims[(i - degree) % m], dims[i]) for i in range(m)]
 
 
 def mat_mul(a, b):
@@ -47,10 +55,6 @@ def mat_mul(a, b):
                     if b[t][j]:
                         out[i][j] += v * b[t][j]
     return out
-
-
-def mat_is_zero(a) -> bool:
-    return not any(map(any, a))
 
 
 def _eliminate(rows, ncols):
@@ -84,27 +88,12 @@ def _eliminate(rows, ncols):
     return m, pivots
 
 
-def nullspace(rows, ncols):
-    """Rank and a nullspace basis of the system `rows * v = 0`, read off the
-    fraction-free elimination; only the basis entries are `Fraction`s."""
-    m, pivots = _eliminate(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free_col in range(ncols):
-        if free_col in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free_col] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -Fraction(m[i][free_col], m[i][pc])
-        basis.append(tuple(v))
-    return len(pivots), basis
-
-
 def _integer_basis(rows, ncols):
-    """The basis of `nullspace` times L, the lcm of the pivot entries, read
-    straight off the elimination in integers, as sparse (column, value)
-    lists: a free column gets L and a pivot column its multiple of L."""
+    """A nullspace basis of the system `rows * v = 0`, one vector per free
+    column, read straight off the elimination in integers as sparse
+    (column, value) lists: the free column gets L, the lcm of the pivot
+    entries, and each pivot column its multiple of L.  Each vector is L
+    times the rational basis vector whose free entry is 1."""
     m, pivots = _eliminate(rows, ncols)
     scale = lcm(*[row[pc] for row, pc in zip(m, pivots)])
     pivot_set = set(pivots)
@@ -117,8 +106,8 @@ def _integer_basis(rows, ncols):
 
 @dataclass(frozen=True)
 class GradedMatrix:
-    """Block matrix of pure degree: block(i) maps the label-i summand to the
-    label-(i - degree) summand."""
+    """Block matrix of pure degree: blocks[i - 1] maps the label-i summand
+    to the label-(i - degree) summand."""
 
     grading: GradingSpec
     degree: int
@@ -138,28 +127,6 @@ class GradedMatrix:
             if len(block) != tgt or any(len(row) != src for row in block):
                 raise ValueError(f"block {i + 1} has the wrong shape")
 
-    def block(self, label: int) -> Matrix:
-        return self.blocks[label - 1]
-
-
-def full_matrix(x: GradedMatrix):
-    """Assemble the blocks into one endomorphism of the total space."""
-    dims = x.grading.dims
-    m = x.grading.modulus
-    offsets = [0]
-    for v in dims:
-        offsets.append(offsets[-1] + v)
-    n = offsets[-1]
-    out = _zeros(n, n)
-    for i in range(1, m + 1):
-        tgt = (i - 1 - x.degree) % m
-        block = x.block(i)
-        for r in range(len(block)):
-            for c in range(len(block[r])):
-                if block[r][c]:
-                    out[offsets[tgt] + r][offsets[i - 1] + c] = block[r][c]
-    return out
-
 
 def build_representative(diagram: FilledDiagram, grading: GradingSpec | None = None) -> GradedMatrix:
     """String representative of the orbit: one basis vector per box, each box
@@ -176,8 +143,7 @@ def build_representative(diagram: FilledDiagram, grading: GradingSpec | None = N
         raise ValueError("diagram box counts do not match the grading")
     m = diagram.modulus
     degree = 1 if diagram.sign == PLUS else -1
-    dims = grading.dims
-    blocks = [_zeros(dims[(i - degree) % m], dims[i]) for i in range(m)]
+    blocks = _zero_blocks(grading.dims, degree)
     next_index = [0] * m
     for row in diagram.rows:
         labels = row.box_labels(m, diagram.sign)
@@ -194,36 +160,33 @@ def build_representative(diagram: FilledDiagram, grading: GradingSpec | None = N
 def _commutator_rows(x: GradedMatrix, degree: int):
     """The system {z : x z = z x} for block matrices z of the given degree.
 
-    Returns the unknown cells, as (row, column) positions in the full matrix
-    taken block by source label and row-major inside a block, and one row of
-    x z - z x = 0 per position of degree `degree + x.degree`."""
+    With d = `degree` and e = x.degree, the unknowns are the cells
+    (i, r, c) of the blocks Z_i : V_i -> V_{i-d} (labels from 0), taken
+    block by block and row-major inside a block, so cell (i, r, c) is
+    unknown base[i] + r * dims[i] + c.  One row per entry of the block
+    equations X_{i-d} Z_i - Z_{i-e} X_i = 0, taken in the same order, is
+    returned unless it is zero."""
     dims = x.grading.dims
     m = len(dims)
-    offsets = [0]
-    for v in dims:
-        offsets.append(offsets[-1] + v)
-
-    def positions(deg):
-        return [
-            (offsets[(i - deg) % m] + r, offsets[i] + c)
-            for i in range(m)
-            for r in range(dims[(i - deg) % m])
-            for c in range(dims[i])
-        ]
-
-    cells = positions(degree)
-    index = {cell: k for k, cell in enumerate(cells)}
-    full = full_matrix(x)
+    cells = [(i, r, c) for i in range(m) for r in range(dims[(i - degree) % m]) for c in range(dims[i])]
+    base = [0] * m
+    for i in range(1, m):
+        base[i] = base[i - 1] + dims[(i - 1 - degree) % m] * dims[i - 1]
     rows = []
-    for r, c in positions(degree + x.degree):
-        row = [0] * len(cells)
-        for t in range(offsets[-1]):
-            if full[r][t] and (t, c) in index:
-                row[index[t, c]] += full[r][t]
-            if full[t][c] and (r, t) in index:
-                row[index[r, t]] -= full[t][c]
-        if any(row):
-            rows.append(row)
+    for i in range(m):
+        j = (i - x.degree) % m
+        x_left, x_right = x.blocks[(i - degree) % m], x.blocks[i]
+        for r in range(dims[(j - degree) % m]):
+            for c in range(dims[i]):
+                row = [0] * len(cells)
+                for t, v in enumerate(x_left[r]):
+                    if v:
+                        row[base[i] + t * dims[i] + c] += v
+                for t in range(dims[j]):
+                    if x_right[t][c]:
+                        row[base[j] + r * dims[j] + t] -= x_right[t][c]
+                if any(row):
+                    rows.append(row)
     return cells, rows
 
 
@@ -231,7 +194,7 @@ def centralizer_dim_gl(x: GradedMatrix) -> int:
     """Dimension of the block-diagonal centralizer inside the full product of
     general linear Lie algebras (no trace condition)."""
     cells, rows = _commutator_rows(x, 0)
-    return len(cells) - nullspace(rows, len(cells))[0]
+    return len(cells) - len(_eliminate(rows, len(cells))[1])
 
 
 def centralizer_dim_k(x: GradedMatrix) -> int:
@@ -241,21 +204,18 @@ def centralizer_dim_k(x: GradedMatrix) -> int:
 
 
 def centralizer_g1(x: GradedMatrix):
-    """Dimension and exact basis of the opposite-degree centralizer
-    {y : x y = y x} in the degree -(deg x) block space."""
-    dims = x.grading.dims
-    m = len(dims)
+    """Dimension and an integer basis, read off `_integer_basis`, of the
+    opposite-degree centralizer {y : x y = y x} in the degree -(deg x)
+    block space."""
     cells, rows = _commutator_rows(x, -x.degree)
-    rank, vectors = nullspace(rows, len(cells))
     basis = []
-    for vec in vectors:
-        entries = iter(vec)
-        blocks = tuple(
-            tuple(tuple(islice(entries, dims[i])) for _ in range(dims[(i + x.degree) % m]))
-            for i in range(m)
-        )
-        basis.append(GradedMatrix(x.grading, -x.degree, blocks))
-    return len(cells) - rank, basis
+    for vec in _integer_basis(rows, len(cells)):
+        blocks = _zero_blocks(x.grading.dims, -x.degree)
+        for k, v in vec:
+            i, r, c = cells[k]
+            blocks[i][r][c] = v
+        basis.append(GradedMatrix(x.grading, -x.degree, tuple(tuple(map(tuple, b)) for b in blocks)))
+    return len(basis), basis
 
 
 def _is_nilpotent(full, n: int) -> bool:
@@ -263,7 +223,7 @@ def _is_nilpotent(full, n: int) -> bool:
     power = full
     steps = 1
     while True:
-        if mat_is_zero(power):
+        if not any(map(any, power)):
             return True
         if steps >= n:
             return False
@@ -294,26 +254,26 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     the characteristic polynomial's coefficients have degree <= N in the
     combination coefficients, so by Schwartz-Zippel a trial misses with
     probability <= N/(2R + 1) < 1/2, and `trials` trials err with
-    probability < 2^-trials.
+    probability < 2^-trials.  `trials` must be at least 1: no trial bounds
+    no error.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     plus = diagram if diagram.sign == PLUS else duality(diagram)
     grading = GradingSpec("AI", plus.modulus, dimension_vector(plus))
     dims = grading.dims
-    m = len(dims)
     d = min(dims)
     if d == 0:
         return True
     x = build_representative(plus, grading)
     cells, rows = _commutator_rows(x, -x.degree)
-    # the cells as (block, row, column), in the order `_commutator_rows` lists them
-    local = [(i, r, c) for i in range(m) for r in range(dims[(i + 1) % m]) for c in range(dims[i])]
-    supports = [[(local[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
+    supports = [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
     start = dims.index(d)
     # At least 2N + 1 values; N <= 9 keeps the draws of [-9, 9]
     bound = max(9, grading.total)
     rng = random.Random(seed)
     for _ in range(trials):
-        blocks = [_zeros(dims[(i + 1) % m], dims[i]) for i in range(m)]
+        blocks = _zero_blocks(dims, -1)
         for support in supports:
             coeff = rng.randint(-bound, bound)
             for (i, r, c), v in support:

@@ -230,6 +230,24 @@ def test_distinguished_rejects_negative_seed(run_cli):
     ).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "argv,extra,flag",
+    [
+        (("--case", "AII", "--m0", "3", "--N", "4"), ("--a", "5"), "--a"),
+        (("--case", "DII", "--m", "2", "--dims", "2,2"), ("--a", "1"), "--a"),
+        (("--case", "AI", "--m", "2", "--N", "3"), ("--seed", "4"), "--seed"),
+        (("--case", "AI", "--m", "2", "--N", "3"), ("--trials", "5"), "--trials"),
+        (("--case", "AI", "--m", "2", "--N", "3", "--a", "2"), ("--seed", "0"), "--seed"),
+    ],
+)
+def test_distinguished_rejects_ignored_parameters(run_cli, argv, extra, flag):
+    result = run_cli("distinguished", *argv, *extra)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and flag in result.stderr
+    assert run_cli("distinguished", *argv).returncode == 0
+
+
 def test_distinguished_dump_matrices(run_cli):
     result = run_cli(
         "distinguished", "--case", "AI", "--m", "2", "--dims", "1,1",

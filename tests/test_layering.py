@@ -136,3 +136,56 @@ def test_detects_unused_imports():
         "def f(d: FilledDiagram) -> str:\n    return json.dumps(d)\n"
     )
     assert unused_imports(ast.parse(clean)) == []
+
+
+# The library's arithmetic is integer: the oracle eliminates fraction-free
+# and the combinatorial layers count.  `Fraction` may name a type (in an
+# annotation or an isinstance check) but no source module constructs one.
+ALL_MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def fraction_calls(tree):
+    """The line of each call that constructs a `Fraction`: `Fraction(...)`
+    under any name it is imported as, `fractions.Fraction(...)`, and
+    `Fraction.from_float(...)` and the like."""
+    names = {"Fraction"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        for alias in node.names
+        if alias.name == "Fraction"
+    }
+
+    def is_fraction(expr):
+        return (
+            isinstance(expr, ast.Name) and expr.id in names
+            or isinstance(expr, ast.Attribute) and expr.attr == "Fraction"
+        )
+
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (is_fraction(node.func) or isinstance(node.func, ast.Attribute) and is_fraction(node.func.value))
+    )
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_fraction_is_constructed(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert not fraction_calls(tree), f"{module} constructs a Fraction on lines {fraction_calls(tree)}"
+
+
+def test_detects_fraction_calls():
+    for source, lines in (
+        ("from fractions import Fraction\nv = Fraction(1, 2)", [2]),
+        ("import fractions\nv = fractions.Fraction(3)", [2]),
+        ("from fractions import Fraction as Q\nv = Q(3)", [2]),
+        ("from fractions import Fraction\nv = Fraction.from_float(0.5)", [2]),
+        ("def f(m, a, b):\n    return [-Fraction(a, b) for _ in m]", [2]),
+    ):
+        assert fraction_calls(ast.parse(source)) == lines, source
+    clean = (
+        "from fractions import Fraction\nMatrix = tuple[tuple[int | Fraction, ...], ...]\n"
+        "def f(v: Fraction) -> int:\n    return isinstance(v, Fraction) and v.denominator\n"
+    )
+    assert fraction_calls(ast.parse(clean)) == []
