@@ -121,7 +121,7 @@ def _write(args, payload, header, rows) -> None:
     """The payload as indented JSON, or the header and rows as a text or CSV
     table, whichever --format asks for."""
     if args.format == "json":
-        _emit(args, json.dumps(_to_json(payload), indent=2))
+        _emit(args, json.dumps(payload, indent=2, default=_json_form))
     else:
         _emit(args, _render_table(header, rows, args.format))
 
@@ -130,21 +130,17 @@ def _grading_json(grading) -> dict:
     return {"case": grading.case, "modulus": grading.modulus, "dims": list(grading.dims)}
 
 
-def _to_json(obj):
-    """The payload with each library object in it replaced by its JSON form,
-    in one pass before encoding; other values are kept as they are."""
-    if isinstance(obj, dict):
-        return {key: _to_json(value) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [_to_json(value) for value in obj]
+def _json_form(obj):
+    """The JSON form of a library object in a payload, for `json.dumps`'s
+    `default`; anything else is not serializable."""
     if isinstance(obj, FilledDiagram):
         return diagram_to_json(obj)
     if isinstance(obj, SheafLabel):
         return {
             "type": obj.case,
-            "stratum": _to_json(obj.stratum),
+            "stratum": obj.stratum,
             "psi": {"mod": obj.psi.modulus, "idx": obj.psi.index, "order": obj.psi.order},
-            "tau": [list(component) for component in obj.tau],
+            "tau": obj.tau,
             "flags": {
                 "nilp": obj.nilpotent_support,
                 "full": obj.full_support,
@@ -155,13 +151,13 @@ def _to_json(obj):
         return {
             "a": obj.a,
             "l": obj.rank,
-            "mu": diagram_to_json(obj.mu),
+            "mu": obj.mu,
             "d_check": obj.d_check,
             "braid_rank": obj.rank,
         }
     if isinstance(obj, StratumII):
-        return {"k": obj.rank, "mu": diagram_to_json(obj.mu)}
-    return obj
+        return {"k": obj.rank, "mu": obj.mu}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _bool(v: bool) -> str:

@@ -66,6 +66,8 @@ def _row_key(row: FilledRow) -> tuple[int, int]:
 
 
 def _check_row(row: FilledRow, k: int) -> None:
+    if not isinstance(row.length, int) or not isinstance(row.start, int):
+        raise ValueError(f"row length and start must be integers, got {row}")
     if row.length < 1:
         raise ValueError(f"row length must be >= 1, got {row.length}")
     if not 1 <= row.start <= k:
@@ -160,7 +162,7 @@ def canonicalize(rows: Iterable, k: int, sign: str) -> FilledDiagram:
     for row in rows:
         if not isinstance(row, FilledRow):
             length, start = row
-            row = FilledRow(int(length), int(start))
+            row = FilledRow(length, start)
         normalized.append(row)
     normalized.sort(key=_row_key)
     return FilledDiagram(k, sign, tuple(normalized))
@@ -366,10 +368,10 @@ class _Fills:
                 keep(counts, rest)
 
     def _keeps(self, counts):
-        """Whether one length's row counts pass the distinguished condition."""
-        if self.case == "AI":
-            return all(0 in counts[i :: self.classes] for i in range(self.classes))
-        return min(counts) <= 1
+        """Whether one length's row counts pass the distinguished condition:
+        every label class mod gcd(order, k) has a label with fewer rows than
+        a round takes (type II has one class, as its order is 1)."""
+        return all(min(counts[i :: self.classes]) < self.copies for i in range(self.classes))
 
 
 def iter_diagrams(

@@ -6,6 +6,11 @@ diagrams, the peeling maps that split a diagram into a uniform padding plus a
 distinguished residual, enumeration of stratum labels, and the closed-form
 centralizer, orbit and stratum dimensions of case AI.
 
+Both families peel, per part length and label class, as many uniform rounds
+of rows as every label of the class can give: case AI at order a takes one
+row per label and has the residues mod gcd(a, m) as classes, and type II is
+the round-of-two, single-class case.  One `_peel` and one `_strata` serve both.
+
 Diagrams labelling orbits on the negative side of the grading use the '-'
 fill convention; all stratum residuals are stored on that side as well.
 """
@@ -57,30 +62,26 @@ class GradingSpec:
     def __post_init__(self):
         check_modulus(self.case, self.modulus)
         k = self.modulus
-        dims = tuple(int(v) for v in self.dims)
+        dims = tuple(self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) != k:
             raise ValueError(f"expected {k} dimensions, got {len(dims)}")
+        if not all(isinstance(v, int) for v in dims):
+            raise ValueError(f"dimensions must be integers, got {dims}")
         if any(v < 0 for v in dims):
             raise ValueError("dimensions must be nonnegative")
-        if self.case == "AII":
-            half = (k - 1) // 2
-            for i in range(1, half + 1):
-                if dims[i - 1] != dims[k - i]:
-                    raise ValueError(f"AII requires d_{i} == d_{k + 1 - i}")
-            if dims[half] % 2:
-                raise ValueError(f"AII requires d_{half + 1} even")
-        elif self.case == "CII":
-            half = k // 2
-            for i in range(1, half):
-                if dims[i - 1] != dims[k - i - 1]:
-                    raise ValueError(f"CII requires d_{i} == d_{k - i}")
-            if dims[half - 1] % 2 or dims[k - 1] % 2:
-                raise ValueError(f"CII requires d_{half} and d_{k} even")
-        elif self.case == "DII":
-            for i in range(1, k + 1):
-                if dims[i - 1] != dims[k - i]:
-                    raise ValueError(f"DII requires d_{i} == d_{k + 1 - i}")
+        if self.case == "AI":
+            return
+        # type II pairs label i with shift - i mod k: 0 for CII, 1 for AII and DII
+        shift = 0 if self.case == "CII" else 1
+        pairs = [(i, reduce_label(shift - i, k)) for i in range(1, k + 1)]
+        for i, j in pairs:
+            if i < j and dims[i - 1] != dims[j - 1]:
+                raise ValueError(f"{self.case} requires d_{i} == d_{j}")
+        fixed = [i for i, j in pairs if i == j]
+        if any(dims[i - 1] % 2 for i in fixed):
+            labels = " and ".join(f"d_{i}" for i in fixed)
+            raise ValueError(f"{self.case} requires {labels} even")
 
     @property
     def total(self) -> int:
@@ -211,6 +212,26 @@ class PeelII:
         return sum(self.nu)
 
 
+def _peel(diagram: FilledDiagram, a: int, per: int) -> tuple[MultiPartition, FilledDiagram]:
+    """Split off, per part length and per label class mod d = gcd(a, m), the
+    largest number of uniform rounds of `per` rows at every label of the
+    class.  Component i of the multipartition gets each round's length
+    divided by a; the leftover rows form the residual diagram."""
+    m = diagram.modulus
+    d = gcd(a, m)
+    components: list[list[int]] = [[] for _ in range(d)]
+    residue_rows: list[FilledRow] = []
+    for length in diagram.parts:
+        p = diagram.multiplicities(length)
+        for i in range(d):
+            low = min(p[i::d]) // per
+            components[i].extend([length // a] * low)
+            for lab in range(i + 1, m + 1, d):
+                residue_rows.extend([FilledRow(length, lab)] * (p[lab - 1] - per * low))
+    tau = tuple(tuple(comp) for comp in components)
+    return tau, canonicalize(residue_rows, m, diagram.sign)
+
+
 def peel_ai(diagram: FilledDiagram, a: int) -> PeelAI:
     """Split off, per part length and per label class mod d = gcd(a, m), the
     largest uniform family of rows present at every label of the class.
@@ -220,40 +241,16 @@ def peel_ai(diagram: FilledDiagram, a: int) -> PeelAI:
     """
     if a < 1:
         raise ValueError("order must be >= 1")
-    m = diagram.modulus
     if diagram.part_gcd % a:
         raise ValueError(f"every part must be divisible by {a}")
-    d = gcd(a, m)
-    components: list[list[int]] = [[] for _ in range(d)]
-    residue_rows: list[FilledRow] = []
-    for length in diagram.parts:
-        p = diagram.multiplicities(length)
-        for i in range(1, d + 1):
-            labels = [i + j * d for j in range(m // d)]
-            low = min(p[lab - 1] for lab in labels)
-            if low:
-                components[i - 1].extend([length // a] * low)
-            for lab in labels:
-                extra = p[lab - 1] - low
-                residue_rows.extend([FilledRow(length, lab)] * extra)
-    tau = tuple(tuple(comp) for comp in components)
-    return PeelAI(tau, canonicalize(residue_rows, m, diagram.sign))
+    return PeelAI(*_peel(diagram, a, 1))
 
 
 def peel_ii(diagram: FilledDiagram) -> PeelII:
     """Split off, per part length, the largest number of full label rounds of
     row pairs; the leftover multiplicities form a distinguished residual."""
-    m = diagram.modulus
-    nu: list[int] = []
-    residue_rows: list[FilledRow] = []
-    for length in diagram.parts:
-        p = diagram.multiplicities(length)
-        low = min(v // 2 for v in p)
-        nu.extend([length] * low)
-        for lab in range(1, m + 1):
-            extra = p[lab - 1] - 2 * low
-            residue_rows.extend([FilledRow(length, lab)] * extra)
-    return PeelII(tuple(nu), canonicalize(residue_rows, m, diagram.sign))
+    (nu,), residue = _peel(diagram, 1, 2)
+    return PeelII(nu, residue)
 
 
 def d_check_stratum(a: int, mu: FilledDiagram) -> int:
@@ -312,19 +309,20 @@ def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[StratumAI]:
         raise ValueError("strata at an order are defined for case AI")
     if a < 1:
         raise ValueError("order must be >= 1")
-    m = grading.modulus
-    total = grading.total
-    d = gcd(a, m)
-    out: list[StratumAI] = []
-    per_label = a // d
-    max_rank = total * d // (m * a)
-    for rank in range(max_rank + 1):
-        sub = tuple(v - per_label * rank for v in grading.dims)
-        if any(v < 0 for v in sub):
-            continue
-        for mu in iter_diagrams(m, MINUS, sub, distinguished=True, order=a):
-            out.append(StratumAI(a, rank, mu, d_check_stratum(a, mu)))
-    return out
+    return [
+        StratumAI(a, rank, mu, d_check_stratum(a, mu))
+        for rank, mu in _strata(grading, a // gcd(a, grading.modulus), order=a)
+    ]
+
+
+def _strata(grading: GradingSpec, padding: int, **rule):
+    """(rank, residual) for every rank whose `padding` boxes per label leave
+    no box count negative, and every distinguished residual of `rule` on the
+    boxes left, ranks ascending."""
+    for rank in range(min(grading.dims) // padding + 1):
+        sub = tuple(v - padding * rank for v in grading.dims)
+        for mu in iter_diagrams(grading.modulus, MINUS, sub, distinguished=True, **rule):
+            yield rank, mu
 
 
 def centralizer_dim(diagram: FilledDiagram) -> int:
@@ -388,14 +386,7 @@ def enumerate_strata_ii(grading: GradingSpec) -> list[StratumII]:
     distinguished residual accounting for the remaining boxes."""
     if grading.case not in TYPE_II_CASES:
         raise ValueError("type II strata require case AII, CII or DII")
-    m = grading.modulus
-    out: list[StratumII] = []
-    max_rank = min(v // 2 for v in grading.dims)
-    for rank in range(max_rank + 1):
-        sub = tuple(v - 2 * rank for v in grading.dims)
-        for mu in iter_diagrams(m, MINUS, sub, case=grading.case, distinguished=True):
-            out.append(StratumII(rank, mu))
-    return out
+    return [StratumII(rank, mu) for rank, mu in _strata(grading, 2, case=grading.case)]
 
 
 def full_support_stratum_ii(grading: GradingSpec) -> StratumII:

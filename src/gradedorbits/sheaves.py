@@ -28,6 +28,7 @@ from .orbits import (
     StratumAI,
     StratumII,
     admissible_for_case,
+    component_group_order,
     d_check_stratum,
     enumerate_strata_ai,
     enumerate_strata_ii,
@@ -110,19 +111,14 @@ def orbital_complexes(grading: GradingSpec, a: int = 1):
 
     For AI at order a these are the diagrams whose part gcd is divisible by a,
     each with every exact-order-a character of its component group.  For the
-    type II cases the component groups are trivial and a is ignored.
+    type II cases the component groups are trivial and a is taken to be 1.
     """
-    diagrams = iter_diagrams(grading.modulus, MINUS, grading.dims, case=grading.case)
-    if grading.case == "AI":
-        if a < 1:
-            raise ValueError("order must be >= 1")
-        return [
-            (lam, psi)
-            for lam in diagrams
-            for psi in exact_order_characters(lam.part_gcd, a)
-        ]
-    trivial = CentralCharacter(1, 0)
-    return [(lam, trivial) for lam in diagrams]
+    a = a if grading.case == "AI" else 1
+    return [
+        (lam, psi)
+        for lam in iter_diagrams(grading.modulus, MINUS, grading.dims, case=grading.case)
+        for psi in exact_order_characters(component_group_order(lam, grading), a)
+    ]
 
 
 def _is_cuspidal_ai(grading: GradingSpec, a: int, stratum: StratumAI) -> bool:

@@ -106,6 +106,11 @@ def test_sheaves_json_schema(run_cli):
     assert label["stratum"]["mu"]["sign"] == "-"
 
 
+def test_json_form_rejects_other_objects():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps({"x": {1}}, default=cli._json_form)
+
+
 def test_sheaves_aii_trivial(run_cli):
     result = run_cli("sheaves", "--case", "AII", "--m0", "3", "--dims", "0,0,0")
     assert result.returncode == 0

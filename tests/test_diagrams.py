@@ -60,7 +60,9 @@ def test_diagram_checks_row_order():
     assert FilledDiagram(2, "+", rows) == canonicalize([(1, 2), (2, 1), (1, 2), (2, 1)], 2, "+")
 
 
-@pytest.mark.parametrize("rows", [[(1, 0)], [(1, 3)], [(0, 1)], [(-2, 1)]])
+@pytest.mark.parametrize(
+    "rows", [[(1, 0)], [(1, 3)], [(0, 1)], [(-2, 1)], [(2.7, 1)], [(2, 1.0)], [(1, 1, 1)]]
+)
 def test_canonicalize_rejects_invalid_rows(rows):
     with pytest.raises(ValueError):
         canonicalize(rows, 2, "+")

@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -84,22 +85,26 @@ def test_grading_spec_accepts_valid_data():
 
 
 @pytest.mark.parametrize(
-    "case, modulus, dims",
+    "case, modulus, dims, message",
     [
-        ("AII", 4, (1, 1, 1, 1)),  # even modulus
-        ("AII", 3, (1, 1, 2)),  # asymmetric
-        ("AII", 3, (1, 1, 1)),  # odd middle
-        ("CII", 3, (1, 1, 1)),  # odd modulus
-        ("CII", 2, (1, 2)),  # odd self-paired entry
-        ("CII", 4, (1, 2, 2, 2)),  # asymmetric
-        ("DII", 2, (1, 2)),  # asymmetric
-        ("AI", 2, (1, -1)),
-        ("AI", 2, (1, 1, 1)),
-        ("XX", 2, (1, 1)),
+        ("AII", 4, (1, 1, 1, 1), "AII modulus must be odd"),
+        ("AII", 3, (1, 1, 2), "AII requires d_1 == d_3"),
+        ("AII", 3, (1, 1, 1), "AII requires d_2 even"),
+        ("AII", 1, (1,), "AII requires d_1 even"),
+        ("CII", 3, (1, 1, 1), "CII modulus must be even"),
+        ("CII", 2, (1, 2), "CII requires d_1 and d_2 even"),
+        ("CII", 4, (1, 2, 2, 2), "CII requires d_1 == d_3"),
+        ("CII", 4, (1, 2, 1, 1), "CII requires d_2 and d_4 even"),
+        ("DII", 2, (1, 2), "DII requires d_1 == d_2"),
+        ("DII", 4, (1, 2, 3, 1), "DII requires d_2 == d_3"),
+        ("AI", 2, (1, -1), "dimensions must be nonnegative"),
+        ("AI", 2, (1, 1, 1), "expected 2 dimensions, got 3"),
+        ("AI", 2, (1.5, 1), "dimensions must be integers, got (1.5, 1)"),
+        ("XX", 2, (1, 1), "unknown case 'XX'"),
     ],
 )
-def test_grading_spec_rejects_invalid_data(case, modulus, dims):
-    with pytest.raises(ValueError):
+def test_grading_spec_rejects_invalid_data(case, modulus, dims, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         GradingSpec(case, modulus, dims)
 
 
@@ -337,6 +342,41 @@ def test_strata_ai_properties():
                         assert braid_rank_ai(a, stratum.mu, g) == stratum.rank
                         support = support_diagram_ai(stratum)
                         assert dimension_vector(support) == dims
+
+
+def test_strata_ai_match_brute_force():
+    """Every distinguished residual of every padding depth is a stratum:
+    the strata equal, in order, the diagrams of each rank's box counts that
+    the reference predicate keeps, at every order, dividing N or not."""
+    for m in (1, 2, 3):
+        for total in range(7):
+            for dims in compositions(total, m):
+                g = GradingSpec("AI", m, dims)
+                for a in range(1, total + 2):
+                    padding = a // gcd(a, m)
+                    expected = [
+                        StratumAI(a, rank, mu, d_check_stratum(a, mu))
+                        for rank in range(total + 1)
+                        if min(dims) >= padding * rank
+                        for mu in enumerate_diagrams(m, "-", [v - padding * rank for v in dims])
+                        if is_distinguished_ai(mu, a)
+                    ]
+                    assert enumerate_strata_ai(g, a) == expected
+
+
+def test_strata_ii_match_brute_force():
+    """The type II strata equal, in order, the admissible diagrams of each
+    rank's box counts that the reference predicate calls distinguished."""
+    for case, modulus in (("AII", 3), ("CII", 2), ("DII", 2), ("CII", 4), ("DII", 4)):
+        for g in _symmetric_dims(case, modulus, 6):
+            expected = [
+                StratumII(rank, mu)
+                for rank in range(g.total + 1)
+                if min(g.dims) >= 2 * rank
+                for mu in enumerate_diagrams(modulus, "-", [v - 2 * rank for v in g.dims])
+                if admissible_for_case(mu, case) and is_distinguished_ii(mu)
+            ]
+            assert enumerate_strata_ii(g) == expected
 
 
 def test_braid_rank_examples():
