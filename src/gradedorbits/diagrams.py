@@ -8,16 +8,16 @@ equality and hashing are structural.
 
 Every enumeration runs through one streamed core, `iter_diagrams`, which
 emits diagrams in `FilledDiagram.sort_key` order without sorting.  Shapes
-come first, as partitions in decreasing lexicographic order; a shape's
-length blocks are then filled from the longest down, each with a vector of
-row counts per start label, decreasing lexicographically.  A per-length rule
-says which vectors a block may take: any for case AI; for the type II cases
-equal counts on paired start labels and an even count on a self-paired one
-(the rule `orbits.admissible_for_case` tests); and, for distinguished
-diagrams, the per-length condition of `orbits.is_distinguished_ai` or
-`is_distinguished_ii`.  Only the wanted diagrams are built, and with box
-counts given the core prunes by the boxes each label has left.
-`enumerate_diagrams` and `enumerate_by_size` are lists of it.
+come first, as partitions in decreasing lexicographic order (scaled by a at
+an order a of case AI); their length blocks are filled from the longest
+down, each with a vector of row counts per start label, decreasing
+lexicographically.  A per-length rule says which vectors a block may take:
+any for case AI; for the type II cases equal counts on paired start labels
+and an even count on a self-paired one (as `orbits.admissible_for_case`
+tests); and, for distinguished diagrams, the per-length condition of
+`orbits.is_distinguished_ai` or `is_distinguished_ii`.  Only the wanted
+diagrams are built, and with box counts given the core prunes by the boxes
+each label has left.  `enumerate_diagrams` and `enumerate_by_size` list it.
 
 `count_diagrams` and `count_by_size` count without the stream, by a dynamic
 program over the length blocks that builds no row: the same per-length rule
@@ -65,6 +65,12 @@ def _row_key(row: FilledRow) -> tuple[int, int]:
     return (-row.length, row.start)
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a value that is not an integer, by name."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_row(row: FilledRow, k: int) -> None:
     if not isinstance(row.length, int) or not isinstance(row.start, int):
         raise ValueError(f"row length and start must be integers, got {row}")
@@ -81,6 +87,7 @@ class FilledDiagram:
     rows: tuple[FilledRow, ...]
 
     def __post_init__(self):
+        check_integer("modulus", self.modulus)
         if self.modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         if self.sign not in SIGNS:
@@ -187,12 +194,15 @@ def _target(k, dims, size):
     if (dims is None) == (size is None):
         raise ValueError("give exactly one of the box counts and the size")
     if dims is None:
+        check_integer("size", size)
         if size < 0:
             raise ValueError("size must be nonnegative")
         return None, size
     dims = tuple(dims)
     if len(dims) != k:
         raise ValueError(f"expected {k} box counts, got {len(dims)}")
+    for v in dims:
+        check_integer("box count", v)
     if any(v < 0 for v in dims):
         raise ValueError("box counts must be nonnegative")
     return dims, sum(dims)
@@ -200,9 +210,9 @@ def _target(k, dims, size):
 
 class _Fills:
     """The fills of one rule, the keyword arguments of `iter_diagrams`, for
-    any box counts or size: `rows` walks them in canonical order and `count`
-    counts them.  The memos live as long as the object, so every call on one
-    object shares them.
+    any box counts or size, with every part a multiple of the order: `rows`
+    walks them in canonical order and `count` counts them.  The memos live
+    as long as the object, so every call on one object shares them.
 
     A row of length p takes p // k boxes of each label and p % k excess
     boxes.  With box counts given, `slack` is, per label, the boxes the
@@ -214,17 +224,19 @@ class _Fills:
     """
 
     def __init__(self, k, sign, *, case="AI", distinguished=False, order=1):
+        check_integer("modulus", k)
+        check_integer("order", order)
         if k < 1:
             raise ValueError(f"modulus must be >= 1, got {k}")
         if sign not in SIGNS or case not in CASES:
             raise ValueError(f"unknown sign {sign!r} or case {case!r}")
         if order < 1:
             raise ValueError("order must be >= 1")
-        if order != 1 and not (distinguished and case == "AI"):
-            raise ValueError("an order applies only to distinguished diagrams of case AI")
+        if order != 1 and case != "AI":
+            raise ValueError("an order applies only to case AI")
         self.k, self.sign, self.case = k, sign, case
         self.distinguished = distinguished
-        self.unit = order if distinguished and case == "AI" else 1
+        self.unit = order
         self.copies = 1 if case == "AI" else 2
         self.classes = gcd(order, k)
         self.orbits: dict = {}
@@ -234,8 +246,7 @@ class _Fills:
     def rows(self, dims, size):
         """The row tuples of the diagrams, in canonical order."""
         # Type II row counts per length are even, so their shapes double the
-        # multiplicities of a partition; distinguished AI parts are multiples
-        # of the order.
+        # multiplicities of a partition; AI parts are multiples of the order.
         step = self.unit * self.copies
         for shape in partitions(size // step) if size % step == 0 else ():
             blocks = [
@@ -387,10 +398,10 @@ def iter_diagrams(
     """Stream the diagrams with the given box counts per label, or with the
     given size over every box-count vector, in `FilledDiagram.sort_key` order.
 
-    Only the diagrams admissible for `case` are generated and, when
-    `distinguished` is set, only the distinguished ones: at `order` for case
-    AI (`orbits.is_distinguished_ai`), in the type II sense otherwise.  An
-    `order` other than 1 is rejected unless both of those are set.
+    Only the diagrams admissible for `case` whose parts are multiples of
+    `order` (AI only) are generated and, when `distinguished` is set, only
+    the distinguished ones: at `order` for case AI
+    (`orbits.is_distinguished_ai`), in the type II sense otherwise.
     """
     fills = _Fills(k, sign, case=case, distinguished=distinguished, order=order)
     return (FilledDiagram(k, sign, rows) for rows in fills.rows(*_target(k, dims, size)))

@@ -30,6 +30,7 @@ from .diagrams import (
     PLUS,
     Partition,
     canonicalize,
+    check_integer,
     dimension_vector,
     iter_diagrams,
     reduce_label,
@@ -43,6 +44,7 @@ def check_modulus(case: str, modulus: int) -> None:
     case needs m >= 1, AII an odd m, and CII and DII an even m."""
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
+    check_integer("modulus", modulus)
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if case == "AII" and modulus % 2 == 0:
@@ -332,20 +334,20 @@ def centralizer_dim(diagram: FilledDiagram) -> int:
 
     The representative is a nilpotent representation of the cyclic quiver
     with one string per row, and its centralizer is the representation's
-    endomorphism algebra.  On the '+' side ('-' diagrams are dualized first,
-    which keeps the dimension), a row of length p starting at label s maps to
-    a row of length q starting at label t in one dimension for every
-    j in [max(0, q - p), q) with t - j = s (mod m): the map sends the top of
+    endomorphism algebra.  Read each row from its top, the label s where it
+    starts on the '+' side and the label of its last box on the '-' side
+    (where its dual '+' row starts): a row of length p and top s maps to a
+    row of length q and top t in one dimension for every j in
+    [max(0, q - p), q) with t - j = s (mod m), the map sending the top of
     the first string to box j of the second.
     """
-    plus = diagram if diagram.sign == PLUS else duality(diagram)
-    m = plus.modulus
+    m = diagram.modulus
+    last = diagram.sign == MINUS
+    tops = [(r.length, r.start + r.length - 1 if last else r.start) for r in diagram.rows]
     total = 0
-    for src in plus.rows:
-        p, s = src.length, src.start
-        for dst in plus.rows:
-            q = dst.length
-            r = (dst.start - s) % m
+    for p, s in tops:
+        for q, t in tops:
+            r = (t - s) % m
             low = max(0, q - p)
             # j = r (mod m) in [low, q), counted as a difference of floors
             total += (q - r - 1) // m - (low - r - 1) // m

@@ -109,14 +109,14 @@ class SheafLabel:
 def orbital_complexes(grading: GradingSpec, a: int = 1):
     """All (orbit diagram, character) pairs on the negative side.
 
-    For AI at order a these are the diagrams whose part gcd is divisible by a,
-    each with every exact-order-a character of its component group.  For the
-    type II cases the component groups are trivial and a is taken to be 1.
+    For AI at order a the core generates the diagrams of parts divisible by
+    a, each with every exact-order-a character of its component group.  For
+    the type II cases the component groups are trivial and a is taken to be 1.
     """
     a = a if grading.case == "AI" else 1
     return [
         (lam, psi)
-        for lam in iter_diagrams(grading.modulus, MINUS, grading.dims, case=grading.case)
+        for lam in iter_diagrams(grading.modulus, MINUS, grading.dims, case=grading.case, order=a)
         for psi in exact_order_characters(component_group_order(lam, grading), a)
     ]
 
@@ -157,9 +157,13 @@ def _labels_ai(grading: GradingSpec, a: int, stratum: StratumAI) -> list[SheafLa
 
 
 def catalog_ai(grading: GradingSpec, a: int) -> list[SheafLabel]:
-    """The full AI label catalog at order a: the labels of every stratum."""
+    """The full AI label catalog at order a: the labels of every stratum.
+    The zero grading carries just the trivial character, so it has no label
+    at a > 1."""
     if grading.case != "AI":
         raise ValueError("catalog_ai requires case AI")
+    if grading.total == 0 and a > 1:
+        return []
     strata = enumerate_strata_ai(grading, a)
     return [lab for stratum in strata for lab in _labels_ai(grading, a, stratum)]
 

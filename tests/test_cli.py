@@ -142,6 +142,24 @@ def test_ignored_parameters_are_rejected(capsys, argv, extra):
     assert cli.main(list(argv)) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify", "--case", "AI", "--m", "3", "--dims", "0,0,0", "--a", "3"), 0),
+        (("sheaves", "--case", "AII", "--m0", "3", "--dims", "1,0,1", "--a", "2"), 2),
+    ],
+)
+def test_console_script_exits_with_the_code_of_main(monkeypatch, capsys, argv, code):
+    """The `gradedorbits` entry point reads sys.argv and exits with what
+    `main` returns for the same arguments."""
+    monkeypatch.setattr(sys, "argv", ["gradedorbits", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.console_main()
+    script = capsys.readouterr()
+    assert exit_info.value.code == code == cli.main(list(argv))
+    assert capsys.readouterr() == script
+
+
 def test_cuspidal_anchor(run_cli):
     result = run_cli("cuspidal", "--case", "AI", "--m", "2", "--dims", "2,1")
     assert result.returncode == 0

@@ -68,12 +68,13 @@ def reference_by_dims(k, sign, size):
 
 def wanted(diagrams, case, orders):
     """(iter_diagrams options, expected diagrams) for the admissible and the
-    distinguished diagrams of the case, the latter at each of the orders for
-    AI."""
+    distinguished diagrams of the case and, for AI at each of the orders,
+    the diagrams whose parts the order divides and the distinguished ones."""
     admissible = [d for d in diagrams if admissible_for_case(d, case)]
     yield {"case": case}, admissible
     if case == "AI":
         for a in orders:
+            yield {"case": case, "order": a}, [d for d in admissible if d.part_gcd % a == 0]
             kept = [d for d in admissible if is_distinguished_ai(d, a)]
             yield {"case": case, "distinguished": True, "order": a}, kept
     else:
@@ -191,9 +192,20 @@ def test_core_rejects_bad_arguments():
         count_by_size(2, "-", [2, -2])
     with pytest.raises(ValueError):
         count_by_size(2, "-", [2], case="AII", order=2)
-    for options in ({}, {"distinguished": True, "case": "AII"}, {"case": "AI"}):
-        with pytest.raises(ValueError):
-            iter_diagrams(3, "-", size=6, order=2, **options)
+    with pytest.raises(ValueError):
+        iter_diagrams(3, "-", size=6, order=2, distinguished=True, case="AII")
+    non_integers = [
+        lambda: iter_diagrams(2.0, "-", size=2),
+        lambda: iter_diagrams(2, "-", size=2, order=2.0),
+        lambda: iter_diagrams(2, "-", size=2.0),
+        lambda: iter_diagrams(2, "-", (1.0, 1)),
+        lambda: count_diagrams(2, "-", size=2.0),
+        lambda: count_by_size(2, "-", [2, 2.0]),
+        lambda: canonicalize([(1, 1)], 2.0, "-"),
+    ]
+    for call in non_integers:
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -203,13 +215,15 @@ def test_core_rejects_bad_arguments():
         lambda: enumerate_by_size(3, "+", 5),
         lambda: list(iter_diagrams(4, "-", size=6, case="CII", distinguished=True)),
         lambda: count_diagrams(3, "-", size=6, distinguished=True, order=2),
+        lambda: count_diagrams(3, "-", size=6, order=2),
         lambda: count_diagrams(3, "-", (3, 2, 3), case="AI"),
         lambda: count_by_size(3, "-", range(0, 13, 2), case="AII", distinguished=True),
         lambda: partitions.__wrapped__(7),
         lambda: multipartitions(3, 4),
     ],
     ids=["enumerate_diagrams", "enumerate_by_size", "iter_diagrams", "count_diagrams",
-         "count_diagrams_dims", "count_by_size", "partitions", "multipartitions"],
+         "count_diagrams_order", "count_diagrams_dims", "count_by_size", "partitions",
+         "multipartitions"],
 )
 def test_enumeration_leaves_no_reference_cycles(call):
     was_enabled = gc.isenabled()

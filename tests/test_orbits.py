@@ -101,6 +101,8 @@ def test_grading_spec_accepts_valid_data():
         ("AI", 2, (1, 1, 1), "expected 2 dimensions, got 3"),
         ("AI", 2, (1.5, 1), "dimensions must be integers, got (1.5, 1)"),
         ("XX", 2, (1, 1), "unknown case 'XX'"),
+        ("AI", 2.0, (1, 1), "modulus must be an integer, got 2.0"),
+        ("AII", 3.0, (1, 2, 1), "modulus must be an integer, got 3.0"),
     ],
 )
 def test_grading_spec_rejects_invalid_data(case, modulus, dims, message):

@@ -5,6 +5,7 @@ import pytest
 from gradedorbits.diagrams import (
     MINUS,
     canonicalize,
+    count_diagrams,
     empty_diagram,
     enumerate_diagrams,
     iter_diagrams,
@@ -166,6 +167,11 @@ def test_verify_bijection_ai_anchor():
 def test_verify_bijection_zero_grading():
     report = verify_bijection(GradingSpec("AI", 2, (0, 0)), 1)
     assert (report.complexes, report.labels) == (1, 1) and report.ok
+    # the zero orbit's component group is trivial: no character of order > 1
+    for m in (1, 2, 3):
+        for a in (2, 3):
+            report = verify_bijection(GradingSpec("AI", m, (0,) * m), a)
+            assert (report.complexes, report.labels) == (0, 0) and report.ok, (m, a)
     report = verify_bijection(GradingSpec("AII", 3, (0, 0, 0)))
     assert (report.complexes, report.labels) == (1, 1) and report.ok
 
@@ -362,3 +368,101 @@ def test_cuspidal_visits_only_candidate_strata(monkeypatch):
     assert cuspidal_ai(GradingSpec("AI", 30, (1,) * 28 + (2, 0))) == []
     assert cuspidal_ai(GradingSpec("AI", 30, (2, 1, 2) + (1,) * 27)) == []
     assert len(cuspidal_ai(GradingSpec("AI", 30, (1,) * 29 + (2,)))) == 30
+
+
+def test_orbital_complexes_get_only_diagrams_at_the_order(monkeypatch):
+    # The order is a rule of the enumeration core: orbital_complexes is
+    # handed no diagram it would have to drop, and needs no other.
+    streamed = []
+    real = iter_diagrams
+
+    def recording(*args, **kwargs):
+        for lam in real(*args, **kwargs):
+            streamed.append(lam)
+            yield lam
+
+    monkeypatch.setattr("gradedorbits.sheaves.iter_diagrams", recording)
+    for dims in ((4,), (2, 4), (3, 3, 3), (1, 2, 2, 1)):
+        grading = GradingSpec("AI", len(dims), dims)
+        for a in range(1, sum(dims) + 2):
+            streamed.clear()
+            pairs = orbital_complexes(grading, a)
+            assert all(lam.part_gcd % a == 0 for lam in streamed), (dims, a)
+            expected = [
+                lam for lam in enumerate_diagrams(len(dims), MINUS, dims) if lam.part_gcd % a == 0
+            ]
+            assert streamed == expected, (dims, a)
+            assert [lam for lam, _ in pairs] == [lam for lam in expected for _ in range(phi(a))]
+
+
+def phi(a):
+    return sum(1 for c in range(a) if gcd(c, a) == 1)
+
+
+def multipartition_counts(d, n):
+    """The number of d-component multipartitions of r for r = 0..n: the
+    coefficients of the product of (1 - q^j)^-d over j >= 1."""
+    counts = [1] + [0] * n
+    for _ in range(d):
+        for j in range(1, n + 1):
+            for r in range(j, n + 1):
+                counts[r] += counts[r - j]
+    return counts
+
+
+def counted_bijection(grading, a=1):
+    """(orbital complexes, catalog labels) of the bijection by counting
+    diagrams, listing none.  A complex is a diagram at order a with one of
+    phi(a) characters; a label is a distinguished residual on the box
+    counts a rank's padding leaves, with phi(a) characters and a
+    multipartition of the rank into gcd(a, m) components (type II: one
+    partition, padding 2 and trivial characters)."""
+    m, dims = grading.modulus, grading.dims
+    if grading.case == "AI":
+        d, rule, chars = gcd(a, m), {"order": a}, phi(a)
+        padding = a // d
+    else:
+        d, rule, chars, padding = 1, {"case": grading.case}, 1, 2
+    ranks = min(dims) // padding
+    weights = multipartition_counts(d, ranks)
+    complexes = count_diagrams(m, MINUS, dims, **rule)
+    residuals = sum(
+        weights[r] * count_diagrams(
+            m, MINUS, [v - r * padding for v in dims], distinguished=True, **rule
+        )
+        for r in range(ranks + 1)
+    )
+    return chars * complexes, chars * residuals
+
+
+@pytest.mark.parametrize(
+    "case, dims",
+    [
+        ("AI", (4,)), ("AI", (2, 2)), ("AI", (2, 3)), ("AI", (1, 2, 3)), ("AI", (2, 2, 2)),
+        ("AI", (1, 1, 1, 1)), ("AI", (2, 1, 2, 1)),
+        ("AII", (1, 2, 1)), ("AII", (2, 2, 2)), ("CII", (2, 4)), ("DII", (3, 3)),
+        ("DII", (1, 2, 2, 1)),
+    ],
+)
+def test_bijection_counts_match_verify(case, dims):
+    grading = GradingSpec(case, len(dims), dims)
+    for a in divisors(sum(dims)) if case == "AI" else (1,):
+        report = verify_bijection(grading, a)
+        assert counted_bijection(grading, a) == (report.complexes, report.labels), a
+
+
+@pytest.mark.parametrize(
+    "case, dims, a, count",
+    [
+        ("AI", (8, 8, 8, 8), 2, 28_433),
+        ("AI", (15, 15, 15), 3, 71_162),
+        ("AI", (12, 12, 12), 1, 4_717_841),
+        ("AI", (20, 20), 2, 24_842),
+        ("DII", (30, 30), 1, 46_092),
+        ("CII", (10, 10, 10, 10), 1, 3_048),
+        ("AII", (12, 12, 12), 1, 618),
+    ],
+)
+def test_bijection_cardinality_identity_at_depth(case, dims, a, count):
+    # far past what verify_bijection lists: the two sides agree by counting
+    assert counted_bijection(GradingSpec(case, len(dims), dims), a) == (count, count)
