@@ -57,8 +57,6 @@ from .oracle import (
     GradedMatrix,
     build_representative,
     centralizer_dim_gl,
-    centralizer_dim_k,
-    centralizer_g1,
     is_distinguished_oracle,
 )
 from .sheaves import (

@@ -180,12 +180,17 @@ def empty_diagram(k: int, sign: str = MINUS) -> FilledDiagram:
 
 
 def dimension_vector(diagram: FilledDiagram) -> DimensionVector:
-    """Box counts per label 1..k."""
-    counts = [0] * diagram.modulus
+    """Box counts per label 1..k.  A row of length p wraps p // k times round
+    every label, and its p % k leftover boxes run on from its start."""
+    k = diagram.modulus
+    step = 1 if diagram.sign == MINUS else -1
+    counts = [0] * k
+    wraps = 0
     for row in diagram.rows:
-        for lab in row.box_labels(diagram.modulus, diagram.sign):
-            counts[lab - 1] += 1
-    return tuple(counts)
+        wraps += row.length // k
+        for t in range(row.length % k):
+            counts[(row.start - 1 + step * t) % k] += 1
+    return tuple(v + wraps for v in counts)
 
 
 def _target(k, dims, size):

@@ -12,8 +12,8 @@ product of y at a smallest label, to certify non-distinguishedness.
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the elimination
-path here (`centralizer_dim_gl`, `centralizer_dim_k`) is the independent
-reference that the tests compare them against.
+path here (`centralizer_dim_gl`) is the independent reference that the
+tests compare them against.
 
 Rank decisions are exact: no floating point is used anywhere, and no
 `Fraction` is formed.  Rational blocks are accepted; the elimination scales
@@ -195,27 +195,6 @@ def centralizer_dim_gl(x: GradedMatrix) -> int:
     general linear Lie algebras (no trace condition)."""
     cells, rows = _commutator_rows(x, 0)
     return len(cells) - len(_eliminate(rows, len(cells))[1])
-
-
-def centralizer_dim_k(x: GradedMatrix) -> int:
-    """Block-diagonal trace-zero centralizer dimension.  The identity always
-    commutes and has nonzero trace, hence the -1."""
-    return centralizer_dim_gl(x) - 1
-
-
-def centralizer_g1(x: GradedMatrix):
-    """Dimension and an integer basis, read off `_integer_basis`, of the
-    opposite-degree centralizer {y : x y = y x} in the degree -(deg x)
-    block space."""
-    cells, rows = _commutator_rows(x, -x.degree)
-    basis = []
-    for vec in _integer_basis(rows, len(cells)):
-        blocks = _zero_blocks(x.grading.dims, -x.degree)
-        for k, v in vec:
-            i, r, c = cells[k]
-            blocks[i][r][c] = v
-        basis.append(GradedMatrix(x.grading, -x.degree, tuple(tuple(map(tuple, b)) for b in blocks)))
-    return len(basis), basis
 
 
 def _is_nilpotent(full, n: int) -> bool:

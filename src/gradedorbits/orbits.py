@@ -17,6 +17,7 @@ fill convention; all stratum residuals are stored on that side as well.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -221,17 +222,22 @@ def _peel(diagram: FilledDiagram, a: int, per: int) -> tuple[MultiPartition, Fil
     divided by a; the leftover rows form the residual diagram."""
     m = diagram.modulus
     d = gcd(a, m)
+    counts: dict[int, list[int]] = {}
+    for row in diagram.rows:
+        counts.setdefault(row.length, [0] * m)[row.start - 1] += 1
     components: list[list[int]] = [[] for _ in range(d)]
     residue_rows: list[FilledRow] = []
-    for length in diagram.parts:
-        p = diagram.multiplicities(length)
-        for i in range(d):
-            low = min(p[i::d]) // per
+    # lengths come decreasing and starts ascending: the canonical row order
+    for length, p in counts.items():
+        lows = [min(p[i::d]) // per for i in range(d)]
+        for i, low in enumerate(lows):
             components[i].extend([length // a] * low)
-            for lab in range(i + 1, m + 1, d):
-                residue_rows.extend([FilledRow(length, lab)] * (p[lab - 1] - per * low))
+        for lab in range(m):
+            left = p[lab] - per * lows[lab % d]
+            if left:
+                residue_rows.extend([FilledRow(length, lab + 1)] * left)
     tau = tuple(tuple(comp) for comp in components)
-    return tau, canonicalize(residue_rows, m, diagram.sign)
+    return tau, FilledDiagram(m, diagram.sign, tuple(residue_rows))
 
 
 def peel_ai(diagram: FilledDiagram, a: int) -> PeelAI:
@@ -339,18 +345,19 @@ def centralizer_dim(diagram: FilledDiagram) -> int:
     (where its dual '+' row starts): a row of length p and top s maps to a
     row of length q and top t in one dimension for every j in
     [max(0, q - p), q) with t - j = s (mod m), the map sending the top of
-    the first string to box j of the second.
+    the first string to box j of the second.  The sum runs over distinct
+    (length, top) row types, each pair weighted by its multiplicities.
     """
     m = diagram.modulus
     last = diagram.sign == MINUS
-    tops = [(r.length, r.start + r.length - 1 if last else r.start) for r in diagram.rows]
+    types = Counter((r.length, r.start + r.length - 1 if last else r.start) for r in diagram.rows)
     total = 0
-    for p, s in tops:
-        for q, t in tops:
+    for (p, s), u in types.items():
+        for (q, t), v in types.items():
             r = (t - s) % m
             low = max(0, q - p)
             # j = r (mod m) in [low, q), counted as a difference of floors
-            total += (q - r - 1) // m - (low - r - 1) // m
+            total += u * v * ((q - r - 1) // m - (low - r - 1) // m)
     return total
 
 

@@ -189,6 +189,11 @@ def map_sheaf_ai(lam: FilledDiagram, psi: CentralCharacter, a: int, grading: Gra
     positions in the canonical ascending enumerations of exact-order-a
     residues on both sides.
     """
+    return _map_sheaf_ai(lam, psi, a, grading, {})
+
+
+def _map_sheaf_ai(lam, psi, a, grading, flags: dict) -> SheafLabel:
+    """`map_sheaf_ai`, computing a stratum's flags only if `flags` lacks it."""
     source = exact_order_characters(lam.part_gcd, a)
     if psi not in source:
         raise ValueError("character is not an exact-order-a character of this orbit")
@@ -196,8 +201,9 @@ def map_sheaf_ai(lam: FilledDiagram, psi: CentralCharacter, a: int, grading: Gra
     stratum = StratumAI(a, peel.rank, peel.residue, d_check_stratum(a, peel.residue))
     target = exact_order_characters(stratum.d_check, a)
     moved = target[source.index(psi)]
-    nilp, full, cusp = _flags_ai(grading, a, stratum)
-    return SheafLabel("AI", stratum, moved, peel.tau, nilp, full, cusp)
+    if stratum not in flags:
+        flags[stratum] = _flags_ai(grading, a, stratum)
+    return SheafLabel("AI", stratum, moved, peel.tau, *flags[stratum])
 
 
 def map_sheaf_ii(lam: FilledDiagram, grading: GradingSpec) -> SheafLabel:
@@ -235,25 +241,29 @@ class BijectionReport:
 
 def verify_bijection(grading: GradingSpec, a: int = 1) -> BijectionReport:
     """Compare the two label routes: orbital complexes mapped through the
-    peeling construction against the directly enumerated catalog."""
+    peeling construction against the directly enumerated catalog, whose AI
+    flags the image labels reuse, so each stratum's flags are computed once."""
     if grading.case == "AI":
-        pairs = orbital_complexes(grading, a)
-        image = [map_sheaf_ai(lam, psi, a, grading) for lam, psi in pairs]
         catalog = catalog_ai(grading, a)
+        flags = {
+            lab.stratum: (lab.nilpotent_support, lab.full_support, lab.cuspidal_conjectural)
+            for lab in catalog
+        }
+        pairs = orbital_complexes(grading, a)
+        image = [_map_sheaf_ai(lam, psi, a, grading, flags) for lam, psi in pairs]
     else:
         pairs = orbital_complexes(grading)
         image = [map_sheaf_ii(lam, grading) for lam, _ in pairs]
         catalog = catalog_ii(grading)
-    injective = len(set(image)) == len(image)
-    surjective = set(image) == set(catalog)
+    distinct = set(image)
     return BijectionReport(
         grading.case,
         a if grading.case == "AI" else 1,
         len(pairs),
         len(catalog),
         len(pairs) == len(catalog),
-        injective,
-        surjective,
+        len(distinct) == len(image),
+        distinct == set(catalog),
     )
 
 

@@ -27,11 +27,7 @@ from gradedorbits.orbits import (
     orbit_dim,
     stratum_dim_ai,
 )
-from gradedorbits.oracle import (
-    build_representative,
-    centralizer_dim_k,
-    is_distinguished_oracle,
-)
+from gradedorbits.oracle import build_representative, is_distinguished_oracle
 from gradedorbits.series import (
     gf_distinguished_ai,
     gf_distinguished_ii,
@@ -41,6 +37,7 @@ from gradedorbits.series import (
 from gradedorbits.sheaves import cuspidal_ai, divisors, verify_bijection
 
 from conftest import compositions
+from test_oracle import centralizer_dim_k
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 

@@ -17,7 +17,13 @@ from gradedorbits.diagrams import (
 )
 from gradedorbits.series import TruncSeries
 
-from conftest import brute_force_diagrams, compositions, series_mul, series_one
+from conftest import (
+    brute_force_diagrams,
+    compositions,
+    naive_diagram_counts,
+    series_mul,
+    series_one,
+)
 
 
 def rows_of(diagram):
@@ -87,6 +93,31 @@ def test_dimension_vector_examples():
     assert dimension_vector(canonicalize([(2, 1)], 2, "+")) == (1, 1)
     assert dimension_vector(empty_diagram(3)) == (0, 0, 0)
     assert dimension_vector(canonicalize([(2, 1)], 3, "+")) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_dimension_vector_matches_label_walk(sign):
+    # every diagram with m <= 4 and size <= 8: rows wrap up to eight times
+    for k in range(1, 5):
+        for size in range(9):
+            for d in enumerate_by_size(k, sign, size):
+                assert dimension_vector(d) == naive_diagram_counts(rows_of(d), k, sign), d
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize(
+    "rows, k",
+    [
+        ([(7, 2)], 3),
+        ([(9, 1), (9, 3), (5, 2)], 4),
+        ([(11, 4), (2, 1), (1, 5)], 5),
+        ([(13, 2), (13, 2), (6, 1), (3, 2)], 2),
+        ([(10, 1)], 1),
+    ],
+)
+def test_dimension_vector_rows_wrapping_more_than_twice(rows, k, sign):
+    d = canonicalize(rows, k, sign)
+    assert dimension_vector(d) == naive_diagram_counts(rows_of(d), k, sign)
 
 
 @given(rows=rows_strategy, k=st.integers(1, 4), sign=st.sampled_from("+-"))

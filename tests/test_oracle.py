@@ -29,11 +29,10 @@ from gradedorbits.oracle import (
     _eliminate,
     _integer_basis,
     _is_nilpotent,
+    _zero_blocks,
     _zeros,
     build_representative,
     centralizer_dim_gl,
-    centralizer_dim_k,
-    centralizer_g1,
     is_distinguished_oracle,
     mat_mul,
 )
@@ -43,6 +42,27 @@ from conftest import compositions
 
 def diag(rows, k, sign="+"):
     return canonicalize(rows, k, sign)
+
+
+def centralizer_dim_k(x: GradedMatrix) -> int:
+    """Block-diagonal trace-zero centralizer dimension.  The identity always
+    commutes and has nonzero trace, hence the -1."""
+    return centralizer_dim_gl(x) - 1
+
+
+def centralizer_g1(x: GradedMatrix):
+    """Dimension and an integer basis, read off `_integer_basis`, of the
+    opposite-degree centralizer {y : x y = y x} in the degree -(deg x)
+    block space."""
+    cells, rows = _commutator_rows(x, -x.degree)
+    basis = []
+    for vec in _integer_basis(rows, len(cells)):
+        blocks = _zero_blocks(x.grading.dims, -x.degree)
+        for k, v in vec:
+            i, r, c = cells[k]
+            blocks[i][r][c] = v
+        basis.append(GradedMatrix(x.grading, -x.degree, tuple(tuple(map(tuple, b)) for b in blocks)))
+    return len(basis), basis
 
 
 def reference_nullspace(rows, ncols):
@@ -535,6 +555,23 @@ def small_diagrams(draw):
 
 @given(small_diagrams())
 def test_centralizer_dim_matches_nullspace(lam):
+    assert centralizer_dim(lam) == centralizer_dim_gl(build_representative(lam))
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize(
+    "rows, m",
+    [
+        ([(2, 1)] * 3 + [(1, 2)] * 2, 2),
+        ([(3, 1)] * 2 + [(1, 1)] * 3, 1),
+        ([(3, 1)] * 2 + [(3, 2)] * 2 + [(1, 1)] * 3, 3),
+        ([(4, 2)] * 2 + [(2, 2)] * 3 + [(2, 1)] + [(1, 3)] * 4, 3),
+        ([(5, 4)] * 2 + [(5, 1)] * 2 + [(2, 3)] * 4 + [(1, 2)] * 2, 4),
+    ],
+)
+def test_centralizer_dim_repeated_row_types(rows, m, sign):
+    # the closed form weights each pair of row types by its multiplicities
+    lam = diag(rows, m, sign)
     assert centralizer_dim(lam) == centralizer_dim_gl(build_representative(lam))
 
 

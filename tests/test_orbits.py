@@ -253,6 +253,36 @@ def test_peel_ai_round_trip_and_residue_distinguished():
                     assert _reassemble_ai(a, peel.tau, peel.residue) == lam
 
 
+def reference_peel(diagram, a, per):
+    """The peel with the multiplicities read length by length and the residue
+    rows sorted by `canonicalize`: the reference for `peel_ai` (per = 1)
+    and `peel_ii` (a = 1, per = 2)."""
+    m = diagram.modulus
+    d = gcd(a, m)
+    components = [[] for _ in range(d)]
+    residue_rows = []
+    for length in diagram.parts:
+        p = diagram.multiplicities(length)
+        for i in range(d):
+            low = min(p[i::d]) // per
+            components[i].extend([length // a] * low)
+            for lab in range(i + 1, m + 1, d):
+                residue_rows.extend([FilledRow(length, lab)] * (p[lab - 1] - per * low))
+    tau = tuple(tuple(comp) for comp in components)
+    return tau, canonicalize(residue_rows, m, diagram.sign)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_peel_ai_matches_reference(sign):
+    for m in range(1, 5):
+        for size in range(8):
+            for lam in enumerate_by_size(m, sign, size):
+                g = lam.part_gcd
+                for a in [1] if g == 0 else [a for a in range(1, g + 1) if g % a == 0]:
+                    peel = peel_ai(lam, a)
+                    assert (peel.tau, peel.residue) == reference_peel(lam, a, 1), (lam, a)
+
+
 def _reassemble_ii(nu, residue):
     m = residue.modulus
     rows = list(residue.rows)
@@ -291,6 +321,17 @@ def test_peel_ii_round_trip():
                     assert admissible_for_case(peel.residue, case)
                     assert is_distinguished_ii(peel.residue)
                     assert _reassemble_ii(peel.nu, peel.residue) == lam
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_peel_ii_matches_reference(sign):
+    for case, moduli in (("AII", (1, 3)), ("CII", (2, 4)), ("DII", (2, 4))):
+        for m in moduli:
+            for size in range(0, 9, 2):
+                for lam in enumerate_by_size(m, sign, size):
+                    if admissible_for_case(lam, case):
+                        peel = peel_ii(lam)
+                        assert ((peel.nu,), peel.residue) == reference_peel(lam, 1, 2), lam
 
 
 # ---------------------------------------------------------------------------

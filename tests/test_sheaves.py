@@ -11,7 +11,14 @@ from gradedorbits.diagrams import (
     iter_diagrams,
     multipartitions,
 )
-from gradedorbits.orbits import GradingSpec, StratumAI, StratumII, d_check_stratum
+from gradedorbits import sheaves
+from gradedorbits.orbits import (
+    GradingSpec,
+    StratumAI,
+    StratumII,
+    d_check_stratum,
+    enumerate_strata_ai,
+)
 from gradedorbits.sheaves import (
     CentralCharacter,
     SheafLabel,
@@ -435,20 +442,47 @@ def counted_bijection(grading, a=1):
     return chars * complexes, chars * residuals
 
 
-@pytest.mark.parametrize(
-    "case, dims",
-    [
-        ("AI", (4,)), ("AI", (2, 2)), ("AI", (2, 3)), ("AI", (1, 2, 3)), ("AI", (2, 2, 2)),
-        ("AI", (1, 1, 1, 1)), ("AI", (2, 1, 2, 1)),
-        ("AII", (1, 2, 1)), ("AII", (2, 2, 2)), ("CII", (2, 4)), ("DII", (3, 3)),
-        ("DII", (1, 2, 2, 1)),
-    ],
-)
+BIJECTION_GRADINGS = [
+    ("AI", (4,)), ("AI", (2, 2)), ("AI", (2, 3)), ("AI", (1, 2, 3)), ("AI", (2, 2, 2)),
+    ("AI", (1, 1, 1, 1)), ("AI", (2, 1, 2, 1)),
+    ("AII", (1, 2, 1)), ("AII", (2, 2, 2)), ("CII", (2, 4)), ("DII", (3, 3)),
+    ("DII", (1, 2, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("case, dims", BIJECTION_GRADINGS)
 def test_bijection_counts_match_verify(case, dims):
     grading = GradingSpec(case, len(dims), dims)
     for a in divisors(sum(dims)) if case == "AI" else (1,):
         report = verify_bijection(grading, a)
         assert counted_bijection(grading, a) == (report.complexes, report.labels), a
+
+
+@pytest.mark.parametrize("dims", [dims for case, dims in BIJECTION_GRADINGS if case == "AI"])
+def test_verify_bijection_computes_flags_once_per_stratum(monkeypatch, dims):
+    # The image labels take their flags from the catalog: no stratum's
+    # flags (a stratum dimension) are computed twice, and every image label
+    # is still the label map_sheaf_ai gives.
+    grading = GradingSpec("AI", len(dims), dims)
+    real_flags, real_map = sheaves._flags_ai, sheaves._map_sheaf_ai
+    for a in divisors(grading.total):
+        flagged, image = [], []
+
+        def counting(g, order, stratum):
+            flagged.append(stratum)
+            return real_flags(g, order, stratum)
+
+        def recording(lam, psi, order, g, flags):
+            image.append((lam, psi, real_map(lam, psi, order, g, flags)))
+            return image[-1][2]
+
+        monkeypatch.setattr(sheaves, "_flags_ai", counting)
+        monkeypatch.setattr(sheaves, "_map_sheaf_ai", recording)
+        report = verify_bijection(grading, a)
+        monkeypatch.undo()
+        assert report.ok and len(image) == report.complexes, a
+        assert len(flagged) == len(set(flagged)) == len(enumerate_strata_ai(grading, a)), a
+        assert all(label == map_sheaf_ai(lam, psi, a, grading) for lam, psi, label in image), a
 
 
 @pytest.mark.parametrize(
