@@ -6,9 +6,12 @@ of a single degree, serves everything here.  It is written block by block,
 in one order of the unknown cells of z (`_commutator_rows`), and solved by
 fraction-free elimination over the integers: at degree 0 its rank gives the
 block-diagonal centralizer dimension, and at degree -(deg x) its integer
-basis gives the opposite-degree centralizer, whose seeded random
-combinations y a Monte Carlo test checks for nilpotency, on the m-step cycle
-product of y at a smallest label, to certify non-distinguishedness.
+basis gives the opposite-degree centralizer.  Distinguishedness is decided
+on the m-step cycle product of its elements y at a smallest label: an exact
+nil certificate first checks that every word in the basis blocks kills that
+label, and then the verdict True is certain; otherwise a seeded Monte Carlo
+test checks random combinations y for nilpotency, to certify
+non-distinguishedness, and only there does the 2^-t error bound apply.
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the elimination
@@ -219,22 +222,83 @@ def _cycle_product(blocks, start: int):
     return product
 
 
-def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int = 0) -> bool:
-    """Monte Carlo distinguishedness test.
+def _opposite_basis(plus: FilledDiagram, grading: GradingSpec):
+    """An integer basis of the opposite-degree centralizer of the '+'
+    diagram's representative, each element a sparse list of
+    ((block, row, column), value) cells of its degree -1 blocks."""
+    x = build_representative(plus, grading)
+    cells, rows = _commutator_rows(x, -x.degree)
+    return [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
 
-    Samples random integer combinations y (coefficients in [-R, R] with
-    R = max(9, N), N the total box count, seeded) of an exact basis of the
-    opposite-degree centralizer, in integers straight from the elimination,
-    and checks nilpotency.  As y has degree -1, y^m is block diagonal with
-    the cycle products of its blocks, which share their nonzero eigenvalues;
-    so each trial tests the d x d cycle product at a label of smallest
-    dimension d, and with d = 0 the verdict True is certain.  False is
-    certain.  True errs only if every trial misses a non-nilpotent element;
-    the characteristic polynomial's coefficients have degree <= N in the
-    combination coefficients, so by Schwartz-Zippel a trial misses with
-    probability <= N/(2R + 1) < 1/2, and `trials` trials err with
-    probability < 2^-trials.  `trials` must be at least 1: no trial bounds
-    no error.
+
+def _nil_certificate(supports, dims, start: int) -> bool:
+    """Whether every word in the basis blocks kills the label-s summand V_s,
+    s = `start`: W_0 = V_s, and W_{t+1} is spanned by the images of W_t
+    under every basis element's block at label s + t.  If some W_t is 0,
+    every cycle product at s is nilpotent, whatever the coefficients.  As
+    W_{(k+1)m} lies in W_{km}, a round of m steps that keeps dim W at label
+    s stops the walk undecided, after at most m(d + 1) steps."""
+    m = len(dims)
+    span = [[int(r == c) for c in range(dims[start])] for r in range(dims[start])]
+    while True:
+        before = len(span)
+        for t in range(start, start + m):
+            label, images = t % m, []
+            for w in span:
+                for support in supports:
+                    out = [0] * dims[(t + 1) % m]
+                    for (i, r, c), v in support:
+                        if i == label:
+                            out[r] += v * w[c]
+                    if any(out):
+                        images.append(out)
+            reduced, pivots = _eliminate(images, dims[(t + 1) % m])
+            span = reduced[: len(pivots)]
+            if not span:
+                return True
+        if len(span) == before:
+            return False
+
+
+def _trials_pass(supports, dims, start: int, trials: int, seed: int) -> bool:
+    """The seeded Monte Carlo trials: each draws a combination y of the
+    basis with coefficients in [-R, R], R = max(9, N), and tests the cycle
+    product of y at label `start` for nilpotency."""
+    # At least 2N + 1 values; N <= 9 keeps the draws of [-9, 9]
+    bound = max(9, sum(dims))
+    rng = random.Random(seed)
+    for _ in range(trials):
+        blocks = _zero_blocks(dims, -1)
+        for support in supports:
+            coeff = rng.randint(-bound, bound)
+            for (i, r, c), v in support:
+                blocks[i][r][c] += coeff * v
+        if not _is_nilpotent(_cycle_product(blocks, start), dims[start]):
+            return False
+    return True
+
+
+def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int = 0) -> bool:
+    """Distinguishedness test: an exact nil certificate, then Monte Carlo.
+
+    Works on random integer combinations y of an exact basis of the
+    opposite-degree centralizer, in integers straight from the elimination.
+    As y has degree -1, y^m is block diagonal with the cycle products of its
+    blocks, which share their nonzero eigenvalues; so only the d x d cycle
+    product at a label of smallest dimension d is tested, and with d = 0
+    the verdict True is certain.  Otherwise the nil certificate
+    (`_nil_certificate`) first walks the images of that label under words
+    in the basis blocks; when they vanish, every combination is nilpotent,
+    the verdict True is certain and no trial runs.  Only when the
+    certificate fails do the seeded trials run, drawing coefficients from
+    [-R, R] with R = max(9, N), N the total box count.  False is certain.
+    A True verdict from the trials errs only if every trial misses a
+    non-nilpotent element; the characteristic polynomial's coefficients
+    have degree <= N in the combination coefficients, so by Schwartz-Zippel
+    a trial misses with probability <= N/(2R + 1) < 1/2, and `trials`
+    trials err with probability < 2^-trials.  The certificate's True is
+    the one the trials would give, so the verdict never depends on it.
+    `trials` must be at least 1: no trial bounds no error.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -244,22 +308,9 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     d = min(dims)
     if d == 0:
         return True
-    x = build_representative(plus, grading)
-    cells, rows = _commutator_rows(x, -x.degree)
-    supports = [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
+    supports = _opposite_basis(plus, grading)
     start = dims.index(d)
-    # At least 2N + 1 values; N <= 9 keeps the draws of [-9, 9]
-    bound = max(9, grading.total)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        blocks = _zero_blocks(dims, -1)
-        for support in supports:
-            coeff = rng.randint(-bound, bound)
-            for (i, r, c), v in support:
-                blocks[i][r][c] += coeff * v
-        if not _is_nilpotent(_cycle_product(blocks, start), d):
-            return False
-    return True
+    return _nil_certificate(supports, dims, start) or _trials_pass(supports, dims, start, trials, seed)
 
 
 def matrix_to_strings(mat) -> list[list[str]]:

@@ -194,13 +194,14 @@ def map_sheaf_ai(lam: FilledDiagram, psi: CentralCharacter, a: int, grading: Gra
 
 def _map_sheaf_ai(lam, psi, a, grading, flags: dict) -> SheafLabel:
     """`map_sheaf_ai`, computing a stratum's flags only if `flags` lacks it."""
-    source = exact_order_characters(lam.part_gcd, a)
-    if psi not in source:
+    n = lam.part_gcd
+    if psi.modulus != n or psi.order != a:
         raise ValueError("character is not an exact-order-a character of this orbit")
     peel = peel_ai(lam, a)
     stratum = StratumAI(a, peel.rank, peel.residue, d_check_stratum(a, peel.residue))
-    target = exact_order_characters(stratum.d_check, a)
-    moved = target[source.index(psi)]
+    # the exact-order-a residues of Z/n are (n/a)*u, u a unit mod a, ascending
+    unit = psi.index // (n // a) if n else 0
+    moved = CentralCharacter(stratum.d_check, stratum.d_check // a * unit)
     if stratum not in flags:
         flags[stratum] = _flags_ai(grading, a, stratum)
     return SheafLabel("AI", stratum, moved, peel.tau, *flags[stratum])

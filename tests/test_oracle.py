@@ -29,6 +29,9 @@ from gradedorbits.oracle import (
     _eliminate,
     _integer_basis,
     _is_nilpotent,
+    _nil_certificate,
+    _opposite_basis,
+    _trials_pass,
     _zero_blocks,
     _zeros,
     build_representative,
@@ -438,11 +441,28 @@ def draws(monkeypatch):
     return RecordingRandom.draws
 
 
+def opposite_basis(lam):
+    """(dims, supports, start) as the oracle sees them: the '+' side's box
+    counts, its opposite-degree integer basis and a label of smallest
+    dimension."""
+    plus = lam if lam.sign == "+" else duality(lam)
+    grading = GradingSpec("AI", plus.modulus, dimension_vector(plus))
+    dims = grading.dims
+    return dims, _opposite_basis(plus, grading), dims.index(min(dims))
+
+
+def run_trials(lam, trials, seed):
+    """The oracle's Monte Carlo trials alone, without the nil certificate,
+    which decides these distinguished diagrams before any draw."""
+    dims, supports, start = opposite_basis(lam)
+    return _trials_pass(supports, dims, start, trials, seed)
+
+
 def test_oracle_draws_from_minus_nine_to_nine_up_to_n_nine(draws):
     # Up to N = 9, which covers every tier-1 and benchmark input, every
     # coefficient is randint(-9, 9).
     for lam in (diag([(2, 1)], 2), diag([(3, 1), (2, 2), (2, 1)], 3), diag([(9, 1)], 2)):
-        assert is_distinguished_oracle(lam, trials=20, seed=7)
+        assert run_trials(lam, trials=20, seed=7)
     assert draws and {(a, b) for a, b, _ in draws} == {(-9, 9)}
 
 
@@ -450,9 +470,94 @@ def test_oracle_draws_from_minus_nine_to_nine_up_to_n_nine(draws):
 def test_oracle_draws_cover_minus_n_to_n(draws, rows, k):
     lam = diag(rows, k)
     n = lam.size
-    assert is_distinguished_oracle(lam, trials=40, seed=3)
+    assert run_trials(lam, trials=40, seed=3)
     assert {(a, b) for a, b, _ in draws} == {(-n, n)}
     assert {v for _, _, v in draws} == set(range(-n, n + 1))
+
+
+def small_ai_diagrams(max_m, max_size):
+    for m in range(1, max_m + 1):
+        for sign in ("+", "-"):
+            for size in range(max_size + 1):
+                yield from enumerate_by_size(m, sign, size)
+
+
+def nil_certificate(lam):
+    dims, supports, start = opposite_basis(lam)
+    return _nil_certificate(supports, dims, start)
+
+
+def test_nil_certificate_holds_exactly_on_distinguished_diagrams():
+    checked = 0
+    for lam in small_ai_diagrams(4, 7):
+        assert nil_certificate(lam) == is_distinguished_ai(lam, 1), lam
+        checked += 1
+    assert checked == 6736
+
+
+def test_certified_diagrams_run_no_trial(monkeypatch, draws):
+    calls = []
+
+    def counting(blocks, start):
+        calls.append(start)
+        return _cycle_product(blocks, start)
+
+    monkeypatch.setattr("gradedorbits.oracle._cycle_product", counting)
+    certified = 0
+    for lam in small_ai_diagrams(3, 6):
+        if min(dimension_vector(lam)) and is_distinguished_ai(lam, 1):
+            assert is_distinguished_oracle(lam, seed=7)
+            certified += 1
+    assert certified == 658 and calls == [] and draws == []
+    # a non-distinguished diagram with no empty label goes to the trials
+    lam = diag([(1, 1), (1, 2)], 2)
+    assert not is_distinguished_oracle(lam)
+    assert calls and draws
+
+
+def test_certified_combinations_are_nilpotent_by_trace_kernel():
+    rng = random.Random(11)
+    checked = 0
+    for lam in small_ai_diagrams(3, 6):
+        if not nil_certificate(lam):
+            continue
+        dims, supports, _ = opposite_basis(lam)
+        grading = GradingSpec("AI", len(dims), dims)
+        for _ in range(3):
+            blocks = _zero_blocks(dims, -1)
+            for support in supports:
+                coeff = rng.randint(-9, 9)
+                for (i, r, c), v in support:
+                    blocks[i][r][c] += coeff * v
+            y = GradedMatrix(grading, -1, tuple(tuple(map(tuple, b)) for b in blocks))
+            assert _trace_kernel_is_nilpotent(full_matrix(y), grading.total), lam
+        checked += 1
+    assert checked == 946
+
+
+def test_nil_certificate_stops_within_m_rounds_per_dimension(monkeypatch):
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return _eliminate(rows, ncols)
+
+    undecided = 0
+    for lam in small_ai_diagrams(4, 7):
+        if is_distinguished_ai(lam, 1):
+            continue
+        dims, supports, start = opposite_basis(lam)
+        monkeypatch.setattr("gradedorbits.oracle._eliminate", counting)
+        calls.clear()
+        assert not _nil_certificate(supports, dims, start), lam
+        monkeypatch.undo()
+        m, d = len(dims), dims[start]
+        assert 0 < len(calls) <= m * (d + 1), lam
+        # whole rounds of m steps, and the span, never 0, drops at most
+        # d - 1 times, so at most d rounds
+        assert len(calls) % m == 0 and len(calls) <= m * d, lam
+        undecided += 1
+    assert undecided == 570
 
 
 def test_oracle_agrees_with_predicate_beyond_n_nine():

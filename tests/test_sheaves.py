@@ -18,6 +18,7 @@ from gradedorbits.orbits import (
     StratumII,
     d_check_stratum,
     enumerate_strata_ai,
+    peel_ai,
 )
 from gradedorbits.sheaves import (
     CentralCharacter,
@@ -483,6 +484,46 @@ def test_verify_bijection_computes_flags_once_per_stratum(monkeypatch, dims):
         assert report.ok and len(image) == report.complexes, a
         assert len(flagged) == len(set(flagged)) == len(enumerate_strata_ai(grading, a)), a
         assert all(label == map_sheaf_ai(lam, psi, a, grading) for lam, psi, label in image), a
+
+
+def reference_map_sheaf_ai(lam, psi, a, grading):
+    """The list-based transport: psi's position among the orbit's
+    exact-order-a characters picks the stratum's character at that
+    position."""
+    source = exact_order_characters(lam.part_gcd, a)
+    if psi not in source:
+        raise ValueError("character is not an exact-order-a character of this orbit")
+    peel = peel_ai(lam, a)
+    stratum = StratumAI(a, peel.rank, peel.residue, d_check_stratum(a, peel.residue))
+    target = exact_order_characters(stratum.d_check, a)
+    moved = target[source.index(psi)]
+    return SheafLabel("AI", stratum, moved, peel.tau, *_flags_ai(grading, a, stratum))
+
+
+def _label_or_error(transport, *args):
+    try:
+        return transport(*args)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "dims", [dims for case, dims in BIJECTION_GRADINGS if case == "AI"] + [(0, 0), (6,), (4, 4)]
+)
+def test_map_sheaf_ai_matches_list_reference(dims):
+    # every character of Z/n and of two wrong moduli, at every order up to N
+    grading = GradingSpec("AI", len(dims), dims)
+    mapped = 0
+    for lam in iter_diagrams(grading.modulus, MINUS, dims):
+        n = lam.part_gcd
+        chars = [CentralCharacter(n, i) for i in range(max(n, 1))]
+        chars += [CentralCharacter(n + 1, 0), CentralCharacter(2 * n + 2, 1)]
+        for a in range(1, grading.total + 2):
+            for psi in chars:
+                want = _label_or_error(reference_map_sheaf_ai, lam, psi, a, grading)
+                assert _label_or_error(map_sheaf_ai, lam, psi, a, grading) == want, (lam, psi, a)
+                mapped += isinstance(want, SheafLabel)
+    assert mapped == sum(len(orbital_complexes(grading, a)) for a in range(1, grading.total + 2))
 
 
 @pytest.mark.parametrize(
