@@ -1,10 +1,12 @@
 """Filled Young diagrams over Z/k, partitions and multipartitions.
 
-A (k,+)-row of length p starting at label a carries the box labels
-a, a-1, ..., a-p+1 reduced into [1, k] (0 is identified with k); a (k,-)-row
-carries a, a+1, ..., a+p-1.  A diagram is a multiset of rows; it is stored in
-a unique canonical order (length decreasing, then start increasing) so that
-equality and hashing are structural.
+A row is a (length, start) pair.  A (k,+)-row of length p starting at
+label a carries the box labels a, a-1, ..., a-p+1 reduced into [1, k] (0 is
+identified with k); a (k,-)-row carries a, a+1, ..., a+p-1.  A diagram is a
+multiset of rows: `diagram.rows` is a tuple of (length, start) pairs in a
+unique canonical order (length decreasing, then start increasing), so that
+equality and hashing are structural, and `canonicalize` builds a diagram from
+any iterable of pairs.
 
 Every enumeration runs through one streamed core, `iter_diagrams`, which
 emits diagrams in `FilledDiagram.sort_key` order without sorting.  Shapes
@@ -41,6 +43,7 @@ SIGNS = (PLUS, MINUS)
 CASES = ("AI", "AII", "CII", "DII")
 
 Partition = tuple[int, ...]
+Row = tuple[int, int]
 MultiPartition = tuple[Partition, ...]
 DimensionVector = tuple[int, ...]
 
@@ -50,19 +53,8 @@ def reduce_label(value: int, k: int) -> int:
     return (value - 1) % k + 1
 
 
-@dataclass(frozen=True)
-class FilledRow:
-    length: int
-    start: int
-
-    def box_labels(self, k: int, sign: str) -> tuple[int, ...]:
-        """Labels carried by the row's boxes, left to right."""
-        step = -1 if sign == PLUS else 1
-        return tuple(reduce_label(self.start + step * t, k) for t in range(self.length))
-
-
-def _row_key(row: FilledRow) -> tuple[int, int]:
-    return (-row.length, row.start)
+def _row_key(row: Row) -> tuple[int, int]:
+    return (-row[0], row[1])
 
 
 def check_integer(name: str, value) -> None:
@@ -71,20 +63,30 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_row(row: FilledRow, k: int) -> None:
-    if not isinstance(row.length, int) or not isinstance(row.start, int):
+def check_order(a) -> None:
+    """Reject an order that is not an integer >= 1."""
+    check_integer("order", a)
+    if a < 1:
+        raise ValueError("order must be >= 1")
+
+
+def _check_row(row: Row, k: int) -> None:
+    if not isinstance(row, tuple) or len(row) != 2:
+        raise ValueError(f"row must be a (length, start) pair, got {row!r}")
+    length, start = row
+    if not isinstance(length, int) or not isinstance(start, int):
         raise ValueError(f"row length and start must be integers, got {row}")
-    if row.length < 1:
-        raise ValueError(f"row length must be >= 1, got {row.length}")
-    if not 1 <= row.start <= k:
-        raise ValueError(f"row start {row.start} out of range [1, {k}]")
+    if length < 1:
+        raise ValueError(f"row length must be >= 1, got {length}")
+    if not 1 <= start <= k:
+        raise ValueError(f"row start {start} out of range [1, {k}]")
 
 
 @dataclass(frozen=True)
 class FilledDiagram:
     modulus: int
     sign: str
-    rows: tuple[FilledRow, ...]
+    rows: tuple[Row, ...]
 
     def __post_init__(self):
         check_integer("modulus", self.modulus)
@@ -102,7 +104,7 @@ class FilledDiagram:
 
     @property
     def size(self) -> int:
-        return sum(r.length for r in self.rows)
+        return sum(length for length, _ in self.rows)
 
     @property
     def is_empty(self) -> bool:
@@ -111,35 +113,35 @@ class FilledDiagram:
     @property
     def partition(self) -> Partition:
         """Underlying partition: the row lengths, weakly decreasing."""
-        return tuple(r.length for r in self.rows)
+        return tuple(length for length, _ in self.rows)
 
     @property
     def parts(self) -> tuple[int, ...]:
         """Distinct row lengths, decreasing."""
         seen: list[int] = []
-        for r in self.rows:
-            if not seen or seen[-1] != r.length:
-                seen.append(r.length)
+        for length, _ in self.rows:
+            if not seen or seen[-1] != length:
+                seen.append(length)
         return tuple(seen)
 
     @property
     def part_gcd(self) -> int:
         """gcd of the row lengths; 0 for the empty diagram."""
         g = 0
-        for r in self.rows:
-            g = gcd(g, r.length)
+        for length, _ in self.rows:
+            g = gcd(g, length)
         return g
 
     def multiplicities(self, length: int) -> tuple[int, ...]:
         """Number of rows of the given length per start label 1..k."""
         out = [0] * self.modulus
-        for r in self.rows:
-            if r.length == length:
-                out[r.start - 1] += 1
+        for p, start in self.rows:
+            if p == length:
+                out[start - 1] += 1
         return tuple(out)
 
     def start_labels(self) -> tuple[int, ...]:
-        return tuple(r.start for r in self.rows)
+        return tuple(start for _, start in self.rows)
 
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # underlying partition decreasing lexicographically, then starts increasing
@@ -155,24 +157,14 @@ class FilledDiagram:
             else:
                 groups.append([row, 1])
         return " ".join(
-            f"{r.length}_{r.start}" + (f"^{n}" if n > 1 else "") for r, n in groups
+            f"{length}_{start}" + (f"^{n}" if n > 1 else "") for (length, start), n in groups
         )
 
 
 def canonicalize(rows: Iterable, k: int, sign: str) -> FilledDiagram:
-    """Build the canonical diagram for a multiset of (length, start) rows.
-
-    Idempotent and independent of the input row order; rows may be given as
-    FilledRow instances or (length, start) pairs.
-    """
-    normalized = []
-    for row in rows:
-        if not isinstance(row, FilledRow):
-            length, start = row
-            row = FilledRow(length, start)
-        normalized.append(row)
-    normalized.sort(key=_row_key)
-    return FilledDiagram(k, sign, tuple(normalized))
+    """Build the canonical diagram for a multiset of (length, start) pairs,
+    given in any order as any iterable of pairs.  Idempotent."""
+    return FilledDiagram(k, sign, tuple(sorted(map(tuple, rows), key=_row_key)))
 
 
 def empty_diagram(k: int, sign: str = MINUS) -> FilledDiagram:
@@ -186,10 +178,10 @@ def dimension_vector(diagram: FilledDiagram) -> DimensionVector:
     step = 1 if diagram.sign == MINUS else -1
     counts = [0] * k
     wraps = 0
-    for row in diagram.rows:
-        wraps += row.length // k
-        for t in range(row.length % k):
-            counts[(row.start - 1 + step * t) % k] += 1
+    for length, start in diagram.rows:
+        wraps += length // k
+        for t in range(length % k):
+            counts[(start - 1 + step * t) % k] += 1
     return tuple(v + wraps for v in counts)
 
 
@@ -230,13 +222,11 @@ class _Fills:
 
     def __init__(self, k, sign, *, case="AI", distinguished=False, order=1):
         check_integer("modulus", k)
-        check_integer("order", order)
+        check_order(order)
         if k < 1:
             raise ValueError(f"modulus must be >= 1, got {k}")
         if sign not in SIGNS or case not in CASES:
             raise ValueError(f"unknown sign {sign!r} or case {case!r}")
-        if order < 1:
-            raise ValueError("order must be >= 1")
         if order != 1 and case != "AI":
             raise ValueError("an order applies only to case AI")
         self.k, self.sign, self.case = k, sign, case
@@ -306,7 +296,7 @@ class _Fills:
             out = self.options[key] = []
 
             def keep(counts, rest):
-                rows = tuple(FilledRow(length, s) for s, c in enumerate(counts, 1) for _ in range(c))
+                rows = tuple((length, s) for s, c in enumerate(counts, 1) for _ in range(c))
                 out.append((rows, rest))
 
             self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
@@ -486,5 +476,5 @@ def diagram_to_json(diagram: FilledDiagram) -> dict:
     return {
         "modulus": diagram.modulus,
         "sign": diagram.sign,
-        "rows": [{"len": r.length, "start": r.start} for r in diagram.rows],
+        "rows": [{"len": length, "start": start} for length, start in diagram.rows],
     }

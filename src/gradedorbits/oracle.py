@@ -148,8 +148,9 @@ def build_representative(diagram: FilledDiagram, grading: GradingSpec | None = N
     degree = 1 if diagram.sign == PLUS else -1
     blocks = _zero_blocks(grading.dims, degree)
     next_index = [0] * m
-    for row in diagram.rows:
-        labels = row.box_labels(m, diagram.sign)
+    for length, start in diagram.rows:
+        # a '+' row runs down from its start label, a '-' row up
+        labels = [(start - 1 - degree * t) % m + 1 for t in range(length)]
         indices = []
         for lab in labels:
             indices.append(next_index[lab - 1])

@@ -25,13 +25,14 @@ from .diagrams import (
     CASES,
     DimensionVector,
     FilledDiagram,
-    FilledRow,
     MINUS,
     MultiPartition,
     PLUS,
     Partition,
+    Row,
     canonicalize,
     check_integer,
+    check_order,
     dimension_vector,
     iter_diagrams,
     reduce_label,
@@ -152,8 +153,7 @@ def is_distinguished_ai(diagram: FilledDiagram, a: int) -> bool:
     each part length every residue class of labels mod d contains a label with
     no row of that length.
     """
-    if a < 1:
-        raise ValueError("order must be >= 1")
+    check_order(a)
     if diagram.part_gcd % a:
         return False
     m = diagram.modulus
@@ -184,11 +184,9 @@ def duality(diagram: FilledDiagram) -> FilledDiagram:
     """
     k = diagram.modulus
     if diagram.sign == MINUS:
-        rows = [
-            (r.length, reduce_label(r.start + r.length - 1, k)) for r in diagram.rows
-        ]
+        rows = [(p, reduce_label(s + p - 1, k)) for p, s in diagram.rows]
         return canonicalize(rows, k, PLUS)
-    rows = [(r.length, reduce_label(r.start - r.length + 1, k)) for r in diagram.rows]
+    rows = [(p, reduce_label(s - p + 1, k)) for p, s in diagram.rows]
     return canonicalize(rows, k, MINUS)
 
 
@@ -223,10 +221,10 @@ def _peel(diagram: FilledDiagram, a: int, per: int) -> tuple[MultiPartition, Fil
     m = diagram.modulus
     d = gcd(a, m)
     counts: dict[int, list[int]] = {}
-    for row in diagram.rows:
-        counts.setdefault(row.length, [0] * m)[row.start - 1] += 1
+    for length, start in diagram.rows:
+        counts.setdefault(length, [0] * m)[start - 1] += 1
     components: list[list[int]] = [[] for _ in range(d)]
-    residue_rows: list[FilledRow] = []
+    residue_rows: list[Row] = []
     # lengths come decreasing and starts ascending: the canonical row order
     for length, p in counts.items():
         lows = [min(p[i::d]) // per for i in range(d)]
@@ -235,7 +233,7 @@ def _peel(diagram: FilledDiagram, a: int, per: int) -> tuple[MultiPartition, Fil
         for lab in range(m):
             left = p[lab] - per * lows[lab % d]
             if left:
-                residue_rows.extend([FilledRow(length, lab + 1)] * left)
+                residue_rows.extend([(length, lab + 1)] * left)
     tau = tuple(tuple(comp) for comp in components)
     return tau, FilledDiagram(m, diagram.sign, tuple(residue_rows))
 
@@ -247,8 +245,7 @@ def peel_ai(diagram: FilledDiagram, a: int) -> PeelAI:
     Parts are recorded in the tau components divided by a; the leftover row
     multiplicities form the residual diagram, which is distinguished at a.
     """
-    if a < 1:
-        raise ValueError("order must be >= 1")
+    check_order(a)
     if diagram.part_gcd % a:
         raise ValueError(f"every part must be divisible by {a}")
     return PeelAI(*_peel(diagram, a, 1))
@@ -315,8 +312,7 @@ def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[StratumAI]:
     """
     if grading.case != "AI":
         raise ValueError("strata at an order are defined for case AI")
-    if a < 1:
-        raise ValueError("order must be >= 1")
+    check_order(a)
     return [
         StratumAI(a, rank, mu, d_check_stratum(a, mu))
         for rank, mu in _strata(grading, a // gcd(a, grading.modulus), order=a)
@@ -350,7 +346,7 @@ def centralizer_dim(diagram: FilledDiagram) -> int:
     """
     m = diagram.modulus
     last = diagram.sign == MINUS
-    types = Counter((r.length, r.start + r.length - 1 if last else r.start) for r in diagram.rows)
+    types = Counter((p, s + p - 1 if last else s) for p, s in diagram.rows)
     total = 0
     for (p, s), u in types.items():
         for (q, t), v in types.items():
@@ -406,5 +402,5 @@ def full_support_stratum_ii(grading: GradingSpec) -> StratumII:
     r = grading.rank
     rows = []
     for start, v in enumerate(grading.dims, start=1):
-        rows.extend([FilledRow(1, start)] * (v - 2 * r))
+        rows.extend([(1, start)] * (v - 2 * r))
     return StratumII(r, canonicalize(rows, grading.modulus, MINUS))

@@ -18,6 +18,8 @@ from .diagrams import (
     FilledDiagram,
     MINUS,
     MultiPartition,
+    check_order,
+    dimension_vector,
     empty_diagram,
     iter_diagrams,
     multipartitions,
@@ -79,8 +81,7 @@ def exact_order_characters(modulus: int, order: int) -> list[CentralCharacter]:
     Empty unless the order divides the modulus; the count is Euler phi of the
     order.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    check_order(order)
     if modulus < 0:
         raise ValueError("modulus must be nonnegative")
     if modulus == 0:
@@ -162,9 +163,9 @@ def catalog_ai(grading: GradingSpec, a: int) -> list[SheafLabel]:
     at a > 1."""
     if grading.case != "AI":
         raise ValueError("catalog_ai requires case AI")
+    strata = enumerate_strata_ai(grading, a)
     if grading.total == 0 and a > 1:
         return []
-    strata = enumerate_strata_ai(grading, a)
     return [lab for stratum in strata for lab in _labels_ai(grading, a, stratum)]
 
 
@@ -211,6 +212,8 @@ def map_sheaf_ii(lam: FilledDiagram, grading: GradingSpec) -> SheafLabel:
     """Image of a type II orbit under the peeling bijection."""
     if not admissible_for_case(lam, grading.case):
         raise ValueError("diagram is not admissible for this grading")
+    if dimension_vector(lam) != grading.dims:
+        raise ValueError("diagram box counts do not match the grading")
     peel = peel_ii(lam)
     stratum = StratumII(peel.rank, peel.residue)
     full = stratum == full_support_stratum_ii(grading)

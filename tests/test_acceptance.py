@@ -96,7 +96,7 @@ def test_criterion_2_distinguished_count_series():
             enum = 0
             for small in enumerate_by_size(m, "-", j):
                 scaled = canonicalize(
-                    [(r.length * a, r.start) for r in small.rows], m, "-"
+                    [(length * a, start) for length, start in small.rows], m, "-"
                 )
                 if is_distinguished_ai(scaled, a):
                     enum += 1

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from gradedorbits.diagrams import (
     FilledDiagram,
-    FilledRow,
     canonicalize,
     dimension_vector,
     diagram_to_json,
@@ -27,7 +26,7 @@ from conftest import (
 
 
 def rows_of(diagram):
-    return tuple((r.length, r.start) for r in diagram.rows)
+    return tuple((length, start) for length, start in diagram.rows)
 
 
 def diagram_from_json(obj: dict) -> FilledDiagram:
@@ -56,12 +55,12 @@ def test_canonicalize_multiset_multiplicity():
 
 def test_diagram_checks_row_order():
     with pytest.raises(ValueError, match="canonical order"):
-        FilledDiagram(2, "+", (FilledRow(1, 1), FilledRow(2, 1)))
+        FilledDiagram(2, "+", ((1, 1), (2, 1)))
     with pytest.raises(ValueError, match="canonical order"):
-        FilledDiagram(2, "+", (FilledRow(2, 2), FilledRow(2, 1)))
+        FilledDiagram(2, "+", ((2, 2), (2, 1)))
     with pytest.raises(ValueError, match="canonical order"):
-        FilledDiagram(3, "-", (FilledRow(3, 1), FilledRow(1, 2), FilledRow(2, 1)))
-    rows = (FilledRow(2, 1), FilledRow(2, 1), FilledRow(1, 2), FilledRow(1, 2))
+        FilledDiagram(3, "-", ((3, 1), (1, 2), (2, 1)))
+    rows = ((2, 1), (2, 1), (1, 2), (1, 2))
     assert FilledDiagram(2, "+", rows).rows == rows
     assert FilledDiagram(2, "+", rows) == canonicalize([(1, 2), (2, 1), (1, 2), (2, 1)], 2, "+")
 
@@ -72,6 +71,20 @@ def test_diagram_checks_row_order():
 def test_canonicalize_rejects_invalid_rows(rows):
     with pytest.raises(ValueError):
         canonicalize(rows, 2, "+")
+
+
+@pytest.mark.parametrize("row", [[2, 1], (1,), (2, 1, 1), "21", object()])
+def test_diagram_rejects_a_row_that_is_not_a_pair(row):
+    with pytest.raises(ValueError, match=r"row must be a \(length, start\) pair"):
+        FilledDiagram(2, "+", (row,))
+
+
+def test_canonicalize_takes_list_and_tuple_pairs():
+    from_lists = canonicalize([[1, 2], [2, 1], [1, 2]], 2, "+")
+    from_tuples = canonicalize(iter([(2, 1), (1, 2), (1, 2)]), 2, "+")
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert from_lists.rows == ((2, 1), (1, 2), (1, 2))
 
 
 rows_strategy = st.lists(

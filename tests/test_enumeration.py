@@ -94,7 +94,7 @@ ORDERS = range(1, 2 * K_MAX + 1)
 
 
 def rows_of(diagram):
-    return tuple((r.length, r.start) for r in diagram.rows)
+    return tuple((length, start) for length, start in diagram.rows)
 
 
 def test_by_size_brute_force_agrees_with_dims_brute_force():

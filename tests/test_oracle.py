@@ -40,7 +40,7 @@ from gradedorbits.oracle import (
     mat_mul,
 )
 
-from conftest import compositions
+from conftest import compositions, naive_row_labels
 
 
 def diag(rows, k, sign="+"):
@@ -209,6 +209,43 @@ def test_build_representative_blocks():
     assert x.degree == 1
     assert x.blocks[0] == ((Fraction(1),),)
     assert x.blocks[1] == ((Fraction(0),),)
+
+
+def representative_strings(x):
+    """The label sequences of the strings of a string representative: the
+    basis vector (label, index) goes to (label - degree, j) when entry (j,
+    index) of the label's block is nonzero; each string starts at a vector
+    with no preimage."""
+    m = x.grading.modulus
+    succ = {}
+    for lab, block in enumerate(x.blocks, 1):
+        target = (lab - 1 - x.degree) % m + 1
+        for j, row in enumerate(block):
+            for i, v in enumerate(row):
+                if v:
+                    assert v == 1 and (lab, i) not in succ
+                    succ[lab, i] = (target, j)
+    assert len(set(succ.values())) == len(succ)
+    vectors = [(lab, i) for lab, v in enumerate(x.grading.dims, 1) for i in range(v)]
+    strings = []
+    for vec in sorted(set(vectors) - set(succ.values())):
+        labels = [vec[0]]
+        while vec in succ:
+            vec = succ[vec]
+            labels.append(vec[0])
+        strings.append(tuple(labels))
+    return sorted(strings)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_build_representative_places_boxes_at_row_labels(sign):
+    for m in range(1, 5):
+        for size in range(7):
+            for lam in enumerate_by_size(m, sign, size):
+                expected = sorted(
+                    tuple(naive_row_labels(length, start, m, sign)) for length, start in lam.rows
+                )
+                assert representative_strings(build_representative(lam)) == expected
 
 
 def test_build_representative_checks_dims():

@@ -5,7 +5,6 @@ import pytest
 
 from gradedorbits.diagrams import (
     FilledDiagram,
-    FilledRow,
     canonicalize,
     dimension_vector,
     empty_diagram,
@@ -58,7 +57,7 @@ def support_diagram_ai(stratum: StratumAI) -> FilledDiagram:
     length = stratum.a // gcd(stratum.a, m)
     rows = list(mu.rows)
     for start in range(1, m + 1):
-        rows.extend([FilledRow(length, start)] * stratum.rank)
+        rows.extend([(length, start)] * stratum.rank)
     return canonicalize(rows, m, mu.sign)
 
 
@@ -69,7 +68,7 @@ def support_diagram_ii(stratum: StratumII) -> FilledDiagram:
     m = mu.modulus
     rows = list(mu.rows)
     for start in range(1, m + 1):
-        rows.extend([FilledRow(1, start)] * (2 * stratum.rank))
+        rows.extend([(1, start)] * (2 * stratum.rank))
     return canonicalize(rows, m, mu.sign)
 
 
@@ -175,7 +174,7 @@ def test_duality_examples():
     d = diag([(2, 1)], 2, "-")
     image = duality(d)
     assert image.sign == "+"
-    assert tuple((r.length, r.start) for r in image.rows) == ((2, 2),)
+    assert image.rows == ((2, 2),)
 
 
 def test_duality_involution_and_invariants():
@@ -267,7 +266,7 @@ def reference_peel(diagram, a, per):
             low = min(p[i::d]) // per
             components[i].extend([length // a] * low)
             for lab in range(i + 1, m + 1, d):
-                residue_rows.extend([FilledRow(length, lab)] * (p[lab - 1] - per * low))
+                residue_rows.extend([(length, lab)] * (p[lab - 1] - per * low))
     tau = tuple(tuple(comp) for comp in components)
     return tau, canonicalize(residue_rows, m, diagram.sign)
 

@@ -46,7 +46,7 @@ def enum_count_dist_ai(m, a, n):
     every row length is multiplied by a."""
     count = 0
     for small in enumerate_by_size(m, "-", n):
-        scaled = canonicalize([(r.length * a, r.start) for r in small.rows], m, "-")
+        scaled = canonicalize([(length * a, start) for length, start in small.rows], m, "-")
         if is_distinguished_ai(scaled, a):
             count += 1
     return count

@@ -18,6 +18,7 @@ from gradedorbits.orbits import (
     StratumII,
     d_check_stratum,
     enumerate_strata_ai,
+    is_distinguished_ai,
     peel_ai,
 )
 from gradedorbits.sheaves import (
@@ -162,6 +163,35 @@ def test_map_sheaf_ii_example():
     assert lab.tau == ((1,),)
     with pytest.raises(ValueError):
         map_sheaf_ii(diag([(2, 3)], 3), g)  # not admissible
+
+
+def test_map_sheaf_ii_rejects_a_diagram_of_other_box_counts():
+    g = GradingSpec("AII", 3, (2, 2, 2))
+    with pytest.raises(ValueError, match="diagram box counts do not match the grading"):
+        map_sheaf_ii(diag([(1, 1), (1, 3)], 3), g)
+    with pytest.raises(ValueError, match="diagram box counts do not match the grading"):
+        map_sheaf_ii(diag([(1, 1), (1, 1)], 1), g)  # another modulus
+
+
+ORDER_ENTRY_POINTS = {
+    "verify_bijection": lambda a: verify_bijection(GradingSpec("AI", 2, (2, 2)), a),
+    "catalog_ai": lambda a: catalog_ai(GradingSpec("AI", 2, (2, 2)), a),
+    "catalog_ai_zero": lambda a: catalog_ai(GradingSpec("AI", 2, (0, 0)), a),
+    "enumerate_strata_ai": lambda a: enumerate_strata_ai(GradingSpec("AI", 2, (2, 2)), a),
+    "peel_ai": lambda a: peel_ai(diag([(2, 1), (2, 2)], 2), a),
+    "is_distinguished_ai": lambda a: is_distinguished_ai(diag([(2, 1), (2, 2)], 2), a),
+    "exact_order_characters": lambda a: exact_order_characters(4, a),
+    "iter_diagrams": lambda a: iter_diagrams(2, MINUS, (2, 2), order=a),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "a, message", [(2.0, "order must be an integer, got 2.0"), (0, "order must be >= 1")]
+)
+def test_order_must_be_an_integer_at_least_one(name, a, message):
+    with pytest.raises(ValueError, match=message):
+        ORDER_ENTRY_POINTS[name](a)
 
 
 def test_verify_bijection_ai_anchor():
