@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .diagrams import (
@@ -121,9 +122,53 @@ def _write(args, payload, header, rows) -> None:
     """The payload as indented JSON, or the header and rows as a text or CSV
     table, whichever --format asks for."""
     if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2, default=_json_form))
+        chunks: list[str] = []
+        _put_json(payload, chunks.append)
+        _emit(args, "".join(chunks))
     else:
         _emit(args, _render_table(header, rows, args.format))
+
+
+def _put_json(obj, put, indent: str = "\n") -> None:
+    """Pass obj to `put` in chunks that join to `json.dumps(obj, indent=2,
+    default=_json_form)`, with `indent` the line break and indentation of
+    its nesting level.  The standard library encodes with an indent in pure
+    Python, one generator per container; this writes the same bytes with
+    one call per value."""
+    if isinstance(obj, str):
+        put(encode_basestring_ascii(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, float):
+        put(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for value in obj:
+            put(sep + inner)
+            _put_json(value, put, inner)
+            sep = ","
+        put(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner, sep = indent + "  ", "{"
+        for key, value in obj.items():
+            put(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _put_json(value, put, inner)
+            sep = ","
+        put(indent + "}")
+    else:
+        _put_json(_json_form(obj), put, indent)
 
 
 def _grading_json(grading) -> dict:
@@ -131,8 +176,8 @@ def _grading_json(grading) -> dict:
 
 
 def _json_form(obj):
-    """The JSON form of a library object in a payload, for `json.dumps`'s
-    `default`; anything else is not serializable."""
+    """The JSON form of a library object in a payload, for `_put_json`;
+    anything else is not serializable."""
     if isinstance(obj, FilledDiagram):
         return diagram_to_json(obj)
     if isinstance(obj, SheafLabel):

@@ -4,9 +4,9 @@ A filled diagram is realized as a 0/1 integer block matrix x with one basis
 vector per box.  One commutator system, {z : x z = z x} for block matrices z
 of a single degree, serves everything here.  It is written block by block,
 in one order of the unknown cells of z (`_commutator_rows`), and solved by
-fraction-free elimination over the integers: at degree 0 its rank gives the
-block-diagonal centralizer dimension, and at degree -(deg x) its integer
-basis gives the opposite-degree centralizer.  Distinguishedness is decided
+sparse fraction-free elimination over the integers: at degree 0 its rank
+gives the block-diagonal centralizer dimension, and at degree -(deg x) its
+integer basis gives the opposite-degree centralizer.  Distinguishedness is decided
 on the m-step cycle product of its elements y at a smallest label: an exact
 nil certificate first checks that every word in the basis blocks kills that
 label, and then the verdict True is certain; otherwise a seeded Monte Carlo
@@ -19,8 +19,10 @@ path here (`centralizer_dim_gl`) is the independent reference that the
 tests compare them against.
 
 Rank decisions are exact: no floating point is used anywhere, and no
-`Fraction` is formed.  Rational blocks are accepted; the elimination scales
-each system row to integers.
+`Fraction` is formed.  The systems are sparse: each row is a {column:
+value} dict of its nonzeros, at most two, each +-1, for a commutator row of
+a string representative.  Rational blocks are accepted; the elimination
+scales each row to integers over its nonzeros only.
 """
 
 from __future__ import annotations
@@ -60,51 +62,73 @@ def mat_mul(a, b):
     return out
 
 
+def _combine(row, prow, c):
+    """pv * row - f * prow, with pv and f the entries of prow and row at the
+    pivot column c, divided by its content (the gcd of its entries)."""
+    f, pv = row[c], prow[c]
+    out = {k: pv * v for k, v in row.items()}
+    for k, v in prow.items():
+        w = out.get(k, 0) - f * v
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    g = gcd(*out.values())
+    return {k: v // g for k, v in out.items()} if g > 1 else out
+
+
 def _eliminate(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination: rows are scaled to integers and
-    each updated row is divided by its content (the gcd of its entries), so it
-    stays a nonzero multiple of its rational counterpart.  Returns the reduced
-    rows and the pivot columns."""
-    m = []
+    """Fraction-free Gauss-Jordan elimination of sparse rows {column: value}
+    with no zero values.  Each row is scaled to integers over its nonzeros
+    and divided by its content, and so is each updated row, so every row
+    stays a primitive multiple of its rational counterpart.  Columns are
+    taken in order; at column c only the rows that hold c are touched: the
+    rows whose first column is c, one of which becomes the pivot row, and
+    the earlier pivot rows.  Returns the pivot rows, in pivot order, and the
+    pivot columns."""
+    # waiting[c]: the rows not yet pivots whose first column is c
+    waiting = [[] for _ in range(ncols)]
     for row in rows:
-        # *list, not *generator: a resized tuple would fill the tuple free lists
-        den = lcm(*[v.denominator for v in row])
-        m.append([int(v * den) for v in row])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
+        if row:
+            # *list, not *generator: a resized tuple would fill the tuple free lists
+            den = lcm(*[v.denominator for v in row.values()])
+            row = {k: int(v * den) for k, v in row.items()}
+            g = gcd(*row.values())
+            waiting[min(row)].append({k: v // g for k, v in row.items()} if g > 1 else row)
+    reduced, pivots = [], []
+    for c, holders in enumerate(waiting):
+        if not holders:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv, prow = m[r][c], m[r]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                row = [pv * x - f * y for x, y in zip(m[i], prow)]
-                g = gcd(*row)
-                m[i] = [v // g for v in row] if g > 1 else row
+        prow = holders[0]
+        for row in holders[1:]:
+            row = _combine(row, prow, c)
+            if row:
+                waiting[min(row)].append(row)
+        for k, row in enumerate(reduced):
+            if c in row:
+                reduced[k] = _combine(row, prow, c)
+        reduced.append(prow)
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    return reduced, pivots
 
 
 def _integer_basis(rows, ncols):
     """A nullspace basis of the system `rows * v = 0`, one vector per free
     column, read straight off the elimination in integers as sparse
     (column, value) lists: the free column gets L, the lcm of the pivot
-    entries, and each pivot column its multiple of L.  Each vector is L
-    times the rational basis vector whose free entry is 1."""
-    m, pivots = _eliminate(rows, ncols)
-    scale = lcm(*[row[pc] for row, pc in zip(m, pivots)])
+    entries, and each pivot column, in pivot order, its multiple of L.
+    Each vector is L times the rational basis vector whose free entry is
+    1."""
+    reduced, pivots = _eliminate(rows, ncols)
+    scale = lcm(*[row[pc] for row, pc in zip(reduced, pivots)])
     pivot_set = set(pivots)
-    return [
-        [(free, scale)] + [(pc, -row[free] * (scale // row[pc])) for row, pc in zip(m, pivots) if row[free]]
-        for free in range(ncols)
-        if free not in pivot_set
-    ]
+    basis = {free: [(free, scale)] for free in range(ncols) if free not in pivot_set}
+    for row, pc in zip(reduced, pivots):
+        unit = scale // row[pc]
+        for free, v in row.items():
+            if free != pc:
+                basis[free].append((pc, -v * unit))
+    return list(basis.values())
 
 
 @dataclass(frozen=True)
@@ -169,27 +193,33 @@ def _commutator_rows(x: GradedMatrix, degree: int):
     block by block and row-major inside a block, so cell (i, r, c) is
     unknown base[i] + r * dims[i] + c.  One row per entry of the block
     equations X_{i-d} Z_i - Z_{i-e} X_i = 0, taken in the same order, is
-    returned unless it is zero."""
+    returned unless it is zero, as a sparse {unknown: value} dict of its
+    nonzeros."""
     dims = x.grading.dims
     m = len(dims)
     cells = [(i, r, c) for i in range(m) for r in range(dims[(i - degree) % m]) for c in range(dims[i])]
     base = [0] * m
     for i in range(1, m):
         base[i] = base[i - 1] + dims[(i - 1 - degree) % m] * dims[i - 1]
+    # the nonzeros of each block, by row and by column
+    by_row = [[[(t, v) for t, v in enumerate(row) if v] for row in block] for block in x.blocks]
+    by_col = [
+        [[(t, row[c]) for t, row in enumerate(block) if row[c]] for c in range(dims[i])]
+        for i, block in enumerate(x.blocks)
+    ]
     rows = []
     for i in range(m):
         j = (i - x.degree) % m
-        x_left, x_right = x.blocks[(i - degree) % m], x.blocks[i]
+        x_left, x_right = by_row[(i - degree) % m], by_col[i]
         for r in range(dims[(j - degree) % m]):
             for c in range(dims[i]):
-                row = [0] * len(cells)
-                for t, v in enumerate(x_left[r]):
-                    if v:
-                        row[base[i] + t * dims[i] + c] += v
-                for t in range(dims[j]):
-                    if x_right[t][c]:
-                        row[base[j] + r * dims[j] + t] -= x_right[t][c]
-                if any(row):
+                row = {base[i] + t * dims[i] + c: v for t, v in x_left[r]}
+                for t, v in x_right[c]:
+                    k = base[j] + r * dims[j] + t
+                    w = row.pop(k, 0) - v
+                    if w:
+                        row[k] = w
+                if row:
                     rows.append(row)
     return cells, rows
 
@@ -240,21 +270,31 @@ def _nil_certificate(supports, dims, start: int) -> bool:
     W_{(k+1)m} lies in W_{km}, a round of m steps that keeps dim W at label
     s stops the walk undecided, after at most m(d + 1) steps."""
     m = len(dims)
-    span = [[int(r == c) for c in range(dims[start])] for r in range(dims[start])]
+    # by_label[i]: each basis element's (row, column, value) cells in its
+    # block at label i, for the elements with any
+    by_label = [[] for _ in range(m)]
+    for support in supports:
+        cells = [[] for _ in range(m)]
+        for (i, r, c), v in support:
+            cells[i].append((r, c, v))
+        for i, block in enumerate(cells):
+            if block:
+                by_label[i].append(block)
+    span = [{c: 1} for c in range(dims[start])]
     while True:
         before = len(span)
         for t in range(start, start + m):
-            label, images = t % m, []
+            images = []
             for w in span:
-                for support in supports:
-                    out = [0] * dims[(t + 1) % m]
-                    for (i, r, c), v in support:
-                        if i == label:
-                            out[r] += v * w[c]
-                    if any(out):
+                for block in by_label[t % m]:
+                    out = {}
+                    for r, c, v in block:
+                        if c in w:
+                            out[r] = out.get(r, 0) + v * w[c]
+                    out = {r: v for r, v in out.items() if v}
+                    if out:
                         images.append(out)
-            reduced, pivots = _eliminate(images, dims[(t + 1) % m])
-            span = reduced[: len(pivots)]
+            span = _eliminate(images, dims[(t + 1) % m])[0]
             if not span:
                 return True
         if len(span) == before:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Sequence
 
+from .diagrams import check_integer, check_order
+
 ORBIT_FAMILIES = ("A", "C", "D")
 DIST_FAMILIES = ("dist-A", "dist-C", "dist-D")
 COUNT_FAMILIES = ORBIT_FAMILIES + DIST_FAMILIES + ("dist-AI",)
@@ -82,8 +84,10 @@ def gf_orbit_count(case: str, l: int, n_max: int) -> TruncSeries:
 def gf_distinguished_ai(m: int, a: int, n_max: int) -> TruncSeries:
     """Series whose j-th coefficient counts the AI diagrams of size a*j that
     are distinguished at order a (modulus m).  Undefined when gcd(a, m) = m."""
-    if m < 1 or a < 1:
+    check_integer("modulus", m)
+    if m < 1:
         raise ValueError("modulus and order must be >= 1")
+    check_order(a)
     d = gcd(a, m)
     if d == m:
         raise ValueError("family is empty when gcd(a, m) equals the modulus")

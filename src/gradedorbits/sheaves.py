@@ -246,7 +246,9 @@ class BijectionReport:
 def verify_bijection(grading: GradingSpec, a: int = 1) -> BijectionReport:
     """Compare the two label routes: orbital complexes mapped through the
     peeling construction against the directly enumerated catalog, whose AI
-    flags the image labels reuse, so each stratum's flags are computed once."""
+    flags the image labels reuse, so each stratum's flags are computed once.
+    A type II grading ignores the order, but it must still be valid."""
+    check_order(a)
     if grading.case == "AI":
         catalog = catalog_ai(grading, a)
         flags = {

@@ -1,12 +1,18 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gradedorbits import cli
+from gradedorbits.diagrams import MINUS, iter_diagrams
+from gradedorbits.orbits import GradingSpec, enumerate_strata_ai, enumerate_strata_ii
+from gradedorbits.sheaves import catalog_ai, catalog_ii
 
 from conftest import PKG_ROOT
 
@@ -431,3 +437,84 @@ def test_one_process_runs_match_fresh_processes(capsys, parser_builds):
     assert after_first > 0
     assert len(parser_builds) == after_first
     assert {code for code, _, _ in fresh.values()} == {0, 2}
+
+
+def written_json(payload) -> str:
+    chunks = []
+    cli._put_json(payload, chunks.append)
+    return "".join(chunks)
+
+
+def dumped_json(payload) -> str:
+    return json.dumps(payload, indent=2, default=cli._json_form)
+
+
+# Every library type `_json_form` knows, nested ones included.
+LIBRARY_OBJECTS = (
+    list(iter_diagrams(3, MINUS, (1, 2, 1)))
+    + catalog_ai(GradingSpec("AI", 2, (2, 2)), 2)
+    + catalog_ii(GradingSpec("AII", 3, (2, 2, 2)))
+    + enumerate_strata_ai(GradingSpec("AI", 3, (1, 1, 1)), 1)
+    + enumerate_strata_ii(GradingSpec("CII", 2, (2, 2)))
+)
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, 0.1]),
+    st.text(),
+    st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600')),
+    st.sampled_from(LIBRARY_OBJECTS),
+)
+
+PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(PAYLOADS)
+@example({"a": [], "b": {}, "c": (), "d": [{}], "e": [[]]})
+@example(["\u00e9\"\\\n\x00", -0.0, 1e300, float("nan"), float("-inf"), True, None, 10**30])
+@example(LIBRARY_OBJECTS)
+def test_json_writer_matches_json_dumps(payload):
+    assert written_json(payload) == dumped_json(payload)
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", Fraction(1, 2), 1j])
+def test_json_writer_rejects_unknown_objects_as_json_dumps_does(bad):
+    payload = {"rows": [1, {"x": bad}]}
+    with pytest.raises(TypeError) as expected:
+        dumped_json(payload)
+    with pytest.raises(TypeError) as raised:
+        written_json(payload)
+    assert str(raised.value) == str(expected.value) == f"{type(bad).__name__} is not JSON serializable"
+
+
+def test_json_listing_leaves_no_reference_cycles(tmp_path):
+    out = tmp_path / "out.json"
+    argv = [
+        "distinguished", "--case", "AI", "--m", "3", "--dims", "1,2,2", "--oracle",
+        "--seed", "5", "--format", "json", "--output", str(out),
+    ]
+    # the first call builds the parser, which the process keeps
+    assert cli.main(argv) == 0
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.freeze()
+        assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
+    assert json.loads(out.read_text())["diagrams"]

@@ -189,3 +189,69 @@ def test_detects_fraction_calls():
         "def f(v: Fraction) -> int:\n    return isinstance(v, Fraction) and v.denominator\n"
     )
     assert fraction_calls(ast.parse(clean)) == []
+
+
+# With an indent the standard library encodes JSON in pure Python, several
+# times slower than without; `cli._put_json` writes the indented output.
+JSON_ENCODERS = ("dump", "dumps", "JSONEncoder")
+
+
+def indented_json_calls(tree):
+    """The line of each `json.dump`, `json.dumps` or `json.JSONEncoder`
+    call with an `indent` keyword, under any name the module or the
+    function is imported as."""
+    modules = {"json"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "json" and alias.asname
+    }
+    functions = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("json", "json.encoder")
+        for alias in node.names
+        if alias.name in JSON_ENCODERS
+    }
+
+    def is_encoder(func):
+        return (
+            isinstance(func, ast.Name) and func.id in functions
+            or isinstance(func, ast.Attribute) and func.attr in JSON_ENCODERS
+            and isinstance(func.value, ast.Name) and func.value.id in modules
+        )
+
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and is_encoder(node.func)
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    )
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_indented_json_encoding(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert not indented_json_calls(tree), (
+        f"{module} encodes indented JSON on lines {indented_json_calls(tree)}"
+    )
+
+
+def test_detects_indented_json_encoding():
+    for source, lines in (
+        ("import json\ntext = json.dumps(payload, indent=2)", [2]),
+        ("import json\njson.dump(payload, handle, indent=2, default=str)", [2]),
+        ("import json as j\ntext = j.dumps(payload, indent=None)", [2]),
+        ("from json import dumps\ntext = dumps(payload, indent=2)", [2]),
+        ("from json import dump as write\nwrite(payload, handle, indent=4)", [2]),
+        ("import json\ntext = json.JSONEncoder(indent=2).encode(payload)", [2]),
+        ("def f(p):\n    import json\n    return json.dumps(p,\n        indent=2)", [3]),
+    ):
+        assert indented_json_calls(ast.parse(source)) == lines, source
+    clean = (
+        "import json\nfrom json.encoder import encode_basestring_ascii\n"
+        "text = json.dumps(tau, separators=(',', ':'))\nvalue = json.dumps(0.5)\n"
+        "data = json.loads(text)\nindent = 2\n"
+    )
+    assert indented_json_calls(ast.parse(clean)) == []

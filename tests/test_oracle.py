@@ -102,6 +102,68 @@ def reference_nullspace(rows, ncols):
     return len(pivots), basis
 
 
+def dense_eliminate(rows, ncols):
+    """The reference elimination, on dense rows: fraction-free Gauss-Jordan
+    in which rows are scaled to integers and each updated row is divided by
+    its content (the gcd of its entries), so it stays a nonzero multiple of
+    its rational counterpart.  Returns the reduced rows and the pivot
+    columns.  An input row that is never updated keeps its content."""
+    m = []
+    for row in rows:
+        den = lcm(*[v.denominator for v in row])
+        m.append([int(v * den) for v in row])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv, prow = m[r][c], m[r]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                row = [pv * x - f * y for x, y in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [v // g for v in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def dense_integer_basis(rows, ncols):
+    """`_integer_basis` read off the dense reference elimination: the free
+    column gets L, the lcm of the pivot entries, and each pivot column, in
+    pivot order, its multiple of L."""
+    m, pivots = dense_eliminate(rows, ncols)
+    scale = lcm(*[row[pc] for row, pc in zip(m, pivots)])
+    pivot_set = set(pivots)
+    return [
+        [(free, scale)] + [(pc, -row[free] * (scale // row[pc])) for row, pc in zip(m, pivots) if row[free]]
+        for free in range(ncols)
+        if free not in pivot_set
+    ]
+
+
+def to_sparse(rows):
+    """Dense rows as the {column: value} dicts of their nonzeros, the form
+    the oracle's systems take."""
+    return [{k: v for k, v in enumerate(row) if v} for row in rows]
+
+
+def to_dense(rows, ncols):
+    """Sparse {column: value} rows as dense lists of length ncols."""
+    out = []
+    for row in rows:
+        full = [0] * ncols
+        for k, v in row.items():
+            full[k] = v
+        out.append(full)
+    return out
+
+
 def matrix_rank(rows, ncols) -> int:
     rank, _ = reference_nullspace(rows, ncols)
     return rank
@@ -382,12 +444,15 @@ def test_conjugation_invariance():
 
 def _block_system_in_full_positions(x, degree):
     """The block system of `_commutator_rows`, its cells (i, r, c) mapped to
-    their full-matrix positions (offset[i - degree] + r, offset[i] + c)."""
+    their full-matrix positions (offset[i - degree] + r, offset[i] + c) and
+    its sparse rows written out densely."""
     dims = x.grading.dims
     m = len(dims)
     offsets = [sum(dims[:i]) for i in range(m)]
     cells, rows = _commutator_rows(x, degree)
-    return [(offsets[(i - degree) % m] + r, offsets[i] + c) for i, r, c in cells], rows
+    assert all(all(row.values()) for row in rows), "a sparse row holds a zero"
+    positions = [(offsets[(i - degree) % m] + r, offsets[i] + c) for i, r, c in cells]
+    return positions, to_dense(rows, len(cells))
 
 
 def test_block_system_matches_the_full_matrix_system():
@@ -767,7 +832,7 @@ def small_systems(draw):
 def test_integer_basis_is_one_positive_multiple_of_the_nullspace_basis(system):
     rows, ncols = system
     basis = reference_nullspace(rows, ncols)[1]
-    integer = _integer_basis(rows, ncols)
+    integer = _integer_basis(to_sparse(rows), ncols)
     assert len(integer) == len(basis)
     ratios = set()
     for sparse, vec in zip(integer, basis):
@@ -791,9 +856,43 @@ def test_elimination_entries_stay_within_hadamard_bound(system):
     for row in rows:
         den = lcm(*[v.denominator for v in row])
         bound_sq *= max(1, sum((v * den) ** 2 for v in row))
-    reduced, pivots = _eliminate(rows, ncols)
+    reduced, pivots = _eliminate(to_sparse(rows), ncols)
     assert len(pivots) == reference_nullspace(rows, ncols)[0]
-    assert all(type(v) is int and v * v <= bound_sq for row in reduced for v in row)
+    assert all(type(v) is int and v * v <= bound_sq for row in to_dense(reduced, ncols) for v in row)
+
+
+@given(small_systems())
+@example(([[2, 4, 6], [Fraction(1, 3), 0, Fraction(-2, 3)], [0, 0, 0]], 3))
+def test_sparse_elimination_matches_the_dense_reference(system):
+    """The same pivot columns, and each pivot row a primitive multiple of
+    the reference's: both are the reduced row echelon form up to row
+    scaling."""
+    rows, ncols = system
+    reduced, pivots = _eliminate(to_sparse(rows), ncols)
+    reference, reference_pivots = dense_eliminate(rows, ncols)
+    assert pivots == reference_pivots
+    assert len(reduced) == len(pivots)
+    for row, ref in zip(to_dense(reduced, ncols), reference):
+        assert gcd(*row) == 1
+        assert len({Fraction(v, w) for v, w in zip(row, ref) if w}) == 1
+        assert [v == 0 for v in row] == [w == 0 for w in ref]
+
+
+def test_opposite_basis_matches_the_dense_reference():
+    """The oracle's systems pin the sparse elimination to the dense one
+    exactly: every input row has content 1, so every pivot row is
+    primitive on both sides and the lcm scale of the basis agrees."""
+    checked = 0
+    for lam in small_ai_diagrams(4, 7):
+        grading = GradingSpec("AI", lam.modulus, dimension_vector(lam))
+        x = build_representative(lam, grading)
+        cells, rows = _commutator_rows(x, -x.degree)
+        reference = [
+            [(cells[k], v) for k, v in vec] for vec in dense_integer_basis(to_dense(rows, len(cells)), len(cells))
+        ]
+        assert _opposite_basis(lam, grading) == reference, lam
+        checked += 1
+    assert checked == 6736
 
 
 def test_representative_entries_are_ints():

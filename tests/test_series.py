@@ -235,6 +235,20 @@ def test_gf_distinguished_ai_examples():
         gf_distinguished_ai(1, 1, 3)
 
 
+@pytest.mark.parametrize(
+    "m, a, message",
+    [
+        (3, 2.0, "order must be an integer, got 2.0"),
+        (3, 0, "order must be >= 1"),
+        (2.0, 1, "modulus must be an integer, got 2.0"),
+        (0, 1, "modulus and order must be >= 1"),
+    ],
+)
+def test_gf_distinguished_ai_rejects_bad_modulus_and_order(m, a, message):
+    with pytest.raises(ValueError, match=message):
+        gf_distinguished_ai(m, a, 4)
+
+
 def expanded_product(factors, n_max):
     """The reference for the stride product: every factor
     (1 - x^(step k))^(-e) expanded in full and convolved in."""

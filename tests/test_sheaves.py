@@ -194,6 +194,18 @@ def test_order_must_be_an_integer_at_least_one(name, a, message):
         ORDER_ENTRY_POINTS[name](a)
 
 
+@pytest.mark.parametrize(
+    "case, modulus, dims", [("AII", 3, (2, 2, 2)), ("CII", 2, (2, 2)), ("DII", 2, (3, 3))]
+)
+@pytest.mark.parametrize("a, message", [(0, "order must be >= 1"), (2.5, "order must be an integer")])
+def test_verify_bijection_type_ii_rejects_a_bad_order(case, modulus, dims, a, message):
+    grading = GradingSpec(case, modulus, dims)
+    with pytest.raises(ValueError, match=message):
+        verify_bijection(grading, a)
+    # a valid order is ignored, as before
+    assert verify_bijection(grading, 2) == verify_bijection(grading)
+
+
 def test_verify_bijection_ai_anchor():
     g = GradingSpec("AI", 2, (1, 1))
     report = verify_bijection(g, 1)
