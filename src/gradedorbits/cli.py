@@ -390,6 +390,8 @@ def cmd_distinguished(args) -> int:
         raise ValueError("--oracle applies to case AI only")
     if args.oracle and a != 1:
         raise ValueError("the nilpotency oracle tests order 1 distinguishedness only")
+    if args.dump_matrices and args.case != "AI":
+        raise ValueError("--dump-matrices applies to case AI only")
     if args.dump_matrices and args.format != "json":
         raise ValueError("--dump-matrices requires --format json")
     entries = []

@@ -161,6 +161,21 @@ class FilledDiagram:
         )
 
 
+def _built_diagram(k: int, sign: str, rows: tuple[Row, ...]) -> FilledDiagram:
+    """A diagram whose fields the library has already made valid: k and
+    the sign checked, and the rows well formed and in canonical order.  It
+    skips `FilledDiagram`'s checks, so only `diagrams` and `orbits` call it,
+    on rows they built themselves; user input goes through the public
+    constructor or `canonicalize`."""
+    diagram = object.__new__(FilledDiagram)
+    # as the dataclass's own __init__ does; reading __dict__ would give each
+    # diagram a dict of its own, more than twice its size
+    object.__setattr__(diagram, "modulus", k)
+    object.__setattr__(diagram, "sign", sign)
+    object.__setattr__(diagram, "rows", rows)
+    return diagram
+
+
 def canonicalize(rows: Iterable, k: int, sign: str) -> FilledDiagram:
     """Build the canonical diagram for a multiset of (length, start) pairs,
     given in any order as any iterable of pairs.  Idempotent."""
@@ -399,7 +414,8 @@ def iter_diagrams(
     (`orbits.is_distinguished_ai`), in the type II sense otherwise.
     """
     fills = _Fills(k, sign, case=case, distinguished=distinguished, order=order)
-    return (FilledDiagram(k, sign, rows) for rows in fills.rows(*_target(k, dims, size)))
+    # _Fills has checked k and the sign, and its rows are canonical
+    return (_built_diagram(k, sign, rows) for rows in fills.rows(*_target(k, dims, size)))
 
 
 def count_diagrams(

@@ -1,17 +1,23 @@
 """Exact linear-algebra oracle for the cyclic-quiver realization (case AI).
 
-A filled diagram is realized as a 0/1 integer block matrix x with one basis
-vector per box.  One commutator system, {z : x z = z x} for block matrices z
-of a single degree, serves everything here.  It is written block by block,
-in one order of the unknown cells of z (`_commutator_rows`), and solved by
-sparse fraction-free elimination over the integers: at degree 0 its rank
-gives the block-diagonal centralizer dimension, and at degree -(deg x) its
-integer basis gives the opposite-degree centralizer.  Distinguishedness is decided
-on the m-step cycle product of its elements y at a smallest label: an exact
-nil certificate first checks that every word in the basis blocks kills that
-label, and then the verdict True is certain; otherwise a seeded Monte Carlo
-test checks random combinations y for nilpotency, to certify
-non-distinguishedness, and only there does the 2^-t error bound apply.
+A filled diagram is realized by its string representative x, with one basis
+vector per box and each box mapped to the next box of its row.  One
+commutator system, {z : x z = z x} for block matrices z of a single degree,
+serves everything here.  It is written block by block, in one order of the
+unknown cells of z, from the nonzero entries of x's blocks
+(`_commutator_system`): the distinguishedness test reads them straight off
+the diagram's rows (`_string_entries`), and `_commutator_rows` off a
+`GradedMatrix`.  Dense 0/1 blocks are built only by
+`build_representative`, for `distinguished --dump-matrices` and the tests.
+The system is solved by sparse fraction-free elimination over the integers:
+at degree 0 its rank gives the block-diagonal centralizer dimension, and at
+degree -(deg x) its integer basis gives the opposite-degree centralizer.
+Distinguishedness is decided on the m-step cycle product of its elements y
+at a smallest label: an exact nil certificate first checks that every word
+in the basis blocks kills that label, and then the verdict True is certain;
+otherwise a seeded Monte Carlo test checks random combinations y for
+nilpotency, to certify non-distinguishedness, and only there does the 2^-t
+error bound apply.
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the elimination
@@ -155,6 +161,30 @@ class GradedMatrix:
                 raise ValueError(f"block {i + 1} has the wrong shape")
 
 
+def _string_entries(diagram: FilledDiagram):
+    """The degree of the diagram's string representative and the nonzero
+    entries of its blocks, as (block, row, column, value) with block i
+    mapping label i to label i - degree (labels from 0).  Each row of the
+    diagram is a string of boxes, each box a basis vector of its label,
+    numbered there in row order, and box t maps to box t + 1 (a '+' row
+    runs down from its start label, a '-' row up)."""
+    m = diagram.modulus
+    degree = 1 if diagram.sign == PLUS else -1
+    next_index = [0] * m
+    entries = []
+    for length, start in diagram.rows:
+        i = start - 1
+        c = next_index[i]
+        next_index[i] += 1
+        for _ in range(length - 1):
+            j = (i - degree) % m
+            r = next_index[j]
+            next_index[j] += 1
+            entries.append((i, r, c, 1))
+            i, c = j, r
+    return degree, entries
+
+
 def build_representative(diagram: FilledDiagram, grading: GradingSpec | None = None) -> GradedMatrix:
     """String representative of the orbit: one basis vector per box, each box
     mapped to its right neighbour (zero at the row end).
@@ -168,48 +198,52 @@ def build_representative(diagram: FilledDiagram, grading: GradingSpec | None = N
         raise ValueError("representatives are built for case AI only")
     if dimension_vector(diagram) != grading.dims:
         raise ValueError("diagram box counts do not match the grading")
-    m = diagram.modulus
-    degree = 1 if diagram.sign == PLUS else -1
+    degree, entries = _string_entries(diagram)
     blocks = _zero_blocks(grading.dims, degree)
-    next_index = [0] * m
-    for length, start in diagram.rows:
-        # a '+' row runs down from its start label, a '-' row up
-        labels = [(start - 1 - degree * t) % m + 1 for t in range(length)]
-        indices = []
-        for lab in labels:
-            indices.append(next_index[lab - 1])
-            next_index[lab - 1] += 1
-        for t in range(len(labels) - 1):
-            src = labels[t]
-            blocks[src - 1][indices[t + 1]][indices[t]] = 1
+    for i, r, c, v in entries:
+        blocks[i][r][c] = v
     return GradedMatrix(grading, degree, tuple(tuple(map(tuple, b)) for b in blocks))
 
 
 def _commutator_rows(x: GradedMatrix, degree: int):
-    """The system {z : x z = z x} for block matrices z of the given degree.
+    """`_commutator_system` for the nonzero entries of x's blocks."""
+    entries = [
+        (i, r, c, v)
+        for i, block in enumerate(x.blocks)
+        for r, row in enumerate(block)
+        for c, v in enumerate(row)
+        if v
+    ]
+    return _commutator_system(x.grading.dims, x.degree, entries, degree)
 
-    With d = `degree` and e = x.degree, the unknowns are the cells
+
+def _commutator_system(dims, x_degree: int, entries, degree: int):
+    """The system {z : x z = z x} for block matrices z of the given degree,
+    x of degree `x_degree` given by the nonzero entries (i, r, c, v) of its
+    blocks, block i mapping label i to label i - `x_degree`, with the
+    labels' box counts `dims`.
+
+    With d = `degree` and e = `x_degree`, the unknowns are the cells
     (i, r, c) of the blocks Z_i : V_i -> V_{i-d} (labels from 0), taken
     block by block and row-major inside a block, so cell (i, r, c) is
     unknown base[i] + r * dims[i] + c.  One row per entry of the block
     equations X_{i-d} Z_i - Z_{i-e} X_i = 0, taken in the same order, is
     returned unless it is zero, as a sparse {unknown: value} dict of its
     nonzeros."""
-    dims = x.grading.dims
     m = len(dims)
     cells = [(i, r, c) for i in range(m) for r in range(dims[(i - degree) % m]) for c in range(dims[i])]
     base = [0] * m
     for i in range(1, m):
         base[i] = base[i - 1] + dims[(i - 1 - degree) % m] * dims[i - 1]
-    # the nonzeros of each block, by row and by column
-    by_row = [[[(t, v) for t, v in enumerate(row) if v] for row in block] for block in x.blocks]
-    by_col = [
-        [[(t, row[c]) for t, row in enumerate(block) if row[c]] for c in range(dims[i])]
-        for i, block in enumerate(x.blocks)
-    ]
+    # the nonzeros of each block of x, by row and by column
+    by_row = [[[] for _ in range(dims[(i - x_degree) % m])] for i in range(m)]
+    by_col = [[[] for _ in range(dims[i])] for i in range(m)]
+    for i, r, c, v in entries:
+        by_row[i][r].append((c, v))
+        by_col[i][c].append((r, v))
     rows = []
     for i in range(m):
-        j = (i - x.degree) % m
+        j = (i - x_degree) % m
         x_left, x_right = by_row[(i - degree) % m], by_col[i]
         for r in range(dims[(j - degree) % m]):
             for c in range(dims[i]):
@@ -256,9 +290,11 @@ def _cycle_product(blocks, start: int):
 def _opposite_basis(plus: FilledDiagram, grading: GradingSpec):
     """An integer basis of the opposite-degree centralizer of the '+'
     diagram's representative, each element a sparse list of
-    ((block, row, column), value) cells of its degree -1 blocks."""
-    x = build_representative(plus, grading)
-    cells, rows = _commutator_rows(x, -x.degree)
+    ((block, row, column), value) cells of its degree -1 blocks.  The
+    system comes straight from the rows: `grading` holds the diagram's own
+    box counts, so no dense block is built or checked."""
+    degree, entries = _string_entries(plus)
+    cells, rows = _commutator_system(grading.dims, degree, entries, -degree)
     return [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
 
 

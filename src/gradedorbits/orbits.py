@@ -30,11 +30,13 @@ from .diagrams import (
     PLUS,
     Partition,
     Row,
+    _Fills,
+    _built_diagram,
+    _row_key,
     canonicalize,
     check_integer,
     check_order,
     dimension_vector,
-    iter_diagrams,
     reduce_label,
 )
 
@@ -184,10 +186,11 @@ def duality(diagram: FilledDiagram) -> FilledDiagram:
     """
     k = diagram.modulus
     if diagram.sign == MINUS:
-        rows = [(p, reduce_label(s + p - 1, k)) for p, s in diagram.rows]
-        return canonicalize(rows, k, PLUS)
-    rows = [(p, reduce_label(s - p + 1, k)) for p, s in diagram.rows]
-    return canonicalize(rows, k, MINUS)
+        sign, rows = PLUS, [(p, reduce_label(s + p - 1, k)) for p, s in diagram.rows]
+    else:
+        sign, rows = MINUS, [(p, reduce_label(s - p + 1, k)) for p, s in diagram.rows]
+    # the rows of a valid diagram keep their lengths and land in [1, k]
+    return _built_diagram(k, sign, tuple(sorted(rows, key=_row_key)))
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,7 @@ def _peel(diagram: FilledDiagram, a: int, per: int) -> tuple[MultiPartition, Fil
             if left:
                 residue_rows.extend([(length, lab + 1)] * left)
     tau = tuple(tuple(comp) for comp in components)
-    return tau, FilledDiagram(m, diagram.sign, tuple(residue_rows))
+    return tau, _built_diagram(m, diagram.sign, tuple(residue_rows))
 
 
 def peel_ai(diagram: FilledDiagram, a: int) -> PeelAI:
@@ -322,11 +325,14 @@ def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[StratumAI]:
 def _strata(grading: GradingSpec, padding: int, **rule):
     """(rank, residual) for every rank whose `padding` boxes per label leave
     no box count negative, and every distinguished residual of `rule` on the
-    boxes left, ranks ascending."""
+    boxes left, ranks ascending, as `iter_diagrams` streams them.  One
+    `_Fills` serves every rank, so the ranks share its memos."""
+    m = grading.modulus
+    fills = _Fills(m, MINUS, distinguished=True, **rule)
     for rank in range(min(grading.dims) // padding + 1):
         sub = tuple(v - padding * rank for v in grading.dims)
-        for mu in iter_diagrams(grading.modulus, MINUS, sub, distinguished=True, **rule):
-            yield rank, mu
+        for rows in fills.rows(sub, sum(sub)):
+            yield rank, _built_diagram(m, MINUS, rows)
 
 
 def centralizer_dim(diagram: FilledDiagram) -> int:

@@ -188,9 +188,20 @@ def map_sheaf_ai(lam: FilledDiagram, psi: CentralCharacter, a: int, grading: Gra
 
     The character is transported to the stratum's cyclic group by matching
     positions in the canonical ascending enumerations of exact-order-a
-    residues on both sides.
+    residues on both sides.  The diagram must be a '-' diagram with the
+    grading's box counts.
     """
+    _check_orbit(lam, grading)
     return _map_sheaf_ai(lam, psi, a, grading, {})
+
+
+def _check_orbit(lam: FilledDiagram, grading: GradingSpec) -> None:
+    """Reject a diagram that labels no orbit of the grading's negative side:
+    a '+' diagram, or one of another modulus or other box counts."""
+    if lam.sign != MINUS:
+        raise ValueError(f"orbit diagrams have sign '-', got {lam.sign!r}")
+    if dimension_vector(lam) != grading.dims:
+        raise ValueError("diagram box counts do not match the grading")
 
 
 def _map_sheaf_ai(lam, psi, a, grading, flags: dict) -> SheafLabel:
@@ -212,8 +223,7 @@ def map_sheaf_ii(lam: FilledDiagram, grading: GradingSpec) -> SheafLabel:
     """Image of a type II orbit under the peeling bijection."""
     if not admissible_for_case(lam, grading.case):
         raise ValueError("diagram is not admissible for this grading")
-    if dimension_vector(lam) != grading.dims:
-        raise ValueError("diagram box counts do not match the grading")
+    _check_orbit(lam, grading)
     peel = peel_ii(lam)
     stratum = StratumII(peel.rank, peel.residue)
     full = stratum == full_support_stratum_ii(grading)

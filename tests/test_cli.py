@@ -299,6 +299,23 @@ def test_distinguished_dump_matrices(run_cli):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--case", "AII", "--m0", "3", "--dims", "1,2,1"),
+        ("--case", "CII", "--m", "2", "--dims", "2,2"),
+        ("--case", "DII", "--m", "2", "--N", "4"),
+    ],
+)
+def test_distinguished_dump_matrices_is_for_case_ai_only(run_cli, argv):
+    # the blocks are the gl string representative, not a type II one
+    result = run_cli("distinguished", *argv, "--dump-matrices", "--format", "json")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "--dump-matrices" in result.stderr
+    assert run_cli("distinguished", *argv, "--format", "json").returncode == 0
+
+
 def test_output_file(run_cli, tmp_path):
     target = tmp_path / "out.csv"
     result = run_cli(

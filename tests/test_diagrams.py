@@ -66,6 +66,16 @@ def test_diagram_checks_row_order():
 
 
 @pytest.mark.parametrize(
+    "k, sign, message",
+    [(0, "+", "modulus must be >= 1"), (2.0, "+", "modulus must be an integer"), (2, "*", "sign must be")],
+)
+def test_diagram_checks_modulus_and_sign(k, sign, message):
+    # the stream skips these checks; the public constructor keeps them
+    with pytest.raises(ValueError, match=message):
+        FilledDiagram(k, sign, ())
+
+
+@pytest.mark.parametrize(
     "rows", [[(1, 0)], [(1, 3)], [(0, 1)], [(-2, 1)], [(2.7, 1)], [(2, 1.0)], [(1, 1, 1)]]
 )
 def test_canonicalize_rejects_invalid_rows(rows):

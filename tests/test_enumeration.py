@@ -9,6 +9,7 @@ core, so they are checked against the brute force and against the stream.
 """
 
 import gc
+import tracemalloc
 from collections import defaultdict
 from functools import cache
 from itertools import product
@@ -18,6 +19,7 @@ import pytest
 from gradedorbits.diagrams import (
     CASES,
     FilledDiagram,
+    _built_diagram,
     canonicalize,
     count_by_size,
     count_diagrams,
@@ -239,3 +241,53 @@ def test_enumeration_leaves_no_reference_cycles(call):
         gc.unfreeze()
         if was_enabled:
             gc.enable()
+
+
+# The stream builds its diagrams without `FilledDiagram`'s checks, from rows
+# it made valid and canonical itself; the public constructor keeps them.
+
+
+def public_rebuild(diagram):
+    """The diagram rebuilt through the public, checking constructor."""
+    return FilledDiagram(diagram.modulus, diagram.sign, diagram.rows)
+
+
+def assert_passes_the_public_checks(diagram):
+    rebuilt = public_rebuild(diagram)
+    assert vars(diagram) == vars(rebuilt), diagram
+    assert hash(diagram) == hash(rebuilt), diagram
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("case", CASES)
+def test_streamed_diagrams_equal_their_public_rebuild(k, sign, case):
+    orders = (1, 2, 3) if case == "AI" else (1,)
+    streamed = 0
+    for size in range(SIZE_MAX + 1):
+        for order, distinguished in product(orders, (False, True)):
+            rule = {"case": case, "distinguished": distinguished, "order": order}
+            for diagram in iter_diagrams(k, sign, size=size, **rule):
+                assert_passes_the_public_checks(diagram)
+                streamed += 1
+            if size <= 5:
+                for dims in compositions(size, k):
+                    for diagram in iter_diagrams(k, sign, dims, **rule):
+                        assert_passes_the_public_checks(diagram)
+    assert streamed > 0
+
+
+
+def test_streamed_diagrams_take_no_more_memory_than_public_ones():
+    # fields set through __dict__ would give each diagram a dict of its own
+    diagrams = enumerate_by_size(3, "-", 8)
+
+    def traced(build):
+        tracemalloc.start()
+        try:
+            built = [build(d.modulus, d.sign, d.rows) for d in diagrams]  # alive while measured
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert traced(_built_diagram) <= traced(FilledDiagram)

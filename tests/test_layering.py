@@ -255,3 +255,51 @@ def test_detects_indented_json_encoding():
         "data = json.loads(text)\nindent = 2\n"
     )
     assert indented_json_calls(ast.parse(clean)) == []
+
+
+# `diagrams._built_diagram` makes a diagram without `FilledDiagram`'s checks,
+# from rows the library itself made valid and canonical: the stream, the
+# peeling residues and `duality`'s output.  User input must always pass the
+# checks, so no module outside `diagrams` and `orbits` may reach it.
+UNCHECKED_CONSTRUCTOR = "_built_diagram"
+BUILDING_MODULES = ("diagrams", "orbits")
+
+
+def unchecked_constructor_uses(tree):
+    """The line of each import, name, attribute or string that reaches the
+    unchecked constructor, under any name it is imported as."""
+    return sorted({
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(alias.name == UNCHECKED_CONSTRUCTOR for alias in node.names)
+        or isinstance(node, ast.Name) and node.id == UNCHECKED_CONSTRUCTOR
+        or isinstance(node, ast.Attribute) and node.attr == UNCHECKED_CONSTRUCTOR
+        or isinstance(node, ast.Constant) and node.value == UNCHECKED_CONSTRUCTOR
+    })
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m not in BUILDING_MODULES])
+def test_only_the_enumeration_layers_skip_the_diagram_checks(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert not unchecked_constructor_uses(tree), (
+        f"{module} builds unchecked diagrams on lines {unchecked_constructor_uses(tree)}"
+    )
+
+
+def test_detects_unchecked_diagram_builds():
+    for source, lines in (
+        ("from .diagrams import _built_diagram\n", [1]),
+        ("from .diagrams import FilledDiagram, _built_diagram as make\nmake(2, '-', ())", [1]),
+        ("from . import diagrams\nd = diagrams._built_diagram(2, '-', ())", [2]),
+        ("import gradedorbits.diagrams as g\nd = g._built_diagram(2, '-', rows)", [2]),
+        ("from . import diagrams\nmake = getattr(diagrams, '_built_diagram')", [2]),
+        ("def f(rows):\n    from gradedorbits.diagrams import _built_diagram\n", [2]),
+    ):
+        assert unchecked_constructor_uses(ast.parse(source)) == lines, source
+    clean = (
+        "from .diagrams import FilledDiagram, canonicalize\n"
+        "d = FilledDiagram(2, '-', ((1, 1),))\ne = canonicalize(rows, 2, '+')\n"
+    )
+    assert unchecked_constructor_uses(ast.parse(clean)) == []
+    # the guard sees the real uses where they are allowed
+    for module in BUILDING_MODULES:
+        assert unchecked_constructor_uses(ast.parse((SRC / f"{module}.py").read_text())), module

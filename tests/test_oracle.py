@@ -25,12 +25,14 @@ from gradedorbits.orbits import (
 from gradedorbits.oracle import (
     GradedMatrix,
     _commutator_rows,
+    _commutator_system,
     _cycle_product,
     _eliminate,
     _integer_basis,
     _is_nilpotent,
     _nil_certificate,
     _opposite_basis,
+    _string_entries,
     _trials_pass,
     _zero_blocks,
     _zeros,
@@ -891,6 +893,34 @@ def test_opposite_basis_matches_the_dense_reference():
             [(cells[k], v) for k, v in vec] for vec in dense_integer_basis(to_dense(rows, len(cells)), len(cells))
         ]
         assert _opposite_basis(lam, grading) == reference, lam
+        checked += 1
+    assert checked == 6736
+
+
+def test_string_entries_are_the_dense_representative_and_its_systems():
+    """The oracle builds its systems from the rows; `_string_entries`' entries
+    are the nonzeros of the dense representative, scanned entry by entry,
+    and its systems are the dense representative's, row for row in the same
+    order, at every degree."""
+    checked = 0
+    for lam in small_ai_diagrams(4, 7):
+        grading = GradingSpec("AI", lam.modulus, dimension_vector(lam))
+        x = build_representative(lam, grading)
+        degree, entries = _string_entries(lam)
+        dense = [
+            (i, r, c, v)
+            for i, block in enumerate(x.blocks)
+            for r, row in enumerate(block)
+            for c, v in enumerate(row)
+            if v
+        ]
+        assert degree == x.degree
+        assert sorted(entries) == dense, lam
+        for z_degree in (0, 1, -1):
+            cells, rows = _commutator_system(grading.dims, degree, entries, z_degree)
+            ref_cells, ref_rows = _commutator_rows(x, z_degree)
+            assert cells == ref_cells
+            assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows], lam
         checked += 1
     assert checked == 6736
 

@@ -421,6 +421,39 @@ def test_strata_ii_match_brute_force():
             assert enumerate_strata_ii(g) == expected
 
 
+def assert_canonical(diagram):
+    """The diagram, built without `FilledDiagram`'s checks, equals its
+    rebuild through `canonicalize`, which checks and sorts its rows."""
+    rebuilt = canonicalize(diagram.rows, diagram.modulus, diagram.sign)
+    assert vars(diagram) == vars(rebuilt), diagram
+    assert hash(diagram) == hash(rebuilt), diagram
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_peel_residues_and_duals_equal_their_canonical_rebuild(sign):
+    for m in range(1, 5):
+        for size in range(8):
+            for lam in enumerate_by_size(m, sign, size):
+                assert_canonical(duality(lam))
+                assert_canonical(peel_ii(lam).residue)
+                for a in range(1, size + 2):
+                    if lam.part_gcd % a == 0:
+                        assert_canonical(peel_ai(lam, a).residue)
+
+
+def test_strata_residuals_equal_their_canonical_rebuild():
+    for m in (1, 2, 3):
+        for total in range(7):
+            for dims in compositions(total, m):
+                for a in range(1, total + 2):
+                    for stratum in enumerate_strata_ai(GradingSpec("AI", m, dims), a):
+                        assert_canonical(stratum.mu)
+    for case, modulus in (("AII", 3), ("CII", 2), ("DII", 4)):
+        for g in _symmetric_dims(case, modulus, 6):
+            for stratum in enumerate_strata_ii(g):
+                assert_canonical(stratum.mu)
+
+
 def test_braid_rank_examples():
     g = GradingSpec("AI", 2, (1, 1))
     assert braid_rank_ai(1, diag([(2, 1)], 2), g) == 0

@@ -17,6 +17,7 @@ from gradedorbits.orbits import (
     StratumAI,
     StratumII,
     d_check_stratum,
+    duality,
     enumerate_strata_ai,
     is_distinguished_ai,
     peel_ai,
@@ -163,6 +164,26 @@ def test_map_sheaf_ii_example():
     assert lab.tau == ((1,),)
     with pytest.raises(ValueError):
         map_sheaf_ii(diag([(2, 3)], 3), g)  # not admissible
+
+
+def test_map_sheaf_ii_rejects_a_plus_diagram():
+    # its residual would have sign '+', and no catalog label has one
+    g = GradingSpec("CII", 2, (2, 2))
+    plus = list(iter_diagrams(2, "+", (2, 2), case="CII"))
+    assert plus
+    for lam in plus:
+        with pytest.raises(ValueError, match="orbit diagrams have sign '-'"):
+            map_sheaf_ii(lam, g)
+    assert {map_sheaf_ii(duality(lam), g) for lam in plus} <= set(catalog_ii(g))
+
+
+def test_map_sheaf_ai_rejects_a_plus_diagram_and_other_box_counts():
+    g = GradingSpec("AI", 2, (1, 1))
+    with pytest.raises(ValueError, match="orbit diagrams have sign '-'"):
+        map_sheaf_ai(canonicalize([(2, 1)], 2, "+"), CentralCharacter(2, 0), 1, g)
+    for lam in (diag([(1, 1), (1, 1)], 2), diag([(1, 1), (1, 1)], 1), diag([(2, 1), (1, 1)], 3)):
+        with pytest.raises(ValueError, match="diagram box counts do not match the grading"):
+            map_sheaf_ai(lam, CentralCharacter(lam.part_gcd, 0), 1, g)
 
 
 def test_map_sheaf_ii_rejects_a_diagram_of_other_box_counts():
