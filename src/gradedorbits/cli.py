@@ -405,7 +405,7 @@ def cmd_distinguished(args) -> int:
             entry["agrees"] = verdict == pred
             all_agree = all_agree and entry["agrees"]
         if args.dump_matrices:
-            x = build_representative(lam if lam.sign == "+" else duality(lam))
+            x = build_representative(duality(lam))
             entry["blocks"] = [matrix_to_strings(b) for b in x.blocks]
         entries.append(entry)
     payload = {

@@ -13,11 +13,11 @@ The system is solved by sparse fraction-free elimination over the integers:
 at degree 0 its rank gives the block-diagonal centralizer dimension, and at
 degree -(deg x) its integer basis gives the opposite-degree centralizer.
 Distinguishedness is decided on the m-step cycle product of its elements y
-at a smallest label: an exact nil certificate first checks that every word
-in the basis blocks kills that label, and then the verdict True is certain;
-otherwise a seeded Monte Carlo test checks random combinations y for
-nilpotency, to certify non-distinguishedness, and only there does the 2^-t
-error bound apply.
+at a smallest label by one span walk (`_words_kill`).  Run on the basis, it
+is an exact nil certificate, and its True is certain; otherwise seeded Monte
+Carlo trials run it on random combinations y, where it is an exact
+nilpotency test, to certify non-distinguishedness, and only there does the
+2^-t error bound apply.
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the elimination
@@ -44,28 +44,11 @@ from .orbits import GradingSpec, duality
 Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
-def _zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
 def _zero_blocks(dims, degree: int) -> list[list[list[int]]]:
     """Zero blocks of the given degree: block i maps label i to label
     i - degree, labels counted from 0."""
     m = len(dims)
-    return [_zeros(dims[(i - degree) % m], dims[i]) for i in range(m)]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = _zeros(rows, cols)
-    for i in range(rows):
-        for t in range(inner):
-            v = a[i][t]
-            if v:
-                for j in range(cols):
-                    if b[t][j]:
-                        out[i][j] += v * b[t][j]
-    return out
+    return [[[0] * dims[i] for _ in range(dims[(i - degree) % m])] for i in range(m)]
 
 
 def _combine(row, prow, c):
@@ -265,28 +248,6 @@ def centralizer_dim_gl(x: GradedMatrix) -> int:
     return len(cells) - len(_eliminate(rows, len(cells))[1])
 
 
-def _is_nilpotent(full, n: int) -> bool:
-    """Whether the n x n matrix is nilpotent, by repeated squaring."""
-    power = full
-    steps = 1
-    while True:
-        if not any(map(any, power)):
-            return True
-        if steps >= n:
-            return False
-        power = mat_mul(power, power)
-        steps *= 2
-
-
-def _cycle_product(blocks, start: int):
-    """Y_{s-1} ... Y_{s+1} Y_s at s = start, for the blocks Y_i (label i to
-    label i + 1, from 0) of a degree -1 element: its m-th power at label s."""
-    product = blocks[start]
-    for t in range(1, len(blocks)):
-        product = mat_mul(blocks[(start + t) % len(blocks)], product)
-    return product
-
-
 def _opposite_basis(plus: FilledDiagram, grading: GradingSpec):
     """An integer basis of the opposite-degree centralizer of the '+'
     diagram's representative, each element a sparse list of
@@ -298,20 +259,24 @@ def _opposite_basis(plus: FilledDiagram, grading: GradingSpec):
     return [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
 
 
-def _nil_certificate(supports, dims, start: int) -> bool:
-    """Whether every word in the basis blocks kills the label-s summand V_s,
-    s = `start`: W_0 = V_s, and W_{t+1} is spanned by the images of W_t
-    under every basis element's block at label s + t.  If some W_t is 0,
-    every cycle product at s is nilpotent, whatever the coefficients.  As
-    W_{(k+1)m} lies in W_{km}, a round of m steps that keeps dim W at label
-    s stops the walk undecided, after at most m(d + 1) steps."""
+def _words_kill(elements, dims, start: int) -> bool:
+    """Whether every word in the elements' blocks kills the label-s summand
+    V_s, s = `start`; each element is an iterable of ((block, row, column),
+    value) cells of a degree -1 element, block i mapping label i to label
+    i + 1 (from 0).  W_0 = V_s, and W_{t+1} is spanned by the images of W_t
+    under every element's block at label s + t.  As W_{(k+1)m} lies in
+    W_{km}, a round of m steps that keeps dim W at label s stops the walk
+    with False, after at most m(d + 1) steps.  On a basis, True certifies
+    that every combination's cycle product at s is nilpotent; on one
+    element y, W_{(k+1)m} = P W_{km} with P y's cycle product at s, so the
+    walk decides exactly whether P is nilpotent."""
     m = len(dims)
-    # by_label[i]: each basis element's (row, column, value) cells in its
-    # block at label i, for the elements with any
+    # by_label[i]: each element's (row, column, value) cells in its block
+    # at label i, for the elements with any
     by_label = [[] for _ in range(m)]
-    for support in supports:
+    for element in elements:
         cells = [[] for _ in range(m)]
-        for (i, r, c), v in support:
+        for (i, r, c), v in element:
             cells[i].append((r, c, v))
         for i, block in enumerate(cells):
             if block:
@@ -339,18 +304,19 @@ def _nil_certificate(supports, dims, start: int) -> bool:
 
 def _trials_pass(supports, dims, start: int, trials: int, seed: int) -> bool:
     """The seeded Monte Carlo trials: each draws a combination y of the
-    basis with coefficients in [-R, R], R = max(9, N), and tests the cycle
-    product of y at label `start` for nilpotency."""
+    basis with coefficients in [-R, R], R = max(9, N), and walks y alone
+    (`_words_kill`) to test its cycle product at label `start` for
+    nilpotency."""
     # At least 2N + 1 values; N <= 9 keeps the draws of [-9, 9]
     bound = max(9, sum(dims))
     rng = random.Random(seed)
     for _ in range(trials):
-        blocks = _zero_blocks(dims, -1)
+        y = {}
         for support in supports:
             coeff = rng.randint(-bound, bound)
-            for (i, r, c), v in support:
-                blocks[i][r][c] += coeff * v
-        if not _is_nilpotent(_cycle_product(blocks, start), dims[start]):
+            for cell, v in support:
+                y[cell] = y.get(cell, 0) + coeff * v
+        if not _words_kill([y.items()], dims, start):
             return False
     return True
 
@@ -363,12 +329,13 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     As y has degree -1, y^m is block diagonal with the cycle products of its
     blocks, which share their nonzero eigenvalues; so only the d x d cycle
     product at a label of smallest dimension d is tested, and with d = 0
-    the verdict True is certain.  Otherwise the nil certificate
-    (`_nil_certificate`) first walks the images of that label under words
-    in the basis blocks; when they vanish, every combination is nilpotent,
-    the verdict True is certain and no trial runs.  Only when the
-    certificate fails do the seeded trials run, drawing coefficients from
-    [-R, R] with R = max(9, N), N the total box count.  False is certain.
+    the verdict True is certain.  Otherwise the span walk `_words_kill`
+    first runs on the basis as a nil certificate: when the images of that
+    label under words in the basis blocks vanish, every combination is
+    nilpotent, the verdict True is certain and no trial runs.  Only when
+    the certificate fails do the seeded trials run, drawing coefficients
+    from [-R, R] with R = max(9, N), N the total box count, and running the
+    same walk on each drawn y alone.  False is certain.
     A True verdict from the trials errs only if every trial misses a
     non-nilpotent element; the characteristic polynomial's coefficients
     have degree <= N in the combination coefficients, so by Schwartz-Zippel
@@ -387,7 +354,7 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
         return True
     supports = _opposite_basis(plus, grading)
     start = dims.index(d)
-    return _nil_certificate(supports, dims, start) or _trials_pass(supports, dims, start, trials, seed)
+    return _words_kill(supports, dims, start) or _trials_pass(supports, dims, start, trials, seed)
 
 
 def matrix_to_strings(mat) -> list[list[str]]:

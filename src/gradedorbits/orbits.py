@@ -264,6 +264,7 @@ def peel_ii(diagram: FilledDiagram) -> PeelII:
 def d_check_stratum(a: int, mu: FilledDiagram) -> int:
     """Cyclic component-group order attached to an AI stratum residual:
     gcd(m*a/d, part gcd of mu), or m*a/d when mu is empty."""
+    check_order(a)
     m = mu.modulus
     d = gcd(a, m)
     base = m * a // d

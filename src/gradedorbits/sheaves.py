@@ -188,9 +188,11 @@ def map_sheaf_ai(lam: FilledDiagram, psi: CentralCharacter, a: int, grading: Gra
 
     The character is transported to the stratum's cyclic group by matching
     positions in the canonical ascending enumerations of exact-order-a
-    residues on both sides.  The diagram must be a '-' diagram with the
-    grading's box counts.
+    residues on both sides.  The grading must be case AI, and the diagram a
+    '-' diagram with its box counts.
     """
+    if grading.case != "AI":
+        raise ValueError(f"map_sheaf_ai maps case AI only, got case {grading.case}")
     _check_orbit(lam, grading)
     return _map_sheaf_ai(lam, psi, a, grading, {})
 
@@ -221,6 +223,8 @@ def _map_sheaf_ai(lam, psi, a, grading, flags: dict) -> SheafLabel:
 
 def map_sheaf_ii(lam: FilledDiagram, grading: GradingSpec) -> SheafLabel:
     """Image of a type II orbit under the peeling bijection."""
+    if grading.case == "AI":
+        raise ValueError("map_sheaf_ii maps the type II cases only, got case AI")
     if not admissible_for_case(lam, grading.case):
         raise ValueError("diagram is not admissible for this grading")
     _check_orbit(lam, grading)

@@ -26,20 +26,16 @@ from gradedorbits.oracle import (
     GradedMatrix,
     _commutator_rows,
     _commutator_system,
-    _cycle_product,
     _eliminate,
     _integer_basis,
-    _is_nilpotent,
-    _nil_certificate,
     _opposite_basis,
     _string_entries,
     _trials_pass,
+    _words_kill,
     _zero_blocks,
-    _zeros,
     build_representative,
     centralizer_dim_gl,
     is_distinguished_oracle,
-    mat_mul,
 )
 
 from conftest import compositions, naive_row_labels
@@ -47,6 +43,49 @@ from conftest import compositions, naive_row_labels
 
 def diag(rows, k, sign="+"):
     return canonicalize(rows, k, sign)
+
+
+def _zeros(rows: int, cols: int) -> list[list[int]]:
+    return [[0] * cols for _ in range(rows)]
+
+
+def mat_mul(a, b):
+    """The dense product a b, skipping zero entries."""
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = _zeros(rows, cols)
+    for i in range(rows):
+        for t in range(inner):
+            v = a[i][t]
+            if v:
+                for j in range(cols):
+                    if b[t][j]:
+                        out[i][j] += v * b[t][j]
+    return out
+
+
+def _is_nilpotent(full, n: int) -> bool:
+    """Whether the n x n matrix is nilpotent, by repeated squaring."""
+    power = full
+    steps = 1
+    while True:
+        if not any(map(any, power)):
+            return True
+        if steps >= n:
+            return False
+        power = mat_mul(power, power)
+        steps *= 2
+
+
+def block_cells(blocks):
+    """The ((block, row, column), value) cells of the nonzero entries of
+    dense blocks: one element as `_words_kill` takes it."""
+    return [
+        ((i, r, c), v)
+        for i, block in enumerate(blocks)
+        for r, row in enumerate(block)
+        for c, v in enumerate(row)
+        if v
+    ]
 
 
 def centralizer_dim_k(x: GradedMatrix) -> int:
@@ -587,8 +626,9 @@ def small_ai_diagrams(max_m, max_size):
 
 
 def nil_certificate(lam):
+    """The span walk on the basis, as the oracle runs it before any trial."""
     dims, supports, start = opposite_basis(lam)
-    return _nil_certificate(supports, dims, start)
+    return _words_kill(supports, dims, start)
 
 
 def test_nil_certificate_holds_exactly_on_distinguished_diagrams():
@@ -599,24 +639,19 @@ def test_nil_certificate_holds_exactly_on_distinguished_diagrams():
     assert checked == 6736
 
 
-def test_certified_diagrams_run_no_trial(monkeypatch, draws):
-    calls = []
-
-    def counting(blocks, start):
-        calls.append(start)
-        return _cycle_product(blocks, start)
-
-    monkeypatch.setattr("gradedorbits.oracle._cycle_product", counting)
+def test_certified_diagrams_run_no_trial(draws):
+    # every trial draws one coefficient per basis element, so no draw
+    # means no trial
     certified = 0
     for lam in small_ai_diagrams(3, 6):
         if min(dimension_vector(lam)) and is_distinguished_ai(lam, 1):
             assert is_distinguished_oracle(lam, seed=7)
             certified += 1
-    assert certified == 658 and calls == [] and draws == []
+    assert certified == 658 and draws == []
     # a non-distinguished diagram with no empty label goes to the trials
     lam = diag([(1, 1), (1, 2)], 2)
     assert not is_distinguished_oracle(lam)
-    assert calls and draws
+    assert draws
 
 
 def test_certified_combinations_are_nilpotent_by_trace_kernel():
@@ -653,7 +688,7 @@ def test_nil_certificate_stops_within_m_rounds_per_dimension(monkeypatch):
         dims, supports, start = opposite_basis(lam)
         monkeypatch.setattr("gradedorbits.oracle._eliminate", counting)
         calls.clear()
-        assert not _nil_certificate(supports, dims, start), lam
+        assert not _words_kill(supports, dims, start), lam
         monkeypatch.undo()
         m, d = len(dims), dims[start]
         assert 0 < len(calls) <= m * (d + 1), lam
@@ -974,6 +1009,9 @@ def unimodular_conjugates(draw):
 def test_integer_nilpotency_kernel(case):
     n, nilpotent, with_eigenvalue = case
     assert all(type(v) is int for row in nilpotent + with_eigenvalue for v in row)
+    # with one label, the walk on one element decides its nilpotency
+    assert _words_kill([block_cells([nilpotent])], (n,), 0) is True
+    assert _words_kill([block_cells([with_eigenvalue])], (n,), 0) is False
     assert _is_nilpotent(nilpotent, n) is True
     assert _is_nilpotent(with_eigenvalue, n) is False
     assert _reference_power_is_zero(nilpotent, n)
@@ -1025,12 +1063,16 @@ def graded_degree_minus_one(draw):
 @example(((2, 2), [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]))
 @example(((0, 3, 1), [[[], [], []], [[1, 2, 3]], []]))
 def test_cycle_product_and_trace_kernel_agree_with_full_matrix(case):
+    """The walk on one element y at any label, which tests y's cycle product
+    there, decides y's nilpotency: the cycle products share their nonzero
+    eigenvalues, and a zero-dimensional label makes them all 0."""
     dims, blocks = case
-    d = min(dims)
-    by_cycle = d == 0 or _is_nilpotent(_cycle_product(blocks, dims.index(d)), d)
     y = GradedMatrix(
         GradingSpec("AI", len(dims), dims), -1, tuple(tuple(map(tuple, b)) for b in blocks)
     )
     full = full_matrix(y)
     n = sum(dims)
-    assert by_cycle == _trace_kernel_is_nilpotent(full, n) == _is_nilpotent(full, n)
+    nilpotent = _trace_kernel_is_nilpotent(full, n)
+    assert _is_nilpotent(full, n) == nilpotent
+    for start in range(len(dims)):
+        assert _words_kill([block_cells(blocks)], dims, start) == nilpotent, start

@@ -194,7 +194,26 @@ def test_map_sheaf_ii_rejects_a_diagram_of_other_box_counts():
         map_sheaf_ii(diag([(1, 1), (1, 1)], 1), g)  # another modulus
 
 
+def test_map_sheaf_ai_rejects_a_type_ii_grading_before_peeling(monkeypatch):
+    g = GradingSpec("AII", 3, (2, 2, 2))
+    lam = diag([(6, 1)], 3)
+    # a peel would now raise TypeError
+    monkeypatch.setattr(sheaves, "peel_ai", None)
+    with pytest.raises(ValueError, match="map_sheaf_ai maps case AI only, got case AII"):
+        map_sheaf_ai(lam, CentralCharacter(6, 0), 1, g)
+
+
+def test_map_sheaf_ii_rejects_an_ai_grading_up_front(monkeypatch):
+    g = GradingSpec("AI", 2, (1, 1))
+    # an admissibility check or a peel would now raise TypeError
+    monkeypatch.setattr(sheaves, "admissible_for_case", None)
+    monkeypatch.setattr(sheaves, "peel_ii", None)
+    with pytest.raises(ValueError, match="map_sheaf_ii maps the type II cases only, got case AI"):
+        map_sheaf_ii(diag([(1, 1), (1, 2)], 2), g)
+
+
 ORDER_ENTRY_POINTS = {
+    "d_check_stratum": lambda a: d_check_stratum(a, empty_diagram(2)),
     "verify_bijection": lambda a: verify_bijection(GradingSpec("AI", 2, (2, 2)), a),
     "catalog_ai": lambda a: catalog_ai(GradingSpec("AI", 2, (2, 2)), a),
     "catalog_ai_zero": lambda a: catalog_ai(GradingSpec("AI", 2, (0, 0)), a),
