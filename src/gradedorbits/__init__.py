@@ -27,7 +27,6 @@ from .orbits import (
     GradingSpec,
     StratumAI,
     StratumII,
-    admissible,
     admissible_for_case,
     centralizer_dim,
     component_group_order,

@@ -38,6 +38,7 @@ from .orbits import (
 from .oracle import build_representative, is_distinguished_oracle, matrix_to_strings
 from .series import (
     COUNT_FAMILIES,
+    family_modulus,
     gf_distinguished_ai,
     gf_distinguished_ii,
     gf_orbit_count,
@@ -223,7 +224,7 @@ def cmd_orbits(args) -> int:
         header = ["diagram", "d_lambda", "distinguished", "orbit_dim"]
 
         def describe(lam):
-            return lam, lam.part_gcd, is_distinguished_ai(lam, 1), orbit_dim(lam, grading)
+            return lam, lam.part_gcd, is_distinguished_ai(lam, 1), orbit_dim(lam)
     else:
         header = ["diagram", "component_group", "distinguished"]
 
@@ -266,7 +267,7 @@ def _count_rows(args):
         distinguished = family.startswith("dist-")
         gf = (gf_distinguished_ii if distinguished else gf_orbit_count)(base, l, n_max)
         weight_params = {"l": l}
-        modulus, step = (2 * l + 1 if base == "A" else 2 * l), 2
+        modulus, step = family_modulus(base, l), 2
         rule = {"case": FAMILY_CASE[base], "distinguished": distinguished}
     counts = count_by_size(modulus, MINUS, [step * n for n in range(n_max + 1)], **rule)
     rows = []

@@ -14,12 +14,12 @@ come first, as partitions in decreasing lexicographic order (scaled by a at
 an order a of case AI); their length blocks are filled from the longest
 down, each with a vector of row counts per start label, decreasing
 lexicographically.  A per-length rule says which vectors a block may take:
-any for case AI; for the type II cases equal counts on paired start labels
-and an even count on a self-paired one (as `orbits.admissible_for_case`
-tests); and, for distinguished diagrams, the per-length condition of
-`orbits.is_distinguished_ai` or `is_distinguished_ii`.  Only the wanted
-diagrams are built, and with box counts given the core prunes by the boxes
-each label has left.  `enumerate_diagrams` and `enumerate_by_size` list it.
+any for case AI; for the type II cases equal counts on the start labels
+`row_partners` pairs and an even count on a self-paired one (as
+`orbits.admissible_for_case` tests); and, for distinguished diagrams, the
+per-length condition of `orbits.is_distinguished_ai` or
+`is_distinguished_ii`.  Only the wanted diagrams are built, and with box
+counts given the core prunes by the boxes each label has left.  `enumerate_diagrams` and `enumerate_by_size` list it.
 
 `count_diagrams` and `count_by_size` count without the stream, by a dynamic
 program over the length blocks that builds no row: the same per-length rule
@@ -63,11 +63,42 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def check_order(a) -> None:
-    """Reject an order that is not an integer >= 1."""
-    check_integer("order", a)
-    if a < 1:
-        raise ValueError("order must be >= 1")
+def check_positive(name: str, value) -> None:
+    """Reject a value that is not an integer >= 1, by name: the modulus and
+    the order."""
+    check_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def check_box_counts(k: int, dims) -> DimensionVector:
+    """The box counts as a tuple, after checking that there is one per label
+    1..k and that each is an integer >= 0."""
+    dims = tuple(dims)
+    if len(dims) != k:
+        raise ValueError(f"expected {k} box counts, got {len(dims)}")
+    for v in dims:
+        check_integer("box count", v)
+        if v < 0:
+            raise ValueError("box counts must be nonnegative")
+    return dims
+
+
+# A type II form pairs V_i with V_{c - i}, c its shift.
+FORM_SHIFT = {"AII": 1, "CII": 0, "DII": 1}
+
+
+def row_partners(case: str, k: int, length: int) -> tuple[int, ...]:
+    """The start label each start label 1..k pairs with (at index label - 1)
+    for rows of the given length: the form pairs box t of a '+' row starting
+    at a with box length - 1 - t of its dual, which so starts at
+    c + length - 1 - a mod k, c the form's shift.  AI pairs each label with
+    itself.  The one home of the type II pairing; '-' rows follow it too,
+    which fits the form only for k <= 2 (ROADMAP.md, item 1)."""
+    if case == "AI":
+        return tuple(range(1, k + 1))
+    target = FORM_SHIFT[case] + length - 1
+    return tuple(reduce_label(target - a, k) for a in range(1, k + 1))
 
 
 def _check_row(row: Row, k: int) -> None:
@@ -89,9 +120,7 @@ class FilledDiagram:
     rows: tuple[Row, ...]
 
     def __post_init__(self):
-        check_integer("modulus", self.modulus)
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
+        check_positive("modulus", self.modulus)
         if self.sign not in SIGNS:
             raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
         prev = None
@@ -210,13 +239,7 @@ def _target(k, dims, size):
         if size < 0:
             raise ValueError("size must be nonnegative")
         return None, size
-    dims = tuple(dims)
-    if len(dims) != k:
-        raise ValueError(f"expected {k} box counts, got {len(dims)}")
-    for v in dims:
-        check_integer("box count", v)
-    if any(v < 0 for v in dims):
-        raise ValueError("box counts must be nonnegative")
+    dims = check_box_counts(k, dims)
     return dims, sum(dims)
 
 
@@ -236,10 +259,8 @@ class _Fills:
     """
 
     def __init__(self, k, sign, *, case="AI", distinguished=False, order=1):
-        check_integer("modulus", k)
-        check_order(order)
-        if k < 1:
-            raise ValueError(f"modulus must be >= 1, got {k}")
+        check_positive("modulus", k)
+        check_positive("order", order)
         if sign not in SIGNS or case not in CASES:
             raise ValueError(f"unknown sign {sign!r} or case {case!r}")
         if order != 1 and case != "AI":
@@ -333,19 +354,18 @@ class _Fills:
         """The start labels whose row counts the case ties together, by
         smallest label, each with its rows per label and in all for one
         unit, and that unit's excess boxes as (label index, boxes) pairs.
-        Type II pairs a <-> b when a + b is the length (AII, DII) or the
-        length minus one (CII) mod k.  Memoized per length."""
+        The labels are tied by `row_partners`.  Memoized per length."""
         if length in self.orbits:
             return self.orbits[length]
         k = self.k
-        target = length - (self.case == "CII")
+        partners = row_partners(self.case, k, length)
         step = 1 if self.sign == MINUS else -1
         orbits = []
         seen = set()
         for a in range(1, k + 1):
             if a in seen:
                 continue
-            b = a if self.case == "AI" else reduce_label(target - a, k)
+            b = partners[a - 1]
             seen.update((a, b))
             labels, per = ((a,), 1 + (self.case != "AI")) if a == b else ((a, b), 1)
             excess: dict = {}

@@ -168,19 +168,14 @@ def _string_entries(diagram: FilledDiagram):
     return degree, entries
 
 
-def build_representative(diagram: FilledDiagram, grading: GradingSpec | None = None) -> GradedMatrix:
-    """String representative of the orbit: one basis vector per box, each box
-    mapped to its right neighbour (zero at the row end).
+def build_representative(diagram: FilledDiagram) -> GradedMatrix:
+    """String representative of the orbit (case AI): one basis vector per
+    box, each box mapped to its right neighbour (zero at the row end).
 
     The result has degree +1 for a '+' diagram and -1 for a '-' diagram, and
     its Jordan type is the underlying partition.
     """
-    if grading is None:
-        grading = GradingSpec("AI", diagram.modulus, dimension_vector(diagram))
-    if grading.case != "AI":
-        raise ValueError("representatives are built for case AI only")
-    if dimension_vector(diagram) != grading.dims:
-        raise ValueError("diagram box counts do not match the grading")
+    grading = GradingSpec("AI", diagram.modulus, dimension_vector(diagram))
     degree, entries = _string_entries(diagram)
     blocks = _zero_blocks(grading.dims, degree)
     for i, r, c, v in entries:
@@ -248,14 +243,14 @@ def centralizer_dim_gl(x: GradedMatrix) -> int:
     return len(cells) - len(_eliminate(rows, len(cells))[1])
 
 
-def _opposite_basis(plus: FilledDiagram, grading: GradingSpec):
+def _opposite_basis(plus: FilledDiagram, dims):
     """An integer basis of the opposite-degree centralizer of the '+'
     diagram's representative, each element a sparse list of
     ((block, row, column), value) cells of its degree -1 blocks.  The
-    system comes straight from the rows: `grading` holds the diagram's own
-    box counts, so no dense block is built or checked."""
+    system comes straight from the rows: `dims` are the diagram's own box
+    counts, so no dense block is built or checked."""
     degree, entries = _string_entries(plus)
-    cells, rows = _commutator_system(grading.dims, degree, entries, -degree)
+    cells, rows = _commutator_system(dims, degree, entries, -degree)
     return [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
 
 
@@ -347,12 +342,11 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     plus = diagram if diagram.sign == PLUS else duality(diagram)
-    grading = GradingSpec("AI", plus.modulus, dimension_vector(plus))
-    dims = grading.dims
+    dims = dimension_vector(plus)
     d = min(dims)
     if d == 0:
         return True
-    supports = _opposite_basis(plus, grading)
+    supports = _opposite_basis(plus, dims)
     start = dims.index(d)
     return _words_kill(supports, dims, start) or _trials_pass(supports, dims, start, trials, seed)
 

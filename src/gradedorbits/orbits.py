@@ -34,10 +34,11 @@ from .diagrams import (
     _built_diagram,
     _row_key,
     canonicalize,
-    check_integer,
-    check_order,
+    check_box_counts,
+    check_positive,
     dimension_vector,
     reduce_label,
+    row_partners,
 )
 
 TYPE_II_CASES = ("AII", "CII", "DII")
@@ -48,9 +49,7 @@ def check_modulus(case: str, modulus: int) -> None:
     case needs m >= 1, AII an odd m, and CII and DII an even m."""
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
-    check_integer("modulus", modulus)
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    check_positive("modulus", modulus)
     if case == "AII" and modulus % 2 == 0:
         raise ValueError("AII modulus must be odd")
     if case in ("CII", "DII") and modulus % 2:
@@ -67,24 +66,16 @@ class GradingSpec:
 
     def __post_init__(self):
         check_modulus(self.case, self.modulus)
-        k = self.modulus
-        dims = tuple(self.dims)
+        dims = check_box_counts(self.modulus, self.dims)
         object.__setattr__(self, "dims", dims)
-        if len(dims) != k:
-            raise ValueError(f"expected {k} dimensions, got {len(dims)}")
-        if not all(isinstance(v, int) for v in dims):
-            raise ValueError(f"dimensions must be integers, got {dims}")
-        if any(v < 0 for v in dims):
-            raise ValueError("dimensions must be nonnegative")
         if self.case == "AI":
             return
-        # type II pairs label i with shift - i mod k: 0 for CII, 1 for AII and DII
-        shift = 0 if self.case == "CII" else 1
-        pairs = [(i, reduce_label(shift - i, k)) for i in range(1, k + 1)]
-        for i, j in pairs:
+        # the form pairs the labels as it pairs rows of length 1
+        partners = row_partners(self.case, self.modulus, 1)
+        for i, j in enumerate(partners, 1):
             if i < j and dims[i - 1] != dims[j - 1]:
                 raise ValueError(f"{self.case} requires d_{i} == d_{j}")
-        fixed = [i for i, j in pairs if i == j]
+        fixed = [i for i, j in enumerate(partners, 1) if i == j]
         if any(dims[i - 1] % 2 for i in fixed):
             labels = " and ".join(f"d_{i}" for i in fixed)
             raise ValueError(f"{self.case} requires {labels} even")
@@ -111,33 +102,22 @@ def admissible_for_case(diagram: FilledDiagram, case: str) -> bool:
     """Whether the diagram's fill satisfies the case's pairing conditions.
 
     AI accepts everything.  For the type II cases, rows of each length pair up
-    start labels a <-> b whenever a + b is congruent to the length (AII, DII)
-    or the length minus one (CII); paired labels must carry equal row counts
-    and self-paired labels an even count.
+    start labels by `row_partners`; paired labels must carry equal row
+    counts and self-paired labels an even count.
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
     if case == "AI":
         return True
-    k = diagram.modulus
-    shift = 1 if case == "CII" else 0
     for length in diagram.parts:
         p = diagram.multiplicities(length)
-        target = length - shift
-        for a in range(1, k + 1):
-            b = reduce_label(target - a, k)
+        for a, b in enumerate(row_partners(case, diagram.modulus, length), 1):
             if b == a:
                 if p[a - 1] % 2:
                     return False
             elif p[a - 1] != p[b - 1]:
                 return False
     return True
-
-
-def admissible(diagram: FilledDiagram, grading: GradingSpec) -> bool:
-    if diagram.modulus != grading.modulus:
-        raise ValueError("diagram modulus does not match grading modulus")
-    return admissible_for_case(diagram, grading.case)
 
 
 def component_group_order(diagram: FilledDiagram, grading: GradingSpec) -> int:
@@ -155,7 +135,7 @@ def is_distinguished_ai(diagram: FilledDiagram, a: int) -> bool:
     each part length every residue class of labels mod d contains a label with
     no row of that length.
     """
-    check_order(a)
+    check_positive("order", a)
     if diagram.part_gcd % a:
         return False
     m = diagram.modulus
@@ -248,7 +228,7 @@ def peel_ai(diagram: FilledDiagram, a: int) -> PeelAI:
     Parts are recorded in the tau components divided by a; the leftover row
     multiplicities form the residual diagram, which is distinguished at a.
     """
-    check_order(a)
+    check_positive("order", a)
     if diagram.part_gcd % a:
         raise ValueError(f"every part must be divisible by {a}")
     return PeelAI(*_peel(diagram, a, 1))
@@ -264,7 +244,7 @@ def peel_ii(diagram: FilledDiagram) -> PeelII:
 def d_check_stratum(a: int, mu: FilledDiagram) -> int:
     """Cyclic component-group order attached to an AI stratum residual:
     gcd(m*a/d, part gcd of mu), or m*a/d when mu is empty."""
-    check_order(a)
+    check_positive("order", a)
     m = mu.modulus
     d = gcd(a, m)
     base = m * a // d
@@ -316,7 +296,7 @@ def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[StratumAI]:
     """
     if grading.case != "AI":
         raise ValueError("strata at an order are defined for case AI")
-    check_order(a)
+    check_positive("order", a)
     return [
         StratumAI(a, rank, mu, d_check_stratum(a, mu))
         for rank, mu in _strata(grading, a // gcd(a, grading.modulus), order=a)
@@ -364,16 +344,11 @@ def centralizer_dim(diagram: FilledDiagram) -> int:
     return total
 
 
-def orbit_dim(diagram: FilledDiagram, grading: GradingSpec | None = None) -> int:
-    """Dimension of the orbit through the diagram's representative:
-    sum d_i^2 minus the centralizer dimension."""
-    if grading is None:
-        grading = GradingSpec("AI", diagram.modulus, dimension_vector(diagram))
-    if grading.case != "AI":
-        raise ValueError("dimensions are defined for case AI only")
-    if dimension_vector(diagram) != grading.dims:
-        raise ValueError("diagram box counts do not match the grading")
-    return sum(v * v for v in grading.dims) - centralizer_dim(diagram)
+def orbit_dim(diagram: FilledDiagram) -> int:
+    """Dimension of the orbit (case AI) through the diagram's representative:
+    sum d_i^2 over the diagram's box counts d minus the centralizer
+    dimension."""
+    return sum(v * v for v in dimension_vector(diagram)) - centralizer_dim(diagram)
 
 
 def stratum_dim_ai(stratum: StratumAI, grading: GradingSpec) -> int:

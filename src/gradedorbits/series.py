@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Sequence
 
-from .diagrams import check_integer, check_order
+from .diagrams import check_positive
 
 ORBIT_FAMILIES = ("A", "C", "D")
 DIST_FAMILIES = ("dist-A", "dist-C", "dist-D")
@@ -75,19 +75,22 @@ def _product(factors, n_max: int) -> TruncSeries:
     return TruncSeries(tuple(c))
 
 
+def family_modulus(case: str, l: int) -> int:
+    """The modulus of a family's gradings: 2l+1 for A, 2l for C and D."""
+    return 2 * l + 1 if case == "A" else 2 * l
+
+
 def gf_orbit_count(case: str, l: int, n_max: int) -> TruncSeries:
     """Series whose n-th coefficient counts the admissible diagrams with 2n
-    boxes for the family: A over modulus 2l+1, C and D over modulus 2l."""
+    boxes for the family, over its modulus (`family_modulus`)."""
     return _product(_family_factors(case, l), n_max)
 
 
 def gf_distinguished_ai(m: int, a: int, n_max: int) -> TruncSeries:
     """Series whose j-th coefficient counts the AI diagrams of size a*j that
     are distinguished at order a (modulus m).  Undefined when gcd(a, m) = m."""
-    check_integer("modulus", m)
-    if m < 1:
-        raise ValueError("modulus and order must be >= 1")
-    check_order(a)
+    check_positive("modulus", m)
+    check_positive("order", a)
     d = gcd(a, m)
     if d == m:
         raise ValueError("family is empty when gcd(a, m) equals the modulus")
@@ -98,9 +101,7 @@ def gf_distinguished_ii(case: str, l: int, n_max: int) -> TruncSeries:
     """Series whose n-th coefficient counts the admissible distinguished
     diagrams with 2n boxes for the family: the orbit count times
     (1 - x^(modulus k)) at every k."""
-    factors = _family_factors(case, l)
-    modulus = 2 * l + 1 if case == "A" else 2 * l
-    return _product(factors + ((modulus, -1),), n_max)
+    return _product(_family_factors(case, l) + ((family_modulus(case, l), -1),), n_max)
 
 
 def _stars_and_bars_with_gap(k: int, nvars: int, gap: int) -> int:

@@ -18,7 +18,7 @@ from .diagrams import (
     FilledDiagram,
     MINUS,
     MultiPartition,
-    check_order,
+    check_positive,
     dimension_vector,
     empty_diagram,
     iter_diagrams,
@@ -81,7 +81,7 @@ def exact_order_characters(modulus: int, order: int) -> list[CentralCharacter]:
     Empty unless the order divides the modulus; the count is Euler phi of the
     order.
     """
-    check_order(order)
+    check_positive("order", order)
     if modulus < 0:
         raise ValueError("modulus must be nonnegative")
     if modulus == 0:
@@ -228,18 +228,15 @@ def map_sheaf_ii(lam: FilledDiagram, grading: GradingSpec) -> SheafLabel:
     if not admissible_for_case(lam, grading.case):
         raise ValueError("diagram is not admissible for this grading")
     _check_orbit(lam, grading)
+    return _map_sheaf_ii(lam, full_support_stratum_ii(grading))
+
+
+def _map_sheaf_ii(lam, full: StratumII) -> SheafLabel:
+    """`map_sheaf_ii`, unchecked, given the grading's full-support stratum."""
     peel = peel_ii(lam)
     stratum = StratumII(peel.rank, peel.residue)
-    full = stratum == full_support_stratum_ii(grading)
-    return SheafLabel(
-        "II",
-        stratum,
-        CentralCharacter(1, 0),
-        (peel.nu,),
-        stratum.rank == 0,
-        full,
-        False,
-    )
+    trivial = CentralCharacter(1, 0)
+    return SheafLabel("II", stratum, trivial, (peel.nu,), stratum.rank == 0, stratum == full, False)
 
 
 @dataclass(frozen=True)
@@ -262,7 +259,7 @@ def verify_bijection(grading: GradingSpec, a: int = 1) -> BijectionReport:
     peeling construction against the directly enumerated catalog, whose AI
     flags the image labels reuse, so each stratum's flags are computed once.
     A type II grading ignores the order, but it must still be valid."""
-    check_order(a)
+    check_positive("order", a)
     if grading.case == "AI":
         catalog = catalog_ai(grading, a)
         flags = {
@@ -273,7 +270,9 @@ def verify_bijection(grading: GradingSpec, a: int = 1) -> BijectionReport:
         image = [_map_sheaf_ai(lam, psi, a, grading, flags) for lam, psi in pairs]
     else:
         pairs = orbital_complexes(grading)
-        image = [map_sheaf_ii(lam, grading) for lam, _ in pairs]
+        # the stream's orbits are admissible '-' diagrams of the grading
+        full = full_support_stratum_ii(grading)
+        image = [_map_sheaf_ii(lam, full) for lam, _ in pairs]
         catalog = catalog_ii(grading)
     distinct = set(image)
     return BijectionReport(

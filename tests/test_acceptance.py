@@ -158,11 +158,10 @@ def test_criterion_6_dimension_identities():
     for m in (1, 2, 3):
         for total in range(1, 7):
             for dims in compositions(total, m):
-                g = GradingSpec("AI", m, dims)
                 dim_k = sum(v * v for v in dims) - 1
                 for lam in enumerate_diagrams(m, "-", dims):
-                    x = build_representative(duality(lam), g)
-                    ok = ok and orbit_dim(lam, g) + centralizer_dim_k(x) == dim_k
+                    x = build_representative(duality(lam))
+                    ok = ok and orbit_dim(lam) + centralizer_dim_k(x) == dim_k
     # the fully padded stratum of a uniform grading is dense
     for m in (1, 2, 3):
         for total in range(m, 7, m):

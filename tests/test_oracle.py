@@ -351,12 +351,6 @@ def test_build_representative_places_boxes_at_row_labels(sign):
                 assert representative_strings(build_representative(lam)) == expected
 
 
-def test_build_representative_checks_dims():
-    g = GradingSpec("AI", 2, (2, 0))
-    with pytest.raises(ValueError):
-        build_representative(diag([(2, 1)], 2), g)
-
-
 def _ranks_of_powers(x, n):
     full = full_matrix(x)
     ranks = []
@@ -434,18 +428,17 @@ def test_orbit_dim_identity():
     for m in (1, 2, 3):
         for size in range(5):
             for dims in compositions(size, m):
-                g = GradingSpec("AI", m, dims)
                 for lam in enumerate_diagrams(m, "+", dims):
-                    x = build_representative(lam, g)
+                    x = build_representative(lam)
                     if size:
-                        assert orbit_dim(lam, g) + centralizer_dim_k(x) == sum(
+                        assert orbit_dim(lam) + centralizer_dim_k(x) == sum(
                             v * v for v in dims
                         ) - 1
 
 
 def test_orbit_dim_examples():
     assert orbit_dim(diag([(2, 1)], 2)) == 1
-    assert orbit_dim(empty_diagram(2, "+"), GradingSpec("AI", 2, (0, 0))) == 0
+    assert orbit_dim(empty_diagram(2, "+")) == 0
     # minus-convention diagrams dualize internally
     assert orbit_dim(canonicalize([(2, 1)], 2, "-")) == 1
 
@@ -473,12 +466,11 @@ def test_conjugation_invariance():
         diag([(2, 2), (2, 1)], 3),
     ]
     for lam in cases:
-        g = GradingSpec("AI", lam.modulus, dimension_vector(lam))
-        x = build_representative(lam, g)
+        x = build_representative(lam)
         base_k = centralizer_dim_k(x)
         base_g1 = centralizer_g1(x)[0]
         for _ in range(3):
-            y = conjugate(x, random_conjugators(g, rng))
+            y = conjugate(x, random_conjugators(x.grading, rng))
             assert centralizer_dim_k(y) == base_k
             assert centralizer_g1(y)[0] == base_g1
 
@@ -589,9 +581,8 @@ def opposite_basis(lam):
     counts, its opposite-degree integer basis and a label of smallest
     dimension."""
     plus = lam if lam.sign == "+" else duality(lam)
-    grading = GradingSpec("AI", plus.modulus, dimension_vector(plus))
-    dims = grading.dims
-    return dims, _opposite_basis(plus, grading), dims.index(min(dims))
+    dims = dimension_vector(plus)
+    return dims, _opposite_basis(plus, dims), dims.index(min(dims))
 
 
 def run_trials(lam, trials, seed):
@@ -714,13 +705,12 @@ def reference_oracle(diagram, trials=20, seed=0):
     """The Monte Carlo oracle on the whole N x N matrix: combinations of the
     `Fraction` basis scaled to integers, each squared until it vanishes."""
     plus = diagram if diagram.sign == "+" else duality(diagram)
-    grading = GradingSpec("AI", plus.modulus, dimension_vector(plus))
-    x = build_representative(plus, grading)
+    x = build_representative(plus)
     cells, rows = reference_commutator_rows(x, -x.degree)
     _, basis = reference_nullspace(rows, len(cells))
     if not basis:
         return True
-    n = grading.total
+    n = x.grading.total
     scale = lcm(*[v.denominator for vec in basis for v in vec])
     supports = [[(cells[k], int(v * scale)) for k, v in enumerate(vec) if v] for vec in basis]
     bound = max(9, n)
@@ -765,7 +755,7 @@ def test_stratum_dim_examples():
     assert stratum_dim_ai(stratum, g) == 2 == g.dim_g1
     nilp = StratumAI(1, 0, canonicalize([(2, 1)], 2, "-"), 2)
     # l = 0 strata have the dimension of the underlying orbit
-    assert stratum_dim_ai(nilp, g) == orbit_dim(canonicalize([(2, 1)], 2, "-"), g)
+    assert stratum_dim_ai(nilp, g) == orbit_dim(canonicalize([(2, 1)], 2, "-"))
 
 
 def test_dense_stratum_dimension():
@@ -823,8 +813,7 @@ def _stratum_dim_nullspace(stratum, g):
     """The stratum dimension with c_mu taken from the exact nullspace."""
     mu = stratum.mu
     plus = mu if mu.sign == "+" else duality(mu)
-    sub = GradingSpec("AI", g.modulus, dimension_vector(mu))
-    c_mu = centralizer_dim_gl(build_representative(plus, sub))
+    c_mu = centralizer_dim_gl(build_representative(plus))
     per_label = stratum.a // gcd(stratum.a, g.modulus)
     return sum(v * v for v in g.dims) - c_mu - stratum.rank * per_label + stratum.rank
 
@@ -921,13 +910,12 @@ def test_opposite_basis_matches_the_dense_reference():
     primitive on both sides and the lcm scale of the basis agrees."""
     checked = 0
     for lam in small_ai_diagrams(4, 7):
-        grading = GradingSpec("AI", lam.modulus, dimension_vector(lam))
-        x = build_representative(lam, grading)
+        x = build_representative(lam)
         cells, rows = _commutator_rows(x, -x.degree)
         reference = [
             [(cells[k], v) for k, v in vec] for vec in dense_integer_basis(to_dense(rows, len(cells)), len(cells))
         ]
-        assert _opposite_basis(lam, grading) == reference, lam
+        assert _opposite_basis(lam, x.grading.dims) == reference, lam
         checked += 1
     assert checked == 6736
 
@@ -939,8 +927,7 @@ def test_string_entries_are_the_dense_representative_and_its_systems():
     order, at every degree."""
     checked = 0
     for lam in small_ai_diagrams(4, 7):
-        grading = GradingSpec("AI", lam.modulus, dimension_vector(lam))
-        x = build_representative(lam, grading)
+        x = build_representative(lam)
         degree, entries = _string_entries(lam)
         dense = [
             (i, r, c, v)
@@ -952,7 +939,7 @@ def test_string_entries_are_the_dense_representative_and_its_systems():
         assert degree == x.degree
         assert sorted(entries) == dense, lam
         for z_degree in (0, 1, -1):
-            cells, rows = _commutator_system(grading.dims, degree, entries, z_degree)
+            cells, rows = _commutator_system(dimension_vector(lam), degree, entries, z_degree)
             ref_cells, ref_rows = _commutator_rows(x, z_degree)
             assert cells == ref_cells
             assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows], lam

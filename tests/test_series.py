@@ -241,7 +241,7 @@ def test_gf_distinguished_ai_examples():
         (3, 2.0, "order must be an integer, got 2.0"),
         (3, 0, "order must be >= 1"),
         (2.0, 1, "modulus must be an integer, got 2.0"),
-        (0, 1, "modulus and order must be >= 1"),
+        (0, 1, "modulus must be >= 1, got 0"),
     ],
 )
 def test_gf_distinguished_ai_rejects_bad_modulus_and_order(m, a, message):
