@@ -19,6 +19,7 @@ from . import __version__
 from .diagrams import (
     MINUS,
     FilledDiagram,
+    check_modulus,
     count_by_size,
     diagram_to_json,
     iter_diagrams,
@@ -28,7 +29,6 @@ from .orbits import (
     GradingSpec,
     StratumAI,
     StratumII,
-    check_modulus,
     component_group_order,
     duality,
     is_distinguished_ai,

@@ -84,6 +84,18 @@ def check_box_counts(k: int, dims) -> DimensionVector:
     return dims
 
 
+def check_modulus(case: str, modulus: int) -> None:
+    """Reject an unknown case, or a modulus the case does not allow: every
+    case needs m >= 1, AII an odd m, and CII and DII an even m."""
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    check_positive("modulus", modulus)
+    if case == "AII" and modulus % 2 == 0:
+        raise ValueError("AII modulus must be odd")
+    if case in ("CII", "DII") and modulus % 2:
+        raise ValueError(f"{case} modulus must be even")
+
+
 # A type II form pairs V_i with V_{c - i}, c its shift.
 FORM_SHIFT = {"AII": 1, "CII": 0, "DII": 1}
 
@@ -259,10 +271,10 @@ class _Fills:
     """
 
     def __init__(self, k, sign, *, case="AI", distinguished=False, order=1):
-        check_positive("modulus", k)
+        check_modulus(case, k)
         check_positive("order", order)
-        if sign not in SIGNS or case not in CASES:
-            raise ValueError(f"unknown sign {sign!r} or case {case!r}")
+        if sign not in SIGNS:
+            raise ValueError(f"unknown sign {sign!r}")
         if order != 1 and case != "AI":
             raise ValueError("an order applies only to case AI")
         self.k, self.sign, self.case = k, sign, case

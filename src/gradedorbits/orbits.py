@@ -35,6 +35,7 @@ from .diagrams import (
     _row_key,
     canonicalize,
     check_box_counts,
+    check_modulus,
     check_positive,
     dimension_vector,
     reduce_label,
@@ -42,18 +43,6 @@ from .diagrams import (
 )
 
 TYPE_II_CASES = ("AII", "CII", "DII")
-
-
-def check_modulus(case: str, modulus: int) -> None:
-    """Reject an unknown case, or a modulus the case does not allow: every
-    case needs m >= 1, AII an odd m, and CII and DII an even m."""
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
-    check_positive("modulus", modulus)
-    if case == "AII" and modulus % 2 == 0:
-        raise ValueError("AII modulus must be odd")
-    if case in ("CII", "DII") and modulus % 2:
-        raise ValueError(f"{case} modulus must be even")
 
 
 @dataclass(frozen=True)

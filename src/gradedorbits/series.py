@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Sequence
 
-from .diagrams import check_positive
+from .diagrams import check_integer, check_positive
 
 ORBIT_FAMILIES = ("A", "C", "D")
 DIST_FAMILIES = ("dist-A", "dist-C", "dist-D")
@@ -47,8 +47,7 @@ def _family_factors(case: str, l: int) -> tuple[tuple[int, int], ...]:
     = (1 - x^k)^(-l)(1 - x^2k)^(-1) for D."""
     if case not in ORBIT_FAMILIES:
         raise ValueError(f"family must be one of {ORBIT_FAMILIES}, got {case!r}")
-    if l < 1:
-        raise ValueError("parameter l must be >= 1")
+    check_positive("l", l)
     if case == "A":
         return ((1, l + 1),)
     if case == "C":
@@ -61,6 +60,9 @@ def _product(factors, n_max: int) -> TruncSeries:
     (step, e) factors, truncated at degree n_max, by |e| in-place passes of
     stride step*k per factor: dividing by 1 - x^(step k) is a running sum,
     multiplying by it a running difference taken from the top down."""
+    check_integer("n_max", n_max)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     c = [1] + [0] * n_max
     for k in range(1, n_max + 1):
         for step, e in factors:
@@ -89,12 +91,18 @@ def gf_orbit_count(case: str, l: int, n_max: int) -> TruncSeries:
 def gf_distinguished_ai(m: int, a: int, n_max: int) -> TruncSeries:
     """Series whose j-th coefficient counts the AI diagrams of size a*j that
     are distinguished at order a (modulus m).  Undefined when gcd(a, m) = m."""
+    _check_ai_family(m, a)
+    d = gcd(a, m)
+    return _product(((1, m), (m // d, -d)), n_max)
+
+
+def _check_ai_family(m: int, a: int) -> None:
+    """Reject a modulus or an order below 1, or an (m, a) whose family of
+    distinguished AI diagrams is empty."""
     check_positive("modulus", m)
     check_positive("order", a)
-    d = gcd(a, m)
-    if d == m:
+    if gcd(a, m) == m:
         raise ValueError("family is empty when gcd(a, m) equals the modulus")
-    return _product(((1, m), (m // d, -d)), n_max)
 
 
 def gf_distinguished_ii(case: str, l: int, n_max: int) -> TruncSeries:
@@ -120,10 +128,11 @@ def _check_weight_family(family, l, m, a) -> None:
     if family == "dist-AI":
         if m is None or a is None:
             raise ValueError("family dist-AI needs the modulus m and order a")
-        if gcd(a, m) == m:
-            raise ValueError("family is empty when gcd(a, m) equals the modulus")
-    elif l is None or l < 1:
+        _check_ai_family(m, a)
+    elif l is None:
         raise ValueError(f"family {family} needs a parameter l >= 1")
+    else:
+        _family_factors(family.removeprefix("dist-"), l)  # checks l
 
 
 def weight_count(mu: Sequence[int], family: str, *, l=None, m=None, a=None) -> int:
@@ -148,6 +157,7 @@ def weight_sum(n: int, family: str, *, l=None, m=None, a=None) -> int:
     parts <= p it is, summed over the multiplicity k of p, the weight of
     (p, k) times the sum over parts < p at n - k p."""
     _check_weight_family(family, l, m, a)
+    check_integer("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     sums = [1] + [0] * n

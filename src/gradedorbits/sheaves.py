@@ -1,12 +1,12 @@
 """Sheaf-label catalogs, central-character bookkeeping and bijection checks.
 
-A label couples a stratum with a character of the attached cyclic group and a
-(multi)partition.  Catalogs are produced directly from the stratum
-enumeration; independently, every orbit-with-character pair is mapped through
-the peeling construction, and `verify_bijection` compares the two routes.
-
-Conjectural outputs (the nilpotent-support and cuspidal flags) are marked as
-such on the labels; only their combinatorics is verified here.
+A label's key couples a stratum with a character of the attached cyclic
+group and a (multi)partition.  The catalog keys come directly from the
+stratum enumeration; independently, every orbit-with-character pair is
+mapped through the peeling construction, and `verify_bijection` compares the
+two routes' keys.  The conjectural nilpotent-support, full-support and
+cuspidal flags depend on the stratum alone: the catalogs and label maps add
+them to the keys, and only their combinatorics is verified here.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from .diagrams import (
     FilledDiagram,
     MINUS,
     MultiPartition,
+    check_integer,
     check_positive,
     dimension_vector,
     empty_diagram,
     iter_diagrams,
     multipartitions,
-    partitions,
 )
 from .orbits import (
     GradingSpec,
@@ -44,6 +44,7 @@ from .orbits import (
 def divisors(n: int) -> tuple[int, ...]:
     """Positive divisors of n, ascending; for n = 0 only 1 is reported (the
     zero grading carries just the trivial character)."""
+    check_integer("n", n)
     if n < 0:
         raise ValueError("expected a nonnegative integer")
     if n == 0:
@@ -60,6 +61,8 @@ class CentralCharacter:
     index: int
 
     def __post_init__(self):
+        check_integer("modulus", self.modulus)
+        check_integer("index", self.index)
         if self.modulus < 0:
             raise ValueError("modulus must be nonnegative")
         if self.modulus == 0:
@@ -82,6 +85,7 @@ def exact_order_characters(modulus: int, order: int) -> list[CentralCharacter]:
     order.
     """
     check_positive("order", order)
+    check_integer("modulus", modulus)
     if modulus < 0:
         raise ValueError("modulus must be nonnegative")
     if modulus == 0:
@@ -145,56 +149,94 @@ def _flags_ai(grading: GradingSpec, a: int, stratum: StratumAI):
     return nilp, full, _is_cuspidal_ai(grading, a, stratum)
 
 
-def _labels_ai(grading: GradingSpec, a: int, stratum: StratumAI) -> list[SheafLabel]:
-    """The catalog's labels on one stratum at order a: every exact-order-a
+def _flags(grading: GradingSpec):
+    """The label family and the map from a stratum to its conjectural
+    nilpotent-support, full-support and cuspidal flags."""
+    if grading.case == "AI":
+        return "AI", lambda stratum: _flags_ai(grading, stratum.a, stratum)
+    full = full_support_stratum_ii(grading)
+    return "II", lambda stratum: (stratum.rank == 0, stratum == full, False)
+
+
+def _strata(grading: GradingSpec, a: int) -> list:
+    """The strata the labels at order a lie on.  The zero AI grading carries
+    just the trivial character, so it has none at a > 1."""
+    if grading.case != "AI":
+        return enumerate_strata_ii(grading)
+    strata = enumerate_strata_ai(grading, a)
+    return [] if grading.total == 0 and a > 1 else strata
+
+
+def _keys(grading: GradingSpec, stratum) -> list[tuple]:
+    """The (stratum, character, tau) keys of one stratum: every exact-order-a
     character of its cyclic group with every multipartition of its braid
-    rank into gcd(a, m) components."""
-    nilp, full, cusp = _flags_ai(grading, a, stratum)
-    return [
-        SheafLabel("AI", stratum, psi, tau, nilp, full, cusp)
-        for psi in exact_order_characters(stratum.d_check, a)
-        for tau in multipartitions(gcd(a, grading.modulus), stratum.rank)
-    ]
+    rank into gcd(a, m) components, a the stratum's order.  A type II
+    stratum is the one-class case: the trivial character with each
+    multipartition of its braid rank into one component."""
+    if grading.case == "AI":
+        chars = exact_order_characters(stratum.d_check, stratum.a)
+        classes = gcd(stratum.a, grading.modulus)
+    else:
+        chars, classes = [CentralCharacter(1, 0)], 1
+    return [(stratum, psi, tau) for psi in chars for tau in multipartitions(classes, stratum.rank)]
+
+
+def _labels(grading: GradingSpec, strata) -> list[SheafLabel]:
+    """The strata's keys, each with its stratum's flags, computed once."""
+    family, flags = _flags(grading)
+    labels = []
+    for stratum in strata:
+        flag = flags(stratum)
+        labels += [SheafLabel(family, *key, *flag) for key in _keys(grading, stratum)]
+    return labels
 
 
 def catalog_ai(grading: GradingSpec, a: int) -> list[SheafLabel]:
-    """The full AI label catalog at order a: the labels of every stratum.
-    The zero grading carries just the trivial character, so it has no label
-    at a > 1."""
+    """The full AI label catalog at order a: the labels of every stratum."""
     if grading.case != "AI":
         raise ValueError("catalog_ai requires case AI")
-    strata = enumerate_strata_ai(grading, a)
-    if grading.total == 0 and a > 1:
-        return []
-    return [lab for stratum in strata for lab in _labels_ai(grading, a, stratum)]
+    return _labels(grading, _strata(grading, a))
 
 
 def catalog_ii(grading: GradingSpec) -> list[SheafLabel]:
     """The type II label catalog: every stratum paired with every partition
     of its braid rank; characters are trivial."""
-    full_stratum = full_support_stratum_ii(grading)
-    trivial = CentralCharacter(1, 0)
-    labels = []
-    for stratum in enumerate_strata_ii(grading):
-        nilp = stratum.rank == 0
-        full = stratum == full_stratum
-        for rho in partitions(stratum.rank):
-            labels.append(SheafLabel("II", stratum, trivial, (rho,), nilp, full, False))
-    return labels
+    return _labels(grading, enumerate_strata_ii(grading))
+
+
+def _image(grading: GradingSpec, a: int, lam: FilledDiagram, psi: CentralCharacter) -> tuple:
+    """The (stratum, character, tau) key of the orbital complex (lam, psi) at
+    order a under the peeling bijection.  An AI character is transported to
+    the stratum's cyclic group by matching positions in the canonical
+    ascending enumerations of exact-order-a residues on both sides; a type
+    II key has the trivial character."""
+    if grading.case != "AI":
+        peel = peel_ii(lam)
+        return StratumII(peel.rank, peel.residue), CentralCharacter(1, 0), (peel.nu,)
+    n = lam.part_gcd
+    if psi.modulus != n or psi.order != a:
+        raise ValueError("character is not an exact-order-a character of this orbit")
+    peel = peel_ai(lam, a)
+    stratum = StratumAI(a, peel.rank, peel.residue, d_check_stratum(a, peel.residue))
+    # the exact-order-a residues of Z/n are (n/a)*u, u a unit mod a, ascending
+    unit = psi.index // (n // a) if n else 0
+    return stratum, CentralCharacter(stratum.d_check, stratum.d_check // a * unit), peel.tau
+
+
+def _label(grading: GradingSpec, key: tuple) -> SheafLabel:
+    """The label of one key: the key with its stratum's flags."""
+    family, flags = _flags(grading)
+    return SheafLabel(family, *key, *flags(key[0]))
 
 
 def map_sheaf_ai(lam: FilledDiagram, psi: CentralCharacter, a: int, grading: GradingSpec) -> SheafLabel:
-    """Image of an AI orbital complex under the peeling bijection.
-
-    The character is transported to the stratum's cyclic group by matching
-    positions in the canonical ascending enumerations of exact-order-a
-    residues on both sides.  The grading must be case AI, and the diagram a
-    '-' diagram with its box counts.
-    """
+    """Image of an AI orbital complex under the peeling bijection: its key
+    with its stratum's flags.  The grading must be case AI, and the diagram
+    a '-' diagram with its box counts."""
     if grading.case != "AI":
         raise ValueError(f"map_sheaf_ai maps case AI only, got case {grading.case}")
     _check_orbit(lam, grading)
-    return _map_sheaf_ai(lam, psi, a, grading, {})
+    return _label(grading, _image(grading, a, lam, psi))
 
 
 def _check_orbit(lam: FilledDiagram, grading: GradingSpec) -> None:
@@ -206,37 +248,15 @@ def _check_orbit(lam: FilledDiagram, grading: GradingSpec) -> None:
         raise ValueError("diagram box counts do not match the grading")
 
 
-def _map_sheaf_ai(lam, psi, a, grading, flags: dict) -> SheafLabel:
-    """`map_sheaf_ai`, computing a stratum's flags only if `flags` lacks it."""
-    n = lam.part_gcd
-    if psi.modulus != n or psi.order != a:
-        raise ValueError("character is not an exact-order-a character of this orbit")
-    peel = peel_ai(lam, a)
-    stratum = StratumAI(a, peel.rank, peel.residue, d_check_stratum(a, peel.residue))
-    # the exact-order-a residues of Z/n are (n/a)*u, u a unit mod a, ascending
-    unit = psi.index // (n // a) if n else 0
-    moved = CentralCharacter(stratum.d_check, stratum.d_check // a * unit)
-    if stratum not in flags:
-        flags[stratum] = _flags_ai(grading, a, stratum)
-    return SheafLabel("AI", stratum, moved, peel.tau, *flags[stratum])
-
-
 def map_sheaf_ii(lam: FilledDiagram, grading: GradingSpec) -> SheafLabel:
-    """Image of a type II orbit under the peeling bijection."""
+    """Image of a type II orbit under the peeling bijection: its key with
+    its stratum's flags."""
     if grading.case == "AI":
         raise ValueError("map_sheaf_ii maps the type II cases only, got case AI")
     if not admissible_for_case(lam, grading.case):
         raise ValueError("diagram is not admissible for this grading")
     _check_orbit(lam, grading)
-    return _map_sheaf_ii(lam, full_support_stratum_ii(grading))
-
-
-def _map_sheaf_ii(lam, full: StratumII) -> SheafLabel:
-    """`map_sheaf_ii`, unchecked, given the grading's full-support stratum."""
-    peel = peel_ii(lam)
-    stratum = StratumII(peel.rank, peel.residue)
-    trivial = CentralCharacter(1, 0)
-    return SheafLabel("II", stratum, trivial, (peel.nu,), stratum.rank == 0, stratum == full, False)
+    return _label(grading, _image(grading, 1, lam, None))
 
 
 @dataclass(frozen=True)
@@ -255,35 +275,19 @@ class BijectionReport:
 
 
 def verify_bijection(grading: GradingSpec, a: int = 1) -> BijectionReport:
-    """Compare the two label routes: orbital complexes mapped through the
-    peeling construction against the directly enumerated catalog, whose AI
-    flags the image labels reuse, so each stratum's flags are computed once.
-    A type II grading ignores the order, but it must still be valid."""
+    """Compare the two label routes on (stratum, character, tau) keys: the
+    orbital complexes mapped through the peeling construction against the
+    keys of the enumerated strata.  The flags depend on the stratum alone,
+    so no flag is computed.  A type II grading ignores the order, but it
+    must still be valid."""
     check_positive("order", a)
-    if grading.case == "AI":
-        catalog = catalog_ai(grading, a)
-        flags = {
-            lab.stratum: (lab.nilpotent_support, lab.full_support, lab.cuspidal_conjectural)
-            for lab in catalog
-        }
-        pairs = orbital_complexes(grading, a)
-        image = [_map_sheaf_ai(lam, psi, a, grading, flags) for lam, psi in pairs]
-    else:
-        pairs = orbital_complexes(grading)
-        # the stream's orbits are admissible '-' diagrams of the grading
-        full = full_support_stratum_ii(grading)
-        image = [_map_sheaf_ii(lam, full) for lam, _ in pairs]
-        catalog = catalog_ii(grading)
+    a = a if grading.case == "AI" else 1
+    pairs = orbital_complexes(grading, a)
+    image = [_image(grading, a, lam, psi) for lam, psi in pairs]
+    keys = [key for stratum in _strata(grading, a) for key in _keys(grading, stratum)]
     distinct = set(image)
-    return BijectionReport(
-        grading.case,
-        a if grading.case == "AI" else 1,
-        len(pairs),
-        len(catalog),
-        len(pairs) == len(catalog),
-        len(distinct) == len(image),
-        distinct == set(catalog),
-    )
+    return BijectionReport(grading.case, a, len(pairs), len(keys), len(pairs) == len(keys),
+                           len(distinct) == len(image), distinct == set(keys))
 
 
 def cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
@@ -304,9 +308,4 @@ def cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
     else:
         candidates = [(d * total // m, 1, empty_diagram(m, MINUS)) for d in divisors(m)]
     strata = [StratumAI(a, rank, mu, d_check_stratum(a, mu)) for a, rank, mu in candidates]
-    return [
-        lab
-        for stratum in strata
-        if _is_cuspidal_ai(grading, stratum.a, stratum)
-        for lab in _labels_ai(grading, stratum.a, stratum)
-    ]
+    return _labels(grading, [s for s in strata if _is_cuspidal_ai(grading, s.a, s)])

@@ -15,6 +15,7 @@ from gradedorbits.orbits import GradingSpec, enumerate_strata_ai, enumerate_stra
 from gradedorbits.sheaves import catalog_ai, catalog_ii
 
 from conftest import PKG_ROOT
+from test_readme import README_EXAMPLES
 
 
 def test_orbits_ai_text(run_cli):
@@ -379,18 +380,6 @@ def test_repeated_runs_are_byte_identical(run_cli, argv):
     assert first.stdout == second.stdout
 
 
-README_EXAMPLES = [
-    ("orbits", "--case", "AI", "--m", "2", "--dims", "1,1"),
-    ("orbits", "--case", "AII", "--m0", "3", "--dims", "1,0,1"),
-    ("count", "--family", "A", "--l", "1", "--n", "6", "--format", "csv"),
-    ("count", "--family", "dist-AI", "--m", "2", "--a", "1", "--n", "6"),
-    ("sheaves", "--case", "AI", "--m", "2", "--dims", "1,1", "--a", "1", "--format", "json"),
-    ("sheaves", "--case", "CII", "--m", "2", "--dims", "2,2"),
-    ("verify", "--case", "AI", "--m", "2", "--dims", "1,1", "--a", "1"),
-    ("cuspidal", "--case", "AI", "--m", "2", "--dims", "2,1"),
-    ("distinguished", "--case", "AI", "--m", "2", "--N", "4", "--oracle", "--seed", "0",
-     "--trials", "20"),
-]
 # The README examples, the other formats of the count and oracle examples, a
 # failure inside a subcommand and an argparse usage error.
 ONE_PROCESS_RUNS = README_EXAMPLES + [

@@ -22,6 +22,8 @@ import pytest
 
 from gradedorbits import cli
 
+from test_readme import README_EXAMPLES
+
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 FORMATS = ("text", "csv", "json")
 
@@ -90,18 +92,6 @@ _DISTINGUISHED = _in_formats(
      "--seed", "4"),
     ("distinguished", "--case", "AI", "--m", "2", "--N", "4", "--oracle", "--trials", "1",
      "--seed", "4", "--format", "json"),
-]
-README_EXAMPLES = [
-    ("orbits", "--case", "AI", "--m", "2", "--dims", "1,1"),
-    ("orbits", "--case", "AII", "--m0", "3", "--dims", "1,0,1"),
-    ("count", "--family", "A", "--l", "1", "--n", "6", "--format", "csv"),
-    ("count", "--family", "dist-AI", "--m", "2", "--a", "1", "--n", "6"),
-    ("sheaves", "--case", "AI", "--m", "2", "--dims", "1,1", "--a", "1", "--format", "json"),
-    ("sheaves", "--case", "CII", "--m", "2", "--dims", "2,2"),
-    ("verify", "--case", "AI", "--m", "2", "--dims", "1,1", "--a", "1"),
-    ("cuspidal", "--case", "AI", "--m", "2", "--dims", "2,1"),
-    ("distinguished", "--case", "AI", "--m", "2", "--N", "4", "--oracle", "--seed", "0",
-     "--trials", "20"),
 ]
 USAGE_ERRORS = [
     ("orbits", "--case", "AI", "--dims", "1,1"),

@@ -6,6 +6,7 @@ import pytest
 from gradedorbits.diagrams import (
     FilledDiagram,
     canonicalize,
+    count_by_size,
     count_diagrams,
     dimension_vector,
     empty_diagram,
@@ -123,6 +124,25 @@ def test_gradings_and_enumeration_check_box_counts_alike(dims, message):
         lambda: GradingSpec("AI", 2, dims),
         lambda: iter_diagrams(2, "-", dims),
         lambda: count_diagrams(2, "-", dims),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "case, modulus, message",
+    [
+        ("AII", 4, "AII modulus must be odd"),
+        ("CII", 3, "CII modulus must be even"),
+        ("DII", 5, "DII modulus must be even"),
+    ],
+)
+def test_gradings_and_enumeration_check_the_modulus_alike(case, modulus, message):
+    for call in (
+        lambda: GradingSpec(case, modulus, (2,) * modulus),
+        lambda: iter_diagrams(modulus, "-", size=4, case=case),
+        lambda: count_diagrams(modulus, "-", size=4, case=case),
+        lambda: count_by_size(modulus, "+", [0, 4], case=case),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()

@@ -1,4 +1,5 @@
 import json
+import re
 from math import gcd
 
 import pytest
@@ -247,6 +248,31 @@ def test_gf_distinguished_ai_examples():
 def test_gf_distinguished_ai_rejects_bad_modulus_and_order(m, a, message):
     with pytest.raises(ValueError, match=message):
         gf_distinguished_ai(m, a, 4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # the truncation degree, checked by every generating function
+        (lambda: gf_orbit_count("A", 1, -1), "n_max must be >= 0, got -1"),
+        (lambda: gf_distinguished_ai(2, 1, -1), "n_max must be >= 0, got -1"),
+        (lambda: gf_distinguished_ii("D", 1, -2), "n_max must be >= 0, got -2"),
+        (lambda: gf_orbit_count("C", 1, 2.0), "n_max must be an integer, got 2.0"),
+        # l, by the series and the weights alike
+        (lambda: gf_orbit_count("A", 1.5, 3), "l must be an integer, got 1.5"),
+        (lambda: gf_orbit_count("A", 0, 3), "l must be >= 1, got 0"),
+        (lambda: weight_sum(3, "A", l=1.5), "l must be an integer, got 1.5"),
+        (lambda: weight_count((2, 1), "dist-C", l=0), "l must be >= 1, got 0"),
+        # the dist-AI modulus and order, by the series and the weights alike
+        (lambda: weight_sum(3, "dist-AI", m=0, a=1), "modulus must be >= 1, got 0"),
+        (lambda: weight_sum(3, "dist-AI", m=3, a=0), "order must be >= 1, got 0"),
+        (lambda: weight_count((1,), "dist-AI", m=3, a=1.5), "order must be an integer, got 1.5"),
+        (lambda: weight_sum(2.5, "A", l=1), "n must be an integer, got 2.5"),
+    ],
+)
+def test_series_inputs_are_checked_up_front(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def expanded_product(factors, n_max):

@@ -81,6 +81,20 @@ def test_central_character_validation():
         CentralCharacter(0, 1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CentralCharacter(2.0, 1), "modulus must be an integer, got 2.0"),
+        (lambda: CentralCharacter(4, 1.0), "index must be an integer, got 1.0"),
+        (lambda: exact_order_characters(2.5, 1), "modulus must be an integer, got 2.5"),
+        (lambda: divisors(2.5), "n must be an integer, got 2.5"),
+    ],
+)
+def test_character_inputs_must_be_integers(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_orbital_complexes_examples():
     g = GradingSpec("AI", 2, (1, 1))
     assert len(orbital_complexes(g, 1)) == 3
@@ -541,31 +555,38 @@ def test_bijection_counts_match_verify(case, dims):
         assert counted_bijection(grading, a) == (report.complexes, report.labels), a
 
 
-@pytest.mark.parametrize("dims", [dims for case, dims in BIJECTION_GRADINGS if case == "AI"])
-def test_verify_bijection_computes_flags_once_per_stratum(monkeypatch, dims):
-    # The image labels take their flags from the catalog: no stratum's
-    # flags (a stratum dimension) are computed twice, and every image label
-    # is still the label map_sheaf_ai gives.
-    grading = GradingSpec("AI", len(dims), dims)
-    real_flags, real_map = sheaves._flags_ai, sheaves._map_sheaf_ai
-    for a in divisors(grading.total):
-        flagged, image = [], []
+@pytest.mark.parametrize("case, dims", BIJECTION_GRADINGS)
+def test_verify_bijection_computes_no_flag(monkeypatch, case, dims):
+    # The two routes are compared on (stratum, character, tau) keys: no
+    # flag, stratum dimension or catalog is computed; every AI image key
+    # with its stratum's flags is the label map_sheaf_ai gives, and every
+    # type II image key is the key of map_sheaf_ii's label.
+    grading = GradingSpec(case, len(dims), dims)
+    real_image = sheaves._image
+    for a in divisors(grading.total) if case == "AI" else (1,):
+        image = []
 
-        def counting(g, order, stratum):
-            flagged.append(stratum)
-            return real_flags(g, order, stratum)
-
-        def recording(lam, psi, order, g, flags):
-            image.append((lam, psi, real_map(lam, psi, order, g, flags)))
+        def recording(g, order, lam, psi):
+            image.append((lam, psi, real_image(g, order, lam, psi)))
             return image[-1][2]
 
-        monkeypatch.setattr(sheaves, "_flags_ai", counting)
-        monkeypatch.setattr(sheaves, "_map_sheaf_ai", recording)
+        def forbidden(*args):
+            raise AssertionError("verify_bijection computed a flag or a catalog")
+
+        for name in ("_flags_ai", "stratum_dim_ai", "full_support_stratum_ii",
+                     "catalog_ai", "catalog_ii"):
+            monkeypatch.setattr(sheaves, name, forbidden)
+        monkeypatch.setattr(sheaves, "_image", recording)
         report = verify_bijection(grading, a)
         monkeypatch.undo()
         assert report.ok and len(image) == report.complexes, a
-        assert len(flagged) == len(set(flagged)) == len(enumerate_strata_ai(grading, a)), a
-        assert all(label == map_sheaf_ai(lam, psi, a, grading) for lam, psi, label in image), a
+        for lam, psi, key in image:
+            if case == "AI":
+                label = SheafLabel("AI", *key, *_flags_ai(grading, a, key[0]))
+                assert label == map_sheaf_ai(lam, psi, a, grading), (lam, psi, a)
+            else:
+                label = map_sheaf_ii(lam, grading)
+                assert (label.stratum, label.psi, label.tau) == key, lam
 
 
 def reference_map_sheaf_ai(lam, psi, a, grading):
