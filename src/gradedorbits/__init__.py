@@ -25,8 +25,7 @@ from .diagrams import (
 )
 from .orbits import (
     GradingSpec,
-    StratumAI,
-    StratumII,
+    Stratum,
     admissible_for_case,
     centralizer_dim,
     component_group_order,

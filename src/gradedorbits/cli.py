@@ -27,8 +27,6 @@ from .diagrams import (
 from .orbits import (
     CASES,
     GradingSpec,
-    StratumAI,
-    StratumII,
     component_group_order,
     duality,
     is_distinguished_ai,
@@ -182,9 +180,16 @@ def _json_form(obj):
     if isinstance(obj, FilledDiagram):
         return diagram_to_json(obj)
     if isinstance(obj, SheafLabel):
+        # the label's family picks its stratum's form
+        s = obj.stratum
+        if obj.case == "AI":
+            stratum = {"a": s.a, "l": s.rank, "mu": s.mu, "d_check": s.d_check,
+                       "braid_rank": s.rank}
+        else:
+            stratum = {"k": s.rank, "mu": s.mu}
         return {
             "type": obj.case,
-            "stratum": obj.stratum,
+            "stratum": stratum,
             "psi": {"mod": obj.psi.modulus, "idx": obj.psi.index, "order": obj.psi.order},
             "tau": obj.tau,
             "flags": {
@@ -193,16 +198,6 @@ def _json_form(obj):
                 "cuspidal_conj": obj.cuspidal_conjectural,
             },
         }
-    if isinstance(obj, StratumAI):
-        return {
-            "a": obj.a,
-            "l": obj.rank,
-            "mu": obj.mu,
-            "d_check": obj.d_check,
-            "braid_rank": obj.rank,
-        }
-    if isinstance(obj, StratumII):
-        return {"k": obj.rank, "mu": obj.mu}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

@@ -481,6 +481,7 @@ def enumerate_by_size(k: int, sign: str, n: int) -> list[FilledDiagram]:
 @cache
 def partitions(n: int) -> tuple[Partition, ...]:
     """Partitions of n in decreasing lexicographic order."""
+    check_integer("partition size", n)
     if n < 0:
         raise ValueError("partition size must be nonnegative")
     if n == 0:
@@ -499,6 +500,8 @@ def multipartitions(iota: int, n: int) -> tuple[MultiPartition, ...]:
     Ordered by the size composition (first slot largest first), then slotwise
     with the leftmost slot varying slowest.
     """
+    check_integer("number of components", iota)
+    check_integer("total size", n)
     if iota < 1:
         raise ValueError("number of components must be >= 1")
     if n < 0:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .diagrams import FilledDiagram, PLUS, dimension_vector
+from .diagrams import FilledDiagram, PLUS, check_integer, check_positive, dimension_vector
 from .orbits import GradingSpec, duality
 
 Matrix = tuple[tuple[int | Fraction, ...], ...]
@@ -337,10 +337,14 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     a trial misses with probability <= N/(2R + 1) < 1/2, and `trials`
     trials err with probability < 2^-trials.  The certificate's True is
     the one the trials would give, so the verdict never depends on it.
-    `trials` must be at least 1: no trial bounds no error.
+    `trials` must be at least 1: no trial bounds no error.  `seed` must be
+    at least 0, since `random.Random` draws a negative seed as its absolute
+    value.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_positive("trials", trials)
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     plus = diagram if diagram.sign == PLUS else duality(diagram)
     dims = dimension_vector(plus)
     d = min(dims)

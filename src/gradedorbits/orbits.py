@@ -9,7 +9,9 @@ centralizer, orbit and stratum dimensions of case AI.
 Both families peel, per part length and label class, as many uniform rounds
 of rows as every label of the class can give: case AI at order a takes one
 row per label and has the residues mod gcd(a, m) as classes, and type II is
-the round-of-two, single-class case.  One `_peel` and one `_strata` serve both.
+the round-of-two, single-class case, at order 1 with the trivial component
+group Z/1.  One `_peel`, one `_strata`, one `Peel` and one `Stratum` record
+serve both.
 
 Diagrams labelling orbits on the negative side of the grading use the '-'
 fill convention; all stratum residuals are stored on that side as well.
@@ -28,7 +30,6 @@ from .diagrams import (
     MINUS,
     MultiPartition,
     PLUS,
-    Partition,
     Row,
     _Fills,
     _built_diagram,
@@ -110,10 +111,11 @@ def admissible_for_case(diagram: FilledDiagram, case: str) -> bool:
 
 
 def component_group_order(diagram: FilledDiagram, grading: GradingSpec) -> int:
-    """Order of the stabilizer component group: gcd of the parts for AI
-    (0 for the empty diagram), 1 for the type II cases."""
+    """Order of the cyclic stabilizer component group: the gcd of the parts
+    for AI, and 1 (the trivial group Z/1) for the empty AI diagram and the
+    type II cases."""
     if grading.case == "AI":
-        return diagram.part_gcd
+        return diagram.part_gcd or 1
     return 1
 
 
@@ -163,9 +165,10 @@ def duality(diagram: FilledDiagram) -> FilledDiagram:
 
 
 @dataclass(frozen=True)
-class PeelAI:
-    """Result of the order-a peeling: a multipartition with gcd(a, m)
-    components and the distinguished residual diagram."""
+class Peel:
+    """Result of a peeling: the multipartition of the uniform rounds, with
+    gcd(a, m) components at order a (one for type II), and the
+    distinguished residual diagram."""
 
     tau: MultiPartition
     residue: FilledDiagram
@@ -175,17 +178,7 @@ class PeelAI:
         return sum(sum(component) for component in self.tau)
 
 
-@dataclass(frozen=True)
-class PeelII:
-    nu: Partition
-    residue: FilledDiagram
-
-    @property
-    def rank(self) -> int:
-        return sum(self.nu)
-
-
-def _peel(diagram: FilledDiagram, a: int, per: int) -> tuple[MultiPartition, FilledDiagram]:
+def _peel(diagram: FilledDiagram, a: int, per: int) -> Peel:
     """Split off, per part length and per label class mod d = gcd(a, m), the
     largest number of uniform rounds of `per` rows at every label of the
     class.  Component i of the multipartition gets each round's length
@@ -207,10 +200,10 @@ def _peel(diagram: FilledDiagram, a: int, per: int) -> tuple[MultiPartition, Fil
             if left:
                 residue_rows.extend([(length, lab + 1)] * left)
     tau = tuple(tuple(comp) for comp in components)
-    return tau, _built_diagram(m, diagram.sign, tuple(residue_rows))
+    return Peel(tau, _built_diagram(m, diagram.sign, tuple(residue_rows)))
 
 
-def peel_ai(diagram: FilledDiagram, a: int) -> PeelAI:
+def peel_ai(diagram: FilledDiagram, a: int) -> Peel:
     """Split off, per part length and per label class mod d = gcd(a, m), the
     largest uniform family of rows present at every label of the class.
 
@@ -220,14 +213,14 @@ def peel_ai(diagram: FilledDiagram, a: int) -> PeelAI:
     check_positive("order", a)
     if diagram.part_gcd % a:
         raise ValueError(f"every part must be divisible by {a}")
-    return PeelAI(*_peel(diagram, a, 1))
+    return _peel(diagram, a, 1)
 
 
-def peel_ii(diagram: FilledDiagram) -> PeelII:
+def peel_ii(diagram: FilledDiagram) -> Peel:
     """Split off, per part length, the largest number of full label rounds of
-    row pairs; the leftover multiplicities form a distinguished residual."""
-    (nu,), residue = _peel(diagram, 1, 2)
-    return PeelII(nu, residue)
+    row pairs: tau is the one partition nu of their lengths, and the leftover
+    multiplicities form a distinguished residual."""
+    return _peel(diagram, 1, 2)
 
 
 def d_check_stratum(a: int, mu: FilledDiagram) -> int:
@@ -259,9 +252,10 @@ def d_check_dual(diagram: FilledDiagram) -> int:
 
 
 @dataclass(frozen=True)
-class StratumAI:
-    """AI stratum label: order a, braid rank, residual diagram and the
-    attached cyclic group order."""
+class Stratum:
+    """Stratum label: order a, braid rank, residual diagram and the order of
+    the attached cyclic group.  A type II stratum is Stratum(1, rank, mu, 1):
+    order 1 and the trivial group Z/1."""
 
     a: int
     rank: int
@@ -269,13 +263,7 @@ class StratumAI:
     d_check: int
 
 
-@dataclass(frozen=True)
-class StratumII:
-    rank: int
-    mu: FilledDiagram
-
-
-def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[StratumAI]:
+def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[Stratum]:
     """All AI stratum labels at order a for the given grading.
 
     Empty unless a divides the total box count, since every part of a
@@ -287,7 +275,7 @@ def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[StratumAI]:
         raise ValueError("strata at an order are defined for case AI")
     check_positive("order", a)
     return [
-        StratumAI(a, rank, mu, d_check_stratum(a, mu))
+        Stratum(a, rank, mu, d_check_stratum(a, mu))
         for rank, mu in _strata(grading, a // gcd(a, grading.modulus), order=a)
     ]
 
@@ -340,7 +328,7 @@ def orbit_dim(diagram: FilledDiagram) -> int:
     return sum(v * v for v in dimension_vector(diagram)) - centralizer_dim(diagram)
 
 
-def stratum_dim_ai(stratum: StratumAI, grading: GradingSpec) -> int:
+def stratum_dim_ai(stratum: Stratum, grading: GradingSpec) -> int:
     """Dimension of the dual stratum: sum d_i^2 - c_mu - l*k + l, where c_mu
     is the residual's centralizer dimension without the trace condition and
     k = a / gcd(a, m) is the padding per label."""
@@ -357,15 +345,15 @@ def stratum_dim_ai(stratum: StratumAI, grading: GradingSpec) -> int:
     return sum(v * v for v in grading.dims) - c_mu - padding + stratum.rank
 
 
-def enumerate_strata_ii(grading: GradingSpec) -> list[StratumII]:
+def enumerate_strata_ii(grading: GradingSpec) -> list[Stratum]:
     """All type II stratum labels: padding depth k plus an admissible
     distinguished residual accounting for the remaining boxes."""
     if grading.case not in TYPE_II_CASES:
         raise ValueError("type II strata require case AII, CII or DII")
-    return [StratumII(rank, mu) for rank, mu in _strata(grading, 2, case=grading.case)]
+    return [Stratum(1, rank, mu, 1) for rank, mu in _strata(grading, 2, case=grading.case)]
 
 
-def full_support_stratum_ii(grading: GradingSpec) -> StratumII:
+def full_support_stratum_ii(grading: GradingSpec) -> Stratum:
     """The unique dense stratum: maximal padding depth, residual made of
     single-box rows soaking up the leftover box counts."""
     if grading.case not in TYPE_II_CASES:
@@ -374,4 +362,4 @@ def full_support_stratum_ii(grading: GradingSpec) -> StratumII:
     rows = []
     for start, v in enumerate(grading.dims, start=1):
         rows.extend([(1, start)] * (v - 2 * r))
-    return StratumII(r, canonicalize(rows, grading.modulus, MINUS))
+    return Stratum(1, r, canonicalize(rows, grading.modulus, MINUS), 1)

@@ -26,9 +26,12 @@ class TruncSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.coeffs:
+        coeffs = tuple(self.coeffs)
+        if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        for c in coeffs:
+            check_integer("coefficient", c)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def truncation(self) -> int:
@@ -144,8 +147,10 @@ def weight_count(mu: Sequence[int], family: str, *, l=None, m=None, a=None) -> i
     """
     _check_weight_family(family, l, m, a)
     parts = tuple(mu)
-    if any(p < 1 for p in parts):
-        raise ValueError("partition parts must be positive")
+    for p in parts:
+        check_integer("partition part", p)
+        if p < 1:
+            raise ValueError("partition parts must be positive")
     total = 1
     for part, mult in sorted(Counter(parts).items()):
         total *= _part_weight(family, part, mult, l, m, a)

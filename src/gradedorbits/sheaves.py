@@ -1,12 +1,15 @@
 """Sheaf-label catalogs, central-character bookkeeping and bijection checks.
 
-A label's key couples a stratum with a character of the attached cyclic
-group and a (multi)partition.  The catalog keys come directly from the
-stratum enumeration; independently, every orbit-with-character pair is
-mapped through the peeling construction, and `verify_bijection` compares the
-two routes' keys.  The conjectural nilpotent-support, full-support and
-cuspidal flags depend on the stratum alone: the catalogs and label maps add
-them to the keys, and only their combinatorics is verified here.
+A label's key couples a `Stratum` with a character of the attached cyclic
+group and a (multi)partition.  Both families share the one record and the
+one key rule: a type II stratum sits at order 1 with the trivial group Z/1,
+so its one character is trivial and its multipartitions have one
+component.  The catalog keys come directly from the stratum enumeration;
+independently, every orbit-with-character pair is mapped through the
+peeling construction, and `verify_bijection` compares the two routes' keys.
+The conjectural nilpotent-support, full-support and cuspidal flags depend
+on the stratum alone: the catalogs and label maps add them to the keys, and
+only their combinatorics is verified here.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from .diagrams import (
 )
 from .orbits import (
     GradingSpec,
-    StratumAI,
-    StratumII,
+    Stratum,
     admissible_for_case,
     component_group_order,
     d_check_stratum,
@@ -55,26 +57,19 @@ def divisors(n: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class CentralCharacter:
     """Residue `index` in Z/modulus, standing for a character of that exact
-    additive order.  Modulus 0 encodes the trivial group."""
+    additive order.  The trivial group is Z/1, with the one character 0."""
 
     modulus: int
     index: int
 
     def __post_init__(self):
-        check_integer("modulus", self.modulus)
+        check_positive("modulus", self.modulus)
         check_integer("index", self.index)
-        if self.modulus < 0:
-            raise ValueError("modulus must be nonnegative")
-        if self.modulus == 0:
-            if self.index != 0:
-                raise ValueError("the trivial group has index 0 only")
-        elif not 0 <= self.index < self.modulus:
+        if not 0 <= self.index < self.modulus:
             raise ValueError(f"index {self.index} out of range [0, {self.modulus})")
 
     @property
     def order(self) -> int:
-        if self.modulus == 0:
-            return 1
         return self.modulus // gcd(self.index, self.modulus)
 
 
@@ -82,14 +77,10 @@ def exact_order_characters(modulus: int, order: int) -> list[CentralCharacter]:
     """All residues of exact additive order `order` in Z/modulus, ascending.
 
     Empty unless the order divides the modulus; the count is Euler phi of the
-    order.
+    order.  The trivial group Z/1 has the one character 0, of order 1.
     """
     check_positive("order", order)
-    check_integer("modulus", modulus)
-    if modulus < 0:
-        raise ValueError("modulus must be nonnegative")
-    if modulus == 0:
-        return [CentralCharacter(0, 0)] if order == 1 else []
+    check_positive("modulus", modulus)
     if modulus % order:
         return []
     step = modulus // order
@@ -103,7 +94,7 @@ def exact_order_characters(modulus: int, order: int) -> list[CentralCharacter]:
 @dataclass(frozen=True)
 class SheafLabel:
     case: str  # "AI" or "II"
-    stratum: StratumAI | StratumII
+    stratum: Stratum
     psi: CentralCharacter
     tau: MultiPartition
     nilpotent_support: bool
@@ -116,7 +107,8 @@ def orbital_complexes(grading: GradingSpec, a: int = 1):
 
     For AI at order a the core generates the diagrams of parts divisible by
     a, each with every exact-order-a character of its component group.  For
-    the type II cases the component groups are trivial and a is taken to be 1.
+    the type II cases the component groups are trivial and a is taken to be 1,
+    so each diagram comes with the one character of Z/1.
     """
     a = a if grading.case == "AI" else 1
     return [
@@ -126,7 +118,7 @@ def orbital_complexes(grading: GradingSpec, a: int = 1):
     ]
 
 
-def _is_cuspidal_ai(grading: GradingSpec, a: int, stratum: StratumAI) -> bool:
+def _is_cuspidal_ai(grading: GradingSpec, a: int, stratum: Stratum) -> bool:
     m = grading.modulus
     total = grading.total
     if total == 0:
@@ -143,7 +135,7 @@ def _is_cuspidal_ai(grading: GradingSpec, a: int, stratum: StratumAI) -> bool:
     )
 
 
-def _flags_ai(grading: GradingSpec, a: int, stratum: StratumAI):
+def _flags_ai(grading: GradingSpec, a: int, stratum: Stratum):
     nilp = stratum.rank == 0
     full = stratum_dim_ai(stratum, grading) == grading.dim_g1
     return nilp, full, _is_cuspidal_ai(grading, a, stratum)
@@ -167,17 +159,14 @@ def _strata(grading: GradingSpec, a: int) -> list:
     return [] if grading.total == 0 and a > 1 else strata
 
 
-def _keys(grading: GradingSpec, stratum) -> list[tuple]:
+def _keys(grading: GradingSpec, stratum: Stratum) -> list[tuple]:
     """The (stratum, character, tau) keys of one stratum: every exact-order-a
     character of its cyclic group with every multipartition of its braid
     rank into gcd(a, m) components, a the stratum's order.  A type II
-    stratum is the one-class case: the trivial character with each
-    multipartition of its braid rank into one component."""
-    if grading.case == "AI":
-        chars = exact_order_characters(stratum.d_check, stratum.a)
-        classes = gcd(stratum.a, grading.modulus)
-    else:
-        chars, classes = [CentralCharacter(1, 0)], 1
+    stratum is the one-class case: at order 1 on Z/1 that is the trivial
+    character with each partition of its braid rank."""
+    chars = exact_order_characters(stratum.d_check, stratum.a)
+    classes = gcd(stratum.a, grading.modulus)
     return [(stratum, psi, tau) for psi in chars for tau in multipartitions(classes, stratum.rank)]
 
 
@@ -206,21 +195,22 @@ def catalog_ii(grading: GradingSpec) -> list[SheafLabel]:
 
 def _image(grading: GradingSpec, a: int, lam: FilledDiagram, psi: CentralCharacter) -> tuple:
     """The (stratum, character, tau) key of the orbital complex (lam, psi) at
-    order a under the peeling bijection.  An AI character is transported to
-    the stratum's cyclic group by matching positions in the canonical
-    ascending enumerations of exact-order-a residues on both sides; a type
-    II key has the trivial character."""
-    if grading.case != "AI":
-        peel = peel_ii(lam)
-        return StratumII(peel.rank, peel.residue), CentralCharacter(1, 0), (peel.nu,)
-    n = lam.part_gcd
+    order a under the peeling bijection.  The character is transported from
+    the orbit's cyclic group to the stratum's by matching positions in the
+    canonical ascending enumerations of exact-order-a residues on both
+    sides; a type II orbit, at order 1 on Z/1, keeps the trivial one."""
+    n = component_group_order(lam, grading)
     if psi.modulus != n or psi.order != a:
         raise ValueError("character is not an exact-order-a character of this orbit")
-    peel = peel_ai(lam, a)
-    stratum = StratumAI(a, peel.rank, peel.residue, d_check_stratum(a, peel.residue))
+    if grading.case == "AI":
+        peel = peel_ai(lam, a)
+        d_check = d_check_stratum(a, peel.residue)
+    else:
+        peel, d_check = peel_ii(lam), 1
     # the exact-order-a residues of Z/n are (n/a)*u, u a unit mod a, ascending
-    unit = psi.index // (n // a) if n else 0
-    return stratum, CentralCharacter(stratum.d_check, stratum.d_check // a * unit), peel.tau
+    unit = psi.index // (n // a)
+    stratum = Stratum(a, peel.rank, peel.residue, d_check)
+    return stratum, CentralCharacter(d_check, d_check // a * unit), peel.tau
 
 
 def _label(grading: GradingSpec, key: tuple) -> SheafLabel:
@@ -256,7 +246,7 @@ def map_sheaf_ii(lam: FilledDiagram, grading: GradingSpec) -> SheafLabel:
     if not admissible_for_case(lam, grading.case):
         raise ValueError("diagram is not admissible for this grading")
     _check_orbit(lam, grading)
-    return _label(grading, _image(grading, 1, lam, None))
+    return _label(grading, _image(grading, 1, lam, CentralCharacter(1, 0)))
 
 
 @dataclass(frozen=True)
@@ -307,5 +297,5 @@ def cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
         candidates = [(total, 0, next(iter_diagrams(m, MINUS, grading.dims)))]
     else:
         candidates = [(d * total // m, 1, empty_diagram(m, MINUS)) for d in divisors(m)]
-    strata = [StratumAI(a, rank, mu, d_check_stratum(a, mu)) for a, rank, mu in candidates]
+    strata = [Stratum(a, rank, mu, d_check_stratum(a, mu)) for a, rank, mu in candidates]
     return _labels(grading, [s for s in strata if _is_cuspidal_ai(grading, s.a, s)])

@@ -455,13 +455,16 @@ def dumped_json(payload) -> str:
     return json.dumps(payload, indent=2, default=cli._json_form)
 
 
-# Every library type `_json_form` knows, nested ones included.
+# Every library type `_json_form` knows, nested ones included.  A label's
+# stratum is written in its label's family's form; a bare stratum is not.
 LIBRARY_OBJECTS = (
     list(iter_diagrams(3, MINUS, (1, 2, 1)))
     + catalog_ai(GradingSpec("AI", 2, (2, 2)), 2)
     + catalog_ii(GradingSpec("AII", 3, (2, 2, 2)))
-    + enumerate_strata_ai(GradingSpec("AI", 3, (1, 1, 1)), 1)
-    + enumerate_strata_ii(GradingSpec("CII", 2, (2, 2)))
+)
+BARE_STRATA = (
+    enumerate_strata_ai(GradingSpec("AI", 3, (1, 1, 1)), 1)[0],
+    enumerate_strata_ii(GradingSpec("CII", 2, (2, 2)))[0],
 )
 
 JSON_SCALARS = st.one_of(
@@ -495,7 +498,7 @@ def test_json_writer_matches_json_dumps(payload):
     assert written_json(payload) == dumped_json(payload)
 
 
-@pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", Fraction(1, 2), 1j])
+@pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", Fraction(1, 2), 1j, *BARE_STRATA])
 def test_json_writer_rejects_unknown_objects_as_json_dumps_does(bad):
     payload = {"rows": [1, {"x": bad}]}
     with pytest.raises(TypeError) as expected:

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -220,6 +221,23 @@ def test_multipartitions_examples():
         ((), (1, 1)),
     )
     assert len(multipartitions(1, 4)) == 5
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: partitions(2.5), "partition size must be an integer, got 2.5"),
+        # 2.0 misses the cache entry of 2, so it is checked too
+        (lambda: partitions(2) and partitions(2.0), "partition size must be an integer, got 2.0"),
+        (lambda: partitions(-1), "partition size must be nonnegative"),
+        (lambda: multipartitions(2, 1.5), "total size must be an integer, got 1.5"),
+        (lambda: multipartitions(1.0, 2), "number of components must be an integer, got 1.0"),
+        (lambda: multipartitions(0, 2), "number of components must be >= 1"),
+    ],
+)
+def test_partition_inputs_must_be_integers(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_multipartitions_builds_only_the_size_compositions():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -14,7 +15,7 @@ from gradedorbits.diagrams import (
 )
 from gradedorbits.orbits import (
     GradingSpec,
-    StratumAI,
+    Stratum,
     centralizer_dim,
     duality,
     enumerate_strata_ai,
@@ -550,6 +551,24 @@ def test_oracle_rejects_fewer_than_one_trial(trials):
             is_distinguished_oracle(lam, trials=trials)
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"trials": 2.0}, "trials must be an integer, got 2.0"),
+        # random.Random(-5) draws as random.Random(5)
+        ({"seed": -5}, "seed must be >= 0, got -5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ],
+)
+def test_oracle_checks_trials_and_seed_up_front(options, message):
+    # decided by the empty label, by the nil certificate, and by the trials
+    for lam in (empty_diagram(2, "+"), diag([(2, 1)], 2), diag([(2, 1), (2, 2)], 2)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            is_distinguished_oracle(lam, **options)
+
+
 def test_oracle_examples():
     assert is_distinguished_oracle(diag([(2, 1)], 2))
     assert not is_distinguished_oracle(diag([(1, 1), (1, 2)], 2))
@@ -751,9 +770,9 @@ def test_oracle_agrees_with_predicate_quick():
 
 def test_stratum_dim_examples():
     g = GradingSpec("AI", 2, (1, 1))
-    stratum = StratumAI(1, 1, empty_diagram(2), 2)
+    stratum = Stratum(1, 1, empty_diagram(2), 2)
     assert stratum_dim_ai(stratum, g) == 2 == g.dim_g1
-    nilp = StratumAI(1, 0, canonicalize([(2, 1)], 2, "-"), 2)
+    nilp = Stratum(1, 0, canonicalize([(2, 1)], 2, "-"), 2)
     # l = 0 strata have the dimension of the underlying orbit
     assert stratum_dim_ai(nilp, g) == orbit_dim(canonicalize([(2, 1)], 2, "-"))
 

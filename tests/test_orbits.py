@@ -17,8 +17,7 @@ from gradedorbits.diagrams import (
 )
 from gradedorbits.orbits import (
     GradingSpec,
-    StratumAI,
-    StratumII,
+    Stratum,
     admissible_for_case,
     component_group_order,
     d_check_dual,
@@ -51,7 +50,7 @@ def braid_rank_ai(a: int, mu: FilledDiagram, grading: GradingSpec) -> int:
     return num // den
 
 
-def support_diagram_ai(stratum: StratumAI) -> FilledDiagram:
+def support_diagram_ai(stratum: Stratum) -> FilledDiagram:
     """Orbit diagram of an AI stratum: `rank` rows of length a/d at every
     label, joined with the residual."""
     mu = stratum.mu
@@ -63,7 +62,7 @@ def support_diagram_ai(stratum: StratumAI) -> FilledDiagram:
     return canonicalize(rows, m, mu.sign)
 
 
-def support_diagram_ii(stratum: StratumII) -> FilledDiagram:
+def support_diagram_ii(stratum: Stratum) -> FilledDiagram:
     """Orbit diagram of a type II stratum: 2k single-box rows at every label,
     joined with the residual."""
     mu = stratum.mu
@@ -174,7 +173,8 @@ def test_component_group_order():
     assert component_group_order(diag([(3, 1)], 2), g3) == 3
     gii = GradingSpec("AII", 3, (1, 0, 1))
     assert component_group_order(diag([(1, 1), (1, 3)], 3), gii) == 1
-    assert component_group_order(empty_diagram(2), GradingSpec("AI", 2, (0, 0))) == 0
+    # the empty diagram's group is the trivial group Z/1
+    assert component_group_order(empty_diagram(2), GradingSpec("AI", 2, (0, 0))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +400,18 @@ def _reassemble_ii(nu, residue):
 def test_peel_ii_examples():
     lam = diag([(1, 1), (1, 1), (1, 2), (1, 2), (1, 3), (1, 3)], 3)
     peel = peel_ii(lam)
-    assert peel.nu == (1,)
+    assert peel.tau == ((1,),)
     assert peel.residue == empty_diagram(3)
     assert peel.rank == 1
 
     lam = diag([(1, 1), (1, 3)], 3)
     peel = peel_ii(lam)
-    assert peel.nu == ()
+    assert peel.tau == ((),)
     assert peel.residue == lam
     assert peel.rank == 0
 
     peel = peel_ii(empty_diagram(3))
-    assert peel.nu == () and peel.residue == empty_diagram(3) and peel.rank == 0
+    assert peel.tau == ((),) and peel.residue == empty_diagram(3) and peel.rank == 0
 
 
 def test_peel_ii_round_trip():
@@ -425,7 +425,7 @@ def test_peel_ii_round_trip():
                     assert peel.residue.size + 2 * peel.rank * m == lam.size
                     assert admissible_for_case(peel.residue, case)
                     assert is_distinguished_ii(peel.residue)
-                    assert _reassemble_ii(peel.nu, peel.residue) == lam
+                    assert _reassemble_ii(peel.tau[0], peel.residue) == lam
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -436,7 +436,7 @@ def test_peel_ii_matches_reference(sign):
                 for lam in enumerate_by_size(m, sign, size):
                     if admissible_for_case(lam, case):
                         peel = peel_ii(lam)
-                        assert ((peel.nu,), peel.residue) == reference_peel(lam, 1, 2), lam
+                        assert (peel.tau, peel.residue) == reference_peel(lam, 1, 2), lam
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +503,7 @@ def test_strata_ai_match_brute_force():
                 for a in range(1, total + 2):
                     padding = a // gcd(a, m)
                     expected = [
-                        StratumAI(a, rank, mu, d_check_stratum(a, mu))
+                        Stratum(a, rank, mu, d_check_stratum(a, mu))
                         for rank in range(total + 1)
                         if min(dims) >= padding * rank
                         for mu in enumerate_diagrams(m, "-", [v - padding * rank for v in dims])
@@ -518,7 +518,7 @@ def test_strata_ii_match_brute_force():
     for case, modulus in (("AII", 3), ("CII", 2), ("DII", 2), ("CII", 4), ("DII", 4)):
         for g in _symmetric_dims(case, modulus, 6):
             expected = [
-                StratumII(rank, mu)
+                Stratum(1, rank, mu, 1)
                 for rank in range(g.total + 1)
                 if min(g.dims) >= 2 * rank
                 for mu in enumerate_diagrams(modulus, "-", [v - 2 * rank for v in g.dims])
@@ -571,29 +571,29 @@ def test_braid_rank_examples():
 
 def test_enumerate_strata_ii_examples():
     g = GradingSpec("AII", 3, (0, 0, 0))
-    assert enumerate_strata_ii(g) == [StratumII(0, empty_diagram(3))]
+    assert enumerate_strata_ii(g) == [Stratum(1, 0, empty_diagram(3), 1)]
 
     g = GradingSpec("AII", 3, (1, 0, 1))
-    assert enumerate_strata_ii(g) == [StratumII(0, diag([(1, 1), (1, 3)], 3))]
+    assert enumerate_strata_ii(g) == [Stratum(1, 0, diag([(1, 1), (1, 3)], 3), 1)]
 
     g = GradingSpec("AII", 3, (2, 2, 2))
     strata = enumerate_strata_ii(g)
-    assert StratumII(1, empty_diagram(3)) in strata
+    assert Stratum(1, 1, empty_diagram(3), 1) in strata
     assert [s for s in strata if s.rank == 0] == [
-        StratumII(0, diag([(3, 1), (3, 2)], 3)),
-        StratumII(0, diag([(3, 3), (3, 3)], 3)),
+        Stratum(1, 0, diag([(3, 1), (3, 2)], 3), 1),
+        Stratum(1, 0, diag([(3, 3), (3, 3)], 3), 1),
     ]
 
 
 def test_full_support_stratum_ii_examples():
-    assert full_support_stratum_ii(GradingSpec("AII", 3, (2, 2, 2))) == StratumII(
-        1, empty_diagram(3)
+    assert full_support_stratum_ii(GradingSpec("AII", 3, (2, 2, 2))) == Stratum(
+        1, 1, empty_diagram(3), 1
     )
-    assert full_support_stratum_ii(GradingSpec("AII", 3, (1, 0, 1))) == StratumII(
-        0, diag([(1, 1), (1, 3)], 3)
+    assert full_support_stratum_ii(GradingSpec("AII", 3, (1, 0, 1))) == Stratum(
+        1, 0, diag([(1, 1), (1, 3)], 3), 1
     )
-    assert full_support_stratum_ii(GradingSpec("AII", 1, (0,))) == StratumII(
-        0, empty_diagram(1)
+    assert full_support_stratum_ii(GradingSpec("AII", 1, (0,))) == Stratum(
+        1, 0, empty_diagram(1), 1
     )
 
 
@@ -622,9 +622,9 @@ def test_dimension_input_checks():
     lam = canonicalize([(2, 1)], 2, "-")
     g = GradingSpec("AI", 2, (1, 1))
     with pytest.raises(ValueError):
-        stratum_dim_ai(StratumAI(1, 0, lam, 2), GradingSpec("AII", 3, (1, 0, 1)))
+        stratum_dim_ai(Stratum(1, 0, lam, 2), GradingSpec("AII", 3, (1, 0, 1)))
     # one padding row per label plus the residual overfills (1, 1)
     with pytest.raises(ValueError):
-        stratum_dim_ai(StratumAI(1, 1, lam, 2), g)
+        stratum_dim_ai(Stratum(1, 1, lam, 2), g)
     with pytest.raises(ValueError):
-        stratum_dim_ai(StratumAI(1, 0, canonicalize([(2, 1)], 3, "-"), 1), g)
+        stratum_dim_ai(Stratum(1, 0, canonicalize([(2, 1)], 3, "-"), 1), g)

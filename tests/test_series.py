@@ -268,6 +268,11 @@ def test_gf_distinguished_ai_rejects_bad_modulus_and_order(m, a, message):
         (lambda: weight_sum(3, "dist-AI", m=3, a=0), "order must be >= 1, got 0"),
         (lambda: weight_count((1,), "dist-AI", m=3, a=1.5), "order must be an integer, got 1.5"),
         (lambda: weight_sum(2.5, "A", l=1), "n must be an integer, got 2.5"),
+        # partition parts and series coefficients, never coerced
+        (lambda: weight_count((1.5, 2.5), "A", l=1), "partition part must be an integer, got 1.5"),
+        (lambda: weight_count((2, 1.0), "dist-C", l=1), "partition part must be an integer, got 1.0"),
+        (lambda: TruncSeries((1.5, 2)), "coefficient must be an integer, got 1.5"),
+        (lambda: TruncSeries(("3",)), "coefficient must be an integer, got '3'"),
     ],
 )
 def test_series_inputs_are_checked_up_front(call, message):

@@ -14,8 +14,8 @@ from gradedorbits.diagrams import (
 from gradedorbits import sheaves
 from gradedorbits.orbits import (
     GradingSpec,
-    StratumAI,
-    StratumII,
+    Stratum,
+    component_group_order,
     d_check_stratum,
     duality,
     enumerate_strata_ai,
@@ -60,9 +60,11 @@ def test_exact_order_characters_examples():
     assert [c.index for c in exact_order_characters(2, 2)] == [1]
     assert [c.index for c in exact_order_characters(12, 4)] == [3, 9]
     assert exact_order_characters(5, 3) == []
-    # trivial-group convention
-    assert exact_order_characters(0, 1) == [CentralCharacter(0, 0)]
-    assert exact_order_characters(0, 2) == []
+    # the trivial group Z/1 has only the trivial character
+    assert exact_order_characters(1, 1) == [CentralCharacter(1, 0)]
+    assert exact_order_characters(1, 2) == []
+    with pytest.raises(ValueError, match="^modulus must be >= 1, got 0$"):
+        exact_order_characters(0, 1)
 
 
 def test_exact_order_character_counts_are_phi():
@@ -74,11 +76,13 @@ def test_exact_order_character_counts_are_phi():
 
 def test_central_character_validation():
     assert CentralCharacter(6, 2).order == 3
-    assert CentralCharacter(0, 0).order == 1
+    assert CentralCharacter(1, 0).order == 1
     with pytest.raises(ValueError):
         CentralCharacter(4, 4)
     with pytest.raises(ValueError):
-        CentralCharacter(0, 1)
+        CentralCharacter(1, 1)
+    with pytest.raises(ValueError, match="^modulus must be >= 1, got 0$"):
+        CentralCharacter(0, 0)
 
 
 @pytest.mark.parametrize(
@@ -135,7 +139,7 @@ def test_catalog_ii_examples():
     labels = catalog_ii(g)
     assert len(labels) == 1
     lab = labels[0]
-    assert lab.stratum == StratumII(0, diag([(1, 1), (1, 3)], 3))
+    assert lab.stratum == Stratum(1, 0, diag([(1, 1), (1, 3)], 3), 1)
     assert lab.tau == ((),)
     assert lab.nilpotent_support and lab.full_support
 
@@ -152,12 +156,12 @@ def test_catalog_ii_examples():
 def test_map_sheaf_ai_examples():
     g = GradingSpec("AI", 2, (1, 1))
     lab = map_sheaf_ai(diag([(1, 1), (1, 2)], 2), CentralCharacter(1, 0), 1, g)
-    assert lab.stratum == StratumAI(1, 1, empty_diagram(2), 2)
+    assert lab.stratum == Stratum(1, 1, empty_diagram(2), 2)
     assert lab.psi == CentralCharacter(2, 0)
     assert lab.tau == ((1,),)
 
     lab = map_sheaf_ai(diag([(2, 1)], 2), CentralCharacter(2, 0), 1, g)
-    assert lab.stratum == StratumAI(1, 0, diag([(2, 1)], 2), 2)
+    assert lab.stratum == Stratum(1, 0, diag([(2, 1)], 2), 2)
     assert lab.tau == ((),)
 
     with pytest.raises(ValueError):
@@ -174,7 +178,7 @@ def test_map_sheaf_ii_example():
     g = GradingSpec("AII", 3, (2, 2, 2))
     lam = diag([(1, 1), (1, 1), (1, 2), (1, 2), (1, 3), (1, 3)], 3)
     lab = map_sheaf_ii(lam, g)
-    assert lab.stratum == StratumII(1, empty_diagram(3))
+    assert lab.stratum == Stratum(1, 1, empty_diagram(3), 1)
     assert lab.tau == ((1,),)
     with pytest.raises(ValueError):
         map_sheaf_ii(diag([(2, 3)], 3), g)  # not admissible
@@ -402,7 +406,7 @@ def reference_cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
         regular = next(iter_diagrams(m, MINUS, grading.dims))
         if regular.partition != (total,):
             return []
-        stratum = StratumAI(total, 0, regular, d_check_stratum(total, regular))
+        stratum = Stratum(total, 0, regular, d_check_stratum(total, regular))
         tau = multipartitions(gcd(total, m), 0)[0]
         nilp, full, cusp = _flags_ai(grading, total, stratum)
         for psi in exact_order_characters(stratum.d_check, total):
@@ -416,7 +420,7 @@ def reference_cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
         if gcd(uniform, m // d_prime) != 1:
             continue
         a = d_prime * uniform
-        stratum = StratumAI(a, 1, mu, d_check_stratum(a, mu))
+        stratum = Stratum(a, 1, mu, d_check_stratum(a, mu))
         nilp, full, cusp = _flags_ai(grading, a, stratum)
         for psi in exact_order_characters(stratum.d_check, a):
             for tau in multipartitions(d_prime, 1):
@@ -593,11 +597,11 @@ def reference_map_sheaf_ai(lam, psi, a, grading):
     """The list-based transport: psi's position among the orbit's
     exact-order-a characters picks the stratum's character at that
     position."""
-    source = exact_order_characters(lam.part_gcd, a)
+    source = exact_order_characters(component_group_order(lam, grading), a)
     if psi not in source:
         raise ValueError("character is not an exact-order-a character of this orbit")
     peel = peel_ai(lam, a)
-    stratum = StratumAI(a, peel.rank, peel.residue, d_check_stratum(a, peel.residue))
+    stratum = Stratum(a, peel.rank, peel.residue, d_check_stratum(a, peel.residue))
     target = exact_order_characters(stratum.d_check, a)
     moved = target[source.index(psi)]
     return SheafLabel("AI", stratum, moved, peel.tau, *_flags_ai(grading, a, stratum))
@@ -618,8 +622,8 @@ def test_map_sheaf_ai_matches_list_reference(dims):
     grading = GradingSpec("AI", len(dims), dims)
     mapped = 0
     for lam in iter_diagrams(grading.modulus, MINUS, dims):
-        n = lam.part_gcd
-        chars = [CentralCharacter(n, i) for i in range(max(n, 1))]
+        n = component_group_order(lam, grading)
+        chars = [CentralCharacter(n, i) for i in range(n)]
         chars += [CentralCharacter(n + 1, 0), CentralCharacter(2 * n + 2, 1)]
         for a in range(1, grading.total + 2):
             for psi in chars:
