@@ -20,6 +20,11 @@ any for case AI; for the type II cases equal counts on the start labels
 per-length condition of `orbits.is_distinguished_ai` or
 `is_distinguished_ii`.  Only the wanted diagrams are built, and with box
 counts given the core prunes by the boxes each label has left.  `enumerate_diagrams` and `enumerate_by_size` list it.
+The core's walk hands out each diagram as its blocks, every block fill
+with its row counts per label, and a diagram's rows are their
+concatenation.  A block's fills are memoized once for the walk over every
+diagram and the distinguished walk, which keeps those passing the
+per-length condition, so one set of fills serves both walks.
 
 `count_diagrams` and `count_by_size` count without the stream, by a dynamic
 program over the length blocks that builds no row: the same per-length rule
@@ -256,10 +261,14 @@ def _target(k, dims, size):
 
 
 class _Fills:
-    """The fills of one rule, the keyword arguments of `iter_diagrams`, for
-    any box counts or size, with every part a multiple of the order: `rows`
-    walks them in canonical order and `count` counts them.  The memos live
-    as long as the object, so every call on one object shares them.
+    """The fills of one rule, the keyword arguments of `iter_diagrams` but
+    `distinguished`, for any box counts or size, with every part a multiple
+    of the order: `walk` gives each diagram's blocks, `rows` their rows and
+    `count` their number, each over every fill or only the distinguished
+    ones.  The memos live as long as the object, so every call on one
+    object shares them, and both kinds of walk share one set of block
+    fills: the distinguished fills of a block are its fills that
+    `_keeps` keeps.
 
     A row of length p takes p // k boxes of each label and p % k excess
     boxes.  With box counts given, `slack` is, per label, the boxes the
@@ -270,7 +279,7 @@ class _Fills:
     box counts.  Without box counts the slack is None.
     """
 
-    def __init__(self, k, sign, *, case="AI", distinguished=False, order=1):
+    def __init__(self, k, sign, *, case="AI", order=1):
         check_modulus(case, k)
         check_positive("order", order)
         if sign not in SIGNS:
@@ -278,16 +287,29 @@ class _Fills:
         if order != 1 and case != "AI":
             raise ValueError("an order applies only to case AI")
         self.k, self.sign, self.case = k, sign, case
-        self.distinguished = distinguished
         self.unit = order
         self.copies = 1 if case == "AI" else 2
         self.classes = gcd(order, k)
         self.orbits: dict = {}
         self.options: dict = {}
+        self.kept: dict = {}
         self.tallies: dict = {}
 
-    def rows(self, dims, size):
-        """The row tuples of the diagrams, in canonical order."""
+    def walk(self, dims, size, distinguished=False):
+        """Each diagram's blocks, in canonical order: per part length, from
+        the longest down, its fill as a (rows, row counts per label) pair."""
+        return self._walk(dims, size, distinguished, 1)
+
+    def rows(self, dims, size, distinguished=False):
+        """The row tuples of the diagrams, in canonical order: the rows of
+        `walk`'s blocks, concatenated along the walk."""
+        return self._walk(dims, size, distinguished, 0)
+
+    def _walk(self, dims, size, distinguished, field):
+        """Every diagram as the concatenation of one field of its blocks'
+        options, longest first: their rows (field 0) or their one-block
+        tuples (field 1)."""
+        options = self._kept if distinguished else self._options
         # Type II row counts per length are even, so their shapes double the
         # multiplicities of a partition; AI parts are multiples of the order.
         step = self.unit * self.copies
@@ -302,9 +324,9 @@ class _Fills:
                 slack = tuple(v - even for v in dims)
                 if min(slack) < 0:
                     continue
-            yield from self._fill(blocks, 0, slack, ()) if blocks else [()]
+            yield from self._fill(options, blocks, 0, slack, (), field) if blocks else [()]
 
-    def count(self, dims, size):
+    def count(self, dims, size, distinguished=False):
         """The number of row tuples `rows` yields, by a dynamic program over
         the length blocks, longest first: its states are the parts still to
         place and the boxes left per label (None without box counts), and a
@@ -325,39 +347,55 @@ class _Fills:
                         slack = tuple(v - mult * even for v in boxes)
                         if min(slack) < 0:
                             break
-                    for rest, fills in self._tally(length, mult * self.copies, slack).items():
+                    tally = self._tally(length, mult * self.copies, slack, distinguished)
+                    for rest, fills in tally.items():
                         after[left - mult * part, rest] += w * fills
             ways = after
         return ways.get((0, None if dims is None else (0,) * self.k), 0)
 
-    def _fill(self, blocks, i, slack, prefix):
-        for rows, rest in self._options(*blocks[i], slack):
+    def _fill(self, options, blocks, i, slack, prefix, field):
+        for option in options(*blocks[i], slack):
             if i + 1 == len(blocks):
-                yield prefix + rows
+                yield prefix + option[field]
             else:
-                yield from self._fill(blocks, i + 1, rest, prefix + rows)
+                yield from self._fill(
+                    options, blocks, i + 1, option[2], prefix + option[field], field
+                )
 
     def _options(self, length, count, slack):
-        """The allowed fills of one block, as (rows, slack after) pairs."""
+        """Every fill of one block, as (rows, (block,), slack after)
+        triples, the block a (rows, row counts per label) pair."""
         key = (length, count, slack)
         if key not in self.options:
             out = self.options[key] = []
 
             def keep(counts, rest):
+                counts = tuple(counts)
                 rows = tuple((length, s) for s, c in enumerate(counts, 1) for _ in range(c))
-                out.append((rows, rest))
+                out.append((rows, ((rows, counts),), rest))
 
             self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
         return self.options[key]
 
-    def _tally(self, length, count, slack):
-        """The number of allowed fills of one block per slack they leave."""
+    def _kept(self, length, count, slack):
+        """The distinguished fills of one block: its `_options` that
+        `_keeps` keeps."""
         key = (length, count, slack)
+        if key not in self.kept:
+            options = self._options(length, count, slack)
+            self.kept[key] = [option for option in options if self._keeps(option[1][0][1])]
+        return self.kept[key]
+
+    def _tally(self, length, count, slack, distinguished):
+        """The number of fills of one block, or of its distinguished fills,
+        per slack they leave."""
+        key = (length, count, slack, distinguished)
         if key not in self.tallies:
             tally = self.tallies[key] = {}
 
             def keep(counts, rest):
-                tally[rest] = tally.get(rest, 0) + 1
+                if not distinguished or self._keeps(counts):
+                    tally[rest] = tally.get(rest, 0) + 1
 
             self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
         return self.tallies[key]
@@ -392,7 +430,7 @@ class _Fills:
     def _vectors(self, orbits, j, left, counts, slack, keep):
         """Set the counts of orbit j and on, largest first, to place the
         `left` rows still due, and call keep(counts, slack after) on every
-        kept fill; the counts list is reused."""
+        fill; the counts list is reused."""
         labels, per, width, excess = orbits[j]
         last = j == len(orbits) - 1
         top = left // width
@@ -417,7 +455,7 @@ class _Fills:
                 rest = tuple(rest)
             if not last:
                 self._vectors(orbits, j + 1, left - width * t, counts, rest, keep)
-            elif not self.distinguished or self._keeps(counts):
+            else:
                 keep(counts, rest)
 
     def _keeps(self, counts):
@@ -445,26 +483,35 @@ def iter_diagrams(
     the distinguished ones: at `order` for case AI
     (`orbits.is_distinguished_ai`), in the type II sense otherwise.
     """
-    fills = _Fills(k, sign, case=case, distinguished=distinguished, order=order)
+    fills = _Fills(k, sign, case=case, order=order)
+    rows = fills.rows(*_target(k, dims, size), distinguished)
     # _Fills has checked k and the sign, and its rows are canonical
-    return (_built_diagram(k, sign, rows) for rows in fills.rows(*_target(k, dims, size)))
+    return (_built_diagram(k, sign, r) for r in rows)
 
 
 def count_diagrams(
-    k: int, sign: str, dims: Sequence[int] | None = None, *, size: int | None = None, **rule
+    k: int,
+    sign: str,
+    dims: Sequence[int] | None = None,
+    *,
+    size: int | None = None,
+    distinguished: bool = False,
+    **rule,
 ) -> int:
     """The number of diagrams `iter_diagrams` streams for the same arguments,
     by a dynamic program over the length blocks that builds no diagram or
     row (see the module docstring): its work grows with its states, not
     with the number of diagrams or of shapes."""
-    return _Fills(k, sign, **rule).count(*_target(k, dims, size))
+    return _Fills(k, sign, **rule).count(*_target(k, dims, size), distinguished)
 
 
-def count_by_size(k: int, sign: str, sizes: Iterable[int], **rule) -> list[int]:
+def count_by_size(
+    k: int, sign: str, sizes: Iterable[int], *, distinguished: bool = False, **rule
+) -> list[int]:
     """`count_diagrams(k, sign, size=n, **rule)` for each size n in `sizes`,
     with one set of block tallies for all of them."""
     fills = _Fills(k, sign, **rule)
-    return [fills.count(*_target(k, None, size)) for size in sizes]
+    return [fills.count(*_target(k, None, size), distinguished) for size in sizes]
 
 
 def enumerate_diagrams(k: int, sign: str, d: Sequence[int]) -> list[FilledDiagram]:

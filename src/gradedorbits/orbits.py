@@ -11,7 +11,9 @@ of rows as every label of the class can give: case AI at order a takes one
 row per label and has the residues mod gcd(a, m) as classes, and type II is
 the round-of-two, single-class case, at order 1 with the trivial component
 group Z/1.  One `_peel`, one `_strata`, one `Peel` and one `Stratum` record
-serve both.
+serve both.  A peel works one part length at a time (`_peel_length`) and
+joins the pieces (`_peeled`), so a caller holding a diagram's length
+blocks, as `sheaves.verify_bijection` does, peels each block once.
 
 Diagrams labelling orbits on the negative side of the grading use the '-'
 fill convention; all stratum residuals are stored on that side as well.
@@ -30,6 +32,7 @@ from .diagrams import (
     MINUS,
     MultiPartition,
     PLUS,
+    Partition,
     Row,
     _Fills,
     _built_diagram,
@@ -181,26 +184,40 @@ class Peel:
 def _peel(diagram: FilledDiagram, a: int, per: int) -> Peel:
     """Split off, per part length and per label class mod d = gcd(a, m), the
     largest number of uniform rounds of `per` rows at every label of the
-    class.  Component i of the multipartition gets each round's length
-    divided by a; the leftover rows form the residual diagram."""
+    class: `_peel_length` on each length, joined by `_peeled`."""
     m = diagram.modulus
-    d = gcd(a, m)
     counts: dict[int, list[int]] = {}
     for length, start in diagram.rows:
         counts.setdefault(length, [0] * m)[start - 1] += 1
-    components: list[list[int]] = [[] for _ in range(d)]
-    residue_rows: list[Row] = []
+    pieces = [_peel_length(length, p, a, per) for length, p in counts.items()]
+    return _peeled(m, diagram.sign, gcd(a, m), pieces)
+
+
+def _peel_length(
+    length: int, counts, a: int, per: int
+) -> tuple[tuple[Partition, ...], tuple[Row, ...]]:
+    """One part length's share of a peel at order a, from its row counts per
+    label: per label class mod d = gcd(a, m), the largest number of uniform
+    rounds of `per` rows at every label of the class, as that many parts
+    length / a, and the rows left over, starts ascending."""
+    d = gcd(a, len(counts))
+    lows = [min(counts[i::d]) // per for i in range(d)]
+    left = tuple(
+        (length, lab)
+        for lab, c in enumerate(counts, 1)
+        for _ in range(c - per * lows[(lab - 1) % d])
+    )
+    return tuple((length // a,) * low for low in lows), left
+
+
+def _peeled(m: int, sign: str, classes: int, pieces) -> Peel:
+    """The peel of a diagram from the `_peel_length` pieces of its lengths,
+    longest first: component i of the multipartition takes every piece's
+    parts of class i, and the leftover rows form the residual diagram."""
+    tau = tuple(tuple(part for parts, _ in pieces for part in parts[i]) for i in range(classes))
     # lengths come decreasing and starts ascending: the canonical row order
-    for length, p in counts.items():
-        lows = [min(p[i::d]) // per for i in range(d)]
-        for i, low in enumerate(lows):
-            components[i].extend([length // a] * low)
-        for lab in range(m):
-            left = p[lab] - per * lows[lab % d]
-            if left:
-                residue_rows.extend([(length, lab + 1)] * left)
-    tau = tuple(tuple(comp) for comp in components)
-    return Peel(tau, _built_diagram(m, diagram.sign, tuple(residue_rows)))
+    rows = tuple(row for _, left in pieces for row in left)
+    return Peel(tau, _built_diagram(m, sign, rows))
 
 
 def peel_ai(diagram: FilledDiagram, a: int) -> Peel:
@@ -274,23 +291,31 @@ def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[Stratum]:
     if grading.case != "AI":
         raise ValueError("strata at an order are defined for case AI")
     check_positive("order", a)
-    return [
-        Stratum(a, rank, mu, d_check_stratum(a, mu))
-        for rank, mu in _strata(grading, a // gcd(a, grading.modulus), order=a)
-    ]
+    return _strata(grading, a, _fills(grading, a))
 
 
-def _strata(grading: GradingSpec, padding: int, **rule):
-    """(rank, residual) for every rank whose `padding` boxes per label leave
-    no box count negative, and every distinguished residual of `rule` on the
-    boxes left, ranks ascending, as `iter_diagrams` streams them.  One
-    `_Fills` serves every rank, so the ranks share its memos."""
+def _fills(grading: GradingSpec, a: int = 1) -> _Fills:
+    """The '-' side fills of the grading's case at order a (1 for type II)."""
+    return _Fills(grading.modulus, MINUS, case=grading.case, order=a)
+
+
+def _strata(grading: GradingSpec, a: int, fills: _Fills) -> list[Stratum]:
+    """The strata at order a (1 for type II), ranks ascending: for every
+    rank whose padding leaves no box count negative, every distinguished
+    residual on the boxes left, as the distinguished walk of `fills`, the
+    grading's fills at a, streams them.  A unit of rank pads each label
+    with a / gcd(a, m) boxes for AI and 2 for type II.  One `_Fills` serves
+    every rank, so the ranks share its memos."""
     m = grading.modulus
-    fills = _Fills(m, MINUS, distinguished=True, **rule)
+    ai = grading.case == "AI"
+    padding = a // gcd(a, m) if ai else 2
+    strata = []
     for rank in range(min(grading.dims) // padding + 1):
         sub = tuple(v - padding * rank for v in grading.dims)
-        for rows in fills.rows(sub, sum(sub)):
-            yield rank, _built_diagram(m, MINUS, rows)
+        for rows in fills.rows(sub, sum(sub), True):
+            mu = _built_diagram(m, MINUS, rows)
+            strata.append(Stratum(a, rank, mu, d_check_stratum(a, mu) if ai else 1))
+    return strata
 
 
 def centralizer_dim(diagram: FilledDiagram) -> int:
@@ -350,7 +375,7 @@ def enumerate_strata_ii(grading: GradingSpec) -> list[Stratum]:
     distinguished residual accounting for the remaining boxes."""
     if grading.case not in TYPE_II_CASES:
         raise ValueError("type II strata require case AII, CII or DII")
-    return [Stratum(1, rank, mu, 1) for rank, mu in _strata(grading, 2, case=grading.case)]
+    return _strata(grading, 1, _fills(grading))
 
 
 def full_support_stratum_ii(grading: GradingSpec) -> Stratum:

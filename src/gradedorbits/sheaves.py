@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 
 from .diagrams import (
     FilledDiagram,
@@ -31,6 +32,10 @@ from .diagrams import (
 from .orbits import (
     GradingSpec,
     Stratum,
+    _fills,
+    _peel_length,
+    _peeled,
+    _strata as _orbit_strata,
     admissible_for_case,
     component_group_order,
     d_check_stratum,
@@ -108,8 +113,10 @@ def orbital_complexes(grading: GradingSpec, a: int = 1):
     For AI at order a the core generates the diagrams of parts divisible by
     a, each with every exact-order-a character of its component group.  For
     the type II cases the component groups are trivial and a is taken to be 1,
-    so each diagram comes with the one character of Z/1.
+    so each diagram comes with the one character of Z/1, but the order must
+    still be valid.
     """
+    check_positive("order", a)
     a = a if grading.case == "AI" else 1
     return [
         (lam, psi)
@@ -150,12 +157,17 @@ def _flags(grading: GradingSpec):
     return "II", lambda stratum: (stratum.rank == 0, stratum == full, False)
 
 
-def _strata(grading: GradingSpec, a: int) -> list:
-    """The strata the labels at order a lie on.  The zero AI grading carries
-    just the trivial character, so it has none at a > 1."""
-    if grading.case != "AI":
-        return enumerate_strata_ii(grading)
-    strata = enumerate_strata_ai(grading, a)
+def _strata(grading: GradingSpec, a: int, fills=None) -> list:
+    """The strata the labels at order a (1 for type II) lie on, their
+    residuals walked over `fills` when it is given, the grading's fills at
+    a.  The zero AI grading carries just the trivial character, so it has
+    none at a > 1."""
+    if fills is not None:
+        strata = _orbit_strata(grading, a, fills)
+    elif grading.case == "AI":
+        strata = enumerate_strata_ai(grading, a)
+    else:
+        strata = enumerate_strata_ii(grading)
     return [] if grading.total == 0 and a > 1 else strata
 
 
@@ -207,10 +219,16 @@ def _image(grading: GradingSpec, a: int, lam: FilledDiagram, psi: CentralCharact
         d_check = d_check_stratum(a, peel.residue)
     else:
         peel, d_check = peel_ii(lam), 1
-    # the exact-order-a residues of Z/n are (n/a)*u, u a unit mod a, ascending
-    unit = psi.index // (n // a)
     stratum = Stratum(a, peel.rank, peel.residue, d_check)
-    return stratum, CentralCharacter(d_check, d_check // a * unit), peel.tau
+    return stratum, _moved(psi, a, d_check), peel.tau
+
+
+def _moved(psi: CentralCharacter, a: int, d_check: int) -> CentralCharacter:
+    """The exact-order-a character of Z/d_check at psi's position among the
+    exact-order-a characters of its own group."""
+    # the exact-order-a residues of Z/n are (n/a)*u, u a unit mod a, ascending
+    unit = psi.index // (psi.modulus // a)
+    return CentralCharacter(d_check, d_check // a * unit)
 
 
 def _label(grading: GradingSpec, key: tuple) -> SheafLabel:
@@ -267,17 +285,80 @@ class BijectionReport:
 def verify_bijection(grading: GradingSpec, a: int = 1) -> BijectionReport:
     """Compare the two label routes on (stratum, character, tau) keys: the
     orbital complexes mapped through the peeling construction against the
-    keys of the enumerated strata.  The flags depend on the stratum alone,
-    so no flag is computed.  A type II grading ignores the order, but it
-    must still be valid."""
+    keys of the enumerated strata (see `_route_keys`).  The flags depend on
+    the stratum alone, so no flag is computed.  A type II grading ignores
+    the order, but it must still be valid."""
     check_positive("order", a)
     a = a if grading.case == "AI" else 1
-    pairs = orbital_complexes(grading, a)
-    image = [_image(grading, a, lam, psi) for lam, psi in pairs]
-    keys = [key for stratum in _strata(grading, a) for key in _keys(grading, stratum)]
+    image, keys = _route_keys(grading, a)
     distinct = set(image)
-    return BijectionReport(grading.case, a, len(pairs), len(keys), len(pairs) == len(keys),
+    return BijectionReport(grading.case, a, len(image), len(keys), len(image) == len(keys),
                            len(distinct) == len(image), distinct == set(keys))
+
+
+def _route_keys(grading: GradingSpec, a: int) -> tuple[list, list]:
+    """The two routes' keys at order a (1 for type II), over one `_Fills`:
+    the `_image` of every orbital complex, in `orbital_complexes` order, and
+    the `_keys` of every stratum, in `_strata` order.  The strata's
+    residuals are the distinguished walk of the fills the orbits are
+    walked over, so both routes share its block fills.  The character and
+    multipartition lists are made once per (group order, rank)."""
+    fills = _fills(grading, a)
+    strata = _strata(grading, a, fills)
+    pairs: dict = {}
+    keys = []
+    for stratum in strata:
+        shape = (stratum.d_check, stratum.rank)
+        if shape not in pairs:
+            pairs[shape] = [key[1:] for key in _keys(grading, stratum)]
+        keys += [(stratum, psi, tau) for psi, tau in pairs[shape]]
+    return _image_keys(grading, a, fills, strata), keys
+
+
+def _image_keys(grading: GradingSpec, a: int, fills, strata) -> list[tuple]:
+    """`_image` of every orbital complex at order a (1 for type II), from
+    the walk of `fills` over the grading's box counts.  An orbit comes as
+    its length blocks: each block fill is peeled once (`_peel_length`), and
+    the orbit's part gcd is that of its block lengths.  Its stratum is
+    looked up by the orbit's own rank and residual rows among `strata`: at
+    order a those two fix a record, as d_check is a function of the
+    residual.  A pair no record has gets its own record, made once from the
+    joined pieces (`_peeled`).  So equal strata are one object, and the
+    routes' keys compare by identity.  The moved characters are made once
+    per pair of group orders."""
+    ai = grading.case == "AI"
+    m, classes, per = grading.modulus, gcd(a, grading.modulus), 1 if ai else 2
+    records = {(s.rank, s.mu.rows): s for s in strata}
+    pieces: dict = {}  # a block's rows -> its length, peel piece and rank
+    moved: dict = {}  # (orbit group order, d_check) -> the moved characters
+    image = []
+    for blocks in fills.walk(grading.dims, grading.total):
+        n = rank = 0
+        tau, left = ((),) * classes, ()
+        for rows, counts in blocks:
+            piece = pieces.get(rows)
+            if piece is None:
+                parts, rest = _peel_length(rows[0][0], counts, a, per)
+                piece = pieces[rows] = (rows[0][0], parts, rest, sum(map(sum, parts)))
+            length, parts, rest, r = piece
+            n = gcd(n, length)
+            if r:
+                rank += r
+                tau = tuple(map(add, tau, parts))
+            left += rest
+        stratum = records.get((rank, left))
+        if stratum is None:
+            mu = _peeled(m, MINUS, classes, [pieces[rows][1:3] for rows, _ in blocks]).residue
+            stratum = Stratum(a, rank, mu, d_check_stratum(a, mu) if ai else 1)
+            records[rank, left] = stratum
+        # the component group: Z/(part gcd) for AI (Z/1 when empty), Z/1 for type II
+        n = (n or 1) if ai else 1
+        target = (n, stratum.d_check)
+        if target not in moved:
+            moved[target] = [_moved(psi, a, target[1]) for psi in exact_order_characters(n, a)]
+        for psi in moved[target]:
+            image.append((stratum, psi, tau))
+    return image
 
 
 def cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:

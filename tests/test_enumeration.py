@@ -19,6 +19,7 @@ import pytest
 from gradedorbits.diagrams import (
     CASES,
     FilledDiagram,
+    _Fills,
     _built_diagram,
     canonicalize,
     count_by_size,
@@ -285,6 +286,37 @@ def assert_passes_the_public_checks(diagram):
     rebuilt = public_rebuild(diagram)
     assert vars(diagram) == vars(rebuilt), diagram
     assert hash(diagram) == hash(rebuilt), diagram
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("case", CASES)
+def test_walks_over_shared_fills_are_the_streams(k, case):
+    # verify_bijection walks the orbits and the strata's distinguished
+    # residuals over one _Fills.  Whichever walk fills a block first, every
+    # walk over the shared memos must yield iter_diagrams' rows in order,
+    # and `walk` must hand out the same diagrams as blocks with their row
+    # counts per label.
+    if not has_modulus(case, k):
+        return
+    for order in (1, 2, 3) if case == "AI" else (1,):
+        fills = _Fills(k, "-", case=case, order=order)
+        rule = {"case": case, "order": order}
+        for size in range(SIZE_MAX + 1):
+            for dims in compositions(size, k):
+                for distinguished in (False, True) if size % 2 else (True, False):
+                    stream = iter_diagrams(k, "-", dims, distinguished=distinguished, **rule)
+                    expected = [diagram.rows for diagram in stream]
+                    assert list(fills.rows(dims, size, distinguished)) == expected, (dims, order)
+                    walked = []
+                    for blocks in fills.walk(dims, size, distinguished):
+                        rows = ()
+                        for block_rows, counts in blocks:
+                            diagram = FilledDiagram(k, "-", block_rows)
+                            assert diagram.parts == (block_rows[0][0],)
+                            assert counts == diagram.multiplicities(block_rows[0][0])
+                            rows += block_rows
+                        walked.append(rows)
+                    assert walked == expected, (dims, order)
 
 
 @pytest.mark.parametrize("k", range(1, 5))

@@ -4,6 +4,7 @@ import pytest
 
 from gradedorbits.diagrams import (
     MINUS,
+    _Fills,
     canonicalize,
     count_diagrams,
     empty_diagram,
@@ -564,15 +565,10 @@ def test_verify_bijection_computes_no_flag(monkeypatch, case, dims):
     # The two routes are compared on (stratum, character, tau) keys: no
     # flag, stratum dimension or catalog is computed; every AI image key
     # with its stratum's flags is the label map_sheaf_ai gives, and every
-    # type II image key is the key of map_sheaf_ii's label.
+    # type II image key is the key of map_sheaf_ii's label.  The keys are
+    # those of the routes' helper, in orbital_complexes order.
     grading = GradingSpec(case, len(dims), dims)
-    real_image = sheaves._image
     for a in divisors(grading.total) if case == "AI" else (1,):
-        image = []
-
-        def recording(g, order, lam, psi):
-            image.append((lam, psi, real_image(g, order, lam, psi)))
-            return image[-1][2]
 
         def forbidden(*args):
             raise AssertionError("verify_bijection computed a flag or a catalog")
@@ -580,17 +576,106 @@ def test_verify_bijection_computes_no_flag(monkeypatch, case, dims):
         for name in ("_flags_ai", "stratum_dim_ai", "full_support_stratum_ii",
                      "catalog_ai", "catalog_ii"):
             monkeypatch.setattr(sheaves, name, forbidden)
-        monkeypatch.setattr(sheaves, "_image", recording)
         report = verify_bijection(grading, a)
+        image, keys = sheaves._route_keys(grading, a)
         monkeypatch.undo()
-        assert report.ok and len(image) == report.complexes, a
-        for lam, psi, key in image:
+        assert report.ok and (len(image), len(keys)) == (report.complexes, report.labels), a
+        for (lam, psi), key in zip(orbital_complexes(grading, a), image, strict=True):
             if case == "AI":
                 label = SheafLabel("AI", *key, *_flags_ai(grading, a, key[0]))
                 assert label == map_sheaf_ai(lam, psi, a, grading), (lam, psi, a)
             else:
                 label = map_sheaf_ii(lam, grading)
                 assert (label.stratum, label.psi, label.tau) == key, lam
+
+
+# (case, modulus, deepest total) of the routes' differential test: every
+# valid grading up to that total, at every order dividing it.
+ROUTE_RANGES = [("AI", m, 8) for m in (1, 2, 3)] + [("AI", 4, 6)] + [
+    (case, m, 10)
+    for case, moduli in (("AII", (1, 3, 5)), ("CII", (2, 4, 6)), ("DII", (2, 4, 6)))
+    for m in moduli
+]
+
+
+@pytest.mark.parametrize("case, m, deepest", ROUTE_RANGES)
+def test_route_keys_equal_the_one_complex_and_one_stratum_maps(case, m, deepest):
+    # verify_bijection's keys come from one shared walk and per-block
+    # peels; they must be, in order, _image of each orbital complex and
+    # _keys of each stratum of the unshared enumeration.
+    checked = 0
+    for total in range(deepest + 1):
+        for dims in compositions(total, m):
+            try:
+                grading = GradingSpec(case, m, dims)
+            except ValueError:
+                continue
+            orders = (1,) if case != "AI" else divisors(total) if total else (1, 2, 3)
+            for a in orders:
+                image, keys = sheaves._route_keys(grading, a)
+                assert image == [
+                    sheaves._image(grading, a, lam, psi) for lam, psi in orbital_complexes(grading, a)
+                ], (dims, a)
+                assert keys == [
+                    key for s in sheaves._strata(grading, a) for key in sheaves._keys(grading, s)
+                ], (dims, a)
+                # the orbits' own records, none taken from the strata route
+                fills = sheaves._fills(grading, a)
+                assert sheaves._image_keys(grading, a, fills, []) == image, (dims, a)
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("case, dims", BIJECTION_GRADINGS)
+def test_verify_bijection_fills_each_block_once(monkeypatch, case, dims):
+    # One _Fills serves the orbit walk and the strata's distinguished walk,
+    # so a call runs _vectors once per (length, count, slack) block.
+    made, runs = [], []
+    real_init, real_vectors = _Fills.__init__, _Fills._vectors
+
+    def init(self, *args, **kwargs):
+        made.append(self)
+        real_init(self, *args, **kwargs)
+
+    def vectors(self, orbits, j, left, counts, slack, keep):
+        if j == 0:
+            length = next(p for p, known in self.orbits.items() if known is orbits)
+            runs.append((length, left, slack))
+        return real_vectors(self, orbits, j, left, counts, slack, keep)
+
+    monkeypatch.setattr(_Fills, "__init__", init)
+    monkeypatch.setattr(_Fills, "_vectors", vectors)
+    grading = GradingSpec(case, len(dims), dims)
+    filled = 0
+    for a in divisors(grading.total) if case == "AI" else (1,):
+        made.clear()
+        runs.clear()
+        assert verify_bijection(grading, a).ok
+        assert len(made) == 1, a
+        assert len(set(runs)) == len(runs), a
+        filled += len(runs)
+    assert filled > 0
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        (0, "order must be >= 1, got 0"),
+        (-1, "order must be >= 1, got -1"),
+        (2.5, "order must be an integer, got 2.5"),
+        ("x", "order must be an integer, got 'x'"),
+    ],
+)
+def test_orbital_complexes_type_ii_rejects_a_bad_order(a, message):
+    # A type II grading drops the order only after checking it, with the
+    # messages verify_bijection gives.
+    grading = GradingSpec("AII", 3, (2, 2, 2))
+    for call in (orbital_complexes, verify_bijection):
+        with pytest.raises(ValueError) as err:
+            call(grading, a)
+        assert str(err.value) == message, call
+    # a valid order is ignored, as before
+    assert orbital_complexes(grading, 2) == orbital_complexes(grading)
 
 
 def reference_map_sheaf_ai(lam, psi, a, grading):
