@@ -264,11 +264,12 @@ class _Fills:
     """The fills of one rule, the keyword arguments of `iter_diagrams` but
     `distinguished`, for any box counts or size, with every part a multiple
     of the order: `walk` gives each diagram's blocks, `rows` their rows and
-    `count` their number, each over every fill or only the distinguished
-    ones.  The memos live as long as the object, so every call on one
-    object shares them, and both kinds of walk share one set of block
-    fills: the distinguished fills of a block are its fills that
-    `_keeps` keeps.
+    `count` their number, `rows` and `count` over every fill or only the
+    distinguished ones.  The memos live as long as the object, so every
+    call on one object shares them, and both kinds of walk share one run
+    of `_vectors` per block: the distinguished fills of a block are its
+    fills that `_keeps` keeps, and rows are made only for the fills a
+    walk takes.
 
     A row of length p takes p // k boxes of each label and p % k excess
     boxes.  With box counts given, `slack` is, per label, the boxes the
@@ -291,14 +292,14 @@ class _Fills:
         self.copies = 1 if case == "AI" else 2
         self.classes = gcd(order, k)
         self.orbits: dict = {}
+        self.fills: dict = {}
         self.options: dict = {}
-        self.kept: dict = {}
         self.tallies: dict = {}
 
-    def walk(self, dims, size, distinguished=False):
+    def walk(self, dims, size):
         """Each diagram's blocks, in canonical order: per part length, from
         the longest down, its fill as a (rows, row counts per label) pair."""
-        return self._walk(dims, size, distinguished, 1)
+        return self._walk(dims, size, False, 1)
 
     def rows(self, dims, size, distinguished=False):
         """The row tuples of the diagrams, in canonical order: the rows of
@@ -309,7 +310,6 @@ class _Fills:
         """Every diagram as the concatenation of one field of its blocks'
         options, longest first: their rows (field 0) or their one-block
         tuples (field 1)."""
-        options = self._kept if distinguished else self._options
         # Type II row counts per length are even, so their shapes double the
         # multiplicities of a partition; AI parts are multiples of the order.
         step = self.unit * self.copies
@@ -324,7 +324,7 @@ class _Fills:
                 slack = tuple(v - even for v in dims)
                 if min(slack) < 0:
                     continue
-            yield from self._fill(options, blocks, 0, slack, (), field) if blocks else [()]
+            yield from self._fill(blocks, 0, slack, (), distinguished, field) if blocks else [()]
 
     def count(self, dims, size, distinguished=False):
         """The number of row tuples `rows` yields, by a dynamic program over
@@ -353,38 +353,45 @@ class _Fills:
             ways = after
         return ways.get((0, None if dims is None else (0,) * self.k), 0)
 
-    def _fill(self, options, blocks, i, slack, prefix, field):
-        for option in options(*blocks[i], slack):
+    def _fill(self, blocks, i, slack, prefix, distinguished, field):
+        for option in self._options(*blocks[i], slack, distinguished):
             if i + 1 == len(blocks):
                 yield prefix + option[field]
             else:
                 yield from self._fill(
-                    options, blocks, i + 1, option[2], prefix + option[field], field
+                    blocks, i + 1, option[2], prefix + option[field], distinguished, field
                 )
 
-    def _options(self, length, count, slack):
-        """Every fill of one block, as (rows, (block,), slack after)
-        triples, the block a (rows, row counts per label) pair."""
-        key = (length, count, slack)
+    def _options(self, length, count, slack, distinguished):
+        """Every fill of one block, or its distinguished fills, those
+        `_keeps` keeps, as (rows, (block,), slack after) triples, the block
+        a (rows, row counts per label) pair.  Rows are made only for the
+        fills asked for."""
+        key = (length, count, slack, distinguished)
         if key not in self.options:
             out = self.options[key] = []
-
-            def keep(counts, rest):
-                counts = tuple(counts)
-                rows = tuple((length, s) for s, c in enumerate(counts, 1) for _ in range(c))
+            for counts, rest in self._block(length, count, slack):
+                if distinguished and not self._keeps(counts):
+                    continue
+                rows = ()
+                for s, c in enumerate(counts, 1):
+                    if c:
+                        rows += ((length, s),) * c
                 out.append((rows, ((rows, counts),), rest))
-
-            self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
         return self.options[key]
 
-    def _kept(self, length, count, slack):
-        """The distinguished fills of one block: its `_options` that
-        `_keeps` keeps."""
+    def _block(self, length, count, slack):
+        """Every fill of one block as a (row counts per label, slack after)
+        pair, from one run of `_vectors` that both kinds of walk share."""
         key = (length, count, slack)
-        if key not in self.kept:
-            options = self._options(length, count, slack)
-            self.kept[key] = [option for option in options if self._keeps(option[1][0][1])]
-        return self.kept[key]
+        if key not in self.fills:
+            out = self.fills[key] = []
+
+            def keep(counts, rest):
+                out.append((tuple(counts), rest))
+
+            self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
+        return self.fills[key]
 
     def _tally(self, length, count, slack, distinguished):
         """The number of fills of one block, or of its distinguished fills,

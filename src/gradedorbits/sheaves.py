@@ -39,7 +39,6 @@ from .orbits import (
     admissible_for_case,
     component_group_order,
     d_check_stratum,
-    enumerate_strata_ai,
     enumerate_strata_ii,
     full_support_stratum_ii,
     peel_ai,
@@ -159,15 +158,10 @@ def _flags(grading: GradingSpec):
 
 def _strata(grading: GradingSpec, a: int, fills=None) -> list:
     """The strata the labels at order a (1 for type II) lie on, their
-    residuals walked over `fills` when it is given, the grading's fills at
-    a.  The zero AI grading carries just the trivial character, so it has
-    none at a > 1."""
-    if fills is not None:
-        strata = _orbit_strata(grading, a, fills)
-    elif grading.case == "AI":
-        strata = enumerate_strata_ai(grading, a)
-    else:
-        strata = enumerate_strata_ii(grading)
+    residuals walked over `fills`, the grading's fills at a, made here when
+    not given.  The zero AI grading carries just the trivial character, so
+    it has none at a > 1."""
+    strata = _orbit_strata(grading, a, fills or _fills(grading, a))
     return [] if grading.total == 0 and a > 1 else strata
 
 

@@ -466,7 +466,8 @@ def test_cuspidal_visits_only_candidate_strata(monkeypatch):
     def no_walk(*args):
         raise AssertionError("cuspidal_ai walked a stratum enumeration")
 
-    monkeypatch.setattr("gradedorbits.sheaves.enumerate_strata_ai", no_walk)
+    # every stratum walk in sheaves goes through orbits._strata
+    monkeypatch.setattr("gradedorbits.sheaves._orbit_strata", no_walk)
     labels = cuspidal_ai(GradingSpec("AI", 30, (1,) * 30))
     # one stratum per divisor d' of 30 at order d', with phi(d') characters
     # and d' multipartitions of 1 into d' components: sum of phi(d') * d'
