@@ -32,8 +32,7 @@ from .orbits import (
     d_check_dual,
     d_check_stratum,
     duality,
-    enumerate_strata_ai,
-    enumerate_strata_ii,
+    enumerate_strata,
     full_support_stratum_ii,
     is_distinguished_ai,
     is_distinguished_ii,
@@ -59,13 +58,11 @@ from .oracle import (
 from .sheaves import (
     CentralCharacter,
     SheafLabel,
-    catalog_ai,
-    catalog_ii,
+    catalog,
     cuspidal_ai,
     divisors,
     exact_order_characters,
-    map_sheaf_ai,
-    map_sheaf_ii,
+    map_sheaf,
     orbital_complexes,
     verify_bijection,
 )

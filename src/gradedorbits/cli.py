@@ -42,7 +42,7 @@ from .series import (
     gf_orbit_count,
     weight_sum,
 )
-from .sheaves import SheafLabel, catalog_ai, catalog_ii, cuspidal_ai, verify_bijection
+from .sheaves import SheafLabel, catalog, cuspidal_ai, verify_bijection
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -76,15 +76,16 @@ def _grading_from_args(args) -> GradingSpec:
     return GradingSpec(args.case, modulus, _parse_dims(args.dims))
 
 
-def _order_from_args(args, case: str):
-    """--a, which case AI requires and the type II cases reject."""
+def _order_from_args(args, case: str) -> dict:
+    """--a as keyword arguments: {"a": a} for case AI, which requires it, and
+    {} for the type II cases, which reject it and take the default order."""
     if case != "AI":
         if args.a is not None:
             raise ValueError(f"--a applies to case AI only, not {case}")
-        return None
+        return {}
     if args.a is None:
         raise ValueError("case AI requires --a")
-    return args.a
+    return {"a": args.a}
 
 
 def _emit(args, text: str) -> None:
@@ -320,18 +321,14 @@ def _labels_output(args, grading, labels, **order) -> None:
 
 def cmd_sheaves(args) -> int:
     grading = _grading_from_args(args)
-    a = _order_from_args(args, grading.case)
-    if a is None:
-        _labels_output(args, grading, catalog_ii(grading))
-    else:
-        _labels_output(args, grading, catalog_ai(grading, a), a=a)
+    order = _order_from_args(args, grading.case)
+    _labels_output(args, grading, catalog(grading, **order), **order)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     grading = _grading_from_args(args)
-    a = _order_from_args(args, grading.case)
-    report = verify_bijection(grading) if a is None else verify_bijection(grading, a)
+    report = verify_bijection(grading, **_order_from_args(args, grading.case))
     payload = {
         "case": report.case,
         "a": report.a,
@@ -372,7 +369,7 @@ def cmd_distinguished(args) -> int:
         grading = _grading_from_args(args)
         modulus, dims = grading.modulus, grading.dims
     # --a defaults to 1 here; the type II cases still reject it
-    a = 1 if args.case == "AI" and args.a is None else _order_from_args(args, args.case)
+    a = 1 if args.case == "AI" and args.a is None else _order_from_args(args, args.case).get("a")
     if not args.oracle and (args.seed is not None or args.trials is not None):
         raise ValueError("--seed and --trials apply with --oracle only")
     seed = 0 if args.seed is None else args.seed

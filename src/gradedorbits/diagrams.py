@@ -62,9 +62,14 @@ def _row_key(row: Row) -> tuple[int, int]:
     return (-row[0], row[1])
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_integer(name: str, value) -> None:
-    """Reject a value that is not an integer, by name."""
-    if not isinstance(value, int):
+    """Reject a value that is not an integer, by name.  A bool is not one,
+    so True never passes as 1."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -122,7 +127,7 @@ def _check_row(row: Row, k: int) -> None:
     if not isinstance(row, tuple) or len(row) != 2:
         raise ValueError(f"row must be a (length, start) pair, got {row!r}")
     length, start = row
-    if not isinstance(length, int) or not isinstance(start, int):
+    if not _is_integer(length) or not _is_integer(start):
         raise ValueError(f"row length and start must be integers, got {row}")
     if length < 1:
         raise ValueError(f"row length must be >= 1, got {length}")

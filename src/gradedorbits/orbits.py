@@ -280,17 +280,22 @@ class Stratum:
     d_check: int
 
 
-def enumerate_strata_ai(grading: GradingSpec, a: int) -> list[Stratum]:
-    """All AI stratum labels at order a for the given grading.
+def _label_order(grading: GradingSpec, a: int) -> int:
+    """The order the grading's labels sit at: a for case AI, and 1 for the
+    type II cases, whose component groups are trivial, once a is checked."""
+    check_positive("order", a)
+    return a if grading.case == "AI" else 1
 
-    Empty unless a divides the total box count, since every part of a
-    residual does.  When gcd(a, m) = m the residual is empty, so the only
-    stratum is the fully padded one, which exists exactly when the box
+
+def enumerate_strata(grading: GradingSpec, a: int = 1) -> list[Stratum]:
+    """All stratum labels of the grading at order a (1 for type II).
+
+    Empty for AI unless a divides the total box count, since every part of
+    a residual does.  When gcd(a, m) = m the residual is empty, so the only
+    AI stratum is the fully padded one, which exists exactly when the box
     counts are uniform.
     """
-    if grading.case != "AI":
-        raise ValueError("strata at an order are defined for case AI")
-    check_positive("order", a)
+    a = _label_order(grading, a)
     return _strata(grading, a, _fills(grading, a))
 
 
@@ -368,14 +373,6 @@ def stratum_dim_ai(stratum: Stratum, grading: GradingSpec) -> int:
         raise ValueError("stratum box counts do not match the grading")
     c_mu = centralizer_dim(mu)
     return sum(v * v for v in grading.dims) - c_mu - padding + stratum.rank
-
-
-def enumerate_strata_ii(grading: GradingSpec) -> list[Stratum]:
-    """All type II stratum labels: padding depth k plus an admissible
-    distinguished residual accounting for the remaining boxes."""
-    if grading.case not in TYPE_II_CASES:
-        raise ValueError("type II strata require case AII, CII or DII")
-    return _strata(grading, 1, _fills(grading))
 
 
 def full_support_stratum_ii(grading: GradingSpec) -> Stratum:

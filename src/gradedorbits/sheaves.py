@@ -1,15 +1,15 @@
 """Sheaf-label catalogs, central-character bookkeeping and bijection checks.
 
 A label's key couples a `Stratum` with a character of the attached cyclic
-group and a (multi)partition.  Both families share the one record and the
-one key rule: a type II stratum sits at order 1 with the trivial group Z/1,
-so its one character is trivial and its multipartitions have one
-component.  The catalog keys come directly from the stratum enumeration;
-independently, every orbit-with-character pair is mapped through the
-peeling construction, and `verify_bijection` compares the two routes' keys.
-The conjectural nilpotent-support, full-support and cuspidal flags depend
-on the stratum alone: the catalogs and label maps add them to the keys, and
-only their combinatorics is verified here.
+group and a (multi)partition.  Both families share the one record, the
+one key rule and the entry points: a type II stratum sits at order 1 with
+the trivial group Z/1, so its one character is trivial and its
+multipartitions have one component.  The `catalog` keys come from the
+stratum enumeration; independently, `map_sheaf` maps each orbital complex
+through the peeling construction, and `verify_bijection` compares the two
+routes' keys.  The conjectural nilpotent-support, full-support and
+cuspidal flags depend on the stratum alone: `catalog` and `map_sheaf` add
+them to the keys, and only their combinatorics is verified here.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from .orbits import (
     GradingSpec,
     Stratum,
     _fills,
+    _label_order,
     _peel_length,
     _peeled,
     _strata as _orbit_strata,
     admissible_for_case,
     component_group_order,
     d_check_stratum,
-    enumerate_strata_ii,
     full_support_stratum_ii,
     peel_ai,
     peel_ii,
@@ -115,8 +115,7 @@ def orbital_complexes(grading: GradingSpec, a: int = 1):
     so each diagram comes with the one character of Z/1, but the order must
     still be valid.
     """
-    check_positive("order", a)
-    a = a if grading.case == "AI" else 1
+    a = _label_order(grading, a)
     return [
         (lam, psi)
         for lam in iter_diagrams(grading.modulus, MINUS, grading.dims, case=grading.case, order=a)
@@ -156,12 +155,11 @@ def _flags(grading: GradingSpec):
     return "II", lambda stratum: (stratum.rank == 0, stratum == full, False)
 
 
-def _strata(grading: GradingSpec, a: int, fills=None) -> list:
+def _strata(grading: GradingSpec, a: int, fills) -> list:
     """The strata the labels at order a (1 for type II) lie on, their
-    residuals walked over `fills`, the grading's fills at a, made here when
-    not given.  The zero AI grading carries just the trivial character, so
-    it has none at a > 1."""
-    strata = _orbit_strata(grading, a, fills or _fills(grading, a))
+    residuals walked over `fills`, the grading's fills at a.  The zero AI
+    grading carries just the trivial character, so it has none at a > 1."""
+    strata = _orbit_strata(grading, a, fills)
     return [] if grading.total == 0 and a > 1 else strata
 
 
@@ -186,17 +184,11 @@ def _labels(grading: GradingSpec, strata) -> list[SheafLabel]:
     return labels
 
 
-def catalog_ai(grading: GradingSpec, a: int) -> list[SheafLabel]:
-    """The full AI label catalog at order a: the labels of every stratum."""
-    if grading.case != "AI":
-        raise ValueError("catalog_ai requires case AI")
-    return _labels(grading, _strata(grading, a))
-
-
-def catalog_ii(grading: GradingSpec) -> list[SheafLabel]:
-    """The type II label catalog: every stratum paired with every partition
-    of its braid rank; characters are trivial."""
-    return _labels(grading, enumerate_strata_ii(grading))
+def catalog(grading: GradingSpec, a: int = 1) -> list[SheafLabel]:
+    """The full label catalog at order a (1 for type II): the labels of
+    every stratum, each key with its stratum's flags."""
+    a = _label_order(grading, a)
+    return _labels(grading, _strata(grading, a, _fills(grading, a)))
 
 
 def _image(grading: GradingSpec, a: int, lam: FilledDiagram, psi: CentralCharacter) -> tuple:
@@ -225,40 +217,22 @@ def _moved(psi: CentralCharacter, a: int, d_check: int) -> CentralCharacter:
     return CentralCharacter(d_check, d_check // a * unit)
 
 
-def _label(grading: GradingSpec, key: tuple) -> SheafLabel:
-    """The label of one key: the key with its stratum's flags."""
-    family, flags = _flags(grading)
-    return SheafLabel(family, *key, *flags(key[0]))
-
-
-def map_sheaf_ai(lam: FilledDiagram, psi: CentralCharacter, a: int, grading: GradingSpec) -> SheafLabel:
-    """Image of an AI orbital complex under the peeling bijection: its key
-    with its stratum's flags.  The grading must be case AI, and the diagram
-    a '-' diagram with its box counts."""
-    if grading.case != "AI":
-        raise ValueError(f"map_sheaf_ai maps case AI only, got case {grading.case}")
-    _check_orbit(lam, grading)
-    return _label(grading, _image(grading, a, lam, psi))
-
-
-def _check_orbit(lam: FilledDiagram, grading: GradingSpec) -> None:
-    """Reject a diagram that labels no orbit of the grading's negative side:
-    a '+' diagram, or one of another modulus or other box counts."""
+def map_sheaf(grading: GradingSpec, lam: FilledDiagram, psi: CentralCharacter, a: int = 1) -> SheafLabel:
+    """Image of the orbital complex (lam, psi) at order a (1 for type II)
+    under the peeling bijection: its key with its stratum's flags.  The
+    diagram must be an admissible '-' diagram with the grading's box
+    counts, and psi an exact-order-a character of its component group: for
+    type II the trivial character CentralCharacter(1, 0) of Z/1."""
+    a = _label_order(grading, a)
+    if not admissible_for_case(lam, grading.case):
+        raise ValueError("diagram is not admissible for this grading")
     if lam.sign != MINUS:
         raise ValueError(f"orbit diagrams have sign '-', got {lam.sign!r}")
     if dimension_vector(lam) != grading.dims:
         raise ValueError("diagram box counts do not match the grading")
-
-
-def map_sheaf_ii(lam: FilledDiagram, grading: GradingSpec) -> SheafLabel:
-    """Image of a type II orbit under the peeling bijection: its key with
-    its stratum's flags."""
-    if grading.case == "AI":
-        raise ValueError("map_sheaf_ii maps the type II cases only, got case AI")
-    if not admissible_for_case(lam, grading.case):
-        raise ValueError("diagram is not admissible for this grading")
-    _check_orbit(lam, grading)
-    return _label(grading, _image(grading, 1, lam, CentralCharacter(1, 0)))
+    key = _image(grading, a, lam, psi)
+    family, flags = _flags(grading)
+    return SheafLabel(family, *key, *flags(key[0]))
 
 
 @dataclass(frozen=True)
@@ -282,8 +256,7 @@ def verify_bijection(grading: GradingSpec, a: int = 1) -> BijectionReport:
     keys of the enumerated strata (see `_route_keys`).  The flags depend on
     the stratum alone, so no flag is computed.  A type II grading ignores
     the order, but it must still be valid."""
-    check_positive("order", a)
-    a = a if grading.case == "AI" else 1
+    a = _label_order(grading, a)
     image, keys = _route_keys(grading, a)
     distinct = set(image)
     return BijectionReport(grading.case, a, len(image), len(keys), len(image) == len(keys),

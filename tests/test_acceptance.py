@@ -21,7 +21,7 @@ from gradedorbits.orbits import (
     GradingSpec,
     admissible_for_case,
     duality,
-    enumerate_strata_ai,
+    enumerate_strata,
     is_distinguished_ai,
     is_distinguished_ii,
     orbit_dim,
@@ -168,7 +168,7 @@ def test_criterion_6_dimension_identities():
             dims = (total // m,) * m
             g = GradingSpec("AI", m, dims)
             for a in divisors(m):
-                dense = [s for s in enumerate_strata_ai(g, a) if s.mu.is_empty]
+                dense = [s for s in enumerate_strata(g, a) if s.mu.is_empty]
                 ok = ok and len(dense) == 1
                 ok = ok and stratum_dim_ai(dense[0], g) == g.dim_g1
     assert _report(6, "dimension identities", ok)

@@ -11,8 +11,8 @@ from hypothesis import example, given, strategies as st
 
 from gradedorbits import cli
 from gradedorbits.diagrams import MINUS, iter_diagrams
-from gradedorbits.orbits import GradingSpec, enumerate_strata_ai, enumerate_strata_ii
-from gradedorbits.sheaves import catalog_ai, catalog_ii
+from gradedorbits.orbits import GradingSpec, enumerate_strata
+from gradedorbits.sheaves import catalog
 
 from conftest import PKG_ROOT
 from test_readme import README_EXAMPLES
@@ -459,12 +459,12 @@ def dumped_json(payload) -> str:
 # stratum is written in its label's family's form; a bare stratum is not.
 LIBRARY_OBJECTS = (
     list(iter_diagrams(3, MINUS, (1, 2, 1)))
-    + catalog_ai(GradingSpec("AI", 2, (2, 2)), 2)
-    + catalog_ii(GradingSpec("AII", 3, (2, 2, 2)))
+    + catalog(GradingSpec("AI", 2, (2, 2)), 2)
+    + catalog(GradingSpec("AII", 3, (2, 2, 2)))
 )
 BARE_STRATA = (
-    enumerate_strata_ai(GradingSpec("AI", 3, (1, 1, 1)), 1)[0],
-    enumerate_strata_ii(GradingSpec("CII", 2, (2, 2)))[0],
+    enumerate_strata(GradingSpec("AI", 3, (1, 1, 1)), 1)[0],
+    enumerate_strata(GradingSpec("CII", 2, (2, 2)))[0],
 )
 
 JSON_SCALARS = st.one_of(

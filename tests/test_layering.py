@@ -90,7 +90,7 @@ def test_detects_oracle_reaching_what_it_checks():
         "from .series import weight_count",
         "from . import sheaves",
         "import gradedorbits.series",
-        "def f():\n    from .sheaves import catalog_ai\n",
+        "def f():\n    from .sheaves import catalog\n",
     ):
         assert oracle_violations(ast.parse(source)), source
     clean = "from .diagrams import FilledDiagram, PLUS\nfrom .orbits import GradingSpec, duality"
@@ -128,7 +128,7 @@ def test_detects_unused_imports():
         ("from .diagrams import MINUS, empty_diagram\nMINUS", ["empty_diagram"]),
         ("from .orbits import GradingSpec as G\nGradingSpec", ["G"]),
         ("import os.path\nimport sys\nos.path.join()", ["sys"]),
-        ("def f():\n    from .sheaves import catalog_ai\n", ["catalog_ai"]),
+        ("def f():\n    from .sheaves import catalog\n", ["catalog"]),
     ):
         assert unused_imports(ast.parse(source)) == unused, source
     clean = (

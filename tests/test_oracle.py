@@ -18,7 +18,7 @@ from gradedorbits.orbits import (
     Stratum,
     centralizer_dim,
     duality,
-    enumerate_strata_ai,
+    enumerate_strata,
     is_distinguished_ai,
     orbit_dim,
     stratum_dim_ai,
@@ -785,7 +785,7 @@ def test_dense_stratum_dimension():
             for a in range(1, m + 1):
                 if m % a:
                     continue
-                strata = enumerate_strata_ai(g, a)
+                strata = enumerate_strata(g, a)
                 dense = [s for s in strata if s.mu.is_empty]
                 assert len(dense) == 1
                 assert stratum_dim_ai(dense[0], g) == g.dim_g1
@@ -846,7 +846,7 @@ def test_stratum_dim_matches_nullspace_exhaustive():
                 for a in range(1, total + 1):
                     if total % a:
                         continue
-                    for stratum in enumerate_strata_ai(g, a):
+                    for stratum in enumerate_strata(g, a):
                         assert stratum_dim_ai(stratum, g) == _stratum_dim_nullspace(stratum, g)
                         checked += 1
     assert checked == 613

@@ -23,8 +23,7 @@ from gradedorbits.orbits import (
     d_check_dual,
     d_check_stratum,
     duality,
-    enumerate_strata_ai,
-    enumerate_strata_ii,
+    enumerate_strata,
     full_support_stratum_ii,
     is_distinguished_ai,
     is_distinguished_ii,
@@ -463,17 +462,17 @@ def test_d_check_dual_examples():
 
 def test_enumerate_strata_ai_examples():
     g = GradingSpec("AI", 2, (1, 1))
-    strata = enumerate_strata_ai(g, 1)
+    strata = enumerate_strata(g, 1)
     assert [(s.rank, str(s.mu), s.d_check) for s in strata] == [
         (0, "2_1", 2),
         (0, "2_2", 2),
         (1, "empty", 2),
     ]
-    strata = enumerate_strata_ai(g, 2)
+    strata = enumerate_strata(g, 2)
     assert [(s.rank, str(s.mu)) for s in strata] == [(1, "empty")]
-    assert enumerate_strata_ai(g, 3) == []
+    assert enumerate_strata(g, 3) == []
     # stable branch needs uniform box counts
-    assert enumerate_strata_ai(GradingSpec("AI", 2, (2, 0)), 2) == []
+    assert enumerate_strata(GradingSpec("AI", 2, (2, 0)), 2) == []
 
 
 def test_strata_ai_properties():
@@ -484,7 +483,7 @@ def test_strata_ai_properties():
             for dims in compositions(total, m):
                 g = GradingSpec("AI", m, dims)
                 for a in divisors(total):
-                    for stratum in enumerate_strata_ai(g, a):
+                    for stratum in enumerate_strata(g, a):
                         assert is_distinguished_ai(stratum.mu, a)
                         assert stratum.d_check % a == 0
                         assert braid_rank_ai(a, stratum.mu, g) == stratum.rank
@@ -509,7 +508,7 @@ def test_strata_ai_match_brute_force():
                         for mu in enumerate_diagrams(m, "-", [v - padding * rank for v in dims])
                         if is_distinguished_ai(mu, a)
                     ]
-                    assert enumerate_strata_ai(g, a) == expected
+                    assert enumerate_strata(g, a) == expected
 
 
 def test_strata_ii_match_brute_force():
@@ -524,7 +523,7 @@ def test_strata_ii_match_brute_force():
                 for mu in enumerate_diagrams(modulus, "-", [v - 2 * rank for v in g.dims])
                 if admissible_for_case(mu, case) and is_distinguished_ii(mu)
             ]
-            assert enumerate_strata_ii(g) == expected
+            assert enumerate_strata(g) == expected
 
 
 def assert_canonical(diagram):
@@ -552,11 +551,11 @@ def test_strata_residuals_equal_their_canonical_rebuild():
         for total in range(7):
             for dims in compositions(total, m):
                 for a in range(1, total + 2):
-                    for stratum in enumerate_strata_ai(GradingSpec("AI", m, dims), a):
+                    for stratum in enumerate_strata(GradingSpec("AI", m, dims), a):
                         assert_canonical(stratum.mu)
     for case, modulus in (("AII", 3), ("CII", 2), ("DII", 4)):
         for g in _symmetric_dims(case, modulus, 6):
-            for stratum in enumerate_strata_ii(g):
+            for stratum in enumerate_strata(g):
                 assert_canonical(stratum.mu)
 
 
@@ -571,13 +570,13 @@ def test_braid_rank_examples():
 
 def test_enumerate_strata_ii_examples():
     g = GradingSpec("AII", 3, (0, 0, 0))
-    assert enumerate_strata_ii(g) == [Stratum(1, 0, empty_diagram(3), 1)]
+    assert enumerate_strata(g) == [Stratum(1, 0, empty_diagram(3), 1)]
 
     g = GradingSpec("AII", 3, (1, 0, 1))
-    assert enumerate_strata_ii(g) == [Stratum(1, 0, diag([(1, 1), (1, 3)], 3), 1)]
+    assert enumerate_strata(g) == [Stratum(1, 0, diag([(1, 1), (1, 3)], 3), 1)]
 
     g = GradingSpec("AII", 3, (2, 2, 2))
-    strata = enumerate_strata_ii(g)
+    strata = enumerate_strata(g)
     assert Stratum(1, 1, empty_diagram(3), 1) in strata
     assert [s for s in strata if s.rank == 0] == [
         Stratum(1, 0, diag([(3, 1), (3, 2)], 3), 1),
@@ -610,7 +609,7 @@ def test_strata_ii_padding_is_admissible():
     for case, modulus in (("AII", 3), ("CII", 2), ("DII", 2), ("CII", 4), ("DII", 4)):
         for g in _symmetric_dims(case, modulus, 6):
             full = full_support_stratum_ii(g)
-            strata = enumerate_strata_ii(g)
+            strata = enumerate_strata(g)
             assert full in strata
             for stratum in strata:
                 support = support_diagram_ii(stratum)

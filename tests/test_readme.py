@@ -1,9 +1,14 @@
 """The README's examples: the library example runs as written, and its CLI
 examples are the invocations the CLI tests run."""
 
+import importlib
+import pkgutil
 import re
 import shlex
+import sys
 from pathlib import Path
+
+import gradedorbits
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,6 +32,42 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def _package_namespaces():
+    """`gradedorbits` and each of its modules."""
+    modules = [
+        importlib.import_module(f"gradedorbits.{info.name}")
+        for info in pkgutil.iter_modules(gradedorbits.__path__)
+    ]
+    return [gradedorbits, *modules]
+
+
+def _resolves(name: str, namespaces) -> bool:
+    """Whether a dotted name is an attribute chain from some namespace."""
+    for namespace in namespaces:
+        obj = namespace
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_readme_call_forms_name_the_package():
+    # Every `name(` call form in README prose names a callable of the
+    # package, so a rename cannot leave a stale name behind; a dotted name
+    # rooted in the standard library, such as `json.dumps`, is exempt.
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)\(", README.read_text()))
+    namespaces = _package_namespaces()
+    assert names and not _resolves("catalog_ai", namespaces)
+    stale = sorted(
+        name
+        for name in names
+        if not ("." in name and name.split(".")[0] in sys.stdlib_module_names)
+        and not _resolves(name, namespaces)
+    )
+    assert not stale, f"README names {stale}, which gradedorbits does not define"
 
 
 def test_readme_cli_examples_are_the_tested_ones():

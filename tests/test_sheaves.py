@@ -4,6 +4,7 @@ import pytest
 
 from gradedorbits.diagrams import (
     MINUS,
+    FilledDiagram,
     _Fills,
     canonicalize,
     count_diagrams,
@@ -11,6 +12,7 @@ from gradedorbits.diagrams import (
     enumerate_diagrams,
     iter_diagrams,
     multipartitions,
+    partitions,
 )
 from gradedorbits import sheaves
 from gradedorbits.orbits import (
@@ -19,7 +21,7 @@ from gradedorbits.orbits import (
     component_group_order,
     d_check_stratum,
     duality,
-    enumerate_strata_ai,
+    enumerate_strata,
     is_distinguished_ai,
     peel_ai,
 )
@@ -27,13 +29,11 @@ from gradedorbits.sheaves import (
     CentralCharacter,
     SheafLabel,
     _flags_ai,
-    catalog_ai,
-    catalog_ii,
+    catalog,
     cuspidal_ai,
     divisors,
     exact_order_characters,
-    map_sheaf_ai,
-    map_sheaf_ii,
+    map_sheaf,
     orbital_complexes,
     verify_bijection,
 )
@@ -43,6 +43,10 @@ from conftest import compositions
 
 def diag(rows, k):
     return canonicalize(rows, k, "-")
+
+
+# the one character of Z/1, which every type II orbit carries
+TRIVIAL = CentralCharacter(1, 0)
 
 
 PHI = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
@@ -111,7 +115,7 @@ def test_orbital_complexes_examples():
 
 def test_catalog_ai_examples():
     g = GradingSpec("AI", 2, (1, 1))
-    labels = catalog_ai(g, 1)
+    labels = catalog(g, 1)
     assert [
         (lab.stratum.rank, str(lab.stratum.mu), lab.psi.index, lab.tau) for lab in labels
     ] == [
@@ -119,16 +123,16 @@ def test_catalog_ai_examples():
         (0, "2_2", 0, ((),)),
         (1, "empty", 0, ((1,),)),
     ]
-    labels = catalog_ai(g, 2)
+    labels = catalog(g, 2)
     assert len(labels) == 2
     assert {lab.tau for lab in labels} == {((1,), ()), ((), (1,))}
     assert all(lab.psi == CentralCharacter(2, 1) for lab in labels)
-    assert catalog_ai(g, 3) == []
+    assert catalog(g, 3) == []
 
 
 def test_catalog_ai_flags():
     g = GradingSpec("AI", 2, (1, 1))
-    labels = catalog_ai(g, 1)
+    labels = catalog(g, 1)
     for lab in labels:
         assert lab.nilpotent_support == (lab.stratum.rank == 0)
     dense = [lab for lab in labels if lab.full_support]
@@ -137,7 +141,7 @@ def test_catalog_ai_flags():
 
 def test_catalog_ii_examples():
     g = GradingSpec("AII", 3, (1, 0, 1))
-    labels = catalog_ii(g)
+    labels = catalog(g)
     assert len(labels) == 1
     lab = labels[0]
     assert lab.stratum == Stratum(1, 0, diag([(1, 1), (1, 3)], 3), 1)
@@ -145,10 +149,10 @@ def test_catalog_ii_examples():
     assert lab.nilpotent_support and lab.full_support
 
     g0 = GradingSpec("AII", 3, (0, 0, 0))
-    assert len(catalog_ii(g0)) == 1
+    assert len(catalog(g0)) == 1
 
     g6 = GradingSpec("AII", 3, (2, 2, 2))
-    labels = catalog_ii(g6)
+    labels = catalog(g6)
     assert len(labels) == 3  # two distinguished orbits plus the padded stratum
     assert sum(1 for lab in labels if lab.nilpotent_support) == 2
     assert sum(1 for lab in labels if lab.full_support) == 1
@@ -156,33 +160,33 @@ def test_catalog_ii_examples():
 
 def test_map_sheaf_ai_examples():
     g = GradingSpec("AI", 2, (1, 1))
-    lab = map_sheaf_ai(diag([(1, 1), (1, 2)], 2), CentralCharacter(1, 0), 1, g)
+    lab = map_sheaf(g, diag([(1, 1), (1, 2)], 2), CentralCharacter(1, 0), 1)
     assert lab.stratum == Stratum(1, 1, empty_diagram(2), 2)
     assert lab.psi == CentralCharacter(2, 0)
     assert lab.tau == ((1,),)
 
-    lab = map_sheaf_ai(diag([(2, 1)], 2), CentralCharacter(2, 0), 1, g)
+    lab = map_sheaf(g, diag([(2, 1)], 2), CentralCharacter(2, 0), 1)
     assert lab.stratum == Stratum(1, 0, diag([(2, 1)], 2), 2)
     assert lab.tau == ((),)
 
     with pytest.raises(ValueError):
-        map_sheaf_ai(diag([(1, 1), (1, 2)], 2), CentralCharacter(2, 1), 2, g)
+        map_sheaf(g, diag([(1, 1), (1, 2)], 2), CentralCharacter(2, 1), 2)
 
 
 def test_map_sheaf_ai_preserves_character_order():
     g = GradingSpec("AI", 2, (1, 1))
-    lab = map_sheaf_ai(diag([(2, 1)], 2), CentralCharacter(2, 1), 2, g)
+    lab = map_sheaf(g, diag([(2, 1)], 2), CentralCharacter(2, 1), 2)
     assert lab.psi.order == 2 and lab.psi == CentralCharacter(2, 1)
 
 
 def test_map_sheaf_ii_example():
     g = GradingSpec("AII", 3, (2, 2, 2))
     lam = diag([(1, 1), (1, 1), (1, 2), (1, 2), (1, 3), (1, 3)], 3)
-    lab = map_sheaf_ii(lam, g)
+    lab = map_sheaf(g, lam, TRIVIAL)
     assert lab.stratum == Stratum(1, 1, empty_diagram(3), 1)
     assert lab.tau == ((1,),)
     with pytest.raises(ValueError):
-        map_sheaf_ii(diag([(2, 3)], 3), g)  # not admissible
+        map_sheaf(g, diag([(2, 3)], 3), TRIVIAL)  # not admissible
 
 
 def test_map_sheaf_ii_rejects_a_plus_diagram():
@@ -192,51 +196,33 @@ def test_map_sheaf_ii_rejects_a_plus_diagram():
     assert plus
     for lam in plus:
         with pytest.raises(ValueError, match="orbit diagrams have sign '-'"):
-            map_sheaf_ii(lam, g)
-    assert {map_sheaf_ii(duality(lam), g) for lam in plus} <= set(catalog_ii(g))
+            map_sheaf(g, lam, TRIVIAL)
+    assert {map_sheaf(g, duality(lam), TRIVIAL) for lam in plus} <= set(catalog(g))
 
 
 def test_map_sheaf_ai_rejects_a_plus_diagram_and_other_box_counts():
     g = GradingSpec("AI", 2, (1, 1))
     with pytest.raises(ValueError, match="orbit diagrams have sign '-'"):
-        map_sheaf_ai(canonicalize([(2, 1)], 2, "+"), CentralCharacter(2, 0), 1, g)
+        map_sheaf(g, canonicalize([(2, 1)], 2, "+"), CentralCharacter(2, 0), 1)
     for lam in (diag([(1, 1), (1, 1)], 2), diag([(1, 1), (1, 1)], 1), diag([(2, 1), (1, 1)], 3)):
         with pytest.raises(ValueError, match="diagram box counts do not match the grading"):
-            map_sheaf_ai(lam, CentralCharacter(lam.part_gcd, 0), 1, g)
+            map_sheaf(g, lam, CentralCharacter(lam.part_gcd, 0), 1)
 
 
 def test_map_sheaf_ii_rejects_a_diagram_of_other_box_counts():
     g = GradingSpec("AII", 3, (2, 2, 2))
     with pytest.raises(ValueError, match="diagram box counts do not match the grading"):
-        map_sheaf_ii(diag([(1, 1), (1, 3)], 3), g)
+        map_sheaf(g, diag([(1, 1), (1, 3)], 3), TRIVIAL)
     with pytest.raises(ValueError, match="diagram box counts do not match the grading"):
-        map_sheaf_ii(diag([(1, 1), (1, 1)], 1), g)  # another modulus
-
-
-def test_map_sheaf_ai_rejects_a_type_ii_grading_before_peeling(monkeypatch):
-    g = GradingSpec("AII", 3, (2, 2, 2))
-    lam = diag([(6, 1)], 3)
-    # a peel would now raise TypeError
-    monkeypatch.setattr(sheaves, "peel_ai", None)
-    with pytest.raises(ValueError, match="map_sheaf_ai maps case AI only, got case AII"):
-        map_sheaf_ai(lam, CentralCharacter(6, 0), 1, g)
-
-
-def test_map_sheaf_ii_rejects_an_ai_grading_up_front(monkeypatch):
-    g = GradingSpec("AI", 2, (1, 1))
-    # an admissibility check or a peel would now raise TypeError
-    monkeypatch.setattr(sheaves, "admissible_for_case", None)
-    monkeypatch.setattr(sheaves, "peel_ii", None)
-    with pytest.raises(ValueError, match="map_sheaf_ii maps the type II cases only, got case AI"):
-        map_sheaf_ii(diag([(1, 1), (1, 2)], 2), g)
+        map_sheaf(g, diag([(1, 1), (1, 1)], 1), TRIVIAL)  # another modulus
 
 
 ORDER_ENTRY_POINTS = {
     "d_check_stratum": lambda a: d_check_stratum(a, empty_diagram(2)),
     "verify_bijection": lambda a: verify_bijection(GradingSpec("AI", 2, (2, 2)), a),
-    "catalog_ai": lambda a: catalog_ai(GradingSpec("AI", 2, (2, 2)), a),
-    "catalog_ai_zero": lambda a: catalog_ai(GradingSpec("AI", 2, (0, 0)), a),
-    "enumerate_strata_ai": lambda a: enumerate_strata_ai(GradingSpec("AI", 2, (2, 2)), a),
+    "catalog": lambda a: catalog(GradingSpec("AI", 2, (2, 2)), a),
+    "catalog_zero": lambda a: catalog(GradingSpec("AI", 2, (0, 0)), a),
+    "enumerate_strata": lambda a: enumerate_strata(GradingSpec("AI", 2, (2, 2)), a),
     "peel_ai": lambda a: peel_ai(diag([(2, 1), (2, 2)], 2), a),
     "is_distinguished_ai": lambda a: is_distinguished_ai(diag([(2, 1), (2, 2)], 2), a),
     "exact_order_characters": lambda a: exact_order_characters(4, a),
@@ -251,6 +237,31 @@ ORDER_ENTRY_POINTS = {
 def test_order_must_be_an_integer_at_least_one(name, a, message):
     with pytest.raises(ValueError, match=message):
         ORDER_ENTRY_POINTS[name](a)
+
+
+# True == 1, but it would print and serialize as a bool
+BOOL_INPUTS = {
+    "GradingSpec.modulus": (lambda: GradingSpec("AI", True, (1,)), "modulus must be an integer, got True"),
+    "GradingSpec.dims": (lambda: GradingSpec("AI", 1, (True,)), "box count must be an integer, got True"),
+    "FilledDiagram.modulus": (lambda: FilledDiagram(True, "-", ()), "modulus must be an integer, got True"),
+    "FilledDiagram.rows": (lambda: FilledDiagram(1, "-", ((1, True),)),
+                           "row length and start must be integers, got (1, True)"),
+    "verify_bijection": (lambda: verify_bijection(GradingSpec("AI", 1, (1,)), True),
+                         "order must be an integer, got True"),
+    "exact_order_characters.order": (lambda: exact_order_characters(2, True),
+                                     "order must be an integer, got True"),
+    "exact_order_characters.modulus": (lambda: exact_order_characters(True, 1),
+                                       "modulus must be an integer, got True"),
+    "partitions": (lambda: partitions(True), "partition size must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("name", BOOL_INPUTS)
+def test_a_bool_is_not_an_integer(name):
+    call, message = BOOL_INPUTS[name]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -300,12 +311,12 @@ def test_label_shapes():
 
     g = GradingSpec("AI", 2, (2, 2))
     for a in divisors(4):
-        for lab in catalog_ai(g, a):
+        for lab in catalog(g, a):
             assert len(lab.tau) == _gcd(a, 2)
             assert sum(sum(c) for c in lab.tau) == lab.stratum.rank
             assert lab.psi.order == a
     gii = GradingSpec("AII", 3, (2, 2, 2))
-    for lab in catalog_ii(gii):
+    for lab in catalog(gii):
         assert len(lab.tau) == 1
         assert sum(lab.tau[0]) == lab.stratum.rank
 
@@ -324,12 +335,12 @@ def test_nilpotent_support_flags():
 
     g = GradingSpec("AI", 2, (2, 2))
     for a in divisors(4):
-        for lab in catalog_ai(g, a):
+        for lab in catalog(g, a):
             assert lab.nilpotent_support == (lab.stratum.rank == 0)
             if lab.nilpotent_support:
                 assert is_distinguished_ai(lab.stratum.mu, a)
     gii = GradingSpec("AII", 3, (2, 2, 2))
-    for lab in catalog_ii(gii):
+    for lab in catalog(gii):
         assert lab.nilpotent_support == (lab.stratum.rank == 0)
         if lab.nilpotent_support:
             assert is_distinguished_ii(lab.stratum.mu)
@@ -342,7 +353,7 @@ def test_catalog_sum_rule():
         for total in range(1, 5):
             for dims in compositions(total, m):
                 g = GradingSpec("AI", m, dims)
-                catalog_total = sum(len(catalog_ai(g, a)) for a in divisors(total))
+                catalog_total = sum(len(catalog(g, a)) for a in divisors(total))
                 orbit_total = sum(
                     lam.part_gcd for lam in enumerate_diagrams(m, "-", dims)
                 )
@@ -386,10 +397,10 @@ def test_cuspidal_subset_of_catalog():
         labels = cuspidal_ai(g)
         orders = {lab.stratum.a for lab in labels}
         for a in orders:
-            catalog = set(catalog_ai(g, a))
-            flagged = {lab for lab in catalog if lab.cuspidal_conjectural}
+            every = set(catalog(g, a))
+            flagged = {lab for lab in every if lab.cuspidal_conjectural}
             assert {lab for lab in labels if lab.stratum.a == a} == flagged
-            assert flagged <= catalog
+            assert flagged <= every
 
 
 def reference_cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
@@ -440,7 +451,7 @@ CUSPIDAL_GRADINGS = [
 
 
 def flagged_catalog_labels(grading: GradingSpec, orders) -> list[SheafLabel]:
-    return [lab for a in orders for lab in catalog_ai(grading, a) if lab.cuspidal_conjectural]
+    return [lab for a in orders for lab in catalog(grading, a) if lab.cuspidal_conjectural]
 
 
 def test_cuspidal_matches_catalog_filter_and_reference():
@@ -564,30 +575,30 @@ def test_bijection_counts_match_verify(case, dims):
 @pytest.mark.parametrize("case, dims", BIJECTION_GRADINGS)
 def test_verify_bijection_computes_no_flag(monkeypatch, case, dims):
     # The two routes are compared on (stratum, character, tau) keys: no
-    # flag, stratum dimension or catalog is computed; every AI image key
-    # with its stratum's flags is the label map_sheaf_ai gives, and every
-    # type II image key is the key of map_sheaf_ii's label.  The keys are
-    # those of the routes' helper, in orbital_complexes order.
+    # flag, stratum dimension or catalog is computed; every image key is
+    # the key of map_sheaf's label, and every AI image key with its
+    # stratum's flags is that label.  The keys are those of the routes'
+    # helper, in orbital_complexes order.  Through the public API alone,
+    # the labels of all orbital complexes are the catalog.
     grading = GradingSpec(case, len(dims), dims)
     for a in divisors(grading.total) if case == "AI" else (1,):
 
         def forbidden(*args):
             raise AssertionError("verify_bijection computed a flag or a catalog")
 
-        for name in ("_flags_ai", "stratum_dim_ai", "full_support_stratum_ii",
-                     "catalog_ai", "catalog_ii"):
+        for name in ("_flags_ai", "stratum_dim_ai", "full_support_stratum_ii", "catalog"):
             monkeypatch.setattr(sheaves, name, forbidden)
         report = verify_bijection(grading, a)
         image, keys = sheaves._route_keys(grading, a)
         monkeypatch.undo()
         assert report.ok and (len(image), len(keys)) == (report.complexes, report.labels), a
-        for (lam, psi), key in zip(orbital_complexes(grading, a), image, strict=True):
-            if case == "AI":
-                label = SheafLabel("AI", *key, *_flags_ai(grading, a, key[0]))
-                assert label == map_sheaf_ai(lam, psi, a, grading), (lam, psi, a)
-            else:
-                label = map_sheaf_ii(lam, grading)
-                assert (label.stratum, label.psi, label.tau) == key, lam
+        labels = [map_sheaf(grading, lam, psi, a) for lam, psi in orbital_complexes(grading, a)]
+        assert [(lab.stratum, lab.psi, lab.tau) for lab in labels] == image, a
+        if case == "AI":
+            assert labels == [
+                SheafLabel("AI", *key, *_flags_ai(grading, a, key[0])) for key in image
+            ], a
+        assert set(labels) == set(catalog(grading, a)), a
 
 
 # (case, modulus, deepest total) of the routes' differential test: every
@@ -618,7 +629,9 @@ def test_route_keys_equal_the_one_complex_and_one_stratum_maps(case, m, deepest)
                     sheaves._image(grading, a, lam, psi) for lam, psi in orbital_complexes(grading, a)
                 ], (dims, a)
                 assert keys == [
-                    key for s in sheaves._strata(grading, a) for key in sheaves._keys(grading, s)
+                    key
+                    for s in sheaves._strata(grading, a, sheaves._fills(grading, a))
+                    for key in sheaves._keys(grading, s)
                 ], (dims, a)
                 # the orbits' own records, none taken from the strata route
                 fills = sheaves._fills(grading, a)
@@ -669,14 +682,22 @@ def test_verify_bijection_fills_each_block_once(monkeypatch, case, dims):
 )
 def test_orbital_complexes_type_ii_rejects_a_bad_order(a, message):
     # A type II grading drops the order only after checking it, with the
-    # messages verify_bijection gives.
+    # messages verify_bijection gives, at every entry point that takes it.
     grading = GradingSpec("AII", 3, (2, 2, 2))
-    for call in (orbital_complexes, verify_bijection):
+    lam = diag([(1, 1), (1, 1), (1, 2), (1, 2), (1, 3), (1, 3)], 3)
+    calls = {
+        "orbital_complexes": lambda a: orbital_complexes(grading, a),
+        "verify_bijection": lambda a: verify_bijection(grading, a),
+        "catalog": lambda a: catalog(grading, a),
+        "enumerate_strata": lambda a: enumerate_strata(grading, a),
+        "map_sheaf": lambda a: map_sheaf(grading, lam, TRIVIAL, a),
+    }
+    for name, call in calls.items():
         with pytest.raises(ValueError) as err:
-            call(grading, a)
-        assert str(err.value) == message, call
-    # a valid order is ignored, as before
-    assert orbital_complexes(grading, 2) == orbital_complexes(grading)
+            call(a)
+        assert str(err.value) == message, name
+        # a valid order is ignored, as before
+        assert call(2) == call(1), name
 
 
 def reference_map_sheaf_ai(lam, psi, a, grading):
@@ -714,7 +735,7 @@ def test_map_sheaf_ai_matches_list_reference(dims):
         for a in range(1, grading.total + 2):
             for psi in chars:
                 want = _label_or_error(reference_map_sheaf_ai, lam, psi, a, grading)
-                assert _label_or_error(map_sheaf_ai, lam, psi, a, grading) == want, (lam, psi, a)
+                assert _label_or_error(map_sheaf, grading, lam, psi, a) == want, (lam, psi, a)
                 mapped += isinstance(want, SheafLabel)
     assert mapped == sum(len(orbital_complexes(grading, a)) for a in range(1, grading.total + 2))
 
