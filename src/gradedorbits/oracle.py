@@ -5,15 +5,18 @@ vector per box and each box mapped to the next box of its row.  One
 commutator system, {z : x z = z x} for block matrices z of a single degree,
 serves everything here.  It is written block by block, in one order of the
 unknown cells of z, from the nonzero entries of x's blocks
-(`_commutator_system`): the distinguishedness test reads them straight off
-the diagram's rows (`_string_entries`), and `_commutator_rows` off a
-`GradedMatrix`.  Dense 0/1 blocks are built only by
+(`_commutator_system`, and `_commutator_rows` off a `GradedMatrix`); the
+distinguishedness test reads the entries straight off the diagram's rows
+(`_string_entries`).  Dense 0/1 blocks are built only by
 `build_representative`, for `distinguished --dump-matrices` and the tests.
-The system is solved by sparse fraction-free elimination over the integers:
-at degree 0 its rank gives the block-diagonal centralizer dimension, and at
-degree -(deg x) its integer basis gives the opposite-degree centralizer.
-Distinguishedness is decided on the m-step cycle product of its elements y
-at a smallest label by one span walk (`_words_kill`).  Run on the basis, it
+At degree 0 its rank, by sparse fraction-free elimination over the
+integers, gives the block-diagonal centralizer dimension.  At degree
+-(deg x) each equation of a string representative sets two cells equal or
+one cell zero, and a union-find over them gives the opposite-degree
+centralizer's 0/1 basis (`_opposite_basis`); the elimination serves only
+`centralizer_dim_gl` and the span walk.  Distinguishedness is decided on
+the m-step cycle product of the basis combinations y at a smallest label
+by one span walk (`_words_kill`).  Run on the basis, it
 is an exact nil certificate, and its True is certain; otherwise seeded Monte
 Carlo trials run it on random combinations y, where it is an exact
 nilpotency test, to certify non-distinguishedness, and only there does the
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .diagrams import FilledDiagram, PLUS, check_integer, check_positive, dimension_vector
+from .diagrams import FilledDiagram, PLUS, check_integer, check_positive
 from .orbits import GradingSpec, duality
 
 Matrix = tuple[tuple[int | Fraction, ...], ...]
@@ -101,25 +104,6 @@ def _eliminate(rows, ncols):
     return reduced, pivots
 
 
-def _integer_basis(rows, ncols):
-    """A nullspace basis of the system `rows * v = 0`, one vector per free
-    column, read straight off the elimination in integers as sparse
-    (column, value) lists: the free column gets L, the lcm of the pivot
-    entries, and each pivot column, in pivot order, its multiple of L.
-    Each vector is L times the rational basis vector whose free entry is
-    1."""
-    reduced, pivots = _eliminate(rows, ncols)
-    scale = lcm(*[row[pc] for row, pc in zip(reduced, pivots)])
-    pivot_set = set(pivots)
-    basis = {free: [(free, scale)] for free in range(ncols) if free not in pivot_set}
-    for row, pc in zip(reduced, pivots):
-        unit = scale // row[pc]
-        for free, v in row.items():
-            if free != pc:
-                basis[free].append((pc, -v * unit))
-    return list(basis.values())
-
-
 @dataclass(frozen=True)
 class GradedMatrix:
     """Block matrix of pure degree: blocks[i - 1] maps the label-i summand
@@ -145,12 +129,13 @@ class GradedMatrix:
 
 
 def _string_entries(diagram: FilledDiagram):
-    """The degree of the diagram's string representative and the nonzero
+    """The degree of the diagram's string representative, the nonzero
     entries of its blocks, as (block, row, column, value) with block i
-    mapping label i to label i - degree (labels from 0).  Each row of the
-    diagram is a string of boxes, each box a basis vector of its label,
-    numbered there in row order, and box t maps to box t + 1 (a '+' row
-    runs down from its start label, a '-' row up)."""
+    mapping label i to label i - degree (labels from 0), and the box counts
+    per label.  Each row of the diagram is a string of boxes, each box a
+    basis vector of its label, numbered there in row order, and box t maps
+    to box t + 1 (a '+' row runs down from its start label, a '-' row
+    up)."""
     m = diagram.modulus
     degree = 1 if diagram.sign == PLUS else -1
     next_index = [0] * m
@@ -165,7 +150,7 @@ def _string_entries(diagram: FilledDiagram):
             next_index[j] += 1
             entries.append((i, r, c, 1))
             i, c = j, r
-    return degree, entries
+    return degree, entries, tuple(next_index)
 
 
 def build_representative(diagram: FilledDiagram) -> GradedMatrix:
@@ -175,9 +160,9 @@ def build_representative(diagram: FilledDiagram) -> GradedMatrix:
     The result has degree +1 for a '+' diagram and -1 for a '-' diagram, and
     its Jordan type is the underlying partition.
     """
-    grading = GradingSpec("AI", diagram.modulus, dimension_vector(diagram))
-    degree, entries = _string_entries(diagram)
-    blocks = _zero_blocks(grading.dims, degree)
+    degree, entries, dims = _string_entries(diagram)
+    grading = GradingSpec("AI", diagram.modulus, dims)
+    blocks = _zero_blocks(dims, degree)
     for i, r, c, v in entries:
         blocks[i][r][c] = v
     return GradedMatrix(grading, degree, tuple(tuple(map(tuple, b)) for b in blocks))
@@ -195,24 +180,31 @@ def _commutator_rows(x: GradedMatrix, degree: int):
     return _commutator_system(x.grading.dims, x.degree, entries, degree)
 
 
+def _cell_numbering(dims, degree: int):
+    """The unknown cells (i, r, c) of the blocks Z_i : V_i -> V_{i-d} of a
+    block matrix of degree d = `degree` (labels from 0), taken block by
+    block and row-major inside a block, and base[i], the unknown of block
+    i's first cell: cell (i, r, c) is unknown base[i] + r * dims[i] + c."""
+    m = len(dims)
+    cells = [(i, r, c) for i in range(m) for r in range(dims[(i - degree) % m]) for c in range(dims[i])]
+    base = [0] * m
+    for i in range(1, m):
+        base[i] = base[i - 1] + dims[(i - 1 - degree) % m] * dims[i - 1]
+    return cells, base
+
+
 def _commutator_system(dims, x_degree: int, entries, degree: int):
     """The system {z : x z = z x} for block matrices z of the given degree,
     x of degree `x_degree` given by the nonzero entries (i, r, c, v) of its
     blocks, block i mapping label i to label i - `x_degree`, with the
     labels' box counts `dims`.
 
-    With d = `degree` and e = `x_degree`, the unknowns are the cells
-    (i, r, c) of the blocks Z_i : V_i -> V_{i-d} (labels from 0), taken
-    block by block and row-major inside a block, so cell (i, r, c) is
-    unknown base[i] + r * dims[i] + c.  One row per entry of the block
-    equations X_{i-d} Z_i - Z_{i-e} X_i = 0, taken in the same order, is
-    returned unless it is zero, as a sparse {unknown: value} dict of its
-    nonzeros."""
+    With d = `degree` and e = `x_degree`, the unknowns are the cells of z
+    in `_cell_numbering` order.  One row per entry of the block equations
+    X_{i-d} Z_i - Z_{i-e} X_i = 0, taken in the same order, is returned
+    unless it is zero, as a sparse {unknown: value} dict of its nonzeros."""
     m = len(dims)
-    cells = [(i, r, c) for i in range(m) for r in range(dims[(i - degree) % m]) for c in range(dims[i])]
-    base = [0] * m
-    for i in range(1, m):
-        base[i] = base[i - 1] + dims[(i - 1 - degree) % m] * dims[i - 1]
+    cells, base = _cell_numbering(dims, degree)
     # the nonzeros of each block of x, by row and by column
     by_row = [[[] for _ in range(dims[(i - x_degree) % m])] for i in range(m)]
     by_col = [[[] for _ in range(dims[i])] for i in range(m)]
@@ -243,15 +235,52 @@ def centralizer_dim_gl(x: GradedMatrix) -> int:
     return len(cells) - len(_eliminate(rows, len(cells))[1])
 
 
-def _opposite_basis(plus: FilledDiagram, dims):
-    """An integer basis of the opposite-degree centralizer of the '+'
-    diagram's representative, each element a sparse list of
-    ((block, row, column), value) cells of its degree -1 blocks.  The
-    system comes straight from the rows: `dims` are the diagram's own box
-    counts, so no dense block is built or checked."""
-    degree, entries = _string_entries(plus)
-    cells, rows = _commutator_system(dims, degree, entries, -degree)
-    return [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
+def _opposite_basis(degree: int, entries, dims):
+    """A basis of the opposite-degree centralizer of the string
+    representative whose `_string_entries` are (degree, entries, dims),
+    each element a list of ((block, row, column), 1) cells.  With
+    e = `degree`, entry (r, c) of X_{i+e} Z_i - Z_{i-e} X_i = 0 says
+    z[c -> pred r] = z[succ c -> r] (box c of label i maps to succ c), or,
+    with one side missing, that one cell is zero.  A union-find over
+    `_cell_numbering`'s unknowns joins the equal cells, a component's root
+    its largest cell, the column the elimination leaves free; each
+    component with no zero cell, by root, gives its root and then its other
+    cells ascending: the elimination's integer basis, entry for entry."""
+    m = len(dims)
+    cells, base = _cell_numbering(dims, -degree)
+    succ = [[None] * n for n in dims]
+    pred = [[None] * n for n in dims]
+    for i, r, c, _ in entries:
+        succ[i][c] = r
+        pred[(i - degree) % m][r] = c
+    parent = list(range(len(cells)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    zero = []
+    for i in range(m):
+        j = (i - degree) % m
+        ni, nj, bi, bj = dims[i], dims[j], base[i], base[j]
+        for r, t in enumerate(pred[i]):
+            for c, s in enumerate(succ[i]):
+                if t is None:
+                    if s is not None:
+                        zero.append(bj + r * nj + s)
+                elif s is None:
+                    zero.append(bi + t * ni + c)
+                else:
+                    a, b = find(bi + t * ni + c), find(bj + r * nj + s)
+                    parent[min(a, b)] = max(a, b)
+    dead = {find(k) for k in zero}
+    groups: dict = {}
+    for k, cell in enumerate(cells):
+        root = find(k)
+        if root not in dead:
+            groups.setdefault(root, []).append((cell, 1))
+    return [group[-1:] + group[:-1] for _, group in sorted(groups.items())]
 
 
 def _words_kill(elements, dims, start: int) -> bool:
@@ -319,8 +348,8 @@ def _trials_pass(supports, dims, start: int, trials: int, seed: int) -> bool:
 def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int = 0) -> bool:
     """Distinguishedness test: an exact nil certificate, then Monte Carlo.
 
-    Works on random integer combinations y of an exact basis of the
-    opposite-degree centralizer, in integers straight from the elimination.
+    Works on random integer combinations y of an exact 0/1 basis of the
+    opposite-degree centralizer, read off its equations by union-find.
     As y has degree -1, y^m is block diagonal with the cycle products of its
     blocks, which share their nonzero eigenvalues; so only the d x d cycle
     product at a label of smallest dimension d is tested, and with d = 0
@@ -346,11 +375,11 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     plus = diagram if diagram.sign == PLUS else duality(diagram)
-    dims = dimension_vector(plus)
+    degree, entries, dims = _string_entries(plus)
     d = min(dims)
     if d == 0:
         return True
-    supports = _opposite_basis(plus, dims)
+    supports = _opposite_basis(degree, entries, dims)
     start = dims.index(d)
     return _words_kill(supports, dims, start) or _trials_pass(supports, dims, start, trials, seed)
 

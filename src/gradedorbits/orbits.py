@@ -291,9 +291,9 @@ def enumerate_strata(grading: GradingSpec, a: int = 1) -> list[Stratum]:
     """All stratum labels of the grading at order a (1 for type II).
 
     Empty for AI unless a divides the total box count, since every part of
-    a residual does.  When gcd(a, m) = m the residual is empty, so the only
-    AI stratum is the fully padded one, which exists exactly when the box
-    counts are uniform.
+    a residual does, and for the zero grading at a > 1.  When
+    gcd(a, m) = m the residual is empty, so the only AI stratum is the
+    fully padded one, which exists exactly when the box counts are uniform.
     """
     a = _label_order(grading, a)
     return _strata(grading, a, _fills(grading, a))
@@ -310,7 +310,10 @@ def _strata(grading: GradingSpec, a: int, fills: _Fills) -> list[Stratum]:
     residual on the boxes left, as the distinguished walk of `fills`, the
     grading's fills at a, streams them.  A unit of rank pads each label
     with a / gcd(a, m) boxes for AI and 2 for type II.  One `_Fills` serves
-    every rank, so the ranks share its memos."""
+    every rank, so the ranks share its memos.  The zero AI grading carries
+    just the trivial character, so it has no stratum at a > 1."""
+    if grading.total == 0 and a > 1:
+        return []
     m = grading.modulus
     ai = grading.case == "AI"
     padding = a // gcd(a, m) if ai else 2

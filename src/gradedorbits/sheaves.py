@@ -36,7 +36,7 @@ from .orbits import (
     _label_order,
     _peel_length,
     _peeled,
-    _strata as _orbit_strata,
+    _strata,
     admissible_for_case,
     component_group_order,
     d_check_stratum,
@@ -153,14 +153,6 @@ def _flags(grading: GradingSpec):
         return "AI", lambda stratum: _flags_ai(grading, stratum.a, stratum)
     full = full_support_stratum_ii(grading)
     return "II", lambda stratum: (stratum.rank == 0, stratum == full, False)
-
-
-def _strata(grading: GradingSpec, a: int, fills) -> list:
-    """The strata the labels at order a (1 for type II) lie on, their
-    residuals walked over `fills`, the grading's fills at a.  The zero AI
-    grading carries just the trivial character, so it has none at a > 1."""
-    strata = _orbit_strata(grading, a, fills)
-    return [] if grading.total == 0 and a > 1 else strata
 
 
 def _keys(grading: GradingSpec, stratum: Stratum) -> list[tuple]:

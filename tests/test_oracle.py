@@ -28,7 +28,6 @@ from gradedorbits.oracle import (
     _commutator_rows,
     _commutator_system,
     _eliminate,
-    _integer_basis,
     _opposite_basis,
     _string_entries,
     _trials_pass,
@@ -93,6 +92,25 @@ def centralizer_dim_k(x: GradedMatrix) -> int:
     """Block-diagonal trace-zero centralizer dimension.  The identity always
     commutes and has nonzero trace, hence the -1."""
     return centralizer_dim_gl(x) - 1
+
+
+def _integer_basis(rows, ncols):
+    """A nullspace basis of the system `rows * v = 0`, one vector per free
+    column, read straight off the sparse elimination in integers as sparse
+    (column, value) lists: the free column gets L, the lcm of the pivot
+    entries, and each pivot column, in pivot order, its multiple of L.
+    Each vector is L times the rational basis vector whose free entry is
+    1.  The elimination reference for the oracle's union-find basis."""
+    reduced, pivots = _eliminate(rows, ncols)
+    scale = lcm(*[row[pc] for row, pc in zip(reduced, pivots)])
+    pivot_set = set(pivots)
+    basis = {free: [(free, scale)] for free in range(ncols) if free not in pivot_set}
+    for row, pc in zip(reduced, pivots):
+        unit = scale // row[pc]
+        for free, v in row.items():
+            if free != pc:
+                basis[free].append((pc, -v * unit))
+    return list(basis.values())
 
 
 def centralizer_g1(x: GradedMatrix):
@@ -600,8 +618,8 @@ def opposite_basis(lam):
     counts, its opposite-degree integer basis and a label of smallest
     dimension."""
     plus = lam if lam.sign == "+" else duality(lam)
-    dims = dimension_vector(plus)
-    return dims, _opposite_basis(plus, dims), dims.index(min(dims))
+    degree, entries, dims = _string_entries(plus)
+    return dims, _opposite_basis(degree, entries, dims), dims.index(min(dims))
 
 
 def run_trials(lam, trials, seed):
@@ -924,9 +942,9 @@ def test_sparse_elimination_matches_the_dense_reference(system):
 
 
 def test_opposite_basis_matches_the_dense_reference():
-    """The oracle's systems pin the sparse elimination to the dense one
-    exactly: every input row has content 1, so every pivot row is
-    primitive on both sides and the lcm scale of the basis agrees."""
+    """The union-find basis is the dense elimination's integer basis of the
+    dense representative's system exactly: every input row has content 1,
+    so every pivot row is primitive and the lcm scale of the basis is 1."""
     checked = 0
     for lam in small_ai_diagrams(4, 7):
         x = build_representative(lam)
@@ -934,9 +952,23 @@ def test_opposite_basis_matches_the_dense_reference():
         reference = [
             [(cells[k], v) for k, v in vec] for vec in dense_integer_basis(to_dense(rows, len(cells)), len(cells))
         ]
-        assert _opposite_basis(lam, x.grading.dims) == reference, lam
+        assert _opposite_basis(*_string_entries(lam)) == reference, lam
         checked += 1
     assert checked == 6736
+
+
+@given(small_diagrams())
+def test_opposite_basis_is_the_elimination_basis_of_its_system(lam):
+    """On either sign, the union-find basis is the sparse elimination's
+    integer basis of `_commutator_system`'s rows, list for list: every
+    value is 1 and the supports are pairwise disjoint."""
+    degree, entries, dims = _string_entries(lam)
+    cells, rows = _commutator_system(dims, degree, entries, -degree)
+    basis = _opposite_basis(degree, entries, dims)
+    assert basis == [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
+    assert all(v == 1 for vec in basis for _, v in vec)
+    support = [cell for vec in basis for cell, _ in vec]
+    assert len(support) == len(set(support))
 
 
 def test_string_entries_are_the_dense_representative_and_its_systems():
@@ -947,7 +979,7 @@ def test_string_entries_are_the_dense_representative_and_its_systems():
     checked = 0
     for lam in small_ai_diagrams(4, 7):
         x = build_representative(lam)
-        degree, entries = _string_entries(lam)
+        degree, entries, dims = _string_entries(lam)
         dense = [
             (i, r, c, v)
             for i, block in enumerate(x.blocks)
@@ -956,9 +988,10 @@ def test_string_entries_are_the_dense_representative_and_its_systems():
             if v
         ]
         assert degree == x.degree
+        assert dims == dimension_vector(lam)
         assert sorted(entries) == dense, lam
         for z_degree in (0, 1, -1):
-            cells, rows = _commutator_system(dimension_vector(lam), degree, entries, z_degree)
+            cells, rows = _commutator_system(dims, degree, entries, z_degree)
             ref_cells, ref_rows = _commutator_rows(x, z_degree)
             assert cells == ref_cells
             assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows], lam

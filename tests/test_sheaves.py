@@ -14,7 +14,7 @@ from gradedorbits.diagrams import (
     multipartitions,
     partitions,
 )
-from gradedorbits import sheaves
+from gradedorbits import orbits, sheaves
 from gradedorbits.orbits import (
     GradingSpec,
     Stratum,
@@ -478,7 +478,7 @@ def test_cuspidal_visits_only_candidate_strata(monkeypatch):
         raise AssertionError("cuspidal_ai walked a stratum enumeration")
 
     # every stratum walk in sheaves goes through orbits._strata
-    monkeypatch.setattr("gradedorbits.sheaves._orbit_strata", no_walk)
+    monkeypatch.setattr("gradedorbits.sheaves._strata", no_walk)
     labels = cuspidal_ai(GradingSpec("AI", 30, (1,) * 30))
     # one stratum per divisor d' of 30 at order d', with phi(d') characters
     # and d' multipartitions of 1 into d' components: sum of phi(d') * d'
@@ -601,6 +601,16 @@ def test_verify_bijection_computes_no_flag(monkeypatch, case, dims):
         assert set(labels) == set(catalog(grading, a)), a
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_zero_grading_strata_labels_and_complexes_agree(m):
+    # the zero grading has one label, at a = 1: its strata, catalog and
+    # orbital complexes are empty together at every other order
+    grading = GradingSpec("AI", m, (0,) * m)
+    for a in range(1, 2 * m + 1):
+        found = [bool(enumerate_strata(grading, a)), bool(catalog(grading, a)), bool(orbital_complexes(grading, a))]
+        assert found == [a == 1] * 3, a
+
+
 # (case, modulus, deepest total) of the routes' differential test: every
 # valid grading up to that total, at every order dividing it.
 ROUTE_RANGES = [("AI", m, 8) for m in (1, 2, 3)] + [("AI", 4, 6)] + [
@@ -630,7 +640,7 @@ def test_route_keys_equal_the_one_complex_and_one_stratum_maps(case, m, deepest)
                 ], (dims, a)
                 assert keys == [
                     key
-                    for s in sheaves._strata(grading, a, sheaves._fills(grading, a))
+                    for s in orbits._strata(grading, a, sheaves._fills(grading, a))
                     for key in sheaves._keys(grading, s)
                 ], (dims, a)
                 # the orbits' own records, none taken from the strata route
