@@ -134,7 +134,7 @@ def _put_json(obj, put, indent: str = "\n") -> None:
     default=_json_form)`, with `indent` the line break and indentation of
     its nesting level.  The standard library encodes with an indent in pure
     Python, one generator per container; this writes the same bytes with
-    one call per value."""
+    one call per value, and one per diagram."""
     if isinstance(obj, str):
         put(encode_basestring_ascii(obj))
     elif obj is None:
@@ -167,8 +167,22 @@ def _put_json(obj, put, indent: str = "\n") -> None:
             _put_json(value, put, inner)
             sep = ","
         put(indent + "}")
+    elif isinstance(obj, FilledDiagram):
+        put(_diagram_chunk(obj, indent))
     else:
         _put_json(_json_form(obj), put, indent)
+
+
+def _diagram_chunk(diagram: FilledDiagram, indent: str) -> str:
+    """`diagram_to_json(diagram)` as `_put_json` writes it at `indent`, in
+    one chunk."""
+    inner = indent + "  "
+    rows = "[]"
+    if diagram.rows:
+        row = f'{inner}  {{{inner}    "len": %d,{inner}    "start": %d{inner}  }}'
+        rows = "[" + ",".join([row % r for r in diagram.rows]) + inner + "]"
+    sign = encode_basestring_ascii(diagram.sign)
+    return f'{{{inner}"modulus": {diagram.modulus:d},{inner}"sign": {sign},{inner}"rows": {rows}{indent}}}'
 
 
 def _grading_json(grading) -> dict:

@@ -12,15 +12,18 @@ distinguishedness test reads the entries straight off the diagram's rows
 At degree 0 its rank, by sparse fraction-free elimination over the
 integers, gives the block-diagonal centralizer dimension.  At degree
 -(deg x) each equation of a string representative sets two cells equal or
-one cell zero, and a union-find over them gives the opposite-degree
-centralizer's 0/1 basis (`_opposite_basis`); the elimination serves only
-`centralizer_dim_gl` and the span walk.  Distinguishedness is decided on
-the m-step cycle product of the basis combinations y at a smallest label
-by one span walk (`_words_kill`).  Run on the basis, it
-is an exact nil certificate, and its True is certain; otherwise seeded Monte
-Carlo trials run it on random combinations y, where it is an exact
-nilpotency test, to certify non-distinguishedness, and only there does the
-2^-t error bound apply.
+one cell zero, and one union-find pass over them (`_cell_roots`) gives each
+cell's component; a component with no zero cell is a live one, one element
+of the opposite-degree centralizer's 0/1 basis.  Distinguishedness is
+decided on the m-step cycle product of the basis combinations y at a
+smallest label.  The nil certificate is a reachability walk of that label's
+coordinates through the live cells (`_reaches_nothing`); its True is
+certain.  Only when it fails are the cells grouped into the basis
+(`_opposite_basis`), and seeded Monte Carlo trials run the span walk
+`_words_kill` on random combinations y, where it is an exact nilpotency
+test, to certify non-distinguishedness; only there does the 2^-t error
+bound apply.  The elimination serves only `centralizer_dim_gl` and the
+trials' span walk.
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the elimination
@@ -235,17 +238,16 @@ def centralizer_dim_gl(x: GradedMatrix) -> int:
     return len(cells) - len(_eliminate(rows, len(cells))[1])
 
 
-def _opposite_basis(degree: int, entries, dims):
-    """A basis of the opposite-degree centralizer of the string
-    representative whose `_string_entries` are (degree, entries, dims),
-    each element a list of ((block, row, column), 1) cells.  With
-    e = `degree`, entry (r, c) of X_{i+e} Z_i - Z_{i-e} X_i = 0 says
-    z[c -> pred r] = z[succ c -> r] (box c of label i maps to succ c), or,
-    with one side missing, that one cell is zero.  A union-find over
-    `_cell_numbering`'s unknowns joins the equal cells, a component's root
-    its largest cell, the column the elimination leaves free; each
-    component with no zero cell, by root, gives its root and then its other
-    cells ascending: the elimination's integer basis, entry for entry."""
+def _cell_roots(degree: int, entries, dims):
+    """The opposite-degree centralizer's cells, as one union-find pass over
+    the equations of the string representative whose `_string_entries`
+    are (degree, entries, dims): `_cell_numbering`'s cells (i, r, c), the
+    root of each, and the set of dead roots.  With e = `degree`, entry
+    (r, c) of X_{i+e} Z_i - Z_{i-e} X_i = 0 says z[c -> pred r] =
+    z[succ c -> r] (box c of label i maps to succ c), or, with one side
+    missing, that one cell is zero.  The pass joins the equal cells, a
+    component's root its largest cell, the column the elimination leaves
+    free; a root is dead when its component holds a zero cell."""
     m = len(dims)
     cells, base = _cell_numbering(dims, -degree)
     succ = [[None] * n for n in dims]
@@ -274,13 +276,50 @@ def _opposite_basis(degree: int, entries, dims):
                 else:
                     a, b = find(bi + t * ni + c), find(bj + r * nj + s)
                     parent[min(a, b)] = max(a, b)
-    dead = {find(k) for k in zero}
+    roots = [find(k) for k in range(len(parent))]
+    return cells, roots, {roots[k] for k in zero}
+
+
+def _opposite_basis(cells, roots, dead):
+    """The opposite-degree centralizer's 0/1 basis from `_cell_roots`' pass,
+    each element a list of ((block, row, column), 1) cells: each live
+    component, by root, gives its root and then its other cells ascending,
+    the elimination's integer basis, entry for entry."""
     groups: dict = {}
-    for k, cell in enumerate(cells):
-        root = find(k)
+    for cell, root in zip(cells, roots):
         if root not in dead:
             groups.setdefault(root, []).append((cell, 1))
     return [group[-1:] + group[:-1] for _, group in sorted(groups.items())]
+
+
+def _reaches_nothing(cells, roots, dead, dims, start: int) -> bool:
+    """The nil certificate: whether every word in the basis blocks kills
+    the label-s summand V_s, s = `start`, walked over `_cell_roots`' live
+    cells.  A basis element is one live component, and each equation joins
+    two cells whose columns are consecutive boxes of one string, so it has
+    at most one cell, a 1, in each (block, column): it maps each coordinate
+    vector to one or to 0.  So each span of `_words_kill`'s walk on the basis is the
+    span of a set of coordinates: R_0 is every coordinate of V_s, and
+    R_{t+1} the rows r of the live cells (s + t, r, c) with c in R_t.  The
+    walk stops with True on the empty set and with False on a round of m
+    steps that keeps its size: the span walk's verdict, with no
+    elimination."""
+    m = len(dims)
+    # live[i][c]: the rows of the live cells in block i's column c
+    live = [[[] for _ in range(n)] for n in dims]
+    for (i, r, c), root in zip(cells, roots):
+        if root not in dead:
+            live[i][c].append(r)
+    reach = range(dims[start])
+    while True:
+        before = len(reach)
+        for t in range(start, start + m):
+            block = live[t % m]
+            reach = {r for c in reach for r in block[c]}
+            if not reach:
+                return True
+        if len(reach) == before:
+            return False
 
 
 def _words_kill(elements, dims, start: int) -> bool:
@@ -288,12 +327,16 @@ def _words_kill(elements, dims, start: int) -> bool:
     V_s, s = `start`; each element is an iterable of ((block, row, column),
     value) cells of a degree -1 element, block i mapping label i to label
     i + 1 (from 0).  W_0 = V_s, and W_{t+1} is spanned by the images of W_t
-    under every element's block at label s + t.  As W_{(k+1)m} lies in
-    W_{km}, a round of m steps that keeps dim W at label s stops the walk
-    with False, after at most m(d + 1) steps.  On a basis, True certifies
-    that every combination's cycle product at s is nilpotent; on one
-    element y, W_{(k+1)m} = P W_{km} with P y's cycle product at s, so the
-    walk decides exactly whether P is nilpotent."""
+    under every element's block at label s + t, each span kept in echelon
+    form by `_eliminate`.  As W_{(k+1)m} lies in W_{km}, a round of m steps
+    that keeps dim W at label s stops the walk with False; every other
+    round lowers it from d = dim V_s and leaves it nonzero, so there are at
+    most d rounds, m d steps.  On one element y,
+    W_{(k+1)m} = P W_{km} with P y's cycle product at s, so the walk decides
+    exactly whether P is nilpotent: this is each Monte Carlo trial.  On a
+    basis, True certifies that every combination's cycle product at s is
+    nilpotent; the oracle decides that case by `_reaches_nothing`, and the
+    tests keep this walk as its reference."""
     m = len(dims)
     # by_label[i]: each element's (row, column, value) cells in its block
     # at label i, for the elements with any
@@ -348,18 +391,21 @@ def _trials_pass(supports, dims, start: int, trials: int, seed: int) -> bool:
 def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int = 0) -> bool:
     """Distinguishedness test: an exact nil certificate, then Monte Carlo.
 
-    Works on random integer combinations y of an exact 0/1 basis of the
-    opposite-degree centralizer, read off its equations by union-find.
-    As y has degree -1, y^m is block diagonal with the cycle products of its
-    blocks, which share their nonzero eigenvalues; so only the d x d cycle
-    product at a label of smallest dimension d is tested, and with d = 0
-    the verdict True is certain.  Otherwise the span walk `_words_kill`
-    first runs on the basis as a nil certificate: when the images of that
-    label under words in the basis blocks vanish, every combination is
-    nilpotent, the verdict True is certain and no trial runs.  Only when
-    the certificate fails do the seeded trials run, drawing coefficients
-    from [-R, R] with R = max(9, N), N the total box count, and running the
-    same walk on each drawn y alone.  False is certain.
+    Works on the opposite-degree centralizer, read off its equations by
+    union-find (`_cell_roots`).
+    As its elements y have degree -1, y^m is block diagonal with the cycle
+    products of its blocks, which share their nonzero eigenvalues; so only
+    the d x d cycle product at a label of smallest dimension d is tested,
+    and with d = 0 the verdict True is certain.  Otherwise the nil
+    certificate runs first, a reachability walk over the live cells
+    (`_reaches_nothing`): when the images of that label's coordinates under
+    words in the basis blocks vanish, every combination is nilpotent, the
+    verdict True is certain and no trial runs.  Only when the certificate
+    fails are the cells grouped into the exact 0/1 basis
+    (`_opposite_basis`), and the seeded trials run: each draws an integer
+    combination y of the basis with coefficients in [-R, R], R = max(9, N),
+    N the total box count, and runs the span walk `_words_kill` on y alone.
+    False is certain.
     A True verdict from the trials errs only if every trial misses a
     non-nilpotent element; the characteristic polynomial's coefficients
     have degree <= N in the combination coefficients, so by Schwartz-Zippel
@@ -379,9 +425,11 @@ def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int 
     d = min(dims)
     if d == 0:
         return True
-    supports = _opposite_basis(degree, entries, dims)
+    found = _cell_roots(degree, entries, dims)
     start = dims.index(d)
-    return _words_kill(supports, dims, start) or _trials_pass(supports, dims, start, trials, seed)
+    if _reaches_nothing(*found, dims, start):
+        return True
+    return _trials_pass(_opposite_basis(*found), dims, start, trials, seed)
 
 
 def matrix_to_strings(mat) -> list[list[str]]:

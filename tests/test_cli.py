@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gradedorbits import cli
-from gradedorbits.diagrams import MINUS, iter_diagrams
+from gradedorbits.diagrams import MINUS, PLUS, canonicalize, empty_diagram, iter_diagrams
 from gradedorbits.orbits import GradingSpec, enumerate_strata
 from gradedorbits.sheaves import catalog
 
@@ -457,8 +457,12 @@ def dumped_json(payload) -> str:
 
 # Every library type `_json_form` knows, nested ones included.  A label's
 # stratum is written in its label's family's form; a bare stratum is not.
+# Diagrams of both signs, with no rows and with repeated rows, reach each
+# branch of the writer's one-chunk diagram form.
 LIBRARY_OBJECTS = (
     list(iter_diagrams(3, MINUS, (1, 2, 1)))
+    + list(iter_diagrams(2, PLUS, (2, 1)))
+    + [empty_diagram(2, PLUS), empty_diagram(1, MINUS), canonicalize([(2, 1), (2, 1), (1, 2)], 2, PLUS)]
     + catalog(GradingSpec("AI", 2, (2, 2)), 2)
     + catalog(GradingSpec("AII", 3, (2, 2, 2)))
 )

@@ -25,10 +25,12 @@ from gradedorbits.orbits import (
 )
 from gradedorbits.oracle import (
     GradedMatrix,
+    _cell_roots,
     _commutator_rows,
     _commutator_system,
     _eliminate,
     _opposite_basis,
+    _reaches_nothing,
     _string_entries,
     _trials_pass,
     _words_kill,
@@ -619,7 +621,7 @@ def opposite_basis(lam):
     dimension."""
     plus = lam if lam.sign == "+" else duality(lam)
     degree, entries, dims = _string_entries(plus)
-    return dims, _opposite_basis(degree, entries, dims), dims.index(min(dims))
+    return dims, _opposite_basis(*_cell_roots(degree, entries, dims)), dims.index(min(dims))
 
 
 def run_trials(lam, trials, seed):
@@ -665,6 +667,40 @@ def test_nil_certificate_holds_exactly_on_distinguished_diagrams():
         assert nil_certificate(lam) == is_distinguished_ai(lam, 1), lam
         checked += 1
     assert checked == 6736
+
+
+def test_reachability_certificate_is_the_span_walk_on_the_basis():
+    """The oracle's certificate walks sets of coordinates through the live
+    cells; the span walk on the basis is its reference.  The set walk is
+    exact because no basis element has two cells in one (block, column),
+    so every image of a coordinate vector is a coordinate vector or 0."""
+    checked = 0
+    for lam in small_ai_diagrams(4, 7):
+        plus = lam if lam.sign == "+" else duality(lam)
+        degree, entries, dims = _string_entries(plus)
+        found = _cell_roots(degree, entries, dims)
+        basis = _opposite_basis(*found)
+        for element in basis:
+            columns = [(i, c) for (i, _, c), _ in element]
+            assert len(columns) == len(set(columns)), lam
+        start = dims.index(min(dims))
+        assert _reaches_nothing(*found, dims, start) == _words_kill(basis, dims, start), lam
+        checked += 1
+    assert checked == 6736
+
+
+def test_no_verdict_rests_on_the_error_bound():
+    """With seed 0 and 20 trials, no diagram fails the certificate and then
+    passes every trial, the one case the 2^-t bound covers: True always
+    comes from the certificate, False from a drawn witness."""
+    unresolved = failed = 0
+    for lam in small_ai_diagrams(4, 7):
+        if nil_certificate(lam):
+            continue
+        failed += 1
+        dims, supports, start = opposite_basis(lam)
+        unresolved += _trials_pass(supports, dims, start, 20, 0)
+    assert failed == 570 and unresolved == 0
 
 
 def test_certified_diagrams_run_no_trial(draws):
@@ -952,7 +988,7 @@ def test_opposite_basis_matches_the_dense_reference():
         reference = [
             [(cells[k], v) for k, v in vec] for vec in dense_integer_basis(to_dense(rows, len(cells)), len(cells))
         ]
-        assert _opposite_basis(*_string_entries(lam)) == reference, lam
+        assert _opposite_basis(*_cell_roots(*_string_entries(lam))) == reference, lam
         checked += 1
     assert checked == 6736
 
@@ -964,7 +1000,7 @@ def test_opposite_basis_is_the_elimination_basis_of_its_system(lam):
     value is 1 and the supports are pairwise disjoint."""
     degree, entries, dims = _string_entries(lam)
     cells, rows = _commutator_system(dims, degree, entries, -degree)
-    basis = _opposite_basis(degree, entries, dims)
+    basis = _opposite_basis(*_cell_roots(degree, entries, dims))
     assert basis == [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
     assert all(v == 1 for vec in basis for _, v in vec)
     support = [cell for vec in basis for cell, _ in vec]
