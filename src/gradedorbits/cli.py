@@ -384,6 +384,8 @@ def cmd_distinguished(args) -> int:
         modulus, dims = grading.modulus, grading.dims
     # --a defaults to 1 here; the type II cases still reject it
     a = 1 if args.case == "AI" and args.a is None else _order_from_args(args, args.case).get("a")
+    # The oracle is exact, so --seed and --trials change no verdict; they are
+    # still checked and echoed for the scripts that pass them.
     if not args.oracle and (args.seed is not None or args.trials is not None):
         raise ValueError("--seed and --trials apply with --oracle only")
     seed = 0 if args.seed is None else args.seed
@@ -391,7 +393,6 @@ def cmd_distinguished(args) -> int:
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
     if seed < 0:
-        # random.Random uses |seed|, so -5 would silently draw as 5
         raise ValueError(f"--seed must be >= 0, got {seed}")
     if args.oracle and args.case != "AI":
         raise ValueError("--oracle applies to case AI only")
@@ -407,7 +408,7 @@ def cmd_distinguished(args) -> int:
         pred = is_distinguished_ai(lam, a) if args.case == "AI" else is_distinguished_ii(lam)
         entry = {"diagram": lam, "distinguished": pred}
         if args.oracle:
-            verdict = is_distinguished_oracle(lam, trials=trials, seed=seed)
+            verdict = is_distinguished_oracle(lam)
             entry["oracle"] = verdict
             entry["agrees"] = verdict == pred
             all_agree = all_agree and entry["agrees"]
@@ -492,8 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", dest="size", type=int, default=None, help="sweep all box-count vectors of this total size")
     p.add_argument("--a", type=int, default=None, help="central character order (AI, default 1)")
     p.add_argument("--oracle", action="store_true", help="cross-check with the nilpotency oracle (AI)")
-    p.add_argument("--seed", type=int, default=None, help="oracle seed (default 0)")
-    p.add_argument("--trials", type=int, default=None, help="oracle trials (default 20)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted with --oracle and echoed; no effect on the verdict (default 0)")
+    p.add_argument("--trials", type=int, default=None,
+                   help="accepted with --oracle and echoed; no effect on the verdict (default 20)")
     p.add_argument("--dump-matrices", action="store_true", help="include representative blocks (JSON only)")
     _add_io_options(p)
     p.set_defaults(func=cmd_distinguished)

@@ -142,6 +142,9 @@ class FilledDiagram:
     rows: tuple[Row, ...]
 
     def __post_init__(self):
+        # a list or generator of rows would leave the diagram unhashable and
+        # unequal to `canonicalize`'s
+        object.__setattr__(self, "rows", tuple(self.rows))
         check_positive("modulus", self.modulus)
         if self.sign not in SIGNS:
             raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")

@@ -15,15 +15,11 @@ integers, gives the block-diagonal centralizer dimension.  At degree
 one cell zero, and one union-find pass over them (`_cell_roots`) gives each
 cell's component; a component with no zero cell is a live one, one element
 of the opposite-degree centralizer's 0/1 basis.  Distinguishedness is
-decided on the m-step cycle product of the basis combinations y at a
-smallest label.  The nil certificate is a reachability walk of that label's
-coordinates through the live cells (`_reaches_nothing`); its True is
-certain.  Only when it fails are the cells grouped into the basis
-(`_opposite_basis`), and seeded Monte Carlo trials run the span walk
-`_words_kill` on random combinations y, where it is an exact nilpotency
-test, to certify non-distinguishedness; only there does the 2^-t error
-bound apply.  The elimination serves only `centralizer_dim_gl` and the
-trials' span walk.
+decided on the m-step cycle product at a smallest label by a reachability
+walk of that label's coordinates through the live cells
+(`_reaches_nothing`), whose verdict is certain both ways (see
+`is_distinguished_oracle`).  The elimination serves only
+`centralizer_dim_gl`.
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the elimination
@@ -39,12 +35,11 @@ scales each row to integers over its nonzeros only.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .diagrams import FilledDiagram, PLUS, check_integer, check_positive
+from .diagrams import FilledDiagram, PLUS
 from .orbits import GradingSpec, duality
 
 Matrix = tuple[tuple[int | Fraction, ...], ...]
@@ -280,30 +275,18 @@ def _cell_roots(degree: int, entries, dims):
     return cells, roots, {roots[k] for k in zero}
 
 
-def _opposite_basis(cells, roots, dead):
-    """The opposite-degree centralizer's 0/1 basis from `_cell_roots`' pass,
-    each element a list of ((block, row, column), 1) cells: each live
-    component, by root, gives its root and then its other cells ascending,
-    the elimination's integer basis, entry for entry."""
-    groups: dict = {}
-    for cell, root in zip(cells, roots):
-        if root not in dead:
-            groups.setdefault(root, []).append((cell, 1))
-    return [group[-1:] + group[:-1] for _, group in sorted(groups.items())]
-
-
 def _reaches_nothing(cells, roots, dead, dims, start: int) -> bool:
-    """The nil certificate: whether every word in the basis blocks kills
-    the label-s summand V_s, s = `start`, walked over `_cell_roots`' live
+    """Whether every word in the opposite-degree basis blocks kills the
+    label-s summand V_s, s = `start`, walked over `_cell_roots`' live
     cells.  A basis element is one live component, and each equation joins
     two cells whose columns are consecutive boxes of one string, so it has
     at most one cell, a 1, in each (block, column): it maps each coordinate
-    vector to one or to 0.  So each span of `_words_kill`'s walk on the basis is the
-    span of a set of coordinates: R_0 is every coordinate of V_s, and
+    vector to one or to 0.  So the words of length t map V_s into the span
+    of a set R_t of coordinates: R_0 is every coordinate of V_s, and
     R_{t+1} the rows r of the live cells (s + t, r, c) with c in R_t.  The
     walk stops with True on the empty set and with False on a round of m
-    steps that keeps its size: the span walk's verdict, with no
-    elimination."""
+    steps that keeps its size; `is_distinguished_oracle` proves both
+    verdicts."""
     m = len(dims)
     # live[i][c]: the rows of the live cells in block i's column c
     live = [[[] for _ in range(n)] for n in dims]
@@ -322,114 +305,32 @@ def _reaches_nothing(cells, roots, dead, dims, start: int) -> bool:
             return False
 
 
-def _words_kill(elements, dims, start: int) -> bool:
-    """Whether every word in the elements' blocks kills the label-s summand
-    V_s, s = `start`; each element is an iterable of ((block, row, column),
-    value) cells of a degree -1 element, block i mapping label i to label
-    i + 1 (from 0).  W_0 = V_s, and W_{t+1} is spanned by the images of W_t
-    under every element's block at label s + t, each span kept in echelon
-    form by `_eliminate`.  As W_{(k+1)m} lies in W_{km}, a round of m steps
-    that keeps dim W at label s stops the walk with False; every other
-    round lowers it from d = dim V_s and leaves it nonzero, so there are at
-    most d rounds, m d steps.  On one element y,
-    W_{(k+1)m} = P W_{km} with P y's cycle product at s, so the walk decides
-    exactly whether P is nilpotent: this is each Monte Carlo trial.  On a
-    basis, True certifies that every combination's cycle product at s is
-    nilpotent; the oracle decides that case by `_reaches_nothing`, and the
-    tests keep this walk as its reference."""
-    m = len(dims)
-    # by_label[i]: each element's (row, column, value) cells in its block
-    # at label i, for the elements with any
-    by_label = [[] for _ in range(m)]
-    for element in elements:
-        cells = [[] for _ in range(m)]
-        for (i, r, c), v in element:
-            cells[i].append((r, c, v))
-        for i, block in enumerate(cells):
-            if block:
-                by_label[i].append(block)
-    span = [{c: 1} for c in range(dims[start])]
-    while True:
-        before = len(span)
-        for t in range(start, start + m):
-            images = []
-            for w in span:
-                for block in by_label[t % m]:
-                    out = {}
-                    for r, c, v in block:
-                        if c in w:
-                            out[r] = out.get(r, 0) + v * w[c]
-                    out = {r: v for r, v in out.items() if v}
-                    if out:
-                        images.append(out)
-            span = _eliminate(images, dims[(t + 1) % m])[0]
-            if not span:
-                return True
-        if len(span) == before:
-            return False
+def is_distinguished_oracle(diagram: FilledDiagram) -> bool:
+    """Distinguishedness test, exact: whether every element y of the
+    opposite-degree centralizer is nilpotent.
 
-
-def _trials_pass(supports, dims, start: int, trials: int, seed: int) -> bool:
-    """The seeded Monte Carlo trials: each draws a combination y of the
-    basis with coefficients in [-R, R], R = max(9, N), and walks y alone
-    (`_words_kill`) to test its cycle product at label `start` for
-    nilpotency."""
-    # At least 2N + 1 values; N <= 9 keeps the draws of [-9, 9]
-    bound = max(9, sum(dims))
-    rng = random.Random(seed)
-    for _ in range(trials):
-        y = {}
-        for support in supports:
-            coeff = rng.randint(-bound, bound)
-            for cell, v in support:
-                y[cell] = y.get(cell, 0) + coeff * v
-        if not _words_kill([y.items()], dims, start):
-            return False
-    return True
-
-
-def is_distinguished_oracle(diagram: FilledDiagram, trials: int = 20, seed: int = 0) -> bool:
-    """Distinguishedness test: an exact nil certificate, then Monte Carlo.
-
-    Works on the opposite-degree centralizer, read off its equations by
-    union-find (`_cell_roots`).
-    As its elements y have degree -1, y^m is block diagonal with the cycle
-    products of its blocks, which share their nonzero eigenvalues; so only
-    the d x d cycle product at a label of smallest dimension d is tested,
-    and with d = 0 the verdict True is certain.  Otherwise the nil
-    certificate runs first, a reachability walk over the live cells
-    (`_reaches_nothing`): when the images of that label's coordinates under
-    words in the basis blocks vanish, every combination is nilpotent, the
-    verdict True is certain and no trial runs.  Only when the certificate
-    fails are the cells grouped into the exact 0/1 basis
-    (`_opposite_basis`), and the seeded trials run: each draws an integer
-    combination y of the basis with coefficients in [-R, R], R = max(9, N),
-    N the total box count, and runs the span walk `_words_kill` on y alone.
-    False is certain.
-    A True verdict from the trials errs only if every trial misses a
-    non-nilpotent element; the characteristic polynomial's coefficients
-    have degree <= N in the combination coefficients, so by Schwartz-Zippel
-    a trial misses with probability <= N/(2R + 1) < 1/2, and `trials`
-    trials err with probability < 2^-trials.  The certificate's True is
-    the one the trials would give, so the verdict never depends on it.
-    `trials` must be at least 1: no trial bounds no error.  `seed` must be
-    at least 0, since `random.Random` draws a negative seed as its absolute
-    value.
+    Works on that centralizer's 0/1 basis, read off its equations by
+    union-find (`_cell_roots`).  As y has degree -1, y^m is block diagonal
+    with the cycle products of its blocks, which share their nonzero
+    eigenvalues; so only the d x d cycle product at a label s of smallest
+    dimension d is tested, and with d = 0 the verdict True is certain.
+    Otherwise the reachability walk `_reaches_nothing` decides, both ways.
+    When its set empties, every word of some length t in the basis blocks
+    kills V_s, so every combination y has a nilpotent cycle product at s:
+    True is certain.  For False, let y_1 be the sum of the basis.  Each live
+    cell is a 1 in exactly one basis element, so y_1 is the 0/1 matrix of
+    the live cells, and it commutes with x.  y_1 has no negative entry, so
+    its images have no cancellation: the walk's set R_t is the support of
+    y_1^t applied to the all-ones vector of V_s.  The support of an image grows with the
+    support it comes from, so R_{(k+1)m} lies in R_{km}, and a round that
+    keeps the size keeps the set for good.  Then P_1^k is nonzero for every
+    k, P_1 the cycle product of y_1 at s: y_1 is a non-nilpotent witness,
+    and False is certain too.
     """
-    check_positive("trials", trials)
-    check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     plus = diagram if diagram.sign == PLUS else duality(diagram)
     degree, entries, dims = _string_entries(plus)
     d = min(dims)
-    if d == 0:
-        return True
-    found = _cell_roots(degree, entries, dims)
-    start = dims.index(d)
-    if _reaches_nothing(*found, dims, start):
-        return True
-    return _trials_pass(_opposite_basis(*found), dims, start, trials, seed)
+    return d == 0 or _reaches_nothing(*_cell_roots(degree, entries, dims), dims, dims.index(d))
 
 
 def matrix_to_strings(mat) -> list[list[str]]:

@@ -278,6 +278,25 @@ def test_distinguished_rejects_ignored_parameters(run_cli, argv, extra, flag):
     assert run_cli("distinguished", *argv).returncode == 0
 
 
+def test_oracle_verdicts_do_not_depend_on_seed_or_trials(run_cli):
+    argv = ("distinguished", "--case", "AI", "--m", "2", "--N", "4", "--oracle")
+    default = run_cli(*argv)
+    assert default.returncode == 0
+    for extra in (("--trials", "1", "--seed", "4"), ("--trials", "50", "--seed", "9")):
+        result = run_cli(*argv, *extra)
+        assert result.returncode == 0, extra
+        assert result.stdout == default.stdout, extra
+
+
+def test_distinguished_exits_1_when_the_oracle_disagrees(monkeypatch, capsys):
+    # the exact oracle always agrees, so a wrong one stands in for a fault
+    monkeypatch.setattr(cli, "is_distinguished_oracle", lambda lam: False)
+    assert cli.main(["distinguished", "--case", "AI", "--m", "2", "--N", "2", "--oracle"]) == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows and all(row[-2] == "false" for row in rows)
+    assert {row[-1] for row in rows} == {"true", "false"}
+
+
 def test_distinguished_dump_matrices(run_cli):
     result = run_cli(
         "distinguished", "--case", "AI", "--m", "2", "--dims", "1,1",

@@ -3,8 +3,9 @@
 Each argv below runs in process through `cli.main`; its exit code and the
 SHA-256 digests of its stdout and stderr must equal the digests recorded in
 `tests/data/cli_golden.json`.  The corpus covers every subcommand in text,
-CSV and JSON, `--dump-matrices`, the README examples, usage errors and a
-verification failure (exit 1).
+CSV and JSON, `--dump-matrices`, the README examples and usage errors.  No
+run of correct code fails a verification, so none exits 1;
+`tests/test_cli.py` reaches that exit with a stand-in oracle.
 
 To record the file again after an intended output change, run
 
@@ -86,8 +87,7 @@ _DISTINGUISHED = _in_formats(
      "--format", "json"),
     ("distinguished", "--case", "AI", "--m", "3", "--dims", "1,2,2", "--dump-matrices",
      "--oracle", "--format", "json"),
-    # one trial misses a non-nilpotent element here, so the oracle disagrees
-    # with the predicate and the run exits 1
+    # the oracle is exact, so one trial and any seed give the default's verdicts
     ("distinguished", "--case", "AI", "--m", "2", "--N", "4", "--oracle", "--trials", "1",
      "--seed", "4"),
     ("distinguished", "--case", "AI", "--m", "2", "--N", "4", "--oracle", "--trials", "1",
@@ -143,7 +143,7 @@ def golden():
 def test_corpus_is_the_recorded_one(golden):
     assert len(GOLDEN_ARGV) == len(set(GOLDEN_ARGV))
     assert sorted(golden) == sorted(map(_key, GOLDEN_ARGV))
-    assert {code for code, _, _ in golden.values()} == {0, 1, 2}
+    assert {code for code, _, _ in golden.values()} == {0, 2}
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=_key)

@@ -66,6 +66,15 @@ def test_diagram_checks_row_order():
     assert FilledDiagram(2, "+", rows) == canonicalize([(1, 2), (2, 1), (1, 2), (2, 1)], 2, "+")
 
 
+@pytest.mark.parametrize("rows", [[(1, 1)], [(2, 1), (1, 1)]])
+def test_diagram_stores_any_iterable_of_rows_as_a_tuple(rows):
+    expected = canonicalize(rows, 2, "+")
+    for given in (rows, (row for row in rows)):
+        lam = FilledDiagram(2, "+", given)
+        assert lam.rows == expected.rows
+        assert lam == expected and hash(lam) == hash(expected)
+
+
 @pytest.mark.parametrize(
     "k, sign, message",
     [(0, "+", "modulus must be >= 1"), (2.0, "+", "modulus must be an integer"), (2, "*", "sign must be")],

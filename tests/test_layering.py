@@ -191,6 +191,35 @@ def test_detects_fraction_calls():
     assert fraction_calls(ast.parse(clean)) == []
 
 
+# Every verdict is exact and every output deterministic, so no module draws
+# random numbers.
+def random_imports(tree):
+    """Each import of the `random` module or of a name from it."""
+    return sorted(
+        name for name in set(imported_modules(tree))
+        if name == "random" or name.startswith("random.")
+    )
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_random_import(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert not random_imports(tree), f"{module} imports {random_imports(tree)}"
+
+
+def test_detects_random_imports():
+    for source in (
+        "import random",
+        "import random as rng",
+        "from random import Random",
+        "from random import randint as draw",
+        "def f():\n    import random\n",
+    ):
+        assert random_imports(ast.parse(source)), source
+    clean = "import secrets\nfrom .diagrams import canonicalize\nrandomize = 1\n"
+    assert random_imports(ast.parse(clean)) == []
+
+
 # With an indent the standard library encodes JSON in pure Python, several
 # times slower than without; `cli._put_json` writes the indented output.
 JSON_ENCODERS = ("dump", "dumps", "JSONEncoder")

@@ -1,5 +1,4 @@
 import random
-import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,11 +28,8 @@ from gradedorbits.oracle import (
     _commutator_rows,
     _commutator_system,
     _eliminate,
-    _opposite_basis,
     _reaches_nothing,
     _string_entries,
-    _trials_pass,
-    _words_kill,
     _zero_blocks,
     build_representative,
     centralizer_dim_gl,
@@ -88,6 +84,63 @@ def block_cells(blocks):
         for c, v in enumerate(row)
         if v
     ]
+
+
+def _opposite_basis(cells, roots, dead):
+    """The opposite-degree centralizer's 0/1 basis from `_cell_roots`' pass,
+    each element a list of ((block, row, column), 1) cells: each live
+    component, by root, gives its root and then its other cells ascending,
+    the elimination's integer basis, entry for entry."""
+    groups: dict = {}
+    for cell, root in zip(cells, roots):
+        if root not in dead:
+            groups.setdefault(root, []).append((cell, 1))
+    return [group[-1:] + group[:-1] for _, group in sorted(groups.items())]
+
+
+def _words_kill(elements, dims, start: int) -> bool:
+    """Whether every word in the elements' blocks kills the label-s summand
+    V_s, s = `start`; each element is an iterable of ((block, row, column),
+    value) cells of a degree -1 element, block i mapping label i to label
+    i + 1 (from 0).  W_0 = V_s, and W_{t+1} is spanned by the images of W_t
+    under every element's block at label s + t, each span kept in echelon
+    form by `_eliminate`.  As W_{(k+1)m} lies in W_{km}, a round of m steps
+    that keeps dim W at label s stops the walk with False; every other
+    round lowers it from d = dim V_s and leaves it nonzero, so there are at
+    most d rounds, m d steps.  On one element y,
+    W_{(k+1)m} = P W_{km} with P y's cycle product at s, so the walk decides
+    exactly whether P is nilpotent.  On the basis it is the span reference
+    of the oracle's set walk `_reaches_nothing`."""
+    m = len(dims)
+    # by_label[i]: each element's (row, column, value) cells in its block
+    # at label i, for the elements with any
+    by_label = [[] for _ in range(m)]
+    for element in elements:
+        cells = [[] for _ in range(m)]
+        for (i, r, c), v in element:
+            cells[i].append((r, c, v))
+        for i, block in enumerate(cells):
+            if block:
+                by_label[i].append(block)
+    span = [{c: 1} for c in range(dims[start])]
+    while True:
+        before = len(span)
+        for t in range(start, start + m):
+            images = []
+            for w in span:
+                for block in by_label[t % m]:
+                    out = {}
+                    for r, c, v in block:
+                        if c in w:
+                            out[r] = out.get(r, 0) + v * w[c]
+                    out = {r: v for r, v in out.items() if v}
+                    if out:
+                        images.append(out)
+            span = _eliminate(images, dims[(t + 1) % m])[0]
+            if not span:
+                return True
+        if len(span) == before:
+            return False
 
 
 def centralizer_dim_k(x: GradedMatrix) -> int:
@@ -564,55 +617,10 @@ def test_centralizer_g1_basis_is_a_positive_multiple_of_the_rational_basis():
                         assert len(ratios) == 1 and ratios.pop() > 0, lam
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-def test_oracle_rejects_fewer_than_one_trial(trials):
-    for lam in (diag([(2, 1)], 2), empty_diagram(2, "+"), diag([(1, 1)], 2)):
-        with pytest.raises(ValueError, match="trials"):
-            is_distinguished_oracle(lam, trials=trials)
-
-
-@pytest.mark.parametrize(
-    "options, message",
-    [
-        ({"trials": 0}, "trials must be >= 1, got 0"),
-        ({"trials": 2.0}, "trials must be an integer, got 2.0"),
-        # random.Random(-5) draws as random.Random(5)
-        ({"seed": -5}, "seed must be >= 0, got -5"),
-        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-        ({"seed": "x"}, "seed must be an integer, got 'x'"),
-    ],
-)
-def test_oracle_checks_trials_and_seed_up_front(options, message):
-    # decided by the empty label, by the nil certificate, and by the trials
-    for lam in (empty_diagram(2, "+"), diag([(2, 1)], 2), diag([(2, 1), (2, 2)], 2)):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            is_distinguished_oracle(lam, **options)
-
-
 def test_oracle_examples():
     assert is_distinguished_oracle(diag([(2, 1)], 2))
     assert not is_distinguished_oracle(diag([(1, 1), (1, 2)], 2))
     assert is_distinguished_oracle(empty_diagram(2, "+"))
-    # seed independence on a certain verdict
-    assert not is_distinguished_oracle(diag([(1, 1), (1, 2)], 2), seed=123)
-
-
-class RecordingRandom(random.Random):
-    """A `random.Random` that records each randint call as (a, b, value)."""
-
-    draws: list = []
-
-    def randint(self, a, b):
-        value = super().randint(a, b)
-        self.draws.append((a, b, value))
-        return value
-
-
-@pytest.fixture
-def draws(monkeypatch):
-    monkeypatch.setattr(RecordingRandom, "draws", [])
-    monkeypatch.setattr("gradedorbits.oracle.random.Random", RecordingRandom)
-    return RecordingRandom.draws
 
 
 def opposite_basis(lam):
@@ -624,30 +632,6 @@ def opposite_basis(lam):
     return dims, _opposite_basis(*_cell_roots(degree, entries, dims)), dims.index(min(dims))
 
 
-def run_trials(lam, trials, seed):
-    """The oracle's Monte Carlo trials alone, without the nil certificate,
-    which decides these distinguished diagrams before any draw."""
-    dims, supports, start = opposite_basis(lam)
-    return _trials_pass(supports, dims, start, trials, seed)
-
-
-def test_oracle_draws_from_minus_nine_to_nine_up_to_n_nine(draws):
-    # Up to N = 9, which covers every tier-1 and benchmark input, every
-    # coefficient is randint(-9, 9).
-    for lam in (diag([(2, 1)], 2), diag([(3, 1), (2, 2), (2, 1)], 3), diag([(9, 1)], 2)):
-        assert run_trials(lam, trials=20, seed=7)
-    assert draws and {(a, b) for a, b, _ in draws} == {(-9, 9)}
-
-
-@pytest.mark.parametrize("rows,k", [([(10, 1)], 2), ([(6, 2), (5, 1)], 3), ([(7, 1), (5, 3)], 3)])
-def test_oracle_draws_cover_minus_n_to_n(draws, rows, k):
-    lam = diag(rows, k)
-    n = lam.size
-    assert run_trials(lam, trials=40, seed=3)
-    assert {(a, b) for a, b, _ in draws} == {(-n, n)}
-    assert {v for _, _, v in draws} == set(range(-n, n + 1))
-
-
 def small_ai_diagrams(max_m, max_size):
     for m in range(1, max_m + 1):
         for sign in ("+", "-"):
@@ -656,7 +640,7 @@ def small_ai_diagrams(max_m, max_size):
 
 
 def nil_certificate(lam):
-    """The span walk on the basis, as the oracle runs it before any trial."""
+    """The span walk on the basis, the reference of the oracle's walk."""
     dims, supports, start = opposite_basis(lam)
     return _words_kill(supports, dims, start)
 
@@ -689,33 +673,28 @@ def test_reachability_certificate_is_the_span_walk_on_the_basis():
     assert checked == 6736
 
 
-def test_no_verdict_rests_on_the_error_bound():
-    """With seed 0 and 20 trials, no diagram fails the certificate and then
-    passes every trial, the one case the 2^-t bound covers: True always
-    comes from the certificate, False from a drawn witness."""
-    unresolved = failed = 0
+def test_every_false_verdict_has_a_non_nilpotent_witness():
+    """Where the walk keeps a nonempty set, the sum y_1 of the basis, the
+    0/1 matrix of the live cells, commutes with x and is not nilpotent by
+    the trace kernel, a reference independent of the walk."""
+    witnessed = 0
     for lam in small_ai_diagrams(4, 7):
-        if nil_certificate(lam):
+        plus = lam if lam.sign == "+" else duality(lam)
+        degree, entries, dims = _string_entries(plus)
+        found = _cell_roots(degree, entries, dims)
+        if min(dims) == 0 or _reaches_nothing(*found, dims, dims.index(min(dims))):
             continue
-        failed += 1
-        dims, supports, start = opposite_basis(lam)
-        unresolved += _trials_pass(supports, dims, start, 20, 0)
-    assert failed == 570 and unresolved == 0
-
-
-def test_certified_diagrams_run_no_trial(draws):
-    # every trial draws one coefficient per basis element, so no draw
-    # means no trial
-    certified = 0
-    for lam in small_ai_diagrams(3, 6):
-        if min(dimension_vector(lam)) and is_distinguished_ai(lam, 1):
-            assert is_distinguished_oracle(lam, seed=7)
-            certified += 1
-    assert certified == 658 and draws == []
-    # a non-distinguished diagram with no empty label goes to the trials
-    lam = diag([(1, 1), (1, 2)], 2)
-    assert not is_distinguished_oracle(lam)
-    assert draws
+        blocks = _zero_blocks(dims, -1)
+        for element in _opposite_basis(*found):
+            for (i, r, c), v in element:
+                blocks[i][r][c] += v
+        grading = GradingSpec("AI", len(dims), dims)
+        y = full_matrix(GradedMatrix(grading, -1, tuple(tuple(map(tuple, b)) for b in blocks)))
+        x = full_matrix(build_representative(plus))
+        assert mat_mul(x, y) == mat_mul(y, x), lam
+        assert not _trace_kernel_is_nilpotent(y, grading.total), lam
+        witnessed += 1
+    assert witnessed == 570
 
 
 def test_certified_combinations_are_nilpotent_by_trace_kernel():
@@ -740,17 +719,19 @@ def test_certified_combinations_are_nilpotent_by_trace_kernel():
 
 def test_nil_certificate_stops_within_m_rounds_per_dimension(monkeypatch):
     calls = []
+    eliminate = _eliminate
 
     def counting(rows, ncols):
         calls.append(ncols)
-        return _eliminate(rows, ncols)
+        return eliminate(rows, ncols)
 
     undecided = 0
     for lam in small_ai_diagrams(4, 7):
         if is_distinguished_ai(lam, 1):
             continue
         dims, supports, start = opposite_basis(lam)
-        monkeypatch.setattr("gradedorbits.oracle._eliminate", counting)
+        # the name `_words_kill` looks up
+        monkeypatch.setitem(globals(), "_eliminate", counting)
         calls.clear()
         assert not _words_kill(supports, dims, start), lam
         monkeypatch.undo()
@@ -771,7 +752,7 @@ def test_oracle_agrees_with_predicate_beyond_n_nine():
                 want = is_distinguished_ai(lam, 1)
                 if found[want] < 2:
                     found[want] += 1
-                    assert is_distinguished_oracle(lam, trials=10, seed=0) == want, lam
+                    assert is_distinguished_oracle(lam) == want, lam
 
 
 def reference_oracle(diagram, trials=20, seed=0):
@@ -806,7 +787,7 @@ def test_oracle_matches_the_full_matrix_oracle():
             for size in range(7):
                 for lam in enumerate_by_size(m, sign, size):
                     for seed in (0, 7):
-                        assert is_distinguished_oracle(lam, seed=seed) == reference_oracle(
+                        assert is_distinguished_oracle(lam) == reference_oracle(
                             lam, seed=seed
                         ), (lam, seed)
                     checked += 1
@@ -817,9 +798,7 @@ def test_oracle_agrees_with_predicate_quick():
     for m in (1, 2):
         for size in range(5):
             for lam in enumerate_by_size(m, "-", size):
-                assert is_distinguished_oracle(lam, trials=10, seed=0) == is_distinguished_ai(
-                    lam, 1
-                )
+                assert is_distinguished_oracle(lam) == is_distinguished_ai(lam, 1)
 
 
 def test_stratum_dim_examples():
