@@ -33,7 +33,7 @@ from .orbits import (
     is_distinguished_ii,
     orbit_dim,
 )
-from .oracle import build_representative, is_distinguished_oracle, matrix_to_strings
+from .oracle import build_representative, is_distinguished_oracle
 from .series import (
     COUNT_FAMILIES,
     family_modulus,
@@ -414,7 +414,7 @@ def cmd_distinguished(args) -> int:
             all_agree = all_agree and entry["agrees"]
         if args.dump_matrices:
             x = build_representative(duality(lam))
-            entry["blocks"] = [matrix_to_strings(b) for b in x.blocks]
+            entry["blocks"] = [[[str(v) for v in row] for row in b] for b in x.blocks]
         entries.append(entry)
     payload = {
         "case": args.case,

@@ -3,41 +3,34 @@
 A filled diagram is realized by its string representative x, with one basis
 vector per box and each box mapped to the next box of its row.  One
 commutator system, {z : x z = z x} for block matrices z of a single degree,
-serves everything here.  It is written block by block, in one order of the
-unknown cells of z, from the nonzero entries of x's blocks
-(`_commutator_system`, and `_commutator_rows` off a `GradedMatrix`); the
-distinguishedness test reads the entries straight off the diagram's rows
-(`_string_entries`).  Dense 0/1 blocks are built only by
+serves both of the oracle's jobs.  Its equations are read straight off the
+diagram's rows (`_string_entries`); dense 0/1 blocks are built only by
 `build_representative`, for `distinguished --dump-matrices` and the tests.
-At degree 0 its rank, by sparse fraction-free elimination over the
-integers, gives the block-diagonal centralizer dimension.  At degree
--(deg x) each equation of a string representative sets two cells equal or
-one cell zero, and one union-find pass over them (`_cell_roots`) gives each
-cell's component; a component with no zero cell is a live one, one element
-of the opposite-degree centralizer's 0/1 basis.  Distinguishedness is
-decided on the m-step cycle product at a smallest label by a reachability
-walk of that label's coordinates through the live cells
-(`_reaches_nothing`), whose verdict is certain both ways (see
-`is_distinguished_oracle`).  The elimination serves only
-`centralizer_dim_gl`.
+x has at most one 1 in each row and each column, so at every degree of z
+each equation sets two cells of z equal or one cell zero, and one
+union-find pass over them (`_cell_roots`) gives each cell's component.  A
+component with no zero cell is a live one, one element of that degree's
+centralizer 0/1 basis.  At degree 0 the live components count the
+block-diagonal centralizer dimension (`centralizer_dim_gl`).  At degree
+-(deg x) distinguishedness is decided on the m-step cycle product at a
+smallest label by a reachability walk of that label's coordinates through
+the live cells (`_reaches_nothing`), whose verdict is certain both ways
+(see `is_distinguished_oracle`).
 
 The library's orbit and stratum dimensions come from the closed form in
-`orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`); the elimination
-path here (`centralizer_dim_gl`) is the independent reference that the
-tests compare them against.
+`orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`), which counts
+pairs of rows; the component count here (`centralizer_dim_gl`) is the
+independent reference that the tests compare them against.
 
-Rank decisions are exact: no floating point is used anywhere, and no
-`Fraction` is formed.  The systems are sparse: each row is a {column:
-value} dict of its nonzeros, at most two, each +-1, for a commutator row of
-a string representative.  Rational blocks are accepted; the elimination
-scales each row to integers over its nonzeros only.
+Everything is exact: no floating point is used, no `Fraction` is formed and
+no system is eliminated.  The fraction-free elimination of the same systems
+is the tests' reference for the union-find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .diagrams import FilledDiagram, PLUS
 from .orbits import GradingSpec, duality
@@ -50,56 +43,6 @@ def _zero_blocks(dims, degree: int) -> list[list[list[int]]]:
     i - degree, labels counted from 0."""
     m = len(dims)
     return [[[0] * dims[i] for _ in range(dims[(i - degree) % m])] for i in range(m)]
-
-
-def _combine(row, prow, c):
-    """pv * row - f * prow, with pv and f the entries of prow and row at the
-    pivot column c, divided by its content (the gcd of its entries)."""
-    f, pv = row[c], prow[c]
-    out = {k: pv * v for k, v in row.items()}
-    for k, v in prow.items():
-        w = out.get(k, 0) - f * v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    g = gcd(*out.values())
-    return {k: v // g for k, v in out.items()} if g > 1 else out
-
-
-def _eliminate(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination of sparse rows {column: value}
-    with no zero values.  Each row is scaled to integers over its nonzeros
-    and divided by its content, and so is each updated row, so every row
-    stays a primitive multiple of its rational counterpart.  Columns are
-    taken in order; at column c only the rows that hold c are touched: the
-    rows whose first column is c, one of which becomes the pivot row, and
-    the earlier pivot rows.  Returns the pivot rows, in pivot order, and the
-    pivot columns."""
-    # waiting[c]: the rows not yet pivots whose first column is c
-    waiting = [[] for _ in range(ncols)]
-    for row in rows:
-        if row:
-            # *list, not *generator: a resized tuple would fill the tuple free lists
-            den = lcm(*[v.denominator for v in row.values()])
-            row = {k: int(v * den) for k, v in row.items()}
-            g = gcd(*row.values())
-            waiting[min(row)].append({k: v // g for k, v in row.items()} if g > 1 else row)
-    reduced, pivots = [], []
-    for c, holders in enumerate(waiting):
-        if not holders:
-            continue
-        prow = holders[0]
-        for row in holders[1:]:
-            row = _combine(row, prow, c)
-            if row:
-                waiting[min(row)].append(row)
-        for k, row in enumerate(reduced):
-            if c in row:
-                reduced[k] = _combine(row, prow, c)
-        reduced.append(prow)
-        pivots.append(c)
-    return reduced, pivots
 
 
 @dataclass(frozen=True)
@@ -166,18 +109,6 @@ def build_representative(diagram: FilledDiagram) -> GradedMatrix:
     return GradedMatrix(grading, degree, tuple(tuple(map(tuple, b)) for b in blocks))
 
 
-def _commutator_rows(x: GradedMatrix, degree: int):
-    """`_commutator_system` for the nonzero entries of x's blocks."""
-    entries = [
-        (i, r, c, v)
-        for i, block in enumerate(x.blocks)
-        for r, row in enumerate(block)
-        for c, v in enumerate(row)
-        if v
-    ]
-    return _commutator_system(x.grading.dims, x.degree, entries, degree)
-
-
 def _cell_numbering(dims, degree: int):
     """The unknown cells (i, r, c) of the blocks Z_i : V_i -> V_{i-d} of a
     block matrix of degree d = `degree` (labels from 0), taken block by
@@ -191,60 +122,20 @@ def _cell_numbering(dims, degree: int):
     return cells, base
 
 
-def _commutator_system(dims, x_degree: int, entries, degree: int):
-    """The system {z : x z = z x} for block matrices z of the given degree,
-    x of degree `x_degree` given by the nonzero entries (i, r, c, v) of its
-    blocks, block i mapping label i to label i - `x_degree`, with the
-    labels' box counts `dims`.
-
-    With d = `degree` and e = `x_degree`, the unknowns are the cells of z
-    in `_cell_numbering` order.  One row per entry of the block equations
-    X_{i-d} Z_i - Z_{i-e} X_i = 0, taken in the same order, is returned
-    unless it is zero, as a sparse {unknown: value} dict of its nonzeros."""
+def _cell_roots(degree: int, entries, dims, z_degree: int):
+    """The cells of the centralizer {z : x z = z x} at degree `z_degree`, as
+    one union-find pass over the equations of the string representative x
+    whose `_string_entries` are (degree, entries, dims): `_cell_numbering`'s
+    cells (i, r, c), the root of each, and the set of dead roots.  With
+    e = `degree` and d = `z_degree`, entry (r, c) of
+    X_{i-d} Z_i - Z_{i-e} X_i = 0 says z[c -> pred r] = z[succ c -> r]
+    (box c of label i maps to succ c, and pred r to box r), or, with one
+    side missing, that one cell is zero.  The pass joins the equal cells, a
+    component's root its largest cell, the column an elimination of the
+    system leaves free; a root is dead when its component holds a zero
+    cell."""
     m = len(dims)
-    cells, base = _cell_numbering(dims, degree)
-    # the nonzeros of each block of x, by row and by column
-    by_row = [[[] for _ in range(dims[(i - x_degree) % m])] for i in range(m)]
-    by_col = [[[] for _ in range(dims[i])] for i in range(m)]
-    for i, r, c, v in entries:
-        by_row[i][r].append((c, v))
-        by_col[i][c].append((r, v))
-    rows = []
-    for i in range(m):
-        j = (i - x_degree) % m
-        x_left, x_right = by_row[(i - degree) % m], by_col[i]
-        for r in range(dims[(j - degree) % m]):
-            for c in range(dims[i]):
-                row = {base[i] + t * dims[i] + c: v for t, v in x_left[r]}
-                for t, v in x_right[c]:
-                    k = base[j] + r * dims[j] + t
-                    w = row.pop(k, 0) - v
-                    if w:
-                        row[k] = w
-                if row:
-                    rows.append(row)
-    return cells, rows
-
-
-def centralizer_dim_gl(x: GradedMatrix) -> int:
-    """Dimension of the block-diagonal centralizer inside the full product of
-    general linear Lie algebras (no trace condition)."""
-    cells, rows = _commutator_rows(x, 0)
-    return len(cells) - len(_eliminate(rows, len(cells))[1])
-
-
-def _cell_roots(degree: int, entries, dims):
-    """The opposite-degree centralizer's cells, as one union-find pass over
-    the equations of the string representative whose `_string_entries`
-    are (degree, entries, dims): `_cell_numbering`'s cells (i, r, c), the
-    root of each, and the set of dead roots.  With e = `degree`, entry
-    (r, c) of X_{i+e} Z_i - Z_{i-e} X_i = 0 says z[c -> pred r] =
-    z[succ c -> r] (box c of label i maps to succ c), or, with one side
-    missing, that one cell is zero.  The pass joins the equal cells, a
-    component's root its largest cell, the column the elimination leaves
-    free; a root is dead when its component holds a zero cell."""
-    m = len(dims)
-    cells, base = _cell_numbering(dims, -degree)
+    cells, base = _cell_numbering(dims, z_degree)
     succ = [[None] * n for n in dims]
     pred = [[None] * n for n in dims]
     for i, r, c, _ in entries:
@@ -261,7 +152,7 @@ def _cell_roots(degree: int, entries, dims):
     for i in range(m):
         j = (i - degree) % m
         ni, nj, bi, bj = dims[i], dims[j], base[i], base[j]
-        for r, t in enumerate(pred[i]):
+        for r, t in enumerate(pred[(j - z_degree) % m]):
             for c, s in enumerate(succ[i]):
                 if t is None:
                     if s is not None:
@@ -273,6 +164,14 @@ def _cell_roots(degree: int, entries, dims):
                     parent[min(a, b)] = max(a, b)
     roots = [find(k) for k in range(len(parent))]
     return cells, roots, {roots[k] for k in zero}
+
+
+def centralizer_dim_gl(diagram: FilledDiagram) -> int:
+    """Dimension of the block-diagonal centralizer of the diagram's string
+    representative inside the full product of general linear Lie algebras
+    (no trace condition): the number of live components at degree 0."""
+    _, roots, dead = _cell_roots(*_string_entries(diagram), 0)
+    return len(set(roots) - dead)
 
 
 def _reaches_nothing(cells, roots, dead, dims, start: int) -> bool:
@@ -330,9 +229,5 @@ def is_distinguished_oracle(diagram: FilledDiagram) -> bool:
     plus = diagram if diagram.sign == PLUS else duality(diagram)
     degree, entries, dims = _string_entries(plus)
     d = min(dims)
-    return d == 0 or _reaches_nothing(*_cell_roots(degree, entries, dims), dims, dims.index(d))
+    return d == 0 or _reaches_nothing(*_cell_roots(degree, entries, dims, -degree), dims, dims.index(d))
 
-
-def matrix_to_strings(mat) -> list[list[str]]:
-    """Render a rational matrix as 'p/q' strings (plain 'p' for integers)."""
-    return [[str(v) for v in row] for row in mat]

@@ -24,10 +24,8 @@ from gradedorbits.orbits import (
 )
 from gradedorbits.oracle import (
     GradedMatrix,
+    _cell_numbering,
     _cell_roots,
-    _commutator_rows,
-    _commutator_system,
-    _eliminate,
     _reaches_nothing,
     _string_entries,
     _zero_blocks,
@@ -84,6 +82,102 @@ def block_cells(blocks):
         for c, v in enumerate(row)
         if v
     ]
+
+
+def _combine(row, prow, c):
+    """pv * row - f * prow, with pv and f the entries of prow and row at the
+    pivot column c, divided by its content (the gcd of its entries)."""
+    f, pv = row[c], prow[c]
+    out = {k: pv * v for k, v in row.items()}
+    for k, v in prow.items():
+        w = out.get(k, 0) - f * v
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    g = gcd(*out.values())
+    return {k: v // g for k, v in out.items()} if g > 1 else out
+
+
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of sparse rows {column: value}
+    with no zero values.  Each row is scaled to integers over its nonzeros
+    and divided by its content, and so is each updated row, so every row
+    stays a primitive multiple of its rational counterpart.  Columns are
+    taken in order; at column c only the rows that hold c are touched: the
+    rows whose first column is c, one of which becomes the pivot row, and
+    the earlier pivot rows.  Returns the pivot rows, in pivot order, and the
+    pivot columns."""
+    # waiting[c]: the rows not yet pivots whose first column is c
+    waiting = [[] for _ in range(ncols)]
+    for row in rows:
+        if row:
+            # *list, not *generator: a resized tuple would fill the tuple free lists
+            den = lcm(*[v.denominator for v in row.values()])
+            row = {k: int(v * den) for k, v in row.items()}
+            g = gcd(*row.values())
+            waiting[min(row)].append({k: v // g for k, v in row.items()} if g > 1 else row)
+    reduced, pivots = [], []
+    for c, holders in enumerate(waiting):
+        if not holders:
+            continue
+        prow = holders[0]
+        for row in holders[1:]:
+            row = _combine(row, prow, c)
+            if row:
+                waiting[min(row)].append(row)
+        for k, row in enumerate(reduced):
+            if c in row:
+                reduced[k] = _combine(row, prow, c)
+        reduced.append(prow)
+        pivots.append(c)
+    return reduced, pivots
+
+def _commutator_rows(x: GradedMatrix, degree: int):
+    """`_commutator_system` for the nonzero entries of x's blocks."""
+    entries = [
+        (i, r, c, v)
+        for i, block in enumerate(x.blocks)
+        for r, row in enumerate(block)
+        for c, v in enumerate(row)
+        if v
+    ]
+    return _commutator_system(x.grading.dims, x.degree, entries, degree)
+
+
+def _commutator_system(dims, x_degree: int, entries, degree: int):
+    """The system {z : x z = z x} for block matrices z of the given degree,
+    x of degree `x_degree` given by the nonzero entries (i, r, c, v) of its
+    blocks, block i mapping label i to label i - `x_degree`, with the
+    labels' box counts `dims`.
+
+    With d = `degree` and e = `x_degree`, the unknowns are the cells of z
+    in `_cell_numbering` order.  One row per entry of the block equations
+    X_{i-d} Z_i - Z_{i-e} X_i = 0, taken in the same order, is returned
+    unless it is zero, as a sparse {unknown: value} dict of its nonzeros."""
+    m = len(dims)
+    cells, base = _cell_numbering(dims, degree)
+    # the nonzeros of each block of x, by row and by column
+    by_row = [[[] for _ in range(dims[(i - x_degree) % m])] for i in range(m)]
+    by_col = [[[] for _ in range(dims[i])] for i in range(m)]
+    for i, r, c, v in entries:
+        by_row[i][r].append((c, v))
+        by_col[i][c].append((r, v))
+    rows = []
+    for i in range(m):
+        j = (i - x_degree) % m
+        x_left, x_right = by_row[(i - degree) % m], by_col[i]
+        for r in range(dims[(j - degree) % m]):
+            for c in range(dims[i]):
+                row = {base[i] + t * dims[i] + c: v for t, v in x_left[r]}
+                for t, v in x_right[c]:
+                    k = base[j] + r * dims[j] + t
+                    w = row.pop(k, 0) - v
+                    if w:
+                        row[k] = w
+                if row:
+                    rows.append(row)
+    return cells, rows
 
 
 def _opposite_basis(cells, roots, dead):
@@ -143,10 +237,19 @@ def _words_kill(elements, dims, start: int) -> bool:
             return False
 
 
+def centralizer_dim_eliminated(x: GradedMatrix) -> int:
+    """Block-diagonal centralizer dimension of any block matrix x, rational
+    conjugates included, by rank-nullity over the elimination of its degree
+    0 commutator system: the reference of the union-find count
+    `centralizer_dim_gl`."""
+    cells, rows = _commutator_rows(x, 0)
+    return len(cells) - len(_eliminate(rows, len(cells))[1])
+
+
 def centralizer_dim_k(x: GradedMatrix) -> int:
     """Block-diagonal trace-zero centralizer dimension.  The identity always
     commutes and has nonzero trace, hence the -1."""
-    return centralizer_dim_gl(x) - 1
+    return centralizer_dim_eliminated(x) - 1
 
 
 def _integer_basis(rows, ncols):
@@ -542,6 +645,7 @@ def test_conjugation_invariance():
     for lam in cases:
         x = build_representative(lam)
         base_k = centralizer_dim_k(x)
+        assert base_k == centralizer_dim_gl(lam) - 1
         base_g1 = centralizer_g1(x)[0]
         for _ in range(3):
             y = conjugate(x, random_conjugators(x.grading, rng))
@@ -629,7 +733,7 @@ def opposite_basis(lam):
     dimension."""
     plus = lam if lam.sign == "+" else duality(lam)
     degree, entries, dims = _string_entries(plus)
-    return dims, _opposite_basis(*_cell_roots(degree, entries, dims)), dims.index(min(dims))
+    return dims, _opposite_basis(*_cell_roots(degree, entries, dims, -degree)), dims.index(min(dims))
 
 
 def small_ai_diagrams(max_m, max_size):
@@ -662,7 +766,7 @@ def test_reachability_certificate_is_the_span_walk_on_the_basis():
     for lam in small_ai_diagrams(4, 7):
         plus = lam if lam.sign == "+" else duality(lam)
         degree, entries, dims = _string_entries(plus)
-        found = _cell_roots(degree, entries, dims)
+        found = _cell_roots(degree, entries, dims, -degree)
         basis = _opposite_basis(*found)
         for element in basis:
             columns = [(i, c) for (i, _, c), _ in element]
@@ -681,7 +785,7 @@ def test_every_false_verdict_has_a_non_nilpotent_witness():
     for lam in small_ai_diagrams(4, 7):
         plus = lam if lam.sign == "+" else duality(lam)
         degree, entries, dims = _string_entries(plus)
-        found = _cell_roots(degree, entries, dims)
+        found = _cell_roots(degree, entries, dims, -degree)
         if min(dims) == 0 or _reaches_nothing(*found, dims, dims.index(min(dims))):
             continue
         blocks = _zero_blocks(dims, -1)
@@ -841,7 +945,7 @@ def small_diagrams(draw):
 
 @given(small_diagrams())
 def test_centralizer_dim_matches_nullspace(lam):
-    assert centralizer_dim(lam) == centralizer_dim_gl(build_representative(lam))
+    assert centralizer_dim(lam) == centralizer_dim_gl(lam) == centralizer_dim_eliminated(build_representative(lam))
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -858,14 +962,29 @@ def test_centralizer_dim_matches_nullspace(lam):
 def test_centralizer_dim_repeated_row_types(rows, m, sign):
     # the closed form weights each pair of row types by its multiplicities
     lam = diag(rows, m, sign)
-    assert centralizer_dim(lam) == centralizer_dim_gl(build_representative(lam))
+    assert centralizer_dim(lam) == centralizer_dim_gl(lam) == centralizer_dim_eliminated(build_representative(lam))
+
+
+def test_centralizer_dim_matches_the_union_find_beyond_n_eight():
+    """The closed form, and so `orbit_dim`, against the union-find count on
+    every diagram of both signs at sizes no other exhaustive test reaches:
+    m <= 3 with 9 <= N <= 12, and m = 4 with N in {9, 10}."""
+    checked = 0
+    for m, sizes in ((1, range(9, 13)), (2, range(9, 13)), (3, range(9, 13)), (4, (9, 10))):
+        for sign in ("+", "-"):
+            for size in sizes:
+                for lam in enumerate_by_size(m, sign, size):
+                    c = centralizer_dim_gl(lam)
+                    assert centralizer_dim(lam) == c, lam
+                    assert orbit_dim(lam) == sum(v * v for v in dimension_vector(lam)) - c, lam
+                    checked += 1
+    assert checked == 69554
 
 
 def _stratum_dim_nullspace(stratum, g):
-    """The stratum dimension with c_mu taken from the exact nullspace."""
-    mu = stratum.mu
-    plus = mu if mu.sign == "+" else duality(mu)
-    c_mu = centralizer_dim_gl(build_representative(plus))
+    """The stratum dimension with c_mu taken from the oracle's component
+    count."""
+    c_mu = centralizer_dim_gl(stratum.mu)
     per_label = stratum.a // gcd(stratum.a, g.modulus)
     return sum(v * v for v in g.dims) - c_mu - stratum.rank * per_label + stratum.rank
 
@@ -967,7 +1086,8 @@ def test_opposite_basis_matches_the_dense_reference():
         reference = [
             [(cells[k], v) for k, v in vec] for vec in dense_integer_basis(to_dense(rows, len(cells)), len(cells))
         ]
-        assert _opposite_basis(*_cell_roots(*_string_entries(lam))) == reference, lam
+        degree, entries, dims = _string_entries(lam)
+        assert _opposite_basis(*_cell_roots(degree, entries, dims, -degree)) == reference, lam
         checked += 1
     assert checked == 6736
 
@@ -979,7 +1099,7 @@ def test_opposite_basis_is_the_elimination_basis_of_its_system(lam):
     value is 1 and the supports are pairwise disjoint."""
     degree, entries, dims = _string_entries(lam)
     cells, rows = _commutator_system(dims, degree, entries, -degree)
-    basis = _opposite_basis(*_cell_roots(degree, entries, dims))
+    basis = _opposite_basis(*_cell_roots(degree, entries, dims, -degree))
     assert basis == [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
     assert all(v == 1 for vec in basis for _, v in vec)
     support = [cell for vec in basis for cell, _ in vec]
@@ -990,7 +1110,8 @@ def test_string_entries_are_the_dense_representative_and_its_systems():
     """The oracle builds its systems from the rows; `_string_entries`' entries
     are the nonzeros of the dense representative, scanned entry by entry,
     and its systems are the dense representative's, row for row in the same
-    order, at every degree."""
+    order, at every degree.  At degree 0 the union-find's live components
+    number the cells minus the elimination's rank of the same system."""
     checked = 0
     for lam in small_ai_diagrams(4, 7):
         x = build_representative(lam)
@@ -1010,6 +1131,10 @@ def test_string_entries_are_the_dense_representative_and_its_systems():
             ref_cells, ref_rows = _commutator_rows(x, z_degree)
             assert cells == ref_cells
             assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows], lam
+            if z_degree == 0:
+                _, roots, dead = _cell_roots(degree, entries, dims, 0)
+                live = len(set(roots) - dead)
+                assert live == len(cells) - len(_eliminate(rows, len(cells))[1]) == centralizer_dim_gl(lam), lam
         checked += 1
     assert checked == 6736
 
