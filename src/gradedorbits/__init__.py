@@ -48,6 +48,7 @@ from .series import (
     gf_orbit_count,
     weight_count,
     weight_sum,
+    weight_sums,
 )
 from .oracle import (
     GradedMatrix,

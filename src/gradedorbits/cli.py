@@ -40,7 +40,7 @@ from .series import (
     gf_distinguished_ai,
     gf_distinguished_ii,
     gf_orbit_count,
-    weight_sum,
+    weight_sums,
 )
 from .sheaves import SheafLabel, catalog, cuspidal_ai, verify_bijection
 
@@ -280,9 +280,10 @@ def _count_rows(args):
         modulus, step = family_modulus(base, l), 2
         rule = {"case": FAMILY_CASE[base], "distinguished": distinguished}
     counts = count_by_size(modulus, MINUS, [step * n for n in range(n_max + 1)], **rule)
+    sums = weight_sums(n_max, family, **weight_params)
     rows = []
-    for n, enum in enumerate(counts):
-        coeff, weights = gf.coefficient(n), weight_sum(n, family, **weight_params)
+    for n, (enum, weights) in enumerate(zip(counts, sums)):
+        coeff = gf.coefficient(n)
         rows.append({
             "n": n,
             "gf_coeff": coeff,

@@ -26,11 +26,13 @@ concatenation.  A block's fills are memoized once for the walk over every
 diagram and the distinguished walk, which keeps those passing the
 per-length condition, so one set of fills serves both walks.
 
-`count_diagrams` and `count_by_size` count without the stream, by a dynamic
-program over the length blocks that builds no row: the same per-length rule
-tallies how many allowed vectors of a block leave each slack of box counts,
-and the states are the parts still to place and the boxes left per label.
-`count_by_size` counts a table's every size with one set of tallies.
+`count_diagrams` and `count_by_size` count without the stream, and without
+enumerating a block: a block's tally, how many of its allowed fills take
+each number of rows and leave each slack of box counts, comes from a
+dynamic program over its orbits of start labels, which the same per-length
+rule ties together.  One forward dynamic program over the length blocks
+then places the parts, its states the parts placed and the boxes left per
+label, and serves every size of a table at once.
 """
 
 from __future__ import annotations
@@ -272,20 +274,23 @@ class _Fills:
     """The fills of one rule, the keyword arguments of `iter_diagrams` but
     `distinguished`, for any box counts or size, with every part a multiple
     of the order: `walk` gives each diagram's blocks, `rows` their rows and
-    `count` their number, `rows` and `count` over every fill or only the
-    distinguished ones.  The memos live as long as the object, so every
-    call on one object shares them, and both kinds of walk share one run
-    of `_vectors` per block: the distinguished fills of a block are its
-    fills that `_keeps` keeps, and rows are made only for the fills a
-    walk takes.
+    `count` their number at each of several sizes, `rows` and `count` over
+    every fill or only the distinguished ones.  The walks' memos live as
+    long as the object, so every walk on one object shares them, and both
+    kinds of walk share one run of `_vectors` per block: the distinguished
+    fills of a block are its fills that `_keeps` keeps, and rows are made
+    only for the fills a walk takes.  The count enumerates no fill: it
+    tallies each block per orbit (`_tally`), and one forward pass over the
+    blocks serves every size; its tallies last one call.
 
     A row of length p takes p // k boxes of each label and p % k excess
     boxes.  With box counts given, `slack` is, per label, the boxes the
     excess of the block being filled may take: in the walk, what is left
     once every unfilled row takes its p // k of each label, and in the count
-    what is left once the block's own rows do.  Since the lengths sum to the
-    total, a fill that keeps the slack nonnegative ends on exactly the given
-    box counts.  Without box counts the slack is None.
+    the boxes left, from which the tally takes the p // k of the block's own
+    rows.  Since the lengths sum to the total, a fill that keeps the slack
+    nonnegative ends on exactly the given box counts.  Without box counts
+    the slack is None.
     """
 
     def __init__(self, k, sign, *, case="AI", order=1):
@@ -302,7 +307,6 @@ class _Fills:
         self.orbits: dict = {}
         self.fills: dict = {}
         self.options: dict = {}
-        self.tallies: dict = {}
 
     def walk(self, dims, size):
         """Each diagram's blocks, in canonical order: per part length, from
@@ -334,32 +338,33 @@ class _Fills:
                     continue
             yield from self._fill(blocks, 0, slack, (), distinguished, field) if blocks else [()]
 
-    def count(self, dims, size, distinguished=False):
-        """The number of row tuples `rows` yields, by a dynamic program over
-        the length blocks, longest first: its states are the parts still to
-        place and the boxes left per label (None without box counts), and a
-        block moves each state by the tally of its allowed fills."""
+    def count(self, dims, sizes, distinguished=False):
+        """The number of row tuples `rows` yields at each of the sizes, by
+        one dynamic program that places the parts forward, longest first, up
+        to the largest size.  Its states are the parts placed and the boxes
+        left per label (None without box counts; with them, the sizes are
+        their one total), and a block moves each state by the tally of its
+        allowed fills, made once per boxes left."""
         step = self.unit * self.copies
-        if size % step:
-            return 0
-        ways = {(size // step, dims): 1}
-        for part in range(size // step, 0, -1):
+        top = max((size // step for size in sizes if size % step == 0), default=0)
+        ways = {(0, dims): 1}
+        for part in range(top, 0, -1):
             length = part * self.unit
-            even = self.copies * (length // self.k)
-            after = defaultdict(int)
-            for (left, boxes), w in ways.items():
-                # the shortest part takes every part still to place
-                for mult in range(left // part + 1) if part > 1 else (left,):
-                    slack = boxes
-                    if boxes is not None:
-                        slack = tuple(v - mult * even for v in boxes)
-                        if min(slack) < 0:
-                            break
-                    tally = self._tally(length, mult * self.copies, slack, distinguished)
-                    for rest, fills in tally.items():
-                        after[left - mult * part, rest] += w * fills
+            most = (top // part) * self.copies
+            # with box counts, the shortest part takes every box left
+            exact = dims is not None and part == 1
+            tallies: dict = {}
+            after: dict = defaultdict(int)
+            for (placed, boxes), w in ways.items():
+                if boxes not in tallies:
+                    tallies[boxes] = self._tally(length, most, boxes, distinguished, exact)
+                for (rows, rest), fills in tallies[boxes].items():
+                    reached = placed + rows // self.copies * part
+                    if reached <= top:
+                        after[reached, rest] += w * fills
             ways = after
-        return ways.get((0, None if dims is None else (0,) * self.k), 0)
+        end = None if dims is None else (0,) * self.k
+        return [ways.get((size // step, end), 0) if size % step == 0 else 0 for size in sizes]
 
     def _fill(self, blocks, i, slack, prefix, distinguished, field):
         for option in self._options(*blocks[i], slack, distinguished):
@@ -401,19 +406,70 @@ class _Fills:
             self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
         return self.fills[key]
 
-    def _tally(self, length, count, slack, distinguished):
-        """The number of fills of one block, or of its distinguished fills,
-        per slack they leave."""
-        key = (length, count, slack, distinguished)
-        if key not in self.tallies:
-            tally = self.tallies[key] = {}
-
-            def keep(counts, rest):
-                if not distinguished or self._keeps(counts):
-                    tally[rest] = tally.get(rest, 0) + 1
-
-            self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
-        return self.tallies[key]
+    def _tally(self, length, most, slack, distinguished, exact=False):
+        """The number of fills of one block with at most `most` rows, or of
+        its distinguished fills, per (rows, slack after) pair, the slack the
+        boxes left per label.  A dynamic program over the block's orbits:
+        its states are the rows placed, the slack left and a bitmask of the
+        label classes that already hold a label with fewer rows than a round
+        takes, so a fill is distinguished when every bit is set (`_keeps`).
+        Every row also takes length // k boxes of each label.  With `exact`
+        only the fills that leave no box count: they have the total slack
+        over the length rows, so a label that no later orbit takes excess
+        from must already be left with those rows' length // k boxes."""
+        wraps = length // self.k
+        orbits = self._orbits(length)
+        if slack is not None and wraps:
+            most = min(most, min(slack) // wraps)
+        # per orbit, the labels whose slack is final once it is placed: with
+        # `exact`, those it is the last orbit to take excess from, and at the
+        # first orbit those no orbit takes excess from
+        closed: list = [[] for _ in orbits]
+        if exact:
+            most, extra = divmod(sum(slack), length)
+            if extra:
+                return {}
+            last = dict.fromkeys(range(self.k), 0)
+            for j, orbit in enumerate(orbits):
+                for i, _ in orbit[3]:
+                    last[i] = j
+            for i, j in last.items():
+                closed[j].append(i)
+        states = {(0, slack, 0): 1}
+        for (labels, per, width, excess), done in zip(orbits, closed):
+            below = 0
+            if distinguished:
+                for start in labels:
+                    below |= 1 << (start - 1) % self.classes
+            after: dict = defaultdict(int)
+            for (rows, left, mask), ways in states.items():
+                top = (most - rows) // width
+                if left is not None:
+                    for i, e in excess:
+                        top = min(top, left[i] // e)
+                for t in range(top + 1):
+                    rest = left
+                    if left is not None and t and excess:
+                        rest = list(left)
+                        for i, e in excess:
+                            rest[i] -= t * e
+                        rest = tuple(rest)
+                    if done and any(rest[i] != most * wraps for i in done):
+                        continue
+                    held = mask | below if per * t < self.copies else mask
+                    after[rows + width * t, rest, held] += ways
+            states = after
+        full = (1 << self.classes) - 1 if distinguished else 0
+        tally: dict = defaultdict(int)
+        for (rows, left, mask), ways in states.items():
+            if mask != full or exact and rows != most:
+                continue
+            if left is not None and wraps:
+                left = tuple(v - rows * wraps for v in left)
+                if min(left) < 0:
+                    continue
+            tally[rows, left] += ways
+        return tally
 
     def _orbits(self, length):
         """The start labels whose row counts the case ties together, by
@@ -514,19 +570,22 @@ def count_diagrams(
     **rule,
 ) -> int:
     """The number of diagrams `iter_diagrams` streams for the same arguments,
-    by a dynamic program over the length blocks that builds no diagram or
-    row (see the module docstring): its work grows with its states, not
-    with the number of diagrams or of shapes."""
-    return _Fills(k, sign, **rule).count(*_target(k, dims, size), distinguished)
+    by `count_by_size`'s dynamic program at one size, which builds no
+    diagram or row and enumerates no block (see the module docstring): its
+    work grows with its states, not with the number of diagrams or of
+    shapes."""
+    dims, size = _target(k, dims, size)
+    return _Fills(k, sign, **rule).count(dims, [size], distinguished)[0]
 
 
 def count_by_size(
     k: int, sign: str, sizes: Iterable[int], *, distinguished: bool = False, **rule
 ) -> list[int]:
     """`count_diagrams(k, sign, size=n, **rule)` for each size n in `sizes`,
-    with one set of block tallies for all of them."""
-    fills = _Fills(k, sign, **rule)
-    return [fills.count(*_target(k, None, size), distinguished) for size in sizes]
+    in any order, read off one forward dynamic program up to the largest
+    size, which tallies each block over its orbits and enumerates none."""
+    sizes = [_target(k, None, size)[1] for size in sizes]
+    return _Fills(k, sign, **rule).count(None, sizes, distinguished)
 
 
 def enumerate_diagrams(k: int, sign: str, d: Sequence[int]) -> list[FilledDiagram]:

@@ -157,21 +157,28 @@ def weight_count(mu: Sequence[int], family: str, *, l=None, m=None, a=None) -> i
     return total
 
 
-def weight_sum(n: int, family: str, *, l=None, m=None, a=None) -> int:
-    """The sum of `weight_count` over the partitions of n, listing none: over
-    parts <= p it is, summed over the multiplicity k of p, the weight of
+def weight_sums(n_max: int, family: str, *, l=None, m=None, a=None) -> list[int]:
+    """The sums of `weight_count` over the partitions of each n = 0..n_max,
+    listing none, from one pass that serves a whole table: over parts <= p
+    the sum at n is, summed over the multiplicity k of p, the weight of
     (p, k) times the sum over parts < p at n - k p."""
     _check_weight_family(family, l, m, a)
-    check_integer("n", n)
-    if n < 0:
+    check_integer("n", n_max)
+    if n_max < 0:
         raise ValueError("n must be nonnegative")
-    sums = [1] + [0] * n
-    for part in range(1, n + 1):
-        weights = [_part_weight(family, part, k, l, m, a) for k in range(1, n // part + 1)]
+    sums = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        weights = [_part_weight(family, part, k, l, m, a) for k in range(1, n_max // part + 1)]
         # boxes from the top down, so sums[b - k * part] still excludes part
-        for b in range(n, part - 1, -1):
+        for b in range(n_max, part - 1, -1):
             sums[b] += sum(w * sums[b - k * part] for k, w in enumerate(weights[: b // part], 1))
-    return sums[n]
+    return sums
+
+
+def weight_sum(n: int, family: str, *, l=None, m=None, a=None) -> int:
+    """The sum of `weight_count` over the partitions of n: the last entry
+    of `weight_sums`."""
+    return weight_sums(n, family, l=l, m=m, a=a)[-1]
 
 
 def _part_weight(family, part, mult, l, m, a):

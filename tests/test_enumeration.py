@@ -13,9 +13,11 @@ import tracemalloc
 from collections import defaultdict
 from functools import cache
 from itertools import product
+from math import gcd
 
 import pytest
 
+from gradedorbits import cli, series
 from gradedorbits.diagrams import (
     CASES,
     FilledDiagram,
@@ -35,7 +37,12 @@ from gradedorbits.orbits import (
     is_distinguished_ai,
     is_distinguished_ii,
 )
-from gradedorbits.series import gf_orbit_count
+from gradedorbits.series import (
+    gf_distinguished_ai,
+    gf_distinguished_ii,
+    gf_orbit_count,
+    weight_sums,
+)
 
 from conftest import (
     brute_force_by_size,
@@ -194,13 +201,150 @@ def test_counts_by_dims_match_stream_and_brute_force(k, sign):
                     assert counted == len(expected), (dims, options)
 
 
+def enumerated_tally(fills, length, most, slack, distinguished):
+    """The reference for `_Fills._tally`: `_block`'s enumerated fills of
+    every row count up to `most`, kept by `_keeps`, per (rows, slack after)."""
+    wraps = length // fills.k
+    tally = defaultdict(int)
+    for rows in range(most + 1):
+        block_slack = slack
+        if slack is not None:
+            block_slack = tuple(v - rows * wraps for v in slack)
+            if min(block_slack) < 0:
+                continue
+        for counts, rest in fills._block(length, rows, block_slack):
+            if not distinguished or fills._keeps(counts):
+                tally[rows, rest] += 1
+    return tally
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("case", CASES)
+def test_block_tally_is_the_enumerated_tally(k, sign, case):
+    # The count's per-orbit tally against the walk's enumeration: every
+    # length <= 2k, row count <= 6, slack None or with entries <= 3, and,
+    # for the last block of a count by box counts, the fills that leave no
+    # box, of any row count.
+    if not has_modulus(case, k):
+        return
+    slacks = [None, *product(range(4), repeat=k)]
+    for order in (1, 2, 3) if case == "AI" else (1,):
+        fills = _Fills(k, sign, case=case, order=order)
+        for length, slack, distinguished in product(range(1, 2 * k + 1), slacks, (False, True)):
+            expected = enumerated_tally(fills, length, 6, slack, distinguished)
+            tally = fills._tally(length, 6, slack, distinguished)
+            assert tally == expected, (order, length, slack, distinguished)
+            if slack is None:
+                continue
+            every = enumerated_tally(fills, length, sum(slack), slack, distinguished)
+            empty = (0,) * k
+            expected = {key: n for key, n in every.items() if key[1] == empty}
+            exact = fills._tally(length, 0, slack, distinguished, exact=True)
+            assert exact == expected, (order, length, slack, distinguished)
+
+
+def test_count_tallies_each_block_once_without_enumerating(monkeypatch):
+    # A table counts every size from one run of the dynamic program: no
+    # block is enumerated, and no block is tallied twice for one slack.
+    runs = []
+    real_tally = _Fills._tally
+
+    def tally(self, length, most, slack, *args):
+        runs.append((length, slack))
+        return real_tally(self, length, most, slack, *args)
+
+    def vectors(*args):
+        raise AssertionError("the count enumerated a block")
+
+    monkeypatch.setattr(_Fills, "_tally", tally)
+    monkeypatch.setattr(_Fills, "_vectors", vectors)
+    for count in (
+        lambda: count_by_size(5, "-", range(0, 41, 2), case="AII", distinguished=True),
+        lambda: count_by_size(4, "-", range(31), distinguished=True, order=1),
+        lambda: count_by_size(6, "+", range(0, 41, 2), case="CII"),
+        lambda: count_diagrams(4, "-", (4, 3, 4, 3), case="DII", distinguished=True),
+        lambda: count_diagrams(3, "+", (5, 5, 4), order=2),
+    ):
+        runs.clear()
+        count()
+        assert runs and len(set(runs)) == len(runs)
+
+
+def test_cli_count_builds_one_fills_and_one_weight_sum_pass(monkeypatch, tmp_path):
+    made, passes = [], []
+    real_init, real_sums = _Fills.__init__, series.weight_sums
+
+    def init(self, *args, **kwargs):
+        made.append(self)
+        real_init(self, *args, **kwargs)
+
+    def weight_sums(*args, **kwargs):
+        passes.append(args)
+        return real_sums(*args, **kwargs)
+
+    monkeypatch.setattr(_Fills, "__init__", init)
+    monkeypatch.setattr(series, "weight_sums", weight_sums)
+    monkeypatch.setattr(cli, "weight_sums", weight_sums)
+    for argv in (
+        ["--family", "dist-C", "--l", "2", "--n", "12"],
+        ["--family", "A", "--l", "1", "--n", "12"],
+        ["--family", "dist-AI", "--m", "4", "--a", "2", "--n", "9"],
+    ):
+        made.clear()
+        passes.clear()
+        target = tmp_path / "count.csv"
+        assert cli.main(["count", *argv, "--format", "csv", "--output", str(target)]) == 0
+        assert len(made) == 1, argv
+        assert len(passes) == 1, argv
+
+
 def test_counts_match_the_series_far_past_the_brute_force():
     """The A family at l = 1, whose size-2n count is the series coefficient
     of degree n; degree 60 has 966,467 shapes, which the count never lists."""
     degrees = (39, 40, 60)
-    series = gf_orbit_count("A", 1, max(degrees))
+    gf = gf_orbit_count("A", 1, max(degrees))
     counts = count_by_size(3, "-", [2 * n for n in degrees], case="AII")
-    assert counts == [series.coefficient(n) for n in degrees]
+    assert counts == [gf.coefficient(n) for n in degrees]
+
+
+FAMILY_CASE = {"A": "AII", "C": "CII", "D": "DII"}
+
+# Every type II family at l <= 3 to degree 40, and dist-AI at m <= 4 for
+# every order a <= 2m whose family is not empty, to degree 30.
+DEEP_FAMILIES = [
+    (prefix + base, {"l": l}, 40)
+    for prefix in ("", "dist-")
+    for base in ("A", "C", "D")
+    for l in (1, 2, 3)
+] + [
+    ("dist-AI", {"m": m, "a": a}, 30)
+    for m in range(1, 5)
+    for a in range(1, 2 * m + 1)
+    if gcd(a, m) < m
+]
+
+
+@pytest.mark.parametrize(
+    "family, params, n_max", DEEP_FAMILIES, ids=lambda v: str(v).replace(" ", "")
+)
+def test_deep_counts_agree_with_the_series_and_the_weights(family, params, n_max):
+    # The whole table from one count and one weight-sum pass: the three
+    # routes of `gradedorbits count` agree at every degree.
+    if family == "dist-AI":
+        m, a = params["m"], params["a"]
+        gf = gf_distinguished_ai(m, a, n_max)
+        counts = count_by_size(m, "-", [a * n for n in range(n_max + 1)], distinguished=True, order=a)
+    else:
+        base = family.removeprefix("dist-")
+        distinguished = family.startswith("dist-")
+        gf = (gf_distinguished_ii if distinguished else gf_orbit_count)(base, params["l"], n_max)
+        modulus = 2 * params["l"] + (base == "A")
+        sizes = [2 * n for n in range(n_max + 1)]
+        counts = count_by_size(
+            modulus, "-", sizes, case=FAMILY_CASE[base], distinguished=distinguished
+        )
+    assert counts == list(gf.coeffs) == weight_sums(n_max, family, **params)
 
 
 def test_core_rejects_bad_arguments():

@@ -18,6 +18,7 @@ from gradedorbits.series import (
     gf_orbit_count,
     weight_count,
     weight_sum,
+    weight_sums,
 )
 
 from conftest import series_geom_pow, series_mul, series_one
@@ -200,10 +201,33 @@ def test_weight_sums_match_gf_coefficients():
     + [("dist-AI", {"m": m, "a": a}) for m, a in ((2, 1), (3, 1), (3, 2), (4, 2), (6, 2), (6, 3))],
 )
 def test_weight_sum_matches_summed_weight_counts(family, params):
-    for n in range(13):
-        assert weight_sum(n, family, **params) == sum(
-            weight_count(mu, family, **params) for mu in partitions(n)
-        )
+    listed = [sum(weight_count(mu, family, **params) for mu in partitions(n)) for n in range(13)]
+    assert [weight_sum(n, family, **params) for n in range(13)] == listed
+    # one pass gives every degree of a table
+    assert weight_sums(12, family, **params) == listed
+
+
+@pytest.mark.parametrize(
+    "n, family, params",
+    [
+        (-1, "A", {"l": 1}),
+        (2.5, "A", {"l": 1}),
+        (3, "B", {"l": 1}),
+        (3, "C", {"l": 0}),
+        (3, "A", {"l": 1.5}),
+        (3, "dist-A", {}),
+        (3, "dist-AI", {"m": 3}),
+        (3, "dist-AI", {"m": 3, "a": 3}),
+        (3, "dist-AI", {"m": 0, "a": 1}),
+        (3, "dist-AI", {"m": 3, "a": 0}),
+        (3, "dist-AI", {"m": 3, "a": 1.5}),
+    ],
+)
+def test_weight_sums_rejects_what_weight_sum_rejects(n, family, params):
+    with pytest.raises(ValueError) as one:
+        weight_sum(n, family, **params)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+        weight_sums(n, family, **params)
 
 
 def test_weight_sum_rejects_bad_arguments():
