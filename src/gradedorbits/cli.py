@@ -60,9 +60,11 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _modulus_from_args(args) -> int:
     """The modulus, --m0 for case AII and --m for the others, checked
-    against the case."""
-    flag = "--m0" if args.case == "AII" else "--m"
-    modulus = args.m0 if args.case == "AII" else args.m
+    against the case; the other case's flag is rejected."""
+    flag, other = ("--m0", "--m") if args.case == "AII" else ("--m", "--m0")
+    modulus, stray = (args.m0, args.m) if args.case == "AII" else (args.m, args.m0)
+    if stray is not None:
+        raise ValueError(f"case {args.case} takes {flag}, not {other}")
     if modulus is None:
         raise ValueError(f"case {args.case} requires {flag}")
     check_modulus(args.case, modulus)
@@ -434,12 +436,12 @@ def cmd_distinguished(args) -> int:
 # parser
 
 
-def _add_io_options(parser) -> None:
+def _add_io_flags(parser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
 
 
-def _add_grading_options(parser) -> None:
+def _add_grading_flags(parser) -> None:
     parser.add_argument("--case", required=True, choices=CASES)
     parser.add_argument("--m", type=int, default=None, help="modulus (AI, CII, DII)")
     parser.add_argument("--m0", type=int, default=None, help="odd modulus (AII)")
@@ -459,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("orbits", help="list orbit diagrams for a grading")
-    _add_grading_options(p)
-    _add_io_options(p)
+    _add_grading_flags(p)
+    _add_io_flags(p)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("count", help="counting table: series vs weights vs enumeration")
@@ -469,28 +471,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--n", type=int, required=True, help="largest table degree")
-    _add_io_options(p)
+    _add_io_flags(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("sheaves", help="sheaf-label catalog for a grading")
-    _add_grading_options(p)
+    _add_grading_flags(p)
     p.add_argument("--a", type=int, default=None, help="central character order (AI)")
-    _add_io_options(p)
+    _add_io_flags(p)
     p.set_defaults(func=cmd_sheaves)
 
     p = sub.add_parser("verify", help="check the orbit-to-label bijection")
-    _add_grading_options(p)
+    _add_grading_flags(p)
     p.add_argument("--a", type=int, default=None, help="central character order (AI)")
-    _add_io_options(p)
+    _add_io_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cuspidal", help="conjectural cuspidal labels (AI)")
-    _add_grading_options(p)
-    _add_io_options(p)
+    _add_grading_flags(p)
+    _add_io_flags(p)
     p.set_defaults(func=cmd_cuspidal)
 
     p = sub.add_parser("distinguished", help="distinguished orbits, optionally oracle-checked")
-    _add_grading_options(p)
+    _add_grading_flags(p)
     p.add_argument("--N", dest="size", type=int, default=None, help="sweep all box-count vectors of this total size")
     p.add_argument("--a", type=int, default=None, help="central character order (AI, default 1)")
     p.add_argument("--oracle", action="store_true", help="cross-check with the nilpotency oracle (AI)")
@@ -499,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None,
                    help="accepted with --oracle and echoed; no effect on the verdict (default 20)")
     p.add_argument("--dump-matrices", action="store_true", help="include representative blocks (JSON only)")
-    _add_io_options(p)
+    _add_io_flags(p)
     p.set_defaults(func=cmd_distinguished)
 
     return parser

@@ -16,15 +16,18 @@ down, each with a vector of row counts per start label, decreasing
 lexicographically.  A per-length rule says which vectors a block may take:
 any for case AI; for the type II cases equal counts on the start labels
 `row_partners` pairs and an even count on a self-paired one (as
-`orbits.admissible_for_case` tests); and, for distinguished diagrams, the
-per-length condition of `orbits.is_distinguished_ai` or
-`is_distinguished_ii`.  Only the wanted diagrams are built, and with box
-counts given the core prunes by the boxes each label has left.  `enumerate_diagrams` and `enumerate_by_size` list it.
-The core's walk hands out each diagram as its blocks, every block fill
-with its row counts per label, and a diagram's rows are their
-concatenation.  A block's fills are memoized once for the walk over every
-diagram and the distinguished walk, which keeps those passing the
-per-length condition, so one set of fills serves both walks.
+`orbits.admissible_for_case` tests); and, for distinguished diagrams, no
+uniform round: `_peel_block`, the peel of one length block that
+`orbits.peel_ai` and `peel_ii` also run, finds none (the condition of
+`orbits.is_distinguished_ai` and `is_distinguished_ii`).  Only the wanted
+diagrams are built, and with box counts given the core prunes by the boxes
+each label has left.  `enumerate_diagrams` and `enumerate_by_size` list it.
+The core's walk hands out each diagram as its blocks, every block fill one
+record that carries its rows, its row counts per label and its peel (parts,
+leftover rows and rank), and a diagram's rows are their concatenation.  A
+block's records are memoized once for the walk over every diagram and the
+distinguished walk, which keeps the rank-0 records, so one set of records
+serves both walks.
 
 `count_diagrams` and `count_by_size` count without the stream, and without
 enumerating a block: a block's tally, how many of its allowed fills take
@@ -270,6 +273,30 @@ def _target(k, dims, size):
     return dims, sum(dims)
 
 
+def _peel_block(rows, counts, a, per):
+    """The peel of one length block at order a, from its rows and its row
+    counts per label: per label class mod d = gcd(a, m), the largest number
+    of uniform rounds of `per` rows at every label of the class, as that
+    many parts length / a, the rows left over, starts ascending, and the
+    rank, the sum of the parts.  A block with no round leaves its own rows.
+    The one home of the rule: a diagram is distinguished when no block of
+    it has a round."""
+    d = gcd(a, len(counts))
+    # the walk peels every fill, and most have one class and no round
+    if d == 1 and min(counts) < per:
+        return ((),), rows, 0
+    lows = [min(counts[i::d]) // per for i in range(d)]
+    if not any(lows):
+        return ((),) * d, rows, 0
+    length = rows[0][0]
+    left = tuple(
+        (length, lab)
+        for lab, c in enumerate(counts, 1)
+        for _ in range(c - per * lows[(lab - 1) % d])
+    )
+    return tuple((length // a,) * low for low in lows), left, length // a * sum(lows)
+
+
 class _Fills:
     """The fills of one rule, the keyword arguments of `iter_diagrams` but
     `distinguished`, for any box counts or size, with every part a multiple
@@ -277,11 +304,12 @@ class _Fills:
     `count` their number at each of several sizes, `rows` and `count` over
     every fill or only the distinguished ones.  The walks' memos live as
     long as the object, so every walk on one object shares them, and both
-    kinds of walk share one run of `_vectors` per block: the distinguished
-    fills of a block are its fills that `_keeps` keeps, and rows are made
-    only for the fills a walk takes.  The count enumerates no fill: it
-    tallies each block per orbit (`_tally`), and one forward pass over the
-    blocks serves every size; its tallies last one call.
+    kinds of walk share one run of `_vectors` per block: each fill is one
+    record carrying its rows and its peel at the order, and the
+    distinguished fills of a block are its rank-0 records.  The count
+    enumerates no fill: it tallies each block per orbit (`_tally`), and one
+    forward pass over the blocks serves every size; its tallies last one
+    call.
 
     A row of length p takes p // k boxes of each label and p % k excess
     boxes.  With box counts given, `slack` is, per label, the boxes the
@@ -306,22 +334,21 @@ class _Fills:
         self.classes = gcd(order, k)
         self.orbits: dict = {}
         self.fills: dict = {}
-        self.options: dict = {}
 
     def walk(self, dims, size):
         """Each diagram's blocks, in canonical order: per part length, from
-        the longest down, its fill as a (rows, row counts per label) pair."""
-        return self._walk(dims, size, False, 1)
+        the longest down, its fill as a `_block` record."""
+        return self._walk(dims, size, False, True)
 
     def rows(self, dims, size, distinguished=False):
         """The row tuples of the diagrams, in canonical order: the rows of
-        `walk`'s blocks, concatenated along the walk."""
-        return self._walk(dims, size, distinguished, 0)
+        `walk`'s blocks, concatenated along the walk; with `distinguished`,
+        of the diagrams whose every block has rank 0."""
+        return self._walk(dims, size, distinguished, False)
 
-    def _walk(self, dims, size, distinguished, field):
-        """Every diagram as the concatenation of one field of its blocks'
-        options, longest first: their rows (field 0) or their one-block
-        tuples (field 1)."""
+    def _walk(self, dims, size, distinguished, whole):
+        """Every diagram as the concatenation, longest first, of its blocks'
+        records as one-record tuples (`whole`) or of their rows."""
         # Type II row counts per length are even, so their shapes double the
         # multiplicities of a partition; AI parts are multiples of the order.
         step = self.unit * self.copies
@@ -336,7 +363,7 @@ class _Fills:
                 slack = tuple(v - even for v in dims)
                 if min(slack) < 0:
                     continue
-            yield from self._fill(blocks, 0, slack, (), distinguished, field) if blocks else [()]
+            yield from self._fill(blocks, 0, slack, (), distinguished, whole) if blocks else [()]
 
     def count(self, dims, sizes, distinguished=False):
         """The number of row tuples `rows` yields at each of the sizes, by
@@ -366,42 +393,36 @@ class _Fills:
         end = None if dims is None else (0,) * self.k
         return [ways.get((size // step, end), 0) if size % step == 0 else 0 for size in sizes]
 
-    def _fill(self, blocks, i, slack, prefix, distinguished, field):
-        for option in self._options(*blocks[i], slack, distinguished):
-            if i + 1 == len(blocks):
-                yield prefix + option[field]
+    def _fill(self, blocks, i, slack, prefix, distinguished, whole):
+        last = i + 1 == len(blocks)
+        for record in self._block(*blocks[i], slack):
+            if distinguished and record[5]:
+                continue
+            share = (record,) if whole else record[0]
+            if last:
+                yield prefix + share
             else:
                 yield from self._fill(
-                    blocks, i + 1, option[2], prefix + option[field], distinguished, field
+                    blocks, i + 1, record[2], prefix + share, distinguished, whole
                 )
 
-    def _options(self, length, count, slack, distinguished):
-        """Every fill of one block, or its distinguished fills, those
-        `_keeps` keeps, as (rows, (block,), slack after) triples, the block
-        a (rows, row counts per label) pair.  Rows are made only for the
-        fills asked for."""
-        key = (length, count, slack, distinguished)
-        if key not in self.options:
-            out = self.options[key] = []
-            for counts, rest in self._block(length, count, slack):
-                if distinguished and not self._keeps(counts):
-                    continue
+    def _block(self, length, count, slack):
+        """Every fill of one block as a (rows, row counts per label, slack
+        after, parts, leftover rows, rank) record, from one run of
+        `_vectors` that both kinds of walk share: the parts, leftover rows
+        and rank are the fill's `_peel_block` at the order."""
+        key = (length, count, slack)
+        if key not in self.fills:
+            out = self.fills[key] = []
+            unit, per = self.unit, self.copies
+
+            def keep(counts, rest):
+                counts = tuple(counts)
                 rows = ()
                 for s, c in enumerate(counts, 1):
                     if c:
                         rows += ((length, s),) * c
-                out.append((rows, ((rows, counts),), rest))
-        return self.options[key]
-
-    def _block(self, length, count, slack):
-        """Every fill of one block as a (row counts per label, slack after)
-        pair, from one run of `_vectors` that both kinds of walk share."""
-        key = (length, count, slack)
-        if key not in self.fills:
-            out = self.fills[key] = []
-
-            def keep(counts, rest):
-                out.append((tuple(counts), rest))
+                out.append((rows, counts, rest, *_peel_block(rows, counts, unit, per)))
 
             self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
         return self.fills[key]
@@ -412,7 +433,8 @@ class _Fills:
         boxes left per label.  A dynamic program over the block's orbits:
         its states are the rows placed, the slack left and a bitmask of the
         label classes that already hold a label with fewer rows than a round
-        takes, so a fill is distinguished when every bit is set (`_keeps`).
+        takes, so a fill is distinguished when every bit is set: the count's
+        form of `_peel_block`'s rule, tested against the records' rank.
         Every row also takes length // k boxes of each label.  With `exact`
         only the fills that leave no box count: they have the total slack
         over the length rows, so a label that no later orbit takes excess
@@ -528,12 +550,6 @@ class _Fills:
                 self._vectors(orbits, j + 1, left - width * t, counts, rest, keep)
             else:
                 keep(counts, rest)
-
-    def _keeps(self, counts):
-        """Whether one length's row counts pass the distinguished condition:
-        every label class mod gcd(order, k) has a label with fewer rows than
-        a round takes (type II has one class, as its order is 1)."""
-        return all(min(counts[i :: self.classes]) < self.copies for i in range(self.classes))
 
 
 def iter_diagrams(

@@ -11,9 +11,11 @@ of rows as every label of the class can give: case AI at order a takes one
 row per label and has the residues mod gcd(a, m) as classes, and type II is
 the round-of-two, single-class case, at order 1 with the trivial component
 group Z/1.  One `_peel`, one `_strata`, one `Peel` and one `Stratum` record
-serve both.  A peel works one part length at a time (`_peel_length`) and
-joins the pieces (`_peeled`), so a caller holding a diagram's length
-blocks, as `sheaves.verify_bijection` does, peels each block once.
+serve both.  A peel works one part length at a time, by
+`diagrams._peel_block`, the one home of the round rule: the enumeration
+core runs it on every block fill it makes and keeps the rank-0 fills for
+the distinguished walk, and `sheaves.verify_bijection` reads the peel off
+the walked blocks.
 
 Diagrams labelling orbits on the negative side of the grading use the '-'
 fill convention; all stratum residuals are stored on that side as well.
@@ -24,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 
 from .diagrams import (
     CASES,
@@ -32,10 +35,9 @@ from .diagrams import (
     MINUS,
     MultiPartition,
     PLUS,
-    Partition,
-    Row,
     _Fills,
     _built_diagram,
+    _peel_block,
     _row_key,
     canonicalize,
     check_box_counts,
@@ -184,40 +186,18 @@ class Peel:
 def _peel(diagram: FilledDiagram, a: int, per: int) -> Peel:
     """Split off, per part length and per label class mod d = gcd(a, m), the
     largest number of uniform rounds of `per` rows at every label of the
-    class: `_peel_length` on each length, joined by `_peeled`."""
-    m = diagram.modulus
-    counts: dict[int, list[int]] = {}
-    for length, start in diagram.rows:
-        counts.setdefault(length, [0] * m)[start - 1] += 1
-    pieces = [_peel_length(length, p, a, per) for length, p in counts.items()]
-    return _peeled(m, diagram.sign, gcd(a, m), pieces)
-
-
-def _peel_length(
-    length: int, counts, a: int, per: int
-) -> tuple[tuple[Partition, ...], tuple[Row, ...]]:
-    """One part length's share of a peel at order a, from its row counts per
-    label: per label class mod d = gcd(a, m), the largest number of uniform
-    rounds of `per` rows at every label of the class, as that many parts
-    length / a, and the rows left over, starts ascending."""
-    d = gcd(a, len(counts))
-    lows = [min(counts[i::d]) // per for i in range(d)]
-    left = tuple(
-        (length, lab)
-        for lab, c in enumerate(counts, 1)
-        for _ in range(c - per * lows[(lab - 1) % d])
-    )
-    return tuple((length // a,) * low for low in lows), left
-
-
-def _peeled(m: int, sign: str, classes: int, pieces) -> Peel:
-    """The peel of a diagram from the `_peel_length` pieces of its lengths,
-    longest first: component i of the multipartition takes every piece's
-    parts of class i, and the leftover rows form the residual diagram."""
-    tau = tuple(tuple(part for parts, _ in pieces for part in parts[i]) for i in range(classes))
+    class: `diagrams._peel_block` on each length block, longest first.
+    Component i of the multipartition takes every block's parts of class i,
+    and the leftover rows form the residual diagram."""
+    tau: tuple = ((),) * gcd(a, diagram.modulus)
+    rows: tuple = ()
+    for length in diagram.parts:
+        block = tuple(row for row in diagram.rows if row[0] == length)
+        parts, left, _ = _peel_block(block, diagram.multiplicities(length), a, per)
+        tau = tuple(map(add, tau, parts))
+        rows += left
     # lengths come decreasing and starts ascending: the canonical row order
-    rows = tuple(row for _, left in pieces for row in left)
-    return Peel(tau, _built_diagram(m, sign, rows))
+    return Peel(tau, _built_diagram(diagram.modulus, diagram.sign, rows))
 
 
 def peel_ai(diagram: FilledDiagram, a: int) -> Peel:
@@ -242,14 +222,11 @@ def peel_ii(diagram: FilledDiagram) -> Peel:
 
 def d_check_stratum(a: int, mu: FilledDiagram) -> int:
     """Cyclic component-group order attached to an AI stratum residual:
-    gcd(m*a/d, part gcd of mu), or m*a/d when mu is empty."""
+    gcd(m*a/d, part gcd of mu), which is m*a/d when mu is empty (its part
+    gcd is 0)."""
     check_positive("order", a)
     m = mu.modulus
-    d = gcd(a, m)
-    base = m * a // d
-    if mu.is_empty:
-        return base
-    return gcd(base, mu.part_gcd)
+    return gcd(m * a // gcd(a, m), mu.part_gcd)
 
 
 def d_check_dual(diagram: FilledDiagram) -> int:
@@ -259,10 +236,7 @@ def d_check_dual(diagram: FilledDiagram) -> int:
     if peel.rank == 0:
         raise ValueError("no part has a row at every label")
     m = diagram.modulus
-    mu = peel.residue
-    if mu.is_empty:
-        return m * diagram.part_gcd
-    g = mu.part_gcd
+    g = peel.residue.part_gcd
     for part in set(peel.tau[0]):
         g = gcd(g, m * part)
     return g

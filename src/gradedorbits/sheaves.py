@@ -34,8 +34,6 @@ from .orbits import (
     Stratum,
     _fills,
     _label_order,
-    _peel_length,
-    _peeled,
     _strata,
     admissible_for_case,
     component_group_order,
@@ -259,9 +257,10 @@ def _route_keys(grading: GradingSpec, a: int) -> tuple[list, list]:
     """The two routes' keys at order a (1 for type II), over one `_Fills`:
     the `_image` of every orbital complex, in `orbital_complexes` order, and
     the `_keys` of every stratum, in `_strata` order.  The strata's
-    residuals are the distinguished walk of the fills the orbits are
-    walked over, so both routes share its block fills.  The character and
-    multipartition lists are made once per (group order, rank)."""
+    residuals are the distinguished walk, the rank-0 records, of the fills
+    the orbits are walked over, so both routes share its block records.
+    The character and multipartition lists are made once per (group order,
+    rank)."""
     fills = _fills(grading, a)
     strata = _strata(grading, a, fills)
     pairs: dict = {}
@@ -277,37 +276,31 @@ def _route_keys(grading: GradingSpec, a: int) -> tuple[list, list]:
 def _image_keys(grading: GradingSpec, a: int, fills, strata) -> list[tuple]:
     """`_image` of every orbital complex at order a (1 for type II), from
     the walk of `fills` over the grading's box counts.  An orbit comes as
-    its length blocks: each block fill is peeled once (`_peel_length`), and
-    the orbit's part gcd is that of its block lengths.  Its stratum is
-    looked up by the orbit's own rank and residual rows among `strata`: at
-    order a those two fix a record, as d_check is a function of the
-    residual.  A pair no record has gets its own record, made once from the
-    joined pieces (`_peeled`).  So equal strata are one object, and the
-    routes' keys compare by identity.  The moved characters are made once
-    per pair of group orders."""
-    ai = grading.case == "AI"
-    m, classes, per = grading.modulus, gcd(a, grading.modulus), 1 if ai else 2
+    its length blocks, each a record that carries its peel: the orbit's
+    rank, multipartition and residual rows join its blocks' ranks, parts
+    and leftover rows, and its part gcd is that of its block lengths.  Its
+    stratum is looked up by the orbit's own rank and residual rows among
+    `strata`: at order a those two fix a record, as d_check is a function
+    of the residual.  A pair no record has gets its own record, made once.
+    So equal strata are one object, and the routes' keys compare by
+    identity.  The moved characters are made once per pair of group
+    orders."""
+    ai, classes = grading.case == "AI", gcd(a, grading.modulus)
     records = {(s.rank, s.mu.rows): s for s in strata}
-    pieces: dict = {}  # a block's rows -> its length, peel piece and rank
     moved: dict = {}  # (orbit group order, d_check) -> the moved characters
     image = []
     for blocks in fills.walk(grading.dims, grading.total):
         n = rank = 0
         tau, left = ((),) * classes, ()
-        for rows, counts in blocks:
-            piece = pieces.get(rows)
-            if piece is None:
-                parts, rest = _peel_length(rows[0][0], counts, a, per)
-                piece = pieces[rows] = (rows[0][0], parts, rest, sum(map(sum, parts)))
-            length, parts, rest, r = piece
-            n = gcd(n, length)
+        for rows, _, _, parts, rest, r in blocks:
+            n = gcd(n, rows[0][0])
             if r:
                 rank += r
                 tau = tuple(map(add, tau, parts))
             left += rest
         stratum = records.get((rank, left))
         if stratum is None:
-            mu = _peeled(m, MINUS, classes, [pieces[rows][1:3] for rows, _ in blocks]).residue
+            mu = FilledDiagram(grading.modulus, MINUS, left)
             stratum = Stratum(a, rank, mu, d_check_stratum(a, mu) if ai else 1)
             records[rank, left] = stratum
         # the component group: Z/(part gcd) for AI (Z/1 when empty), Z/1 for type II

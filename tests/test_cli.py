@@ -149,6 +149,32 @@ def test_ignored_parameters_are_rejected(capsys, argv, extra):
     assert cli.main(list(argv)) == 0
 
 
+# A case's modulus flag with a valid box-count vector, the other case's flag
+# and the error it gives.
+STRAY_MODULUS = [
+    (("--case", "AI", "--m", "2"), "1,1", ("--m0", "5"), "error: case AI takes --m, not --m0\n"),
+    (("--case", "CII", "--m", "2"), "2,2", ("--m0", "3"), "error: case CII takes --m, not --m0\n"),
+    (("--case", "AII", "--m0", "3"), "1,0,1", ("--m", "7"), "error: case AII takes --m0, not --m\n"),
+]
+
+
+@pytest.mark.parametrize("command", ["orbits", "sheaves", "verify", "cuspidal", "distinguished"])
+@pytest.mark.parametrize("grading, dims, stray, message", STRAY_MODULUS)
+def test_the_other_cases_modulus_flag_is_rejected(capsys, command, grading, dims, stray, message):
+    """--m0 for a case that takes --m, or --m for AII, is a usage error, with
+    --dims and, on `distinguished`, the one command that takes it, with
+    --N; without it the same command runs (cuspidal only for case AI)."""
+    order = ("--a", "1") if grading[1] == "AI" and command in ("sheaves", "verify") else ()
+    targets = [("--dims", dims)] + ([("--N", "2")] if command == "distinguished" else [])
+    for target in targets:
+        argv = [command, *grading, *target, *order]
+        assert cli.main([*argv, *stray]) == 2
+        assert capsys.readouterr() == ("", message)
+        if command != "cuspidal" or grading[1] == "AI":
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

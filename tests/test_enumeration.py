@@ -36,6 +36,8 @@ from gradedorbits.orbits import (
     admissible_for_case,
     is_distinguished_ai,
     is_distinguished_ii,
+    peel_ai,
+    peel_ii,
 )
 from gradedorbits.series import (
     gf_distinguished_ai,
@@ -203,7 +205,8 @@ def test_counts_by_dims_match_stream_and_brute_force(k, sign):
 
 def enumerated_tally(fills, length, most, slack, distinguished):
     """The reference for `_Fills._tally`: `_block`'s enumerated fills of
-    every row count up to `most`, kept by `_keeps`, per (rows, slack after)."""
+    every row count up to `most`, with `distinguished` only its rank-0
+    records, per (rows, slack after)."""
     wraps = length // fills.k
     tally = defaultdict(int)
     for rows in range(most + 1):
@@ -212,8 +215,8 @@ def enumerated_tally(fills, length, most, slack, distinguished):
             block_slack = tuple(v - rows * wraps for v in slack)
             if min(block_slack) < 0:
                 continue
-        for counts, rest in fills._block(length, rows, block_slack):
-            if not distinguished or fills._keeps(counts):
+        for _, _, rest, _, _, rank in fills._block(length, rows, block_slack):
+            if not distinguished or rank == 0:
                 tally[rows, rest] += 1
     return tally
 
@@ -225,13 +228,18 @@ def test_block_tally_is_the_enumerated_tally(k, sign, case):
     # The count's per-orbit tally against the walk's enumeration: every
     # length <= 2k, row count <= 6, slack None or with entries <= 3, and,
     # for the last block of a count by box counts, the fills that leave no
-    # box, of any row count.
+    # box, of any row count.  The distinguished fills are the rank-0
+    # records, and a round of rows shorter than the order has no part
+    # (length // order is 0), so those lengths are compared over every
+    # fill only; the count tallies multiples of the order.
     if not has_modulus(case, k):
         return
     slacks = [None, *product(range(4), repeat=k)]
     for order in (1, 2, 3) if case == "AI" else (1,):
         fills = _Fills(k, sign, case=case, order=order)
         for length, slack, distinguished in product(range(1, 2 * k + 1), slacks, (False, True)):
+            if distinguished and length < order:
+                continue
             expected = enumerated_tally(fills, length, 6, slack, distinguished)
             tally = fills._tally(length, 6, slack, distinguished)
             assert tally == expected, (order, length, slack, distinguished)
@@ -242,6 +250,39 @@ def test_block_tally_is_the_enumerated_tally(k, sign, case):
             expected = {key: n for key, n in every.items() if key[1] == empty}
             exact = fills._tally(length, 0, slack, distinguished, exact=True)
             assert exact == expected, (order, length, slack, distinguished)
+
+
+@pytest.mark.parametrize("k", range(1, K_MAX + 1))
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("case", CASES)
+def test_block_records_carry_the_peel_of_their_block(k, sign, case):
+    # Every record of a block fill carries the peel and rank that `peel_ai`
+    # or `peel_ii` gives its block as a diagram of its own, and has rank 0
+    # exactly when that diagram is distinguished: every length <= 2k that
+    # is a multiple of the order, as the walk's are, row count <= 6, and
+    # slack None or with entries <= 3.
+    if not has_modulus(case, k):
+        return
+    slacks = [None, *product(range(4), repeat=k)]
+    checked = 0
+    for order in (1, 2, 3) if case == "AI" else (1,):
+        fills = _Fills(k, sign, case=case, order=order)
+        expected = {}
+        lengths = range(order, 2 * k + 1, order)
+        for length, rows, slack in product(lengths, range(1, 7), slacks):
+            for record in fills._block(length, rows, slack):
+                block_rows, counts, _, parts, left, rank = record
+                if block_rows not in expected:
+                    diagram = FilledDiagram(k, sign, block_rows)
+                    assert counts == diagram.multiplicities(length), record
+                    if case == "AI":
+                        peel, kept = peel_ai(diagram, order), is_distinguished_ai(diagram, order)
+                    else:
+                        peel, kept = peel_ii(diagram), is_distinguished_ii(diagram)
+                    expected[block_rows] = (peel.tau, peel.residue.rows, peel.rank, kept)
+                assert (parts, left, rank, rank == 0) == expected[block_rows], (order, record)
+        checked += len(expected)
+    assert checked
 
 
 def test_count_tallies_each_block_once_without_enumerating(monkeypatch):
@@ -439,7 +480,8 @@ def test_walks_over_shared_fills_are_the_streams(k, case):
     # residuals over one _Fills.  Whichever walk fills a block first, every
     # walk over the shared memos must yield iter_diagrams' rows in order,
     # and `walk` must hand out the same diagrams as blocks with their row
-    # counts per label.  Its distinguished stream is `rows(..., True)`.
+    # counts per label and its peel.  Its distinguished stream is
+    # `rows(..., True)`.
     if not has_modulus(case, k):
         return
     for order in (1, 2, 3) if case == "AI" else (1,):
@@ -456,10 +498,12 @@ def test_walks_over_shared_fills_are_the_streams(k, case):
                     walked = []
                     for blocks in fills.walk(dims, size):
                         rows = ()
-                        for block_rows, counts in blocks:
+                        for block_rows, counts, _, parts, left, rank in blocks:
                             diagram = FilledDiagram(k, "-", block_rows)
                             assert diagram.parts == (block_rows[0][0],)
                             assert counts == diagram.multiplicities(block_rows[0][0])
+                            peel = peel_ai(diagram, order) if case == "AI" else peel_ii(diagram)
+                            assert (parts, left, rank) == (peel.tau, peel.residue.rows, peel.rank)
                             rows += block_rows
                         walked.append(rows)
                     assert walked == expected, (dims, order)
