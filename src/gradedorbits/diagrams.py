@@ -26,8 +26,8 @@ The core's walk hands out each diagram as its blocks, every block fill one
 record that carries its rows, its row counts per label and its peel (parts,
 leftover rows and rank), and a diagram's rows are their concatenation.  A
 block's records are memoized once for the walk over every diagram and the
-distinguished walk, which keeps the rank-0 records, so one set of records
-serves both walks.
+distinguished walk, which keeps the records with no round, so one set of
+records serves both walks.
 
 `count_diagrams` and `count_by_size` count without the stream, and without
 enumerating a block: a block's tally, how many of its allowed fills take
@@ -278,9 +278,10 @@ def _peel_block(rows, counts, a, per):
     counts per label: per label class mod d = gcd(a, m), the largest number
     of uniform rounds of `per` rows at every label of the class, as that
     many parts length / a, the rows left over, starts ascending, and the
-    rank, the sum of the parts.  A block with no round leaves its own rows.
-    The one home of the rule: a diagram is distinguished when no block of
-    it has a round."""
+    rank, the sum of the parts.  A block with no round leaves its own rows,
+    the `rows` tuple itself, which tells it apart also at a length below a,
+    where a round's parts are 0.  The one home of the rule: a diagram is
+    distinguished when no block of it has a round."""
     d = gcd(a, len(counts))
     # the walk peels every fill, and most have one class and no round
     if d == 1 and min(counts) < per:
@@ -306,7 +307,7 @@ class _Fills:
     long as the object, so every walk on one object shares them, and both
     kinds of walk share one run of `_vectors` per block: each fill is one
     record carrying its rows and its peel at the order, and the
-    distinguished fills of a block are its rank-0 records.  The count
+    distinguished fills of a block are its records with no round.  The count
     enumerates no fill: it tallies each block per orbit (`_tally`), and one
     forward pass over the blocks serves every size; its tallies last one
     call.
@@ -343,7 +344,7 @@ class _Fills:
     def rows(self, dims, size, distinguished=False):
         """The row tuples of the diagrams, in canonical order: the rows of
         `walk`'s blocks, concatenated along the walk; with `distinguished`,
-        of the diagrams whose every block has rank 0."""
+        of the diagrams no block of which has a round."""
         return self._walk(dims, size, distinguished, False)
 
     def _walk(self, dims, size, distinguished, whole):
@@ -396,7 +397,8 @@ class _Fills:
     def _fill(self, blocks, i, slack, prefix, distinguished, whole):
         last = i + 1 == len(blocks)
         for record in self._block(*blocks[i], slack):
-            if distinguished and record[5]:
+            # a block with no round leaves its own rows (`_peel_block`)
+            if distinguished and record[4] is not record[0]:
                 continue
             share = (record,) if whole else record[0]
             if last:
@@ -434,7 +436,7 @@ class _Fills:
         its states are the rows placed, the slack left and a bitmask of the
         label classes that already hold a label with fewer rows than a round
         takes, so a fill is distinguished when every bit is set: the count's
-        form of `_peel_block`'s rule, tested against the records' rank.
+        form of `_peel_block`'s rule, tested against the records' peel.
         Every row also takes length // k boxes of each label.  With `exact`
         only the fills that leave no box count: they have the total slack
         over the length rows, so a label that no later orbit takes excess

@@ -13,9 +13,9 @@ the round-of-two, single-class case, at order 1 with the trivial component
 group Z/1.  One `_peel`, one `_strata`, one `Peel` and one `Stratum` record
 serve both.  A peel works one part length at a time, by
 `diagrams._peel_block`, the one home of the round rule: the enumeration
-core runs it on every block fill it makes and keeps the rank-0 fills for
-the distinguished walk, and `sheaves.verify_bijection` reads the peel off
-the walked blocks.
+core runs it on every block fill it makes and keeps the fills with no
+round for the distinguished walk, and `sheaves.verify_bijection` reads
+the peel off the walked blocks.
 
 Diagrams labelling orbits on the negative side of the grading use the '-'
 fill convention; all stratum residuals are stored on that side as well.
@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd
-from operator import add
+from operator import add, itemgetter
 
 from .diagrams import (
     CASES,
@@ -191,9 +192,13 @@ def _peel(diagram: FilledDiagram, a: int, per: int) -> Peel:
     and the leftover rows form the residual diagram."""
     tau: tuple = ((),) * gcd(a, diagram.modulus)
     rows: tuple = ()
-    for length in diagram.parts:
-        block = tuple(row for row in diagram.rows if row[0] == length)
-        parts, left, _ = _peel_block(block, diagram.multiplicities(length), a, per)
+    # one pass: the canonical rows come in runs of one length
+    for _, run in groupby(diagram.rows, itemgetter(0)):
+        block = tuple(run)
+        counts = [0] * diagram.modulus
+        for _, start in block:
+            counts[start - 1] += 1
+        parts, left, _ = _peel_block(block, counts, a, per)
         tau = tuple(map(add, tau, parts))
         rows += left
     # lengths come decreasing and starts ascending: the canonical row order

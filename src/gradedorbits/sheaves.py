@@ -257,8 +257,9 @@ def _route_keys(grading: GradingSpec, a: int) -> tuple[list, list]:
     """The two routes' keys at order a (1 for type II), over one `_Fills`:
     the `_image` of every orbital complex, in `orbital_complexes` order, and
     the `_keys` of every stratum, in `_strata` order.  The strata's
-    residuals are the distinguished walk, the rank-0 records, of the fills
-    the orbits are walked over, so both routes share its block records.
+    residuals are the distinguished walk, the records with no round, of
+    the fills the orbits are walked over, so both routes share its block
+    records.
     The character and multipartition lists are made once per (group order,
     rank)."""
     fills = _fills(grading, a)

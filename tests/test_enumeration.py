@@ -26,6 +26,7 @@ from gradedorbits.diagrams import (
     canonicalize,
     count_by_size,
     count_diagrams,
+    dimension_vector,
     enumerate_by_size,
     enumerate_diagrams,
     iter_diagrams,
@@ -205,8 +206,8 @@ def test_counts_by_dims_match_stream_and_brute_force(k, sign):
 
 def enumerated_tally(fills, length, most, slack, distinguished):
     """The reference for `_Fills._tally`: `_block`'s enumerated fills of
-    every row count up to `most`, with `distinguished` only its rank-0
-    records, per (rows, slack after)."""
+    every row count up to `most`, with `distinguished` only its records
+    with no round, which leave their own rows, per (rows, slack after)."""
     wraps = length // fills.k
     tally = defaultdict(int)
     for rows in range(most + 1):
@@ -215,8 +216,8 @@ def enumerated_tally(fills, length, most, slack, distinguished):
             block_slack = tuple(v - rows * wraps for v in slack)
             if min(block_slack) < 0:
                 continue
-        for _, _, rest, _, _, rank in fills._block(length, rows, block_slack):
-            if not distinguished or rank == 0:
+        for block_rows, _, rest, _, left, _ in fills._block(length, rows, block_slack):
+            if not distinguished or left == block_rows:
                 tally[rows, rest] += 1
     return tally
 
@@ -228,18 +229,13 @@ def test_block_tally_is_the_enumerated_tally(k, sign, case):
     # The count's per-orbit tally against the walk's enumeration: every
     # length <= 2k, row count <= 6, slack None or with entries <= 3, and,
     # for the last block of a count by box counts, the fills that leave no
-    # box, of any row count.  The distinguished fills are the rank-0
-    # records, and a round of rows shorter than the order has no part
-    # (length // order is 0), so those lengths are compared over every
-    # fill only; the count tallies multiples of the order.
+    # box, of any row count.
     if not has_modulus(case, k):
         return
     slacks = [None, *product(range(4), repeat=k)]
     for order in (1, 2, 3) if case == "AI" else (1,):
         fills = _Fills(k, sign, case=case, order=order)
         for length, slack, distinguished in product(range(1, 2 * k + 1), slacks, (False, True)):
-            if distinguished and length < order:
-                continue
             expected = enumerated_tally(fills, length, 6, slack, distinguished)
             tally = fills._tally(length, 6, slack, distinguished)
             assert tally == expected, (order, length, slack, distinguished)
@@ -258,29 +254,35 @@ def test_block_tally_is_the_enumerated_tally(k, sign, case):
 def test_block_records_carry_the_peel_of_their_block(k, sign, case):
     # Every record of a block fill carries the peel and rank that `peel_ai`
     # or `peel_ii` gives its block as a diagram of its own, and has rank 0
-    # exactly when that diagram is distinguished: every length <= 2k that
-    # is a multiple of the order, as the walk's are, row count <= 6, and
-    # slack None or with entries <= 3.
+    # and keeps its own rows exactly when that diagram is distinguished:
+    # every length <= 2k that is a multiple of the order, as the walk's
+    # are, and row count <= 6.  The peel depends on the row counts alone,
+    # and slack only drops fills, so slack None yields every block; one
+    # bounded slack checks the slack after.
     if not has_modulus(case, k):
         return
-    slacks = [None, *product(range(4), repeat=k)]
     checked = 0
     for order in (1, 2, 3) if case == "AI" else (1,):
         fills = _Fills(k, sign, case=case, order=order)
         expected = {}
         lengths = range(order, 2 * k + 1, order)
-        for length, rows, slack in product(lengths, range(1, 7), slacks):
+        for length, rows, slack in product(lengths, range(1, 7), (None, (3,) * k)):
             for record in fills._block(length, rows, slack):
-                block_rows, counts, _, parts, left, rank = record
+                block_rows, counts, rest, parts, left, rank = record
+                diagram = FilledDiagram(k, sign, block_rows)
+                if slack is not None:
+                    wraps = rows * (length // k)
+                    used = [v - wraps for v in dimension_vector(diagram)]
+                    assert rest == tuple(s - u for s, u in zip(slack, used)), record
                 if block_rows not in expected:
-                    diagram = FilledDiagram(k, sign, block_rows)
                     assert counts == diagram.multiplicities(length), record
                     if case == "AI":
                         peel, kept = peel_ai(diagram, order), is_distinguished_ai(diagram, order)
                     else:
                         peel, kept = peel_ii(diagram), is_distinguished_ii(diagram)
-                    expected[block_rows] = (peel.tau, peel.residue.rows, peel.rank, kept)
-                assert (parts, left, rank, rank == 0) == expected[block_rows], (order, record)
+                    expected[block_rows] = (peel.tau, peel.residue.rows, peel.rank, kept, kept)
+                got = (parts, left, rank, rank == 0, left == block_rows)
+                assert got == expected[block_rows], (order, record)
         checked += len(expected)
     assert checked
 
