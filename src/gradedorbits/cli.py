@@ -22,16 +22,14 @@ from .diagrams import (
     check_modulus,
     count_by_size,
     diagram_to_json,
-    iter_diagrams,
 )
 from .orbits import (
     CASES,
     GradingSpec,
     component_group_order,
     duality,
-    is_distinguished_ai,
-    is_distinguished_ii,
     orbit_dim,
+    orbit_listing,
 )
 from .oracle import build_representative, is_distinguished_oracle
 from .series import (
@@ -136,7 +134,7 @@ def _put_json(obj, put, indent: str = "\n") -> None:
     default=_json_form)`, with `indent` the line break and indentation of
     its nesting level.  The standard library encodes with an indent in pure
     Python, one generator per container; this writes the same bytes with
-    one call per value, and one per diagram."""
+    one call per value, one per diagram and one per key with a bool."""
     if isinstance(obj, str):
         put(encode_basestring_ascii(obj))
     elif obj is None:
@@ -165,8 +163,12 @@ def _put_json(obj, put, indent: str = "\n") -> None:
             return
         inner, sep = indent + "  ", "{"
         for key, value in obj.items():
-            put(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _put_json(value, put, inner)
+            head = f"{sep}{inner}{encode_basestring_ascii(key)}: "
+            if value is True or value is False:
+                put(head + ("true" if value else "false"))
+            else:
+                put(head)
+                _put_json(value, put, inner)
             sep = ","
         put(indent + "}")
     elif isinstance(obj, FilledDiagram):
@@ -235,17 +237,17 @@ def cmd_orbits(args) -> int:
     if grading.case == "AI":
         header = ["diagram", "d_lambda", "distinguished", "orbit_dim"]
 
-        def describe(lam):
-            return lam, lam.part_gcd, is_distinguished_ai(lam, 1), orbit_dim(lam)
+        def describe(lam, g, plain):
+            return lam, g, plain, orbit_dim(lam)
     else:
         header = ["diagram", "component_group", "distinguished"]
 
-        def describe(lam):
-            return lam, component_group_order(lam, grading), is_distinguished_ii(lam)
+        def describe(lam, g, plain):
+            return lam, component_group_order(lam, grading), plain
 
     entries = [
-        dict(zip(header, describe(lam)))
-        for lam in iter_diagrams(grading.modulus, MINUS, grading.dims, case=grading.case)
+        dict(zip(header, describe(*listed)))
+        for listed in orbit_listing(grading.case, grading.modulus, grading.dims)
     ]
     payload = {**_grading_json(grading), "orbits": entries}
     _write(args, payload, header, (e.values() for e in entries))
@@ -407,8 +409,8 @@ def cmd_distinguished(args) -> int:
         raise ValueError("--dump-matrices requires --format json")
     entries = []
     all_agree = True
-    for lam in iter_diagrams(modulus, MINUS, dims, size=args.size, case=args.case):
-        pred = is_distinguished_ai(lam, a) if args.case == "AI" else is_distinguished_ii(lam)
+    listing = orbit_listing(args.case, modulus, dims, size=args.size, a=1 if a is None else a)
+    for lam, _, pred in listing:
         entry = {"diagram": lam, "distinguished": pred}
         if args.oracle:
             verdict = is_distinguished_oracle(lam)

@@ -27,7 +27,9 @@ record that carries its rows, its row counts per label and its peel (parts,
 leftover rows and rank), and a diagram's rows are their concatenation.  A
 block's records are memoized once for the walk over every diagram and the
 distinguished walk, which keeps the records with no round, so one set of
-records serves both walks.
+records serves both walks.  The peel is read by the distinguished walk,
+by `sheaves.verify_bijection` and by `orbits.orbit_listing`, the listings'
+distinguishedness.
 
 `count_diagrams` and `count_by_size` count without the stream, and without
 enumerating a block: a block's tally, how many of its allowed fills take
@@ -289,13 +291,13 @@ def _peel_block(rows, counts, a, per):
     lows = [min(counts[i::d]) // per for i in range(d)]
     if not any(lows):
         return ((),) * d, rows, 0
-    length = rows[0][0]
-    left = tuple(
-        (length, lab)
-        for lab, c in enumerate(counts, 1)
-        for _ in range(c - per * lows[(lab - 1) % d])
-    )
-    return tuple((length // a,) * low for low in lows), left, length // a * sum(lows)
+    # the rows of label i are a run of counts[i] in `rows`; its head is left
+    left, end = (), 0
+    for i, c in enumerate(counts):
+        left += rows[end : end + c - per * lows[i % d]]
+        end += c
+    part = rows[0][0] // a
+    return tuple((part,) * low for low in lows), left, part * sum(lows)
 
 
 class _Fills:
@@ -336,10 +338,11 @@ class _Fills:
         self.orbits: dict = {}
         self.fills: dict = {}
 
-    def walk(self, dims, size):
+    def walk(self, dims, size, distinguished=False):
         """Each diagram's blocks, in canonical order: per part length, from
-        the longest down, its fill as a `_block` record."""
-        return self._walk(dims, size, False, True)
+        the longest down, its fill as a `_block` record; with
+        `distinguished`, of the diagrams no block of which has a round."""
+        return self._walk(dims, size, distinguished, True)
 
     def rows(self, dims, size, distinguished=False):
         """The row tuples of the diagrams, in canonical order: the rows of

@@ -8,14 +8,14 @@ diagram's rows (`_string_entries`); dense 0/1 blocks are built only by
 `build_representative`, for `distinguished --dump-matrices` and the tests.
 x has at most one 1 in each row and each column, so at every degree of z
 each equation sets two cells of z equal or one cell zero, and one
-union-find pass over them (`_cell_roots`) gives each cell's component.  A
-component with no zero cell is a live one, one element of that degree's
-centralizer 0/1 basis.  At degree 0 the live components count the
-block-diagonal centralizer dimension (`centralizer_dim_gl`).  At degree
--(deg x) distinguishedness is decided on the m-step cycle product at a
-smallest label by a reachability walk of that label's coordinates through
-the live cells (`_reaches_nothing`), whose verdict is certain both ways
-(see `is_distinguished_oracle`).
+union-find pass over the cells, each known by its number (`_cell_roots`),
+gives each cell's component.  A component with no zero cell is a live one,
+one element of that degree's centralizer 0/1 basis.  At degree 0 the live
+components count the block-diagonal centralizer dimension
+(`centralizer_dim_gl`).  At degree -(deg x), on the diagram's own string,
+distinguishedness is decided on the m-step cycle product at a smallest
+label by a reachability walk of its coordinates through the live cells
+(`_reaches_nothing`), certain both ways (see `is_distinguished_oracle`).
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`), which counts
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import FilledDiagram, PLUS
-from .orbits import GradingSpec, duality
+from .orbits import GradingSpec
 
 Matrix = tuple[tuple[int | Fraction, ...], ...]
 
@@ -109,25 +109,13 @@ def build_representative(diagram: FilledDiagram) -> GradedMatrix:
     return GradedMatrix(grading, degree, tuple(tuple(map(tuple, b)) for b in blocks))
 
 
-def _cell_numbering(dims, degree: int):
-    """The unknown cells (i, r, c) of the blocks Z_i : V_i -> V_{i-d} of a
-    block matrix of degree d = `degree` (labels from 0), taken block by
-    block and row-major inside a block, and base[i], the unknown of block
-    i's first cell: cell (i, r, c) is unknown base[i] + r * dims[i] + c."""
-    m = len(dims)
-    cells = [(i, r, c) for i in range(m) for r in range(dims[(i - degree) % m]) for c in range(dims[i])]
-    base = [0] * m
-    for i in range(1, m):
-        base[i] = base[i - 1] + dims[(i - 1 - degree) % m] * dims[i - 1]
-    return cells, base
-
-
 def _cell_roots(degree: int, entries, dims, z_degree: int):
-    """The cells of the centralizer {z : x z = z x} at degree `z_degree`, as
-    one union-find pass over the equations of the string representative x
-    whose `_string_entries` are (degree, entries, dims): `_cell_numbering`'s
-    cells (i, r, c), the root of each, and the set of dead roots.  With
-    e = `degree` and d = `z_degree`, entry (r, c) of
+    """The cells of the centralizer {z : x z = z x} at degree d = `z_degree`,
+    as one union-find pass over the equations of the string representative
+    x whose `_string_entries` are (degree, entries, dims): base, where cell
+    (i, r, c) of Z_i : V_i -> V_{i-d} (labels from 0) is base[i] +
+    r * dims[i] + c and base[m] counts the cells, `find`, a cell's root,
+    and the set of dead roots.  With e = `degree`, entry (r, c) of
     X_{i-d} Z_i - Z_{i-e} X_i = 0 says z[c -> pred r] = z[succ c -> r]
     (box c of label i maps to succ c, and pred r to box r), or, with one
     side missing, that one cell is zero.  The pass joins the equal cells, a
@@ -135,13 +123,15 @@ def _cell_roots(degree: int, entries, dims, z_degree: int):
     system leaves free; a root is dead when its component holds a zero
     cell."""
     m = len(dims)
-    cells, base = _cell_numbering(dims, z_degree)
+    base = [0] * (m + 1)
+    for i, n in enumerate(dims):
+        base[i + 1] = base[i] + dims[(i - z_degree) % m] * n
     succ = [[None] * n for n in dims]
     pred = [[None] * n for n in dims]
     for i, r, c, _ in entries:
         succ[i][c] = r
         pred[(i - degree) % m][r] = c
-    parent = list(range(len(cells)))
+    parent = list(range(base[m]))
 
     def find(k):
         while parent[k] != k:
@@ -151,83 +141,86 @@ def _cell_roots(degree: int, entries, dims, z_degree: int):
     zero = []
     for i in range(m):
         j = (i - degree) % m
-        ni, nj, bi, bj = dims[i], dims[j], base[i], base[j]
+        column = succ[i]
         for r, t in enumerate(pred[(j - z_degree) % m]):
-            for c, s in enumerate(succ[i]):
-                if t is None:
-                    if s is not None:
-                        zero.append(bj + r * nj + s)
-                elif s is None:
-                    zero.append(bi + t * ni + c)
+            row = base[j] + r * dims[j]
+            if t is None:
+                zero += [row + s for s in column if s is not None]
+                continue
+            cell = base[i] + t * dims[i]
+            for s in column:
+                if s is None:
+                    zero.append(cell)
                 else:
-                    a, b = find(bi + t * ni + c), find(bj + r * nj + s)
+                    a, b = find(cell), find(row + s)
                     parent[min(a, b)] = max(a, b)
-    roots = [find(k) for k in range(len(parent))]
-    return cells, roots, {roots[k] for k in zero}
+                cell += 1
+    return base, find, {find(k) for k in zero}
 
 
 def centralizer_dim_gl(diagram: FilledDiagram) -> int:
     """Dimension of the block-diagonal centralizer of the diagram's string
     representative inside the full product of general linear Lie algebras
     (no trace condition): the number of live components at degree 0."""
-    _, roots, dead = _cell_roots(*_string_entries(diagram), 0)
-    return len(set(roots) - dead)
+    base, find, dead = _cell_roots(*_string_entries(diagram), 0)
+    return len({find(k) for k in range(base[-1])} - dead)
 
 
-def _reaches_nothing(cells, roots, dead, dims, start: int) -> bool:
-    """Whether every word in the opposite-degree basis blocks kills the
-    label-s summand V_s, s = `start`, walked over `_cell_roots`' live
-    cells.  A basis element is one live component, and each equation joins
-    two cells whose columns are consecutive boxes of one string, so it has
-    at most one cell, a 1, in each (block, column): it maps each coordinate
-    vector to one or to 0.  So the words of length t map V_s into the span
-    of a set R_t of coordinates: R_0 is every coordinate of V_s, and
-    R_{t+1} the rows r of the live cells (s + t, r, c) with c in R_t.  The
-    walk stops with True on the empty set and with False on a round of m
-    steps that keeps its size; `is_distinguished_oracle` proves both
-    verdicts."""
+def _reaches_nothing(base, find, dead, dims, z_degree: int, start: int) -> bool:
+    """Whether every word in the basis blocks of the centralizer at degree
+    d = `z_degree` kills the label-s summand V_s, s = `start`, walked over
+    `_cell_roots`' live cells.  A basis element is one live component, and
+    each equation joins two cells whose columns are consecutive boxes of one
+    string, so it has at most one cell, a 1, in each (block, column): it
+    maps each coordinate vector to one or to 0.  So the words of length t
+    map V_s into the span of a set R_t of coordinates of V_{s-td}: R_0 is
+    every coordinate of V_s, and R_{t+1} the rows r of the live cells
+    (s - td, r, c) with c in R_t.  The walk stops with True on the empty
+    set and with False on a round of m steps that keeps its size;
+    `is_distinguished_oracle` proves both verdicts."""
     m = len(dims)
-    # live[i][c]: the rows of the live cells in block i's column c
-    live = [[[] for _ in range(n)] for n in dims]
-    for (i, r, c), root in zip(cells, roots):
-        if root not in dead:
-            live[i][c].append(r)
     reach = range(dims[start])
+    i = start
     while True:
         before = len(reach)
-        for t in range(start, start + m):
-            block = live[t % m]
-            reach = {r for c in reach for r in block[c]}
+        for _ in range(m):
+            n, b = dims[i], base[i]
+            rows = range(dims[(i - z_degree) % m])
+            reach = {r for c in reach for r in rows if find(b + r * n + c) not in dead}
             if not reach:
                 return True
+            i = (i - z_degree) % m
         if len(reach) == before:
             return False
 
 
 def is_distinguished_oracle(diagram: FilledDiagram) -> bool:
     """Distinguishedness test, exact: whether every element y of the
-    opposite-degree centralizer is nilpotent.
+    opposite-degree centralizer of the diagram's own string x is nilpotent,
+    y of degree -e for x of degree e.  The '+' dual's string is the
+    transpose of the '-' one, up to a permutation inside each label, so a
+    dual pair gets one verdict.
 
     Works on that centralizer's 0/1 basis, read off its equations by
-    union-find (`_cell_roots`).  As y has degree -1, y^m is block diagonal
-    with the cycle products of its blocks, which share their nonzero
-    eigenvalues; so only the d x d cycle product at a label s of smallest
-    dimension d is tested, and with d = 0 the verdict True is certain.
-    Otherwise the reachability walk `_reaches_nothing` decides, both ways.
-    When its set empties, every word of some length t in the basis blocks
-    kills V_s, so every combination y has a nilpotent cycle product at s:
-    True is certain.  For False, let y_1 be the sum of the basis.  Each live
-    cell is a 1 in exactly one basis element, so y_1 is the 0/1 matrix of
-    the live cells, and it commutes with x.  y_1 has no negative entry, so
-    its images have no cancellation: the walk's set R_t is the support of
-    y_1^t applied to the all-ones vector of V_s.  The support of an image grows with the
-    support it comes from, so R_{(k+1)m} lies in R_{km}, and a round that
-    keeps the size keeps the set for good.  Then P_1^k is nonzero for every
-    k, P_1 the cycle product of y_1 at s: y_1 is a non-nilpotent witness,
-    and False is certain too.
+    union-find (`_cell_roots`).  As y has pure degree, y^m is block
+    diagonal with the cycle products of its blocks, which share their
+    nonzero eigenvalues; so only the d x d cycle product at a label s of
+    smallest dimension d is tested, and with d = 0 the verdict True is
+    certain.  Otherwise the reachability walk `_reaches_nothing` decides,
+    both ways.  When its set empties, every word of some length t in the
+    basis blocks kills V_s, so every combination y has a nilpotent cycle
+    product at s: True is certain.  For False, let y_1 be the sum of the
+    basis.  Each live cell is a 1 in exactly one basis element, so y_1 is
+    the 0/1 matrix of the live cells, and it commutes with x.  y_1 has no
+    negative entry, so its images have no cancellation: the walk's set R_t
+    is the support of y_1^t applied to the all-ones vector of V_s.  The
+    support of an image grows with the support it comes from, so
+    R_{(k+1)m} lies in R_{km}, and a round that keeps the size keeps the
+    set for good.  Then P_1^k is nonzero for every k, P_1 the cycle product
+    of y_1 at s: y_1 is a non-nilpotent witness, and False is certain too.
     """
-    plus = diagram if diagram.sign == PLUS else duality(diagram)
-    degree, entries, dims = _string_entries(plus)
+    degree, entries, dims = _string_entries(diagram)
     d = min(dims)
-    return d == 0 or _reaches_nothing(*_cell_roots(degree, entries, dims, -degree), dims, dims.index(d))
-
+    return d == 0 or _reaches_nothing(
+        *_cell_roots(degree, entries, dims, -degree), dims, -degree, dims.index(d)
+    )

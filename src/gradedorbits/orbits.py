@@ -14,8 +14,8 @@ group Z/1.  One `_peel`, one `_strata`, one `Peel` and one `Stratum` record
 serve both.  A peel works one part length at a time, by
 `diagrams._peel_block`, the one home of the round rule: the enumeration
 core runs it on every block fill it makes and keeps the fills with no
-round for the distinguished walk, and `sheaves.verify_bijection` reads
-the peel off the walked blocks.
+round for the distinguished walk, and `sheaves.verify_bijection` and the
+listings (`orbit_listing`) read the peel off the walked blocks.
 
 Diagrams labelling orbits on the negative side of the grading use the '-'
 fill convention; all stratum residuals are stored on that side as well.
@@ -40,6 +40,7 @@ from .diagrams import (
     _built_diagram,
     _peel_block,
     _row_key,
+    _target,
     canonicalize,
     check_box_counts,
     check_modulus,
@@ -283,13 +284,55 @@ def _fills(grading: GradingSpec, a: int = 1) -> _Fills:
     return _Fills(grading.modulus, MINUS, case=grading.case, order=a)
 
 
+def orbit_listing(case: str, modulus: int, dims=None, *, size=None, a: int = 1):
+    """Stream every '-' diagram of the case with the given box counts, or
+    with the given size over every box-count vector, in `iter_diagrams`
+    order, as (diagram, part gcd, distinguished): distinguished at order a
+    for case AI (`is_distinguished_ai`), in the type II sense otherwise
+    (`is_distinguished_ii`).  All three are read off one walk's block
+    records: the rows are theirs joined, the part gcd is that of the block
+    lengths, and at the walk's order 1 a diagram is distinguished when every
+    record is its own leftover, `_peel_block`'s mark of no round.  At an
+    order a > 1 every block length must be a multiple of a, and the peel at
+    a must find no round in any block: the same one rule."""
+    fills = _Fills(modulus, MINUS, case=case)
+    dims, size = _target(modulus, dims, size)
+    check_positive("order", a)
+    if a != 1 and case != "AI":
+        raise ValueError("an order applies only to case AI")
+    return _listed(fills.walk(dims, size), modulus, a)
+
+
+def _listed(walk, k: int, a: int):
+    for blocks in walk:
+        rows, g = _joined(blocks)
+        if a == 1:
+            plain = all(record[4] is record[0] for record in blocks)
+        else:
+            plain = g % a == 0 and all(
+                _peel_block(record[0], record[1], a, 1)[1] is record[0] for record in blocks
+            )
+        yield _built_diagram(k, MINUS, rows), g, plain
+
+
+def _joined(blocks) -> tuple:
+    """A walked diagram's rows, its blocks' rows joined, and its part gcd,
+    that of its block lengths (0 when it has none)."""
+    rows, g = (), 0
+    for record in blocks:
+        rows += record[0]
+        g = gcd(g, record[0][0][0])
+    return rows, g
+
+
 def _strata(grading: GradingSpec, a: int, fills: _Fills) -> list[Stratum]:
     """The strata at order a (1 for type II), ranks ascending: for every
     rank whose padding leaves no box count negative, every distinguished
     residual on the boxes left, as the distinguished walk of `fills`, the
-    grading's fills at a, streams them.  A unit of rank pads each label
-    with a / gcd(a, m) boxes for AI and 2 for type II.  One `_Fills` serves
-    every rank, so the ranks share its memos.  The zero AI grading carries
+    grading's fills at a, streams them, its d_check read off the residual's
+    block lengths.  A unit of rank pads each label with a / gcd(a, m) boxes
+    for AI and 2 for type II.  One `_Fills` serves every rank, so the ranks
+    share its memos.  The zero AI grading carries
     just the trivial character, so it has no stratum at a > 1."""
     if grading.total == 0 and a > 1:
         return []
@@ -299,9 +342,11 @@ def _strata(grading: GradingSpec, a: int, fills: _Fills) -> list[Stratum]:
     strata = []
     for rank in range(min(grading.dims) // padding + 1):
         sub = tuple(v - padding * rank for v in grading.dims)
-        for rows in fills.rows(sub, sum(sub), True):
-            mu = _built_diagram(m, MINUS, rows)
-            strata.append(Stratum(a, rank, mu, d_check_stratum(a, mu) if ai else 1))
+        for blocks in fills.walk(sub, sum(sub), True):
+            rows, g = _joined(blocks)
+            # d_check_stratum, with the residual's part gcd read off its blocks
+            d_check = gcd(m * padding, g) if ai else 1
+            strata.append(Stratum(a, rank, _built_diagram(m, MINUS, rows), d_check))
     return strata
 
 

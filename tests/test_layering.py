@@ -97,6 +97,14 @@ def test_detects_oracle_reaching_what_it_checks():
     assert not oracle_violations(ast.parse(clean))
 
 
+def test_oracle_takes_only_the_grading_from_orbits():
+    """The oracle decides on the diagram's own string: of `orbits` it reads
+    the grading record alone, no duality, and it runs no peel."""
+    names = set(imported_modules(ast.parse((SRC / "oracle.py").read_text())))
+    assert {name for name in names if name.startswith("orbits.")} == {"orbits.GradingSpec"}
+    assert not any(name.endswith("_peel_block") for name in names)
+
+
 # No linter runs on the sources, so an import that outlives its last use
 # would go unnoticed.  `__init__` imports only to re-export.
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")

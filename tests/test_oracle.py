@@ -24,7 +24,6 @@ from gradedorbits.orbits import (
 )
 from gradedorbits.oracle import (
     GradedMatrix,
-    _cell_numbering,
     _cell_roots,
     _reaches_nothing,
     _string_entries,
@@ -133,6 +132,29 @@ def _eliminate(rows, ncols):
         pivots.append(c)
     return reduced, pivots
 
+def _cell_numbering(dims, degree: int):
+    """The unknown cells (i, r, c) of the blocks Z_i : V_i -> V_{i-d} of a
+    block matrix of degree d = `degree` (labels from 0), taken block by
+    block and row-major inside a block, and base[i], the unknown of block
+    i's first cell: cell (i, r, c) is unknown base[i] + r * dims[i] + c,
+    the numbering of `_cell_roots`."""
+    m = len(dims)
+    cells = [(i, r, c) for i in range(m) for r in range(dims[(i - degree) % m]) for c in range(dims[i])]
+    base = [0] * m
+    for i in range(1, m):
+        base[i] = base[i - 1] + dims[(i - 1 - degree) % m] * dims[i - 1]
+    return cells, base
+
+
+def cell_roots(degree: int, entries, dims, z_degree: int):
+    """`_cell_roots`' pass as `_cell_numbering`'s cells (i, r, c), the root
+    of each and the set of dead roots."""
+    base, find, dead = _cell_roots(degree, entries, dims, z_degree)
+    cells, ref_base = _cell_numbering(dims, z_degree)
+    assert base[:-1] == ref_base and base[-1] == len(cells)
+    return cells, [find(k) for k in range(len(cells))], dead
+
+
 def _commutator_rows(x: GradedMatrix, degree: int):
     """`_commutator_system` for the nonzero entries of x's blocks."""
     entries = [
@@ -181,7 +203,7 @@ def _commutator_system(dims, x_degree: int, entries, degree: int):
 
 
 def _opposite_basis(cells, roots, dead):
-    """The opposite-degree centralizer's 0/1 basis from `_cell_roots`' pass,
+    """The opposite-degree centralizer's 0/1 basis from `cell_roots`' pass,
     each element a list of ((block, row, column), 1) cells: each live
     component, by root, gives its root and then its other cells ascending,
     the elimination's integer basis, entry for entry."""
@@ -192,13 +214,13 @@ def _opposite_basis(cells, roots, dead):
     return [group[-1:] + group[:-1] for _, group in sorted(groups.items())]
 
 
-def _words_kill(elements, dims, start: int) -> bool:
+def _words_kill(elements, dims, start: int, degree: int = -1) -> bool:
     """Whether every word in the elements' blocks kills the label-s summand
     V_s, s = `start`; each element is an iterable of ((block, row, column),
-    value) cells of a degree -1 element, block i mapping label i to label
-    i + 1 (from 0).  W_0 = V_s, and W_{t+1} is spanned by the images of W_t
-    under every element's block at label s + t, each span kept in echelon
-    form by `_eliminate`.  As W_{(k+1)m} lies in W_{km}, a round of m steps
+    value) cells of an element of degree d = `degree`, block i mapping
+    label i to label i - d (from 0).  W_0 = V_s, and W_{t+1} is spanned by
+    the images of W_t under every element's block at label s - td, each
+    span kept in echelon form by `_eliminate`.  As W_{(k+1)m} lies in W_{km}, a round of m steps
     that keeps dim W at label s stops the walk with False; every other
     round lowers it from d = dim V_s and leaves it nonzero, so there are at
     most d rounds, m d steps.  On one element y,
@@ -219,7 +241,7 @@ def _words_kill(elements, dims, start: int) -> bool:
     span = [{c: 1} for c in range(dims[start])]
     while True:
         before = len(span)
-        for t in range(start, start + m):
+        for t in range(start, start - m * degree, -degree):
             images = []
             for w in span:
                 for block in by_label[t % m]:
@@ -230,7 +252,7 @@ def _words_kill(elements, dims, start: int) -> bool:
                     out = {r: v for r, v in out.items() if v}
                     if out:
                         images.append(out)
-            span = _eliminate(images, dims[(t + 1) % m])[0]
+            span = _eliminate(images, dims[(t - degree) % m])[0]
             if not span:
                 return True
         if len(span) == before:
@@ -728,12 +750,13 @@ def test_oracle_examples():
 
 
 def opposite_basis(lam):
-    """(dims, supports, start) as the oracle sees them: the '+' side's box
-    counts, its opposite-degree integer basis and a label of smallest
-    dimension."""
-    plus = lam if lam.sign == "+" else duality(lam)
-    degree, entries, dims = _string_entries(plus)
-    return dims, _opposite_basis(*_cell_roots(degree, entries, dims, -degree)), dims.index(min(dims))
+    """(dims, supports, start, degree) as the oracle sees them on the
+    diagram's own string: its box counts, the integer basis of the
+    centralizer at the opposite degree, a label of smallest dimension and
+    that degree, the degree of y."""
+    degree, entries, dims = _string_entries(lam)
+    basis = _opposite_basis(*cell_roots(degree, entries, dims, -degree))
+    return dims, basis, dims.index(min(dims)), -degree
 
 
 def small_ai_diagrams(max_m, max_size):
@@ -745,8 +768,8 @@ def small_ai_diagrams(max_m, max_size):
 
 def nil_certificate(lam):
     """The span walk on the basis, the reference of the oracle's walk."""
-    dims, supports, start = opposite_basis(lam)
-    return _words_kill(supports, dims, start)
+    dims, supports, start, degree = opposite_basis(lam)
+    return _words_kill(supports, dims, start, degree)
 
 
 def test_nil_certificate_holds_exactly_on_distinguished_diagrams():
@@ -764,15 +787,15 @@ def test_reachability_certificate_is_the_span_walk_on_the_basis():
     so every image of a coordinate vector is a coordinate vector or 0."""
     checked = 0
     for lam in small_ai_diagrams(4, 7):
-        plus = lam if lam.sign == "+" else duality(lam)
-        degree, entries, dims = _string_entries(plus)
+        degree, entries, dims = _string_entries(lam)
         found = _cell_roots(degree, entries, dims, -degree)
-        basis = _opposite_basis(*found)
+        basis = _opposite_basis(*cell_roots(degree, entries, dims, -degree))
         for element in basis:
             columns = [(i, c) for (i, _, c), _ in element]
             assert len(columns) == len(set(columns)), lam
         start = dims.index(min(dims))
-        assert _reaches_nothing(*found, dims, start) == _words_kill(basis, dims, start), lam
+        walked = _reaches_nothing(*found, dims, -degree, start)
+        assert walked == _words_kill(basis, dims, start, -degree), lam
         checked += 1
     assert checked == 6736
 
@@ -783,22 +806,32 @@ def test_every_false_verdict_has_a_non_nilpotent_witness():
     the trace kernel, a reference independent of the walk."""
     witnessed = 0
     for lam in small_ai_diagrams(4, 7):
-        plus = lam if lam.sign == "+" else duality(lam)
-        degree, entries, dims = _string_entries(plus)
+        degree, entries, dims = _string_entries(lam)
         found = _cell_roots(degree, entries, dims, -degree)
-        if min(dims) == 0 or _reaches_nothing(*found, dims, dims.index(min(dims))):
+        if min(dims) == 0 or _reaches_nothing(*found, dims, -degree, dims.index(min(dims))):
             continue
-        blocks = _zero_blocks(dims, -1)
-        for element in _opposite_basis(*found):
+        blocks = _zero_blocks(dims, -degree)
+        for element in _opposite_basis(*cell_roots(degree, entries, dims, -degree)):
             for (i, r, c), v in element:
                 blocks[i][r][c] += v
         grading = GradingSpec("AI", len(dims), dims)
-        y = full_matrix(GradedMatrix(grading, -1, tuple(tuple(map(tuple, b)) for b in blocks)))
-        x = full_matrix(build_representative(plus))
+        y = full_matrix(GradedMatrix(grading, -degree, tuple(tuple(map(tuple, b)) for b in blocks)))
+        x = full_matrix(build_representative(lam))
         assert mat_mul(x, y) == mat_mul(y, x), lam
         assert not _trace_kernel_is_nilpotent(y, grading.total), lam
         witnessed += 1
     assert witnessed == 570
+
+
+def test_oracle_gives_a_dual_pair_one_verdict():
+    """The oracle decides on the diagram's own string, with y of the
+    opposite degree; the dual's string is the transpose of it up to a
+    permutation inside each label, so the two verdicts agree."""
+    checked = 0
+    for lam in small_ai_diagrams(4, 7):
+        assert is_distinguished_oracle(lam) == is_distinguished_oracle(duality(lam)), lam
+        checked += 1
+    assert checked == 6736
 
 
 def test_certified_combinations_are_nilpotent_by_trace_kernel():
@@ -807,15 +840,15 @@ def test_certified_combinations_are_nilpotent_by_trace_kernel():
     for lam in small_ai_diagrams(3, 6):
         if not nil_certificate(lam):
             continue
-        dims, supports, _ = opposite_basis(lam)
+        dims, supports, _, degree = opposite_basis(lam)
         grading = GradingSpec("AI", len(dims), dims)
         for _ in range(3):
-            blocks = _zero_blocks(dims, -1)
+            blocks = _zero_blocks(dims, degree)
             for support in supports:
                 coeff = rng.randint(-9, 9)
                 for (i, r, c), v in support:
                     blocks[i][r][c] += coeff * v
-            y = GradedMatrix(grading, -1, tuple(tuple(map(tuple, b)) for b in blocks))
+            y = GradedMatrix(grading, degree, tuple(tuple(map(tuple, b)) for b in blocks))
             assert _trace_kernel_is_nilpotent(full_matrix(y), grading.total), lam
         checked += 1
     assert checked == 946
@@ -833,11 +866,11 @@ def test_nil_certificate_stops_within_m_rounds_per_dimension(monkeypatch):
     for lam in small_ai_diagrams(4, 7):
         if is_distinguished_ai(lam, 1):
             continue
-        dims, supports, start = opposite_basis(lam)
+        dims, supports, start, degree = opposite_basis(lam)
         # the name `_words_kill` looks up
         monkeypatch.setitem(globals(), "_eliminate", counting)
         calls.clear()
-        assert not _words_kill(supports, dims, start), lam
+        assert not _words_kill(supports, dims, start, degree), lam
         monkeypatch.undo()
         m, d = len(dims), dims[start]
         assert 0 < len(calls) <= m * (d + 1), lam
@@ -1087,7 +1120,7 @@ def test_opposite_basis_matches_the_dense_reference():
             [(cells[k], v) for k, v in vec] for vec in dense_integer_basis(to_dense(rows, len(cells)), len(cells))
         ]
         degree, entries, dims = _string_entries(lam)
-        assert _opposite_basis(*_cell_roots(degree, entries, dims, -degree)) == reference, lam
+        assert _opposite_basis(*cell_roots(degree, entries, dims, -degree)) == reference, lam
         checked += 1
     assert checked == 6736
 
@@ -1099,7 +1132,7 @@ def test_opposite_basis_is_the_elimination_basis_of_its_system(lam):
     value is 1 and the supports are pairwise disjoint."""
     degree, entries, dims = _string_entries(lam)
     cells, rows = _commutator_system(dims, degree, entries, -degree)
-    basis = _opposite_basis(*_cell_roots(degree, entries, dims, -degree))
+    basis = _opposite_basis(*cell_roots(degree, entries, dims, -degree))
     assert basis == [[(cells[k], v) for k, v in vec] for vec in _integer_basis(rows, len(cells))]
     assert all(v == 1 for vec in basis for _, v in vec)
     support = [cell for vec in basis for cell, _ in vec]
@@ -1132,7 +1165,7 @@ def test_string_entries_are_the_dense_representative_and_its_systems():
             assert cells == ref_cells
             assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows], lam
             if z_degree == 0:
-                _, roots, dead = _cell_roots(degree, entries, dims, 0)
+                _, roots, dead = cell_roots(degree, entries, dims, 0)
                 live = len(set(roots) - dead)
                 assert live == len(cells) - len(_eliminate(rows, len(cells))[1]) == centralizer_dim_gl(lam), lam
         checked += 1

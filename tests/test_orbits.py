@@ -27,6 +27,7 @@ from gradedorbits.orbits import (
     full_support_stratum_ii,
     is_distinguished_ai,
     is_distinguished_ii,
+    orbit_listing,
     peel_ai,
     peel_ii,
     stratum_dim_ai,
@@ -263,6 +264,50 @@ def test_is_distinguished_ai_examples():
     assert not is_distinguished_ai(diag([(2, 1)], 2), 2)
     # order must divide the part gcd
     assert not is_distinguished_ai(diag([(3, 1)], 2), 2)
+
+
+def test_orbit_listing_is_the_predicates_on_the_stream():
+    """The listing reads each diagram, its part gcd and its distinguishedness
+    off the walk's block records; the stream and the predicates are its
+    reference, at every order a <= 4 of case AI, orders that divide no part
+    included, and in the type II sense."""
+    checked = 0
+    for m in range(1, 5):
+        for size in range(9):
+            stream = enumerate_by_size(m, "-", size)
+            for a in range(1, 5):
+                listed = list(orbit_listing("AI", m, size=size, a=a))
+                assert [lam for lam, _, _ in listed] == stream
+                for lam, g, plain in listed:
+                    assert g == lam.part_gcd, lam
+                    assert plain == is_distinguished_ai(lam, a), (lam, a)
+                    checked += 1
+    for case, modulus in (("CII", 2), ("DII", 2), ("CII", 4), ("DII", 4), ("AII", 3), ("AII", 5)):
+        for size in range(11):
+            listed = list(orbit_listing(case, modulus, size=size))
+            assert [lam for lam, _, _ in listed] == list(iter_diagrams(modulus, "-", size=size, case=case))
+            for lam, g, plain in listed:
+                assert g == lam.part_gcd, lam
+                assert plain == is_distinguished_ii(lam), lam
+                checked += 1
+    assert checked == 28464
+
+
+def test_orbit_listing_takes_box_counts_and_checks_its_arguments():
+    listed = list(orbit_listing("AI", 3, (2, 1, 2), a=2))
+    assert [lam for lam, _, _ in listed] == enumerate_diagrams(3, "-", (2, 1, 2))
+    assert [plain for lam, _, plain in listed] == [
+        is_distinguished_ai(lam, 2) for lam in enumerate_diagrams(3, "-", (2, 1, 2))
+    ]
+    assert list(orbit_listing("AI", 2, (0, 0))) == [(empty_diagram(2), 0, True)]
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        orbit_listing("AI", 2, (1, 1), a=0)
+    with pytest.raises(ValueError, match="an order applies only to case AI"):
+        orbit_listing("CII", 2, (2, 2), a=2)
+    with pytest.raises(ValueError, match="give exactly one of the box counts and the size"):
+        orbit_listing("AI", 2)
+    with pytest.raises(ValueError, match="unknown case"):
+        orbit_listing("BI", 2, (1, 1))
 
 
 def test_is_distinguished_ii_examples():
