@@ -518,6 +518,10 @@ def main(argv=None) -> int:
         # (BrokenPipeError); neither is a verification failure.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # the walk recurses once per orbit of start labels: a modulus too large
+        print("error: input too large: the walk exceeds the recursion limit", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def console_main() -> None:

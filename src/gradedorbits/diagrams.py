@@ -22,14 +22,14 @@ uniform round: `_peel_block`, the peel of one length block that
 `orbits.is_distinguished_ai` and `is_distinguished_ii`).  Only the wanted
 diagrams are built, and with box counts given the core prunes by the boxes
 each label has left.  `enumerate_diagrams` and `enumerate_by_size` list it.
-The core's walk hands out each diagram as its blocks, every block fill one
-record that carries its rows, its row counts per label and its peel (parts,
-leftover rows and rank), and a diagram's rows are their concatenation.  A
-block's records are memoized once for the walk over every diagram and the
-distinguished walk, which keeps the records with no round, so one set of
-records serves both walks.  The peel is read by the distinguished walk,
-by `sheaves.verify_bijection` and by `orbits.orbit_listing`, the listings'
-distinguishedness.
+The core's one walk hands out each diagram as its rows and its blocks,
+every block fill one record that carries its rows, its row counts per label
+and its peel (parts, leftover rows and rank).  A block's records are
+memoized once, and the distinguished walk keeps those with no round.  Only
+this module reads a record: `_fold` joins a diagram's records into its part
+gcd and its peel, for the strata, the listings, `sheaves.verify_bijection`
+and the peeling maps, which fold the records `_peel` makes, and
+`_unpeeled` peels them again at the listings' other orders.
 
 `count_diagrams` and `count_by_size` count without the stream, and without
 enumerating a block: a block's tally, how many of its allowed fills take
@@ -45,8 +45,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import groupby, product
 from math import gcd
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 PLUS = "+"
@@ -222,18 +223,21 @@ class FilledDiagram:
         )
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
 def _built_diagram(k: int, sign: str, rows: tuple[Row, ...]) -> FilledDiagram:
     """A diagram whose fields the library has already made valid: k and
     the sign checked, and the rows well formed and in canonical order.  It
     skips `FilledDiagram`'s checks, so only `diagrams` and `orbits` call it,
     on rows they built themselves; user input goes through the public
     constructor or `canonicalize`."""
-    diagram = object.__new__(FilledDiagram)
+    diagram = _new(FilledDiagram)
     # as the dataclass's own __init__ does; reading __dict__ would give each
     # diagram a dict of its own, more than twice its size
-    object.__setattr__(diagram, "modulus", k)
-    object.__setattr__(diagram, "sign", sign)
-    object.__setattr__(diagram, "rows", rows)
+    _set(diagram, "modulus", k)
+    _set(diagram, "sign", sign)
+    _set(diagram, "rows", rows)
     return diagram
 
 
@@ -300,15 +304,57 @@ def _peel_block(rows, counts, a, per):
     return tuple((part,) * low for low in lows), left, part * sum(lows)
 
 
+def _peel(diagram, a, per):
+    """The multipartition and the residual diagram of a diagram's peel at
+    order a, `per` rows a round: the fold of its block records, made as the
+    walk makes them but with no slack after, in one pass, since the
+    canonical rows come in runs of one length."""
+    records = []
+    for _, run in groupby(diagram.rows, itemgetter(0)):
+        rows = tuple(run)
+        counts = [0] * diagram.modulus
+        for _, start in rows:
+            counts[start - 1] += 1
+        records.append((rows, counts, None, *_peel_block(rows, counts, a, per)))
+    _, _, tau, left = _fold(diagram.rows, records, gcd(a, diagram.modulus))
+    return tau, _built_diagram(diagram.modulus, diagram.sign, left)
+
+
+def _fold(rows, blocks, classes):
+    """A diagram's part gcd (0 when it has no block), rank, multipartition
+    of `classes` components and leftover rows, from its rows and its block
+    records: the gcd of the block lengths, the sum of the blocks' ranks,
+    their parts joined per class and their leftover rows joined, in the
+    canonical order.  With no round the leftover rows are the rows."""
+    g = rank = 0
+    for record in blocks:
+        g = gcd(g, record[0][0][0])
+        rank += record[5]
+    tau = ((),) * classes
+    if not rank:
+        return g, 0, tau, rows
+    left = ()
+    for _, _, _, parts, rest, r in blocks:
+        if r:
+            tau = tuple(map(add, tau, parts))
+        left += rest
+    return g, rank, tau, left
+
+
+def _unpeeled(blocks, a):
+    """Whether the peel at order a, one row per label, finds no round in
+    any of a diagram's block records: each block leaves its own rows."""
+    return all(_peel_block(rows, counts, a, 1)[1] is rows for rows, counts, _, _, _, _ in blocks)
+
+
 class _Fills:
     """The fills of one rule, the keyword arguments of `iter_diagrams` but
     `distinguished`, for any box counts or size, with every part a multiple
-    of the order: `walk` gives each diagram's blocks, `rows` their rows and
-    `count` their number at each of several sizes, `rows` and `count` over
-    every fill or only the distinguished ones.  The walks' memos live as
-    long as the object, so every walk on one object shares them, and both
-    kinds of walk share one run of `_vectors` per block: each fill is one
-    record carrying its rows and its peel at the order, and the
+    of the order: `walk` gives each diagram's rows and blocks and `count`
+    their number at each of several sizes, both over every fill or only the
+    distinguished ones.  The walk's memos live as long as the object, so
+    every walk on one object shares one run of `_vectors` per block: each
+    fill is one record carrying its rows and its peel at the order, and the
     distinguished fills of a block are its records with no round.  The count
     enumerates no fill: it tallies each block per orbit (`_tally`), and one
     forward pass over the blocks serves every size; its tallies last one
@@ -339,20 +385,10 @@ class _Fills:
         self.fills: dict = {}
 
     def walk(self, dims, size, distinguished=False):
-        """Each diagram's blocks, in canonical order: per part length, from
-        the longest down, its fill as a `_block` record; with
-        `distinguished`, of the diagrams no block of which has a round."""
-        return self._walk(dims, size, distinguished, True)
-
-    def rows(self, dims, size, distinguished=False):
-        """The row tuples of the diagrams, in canonical order: the rows of
-        `walk`'s blocks, concatenated along the walk; with `distinguished`,
-        of the diagrams no block of which has a round."""
-        return self._walk(dims, size, distinguished, False)
-
-    def _walk(self, dims, size, distinguished, whole):
-        """Every diagram as the concatenation, longest first, of its blocks'
-        records as one-record tuples (`whole`) or of their rows."""
+        """Each diagram once, in canonical order, as (rows, blocks): per part
+        length, from the longest down, its block's fill as a `_block`
+        record, and the records' rows joined along the walk; with
+        `distinguished`, only the diagrams no block of which has a round."""
         # Type II row counts per length are even, so their shapes double the
         # multiplicities of a partition; AI parts are multiples of the order.
         step = self.unit * self.copies
@@ -367,10 +403,10 @@ class _Fills:
                 slack = tuple(v - even for v in dims)
                 if min(slack) < 0:
                     continue
-            yield from self._fill(blocks, 0, slack, (), distinguished, whole) if blocks else [()]
+            yield from self._fill(blocks, 0, slack, (), (), distinguished) if blocks else [((), ())]
 
     def count(self, dims, sizes, distinguished=False):
-        """The number of row tuples `rows` yields at each of the sizes, by
+        """The number of diagrams `walk` yields at each of the sizes, by
         one dynamic program that places the parts forward, longest first, up
         to the largest size.  Its states are the parts placed and the boxes
         left per label (None without box counts; with them, the sizes are
@@ -397,27 +433,32 @@ class _Fills:
         end = None if dims is None else (0,) * self.k
         return [ways.get((size // step, end), 0) if size % step == 0 else 0 for size in sizes]
 
-    def _fill(self, blocks, i, slack, prefix, distinguished, whole):
-        last = i + 1 == len(blocks)
+    def _fill(self, blocks, i, slack, rows, records, distinguished):
+        # the last two blocks fill in one frame, which saves a generator per
+        # fill of the block before last
+        nested = i + 2 < len(blocks)
         for record in self._block(*blocks[i], slack):
             # a block with no round leaves its own rows (`_peel_block`)
             if distinguished and record[4] is not record[0]:
                 continue
-            share = (record,) if whole else record[0]
-            if last:
-                yield prefix + share
+            joined, share = rows + record[0], records + (record,)
+            if i + 1 == len(blocks):
+                yield joined, share
+            elif nested:
+                yield from self._fill(blocks, i + 1, record[2], joined, share, distinguished)
             else:
-                yield from self._fill(
-                    blocks, i + 1, record[2], prefix + share, distinguished, whole
-                )
+                for end in self._block(*blocks[i + 1], record[2]):
+                    if not distinguished or end[4] is end[0]:
+                        yield joined + end[0], share + (end,)
 
     def _block(self, length, count, slack):
         """Every fill of one block as a (rows, row counts per label, slack
         after, parts, leftover rows, rank) record, from one run of
-        `_vectors` that both kinds of walk share: the parts, leftover rows
-        and rank are the fill's `_peel_block` at the order."""
+        `_vectors` that every walk shares: the parts, leftover rows and rank
+        are the fill's `_peel_block` at the order."""
         key = (length, count, slack)
-        if key not in self.fills:
+        out = self.fills.get(key)
+        if out is None:
             out = self.fills[key] = []
             unit, per = self.unit, self.copies
 
@@ -430,7 +471,7 @@ class _Fills:
                 out.append((rows, counts, rest, *_peel_block(rows, counts, unit, per)))
 
             self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
-        return self.fills[key]
+        return out
 
     def _tally(self, length, most, slack, distinguished, exact=False):
         """The number of fills of one block with at most `most` rows, or of
@@ -575,10 +616,9 @@ def iter_diagrams(
     the distinguished ones: at `order` for case AI
     (`orbits.is_distinguished_ai`), in the type II sense otherwise.
     """
-    fills = _Fills(k, sign, case=case, order=order)
-    rows = fills.rows(*_target(k, dims, size), distinguished)
+    walk = _Fills(k, sign, case=case, order=order).walk(*_target(k, dims, size), distinguished)
     # _Fills has checked k and the sign, and its rows are canonical
-    return (_built_diagram(k, sign, r) for r in rows)
+    return (_built_diagram(k, sign, rows) for rows, _ in walk)
 
 
 def count_diagrams(

@@ -10,12 +10,12 @@ Both families peel, per part length and label class, as many uniform rounds
 of rows as every label of the class can give: case AI at order a takes one
 row per label and has the residues mod gcd(a, m) as classes, and type II is
 the round-of-two, single-class case, at order 1 with the trivial component
-group Z/1.  One `_peel`, one `_strata`, one `Peel` and one `Stratum` record
-serve both.  A peel works one part length at a time, by
-`diagrams._peel_block`, the one home of the round rule: the enumeration
-core runs it on every block fill it makes and keeps the fills with no
-round for the distinguished walk, and `sheaves.verify_bijection` and the
-listings (`orbit_listing`) read the peel off the walked blocks.
+group Z/1.  One `diagrams._peel`, one `_strata`, one `Peel` and one
+`Stratum` record serve both.  A peel works one part length at a time, by
+the one round rule of `diagrams`, which peels every block fill its walk
+makes: `_peel` folds the records of the diagram it is given
+(`diagrams._fold`), and the strata, the listings (`orbit_listing`) and
+`sheaves.verify_bijection` fold the walked ones.
 
 Diagrams labelling orbits on the negative side of the grading use the '-'
 fill convention; all stratum residuals are stored on that side as well.
@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 from math import gcd
-from operator import add, itemgetter
 
 from .diagrams import (
     CASES,
@@ -38,9 +36,11 @@ from .diagrams import (
     PLUS,
     _Fills,
     _built_diagram,
-    _peel_block,
+    _fold,
+    _peel,
     _row_key,
     _target,
+    _unpeeled,
     canonicalize,
     check_box_counts,
     check_modulus,
@@ -185,27 +185,6 @@ class Peel:
         return sum(sum(component) for component in self.tau)
 
 
-def _peel(diagram: FilledDiagram, a: int, per: int) -> Peel:
-    """Split off, per part length and per label class mod d = gcd(a, m), the
-    largest number of uniform rounds of `per` rows at every label of the
-    class: `diagrams._peel_block` on each length block, longest first.
-    Component i of the multipartition takes every block's parts of class i,
-    and the leftover rows form the residual diagram."""
-    tau: tuple = ((),) * gcd(a, diagram.modulus)
-    rows: tuple = ()
-    # one pass: the canonical rows come in runs of one length
-    for _, run in groupby(diagram.rows, itemgetter(0)):
-        block = tuple(run)
-        counts = [0] * diagram.modulus
-        for _, start in block:
-            counts[start - 1] += 1
-        parts, left, _ = _peel_block(block, counts, a, per)
-        tau = tuple(map(add, tau, parts))
-        rows += left
-    # lengths come decreasing and starts ascending: the canonical row order
-    return Peel(tau, _built_diagram(diagram.modulus, diagram.sign, rows))
-
-
 def peel_ai(diagram: FilledDiagram, a: int) -> Peel:
     """Split off, per part length and per label class mod d = gcd(a, m), the
     largest uniform family of rows present at every label of the class.
@@ -216,14 +195,14 @@ def peel_ai(diagram: FilledDiagram, a: int) -> Peel:
     check_positive("order", a)
     if diagram.part_gcd % a:
         raise ValueError(f"every part must be divisible by {a}")
-    return _peel(diagram, a, 1)
+    return Peel(*_peel(diagram, a, 1))
 
 
 def peel_ii(diagram: FilledDiagram) -> Peel:
     """Split off, per part length, the largest number of full label rounds of
     row pairs: tau is the one partition nu of their lengths, and the leftover
     multiplicities form a distinguished residual."""
-    return _peel(diagram, 1, 2)
+    return Peel(*_peel(diagram, 1, 2))
 
 
 def d_check_stratum(a: int, mu: FilledDiagram) -> int:
@@ -289,12 +268,11 @@ def orbit_listing(case: str, modulus: int, dims=None, *, size=None, a: int = 1):
     with the given size over every box-count vector, in `iter_diagrams`
     order, as (diagram, part gcd, distinguished): distinguished at order a
     for case AI (`is_distinguished_ai`), in the type II sense otherwise
-    (`is_distinguished_ii`).  All three are read off one walk's block
-    records: the rows are theirs joined, the part gcd is that of the block
-    lengths, and at the walk's order 1 a diagram is distinguished when every
-    record is its own leftover, `_peel_block`'s mark of no round.  At an
-    order a > 1 every block length must be a multiple of a, and the peel at
-    a must find no round in any block: the same one rule."""
+    (`is_distinguished_ii`).  All three are read off one walk at order 1:
+    the rows are the walk's, the part gcd and the rank are the fold of its
+    block records, and a diagram is distinguished at order 1 when it has no
+    round, its rank 0.  At an order a > 1, a must divide the part gcd and
+    the peel at a must find no round in any block: the same one rule."""
     fills = _Fills(modulus, MINUS, case=case)
     dims, size = _target(modulus, dims, size)
     check_positive("order", a)
@@ -304,25 +282,10 @@ def orbit_listing(case: str, modulus: int, dims=None, *, size=None, a: int = 1):
 
 
 def _listed(walk, k: int, a: int):
-    for blocks in walk:
-        rows, g = _joined(blocks)
-        if a == 1:
-            plain = all(record[4] is record[0] for record in blocks)
-        else:
-            plain = g % a == 0 and all(
-                _peel_block(record[0], record[1], a, 1)[1] is record[0] for record in blocks
-            )
+    for rows, blocks in walk:
+        g, rank, _, _ = _fold(rows, blocks, 1)
+        plain = not rank if a == 1 else g % a == 0 and _unpeeled(blocks, a)
         yield _built_diagram(k, MINUS, rows), g, plain
-
-
-def _joined(blocks) -> tuple:
-    """A walked diagram's rows, its blocks' rows joined, and its part gcd,
-    that of its block lengths (0 when it has none)."""
-    rows, g = (), 0
-    for record in blocks:
-        rows += record[0]
-        g = gcd(g, record[0][0][0])
-    return rows, g
 
 
 def _strata(grading: GradingSpec, a: int, fills: _Fills) -> list[Stratum]:
@@ -342,8 +305,8 @@ def _strata(grading: GradingSpec, a: int, fills: _Fills) -> list[Stratum]:
     strata = []
     for rank in range(min(grading.dims) // padding + 1):
         sub = tuple(v - padding * rank for v in grading.dims)
-        for blocks in fills.walk(sub, sum(sub), True):
-            rows, g = _joined(blocks)
+        for rows, blocks in fills.walk(sub, sum(sub), True):
+            g = _fold(rows, blocks, fills.classes)[0]
             # d_check_stratum, with the residual's part gcd read off its blocks
             d_check = gcd(m * padding, g) if ai else 1
             strata.append(Stratum(a, rank, _built_diagram(m, MINUS, rows), d_check))

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import add
 
 from .diagrams import (
     FilledDiagram,
     MINUS,
     MultiPartition,
+    _fold,
     check_integer,
     check_positive,
     dimension_vector,
@@ -121,8 +121,8 @@ def orbital_complexes(grading: GradingSpec, a: int = 1):
     ]
 
 
-def _is_cuspidal_ai(grading: GradingSpec, a: int, stratum: Stratum) -> bool:
-    m = grading.modulus
+def _is_cuspidal_ai(grading: GradingSpec, stratum: Stratum) -> bool:
+    a, m = stratum.a, grading.modulus
     total = grading.total
     if total == 0:
         return False
@@ -138,17 +138,17 @@ def _is_cuspidal_ai(grading: GradingSpec, a: int, stratum: Stratum) -> bool:
     )
 
 
-def _flags_ai(grading: GradingSpec, a: int, stratum: Stratum):
+def _flags_ai(grading: GradingSpec, stratum: Stratum):
     nilp = stratum.rank == 0
     full = stratum_dim_ai(stratum, grading) == grading.dim_g1
-    return nilp, full, _is_cuspidal_ai(grading, a, stratum)
+    return nilp, full, _is_cuspidal_ai(grading, stratum)
 
 
 def _flags(grading: GradingSpec):
     """The label family and the map from a stratum to its conjectural
     nilpotent-support, full-support and cuspidal flags."""
     if grading.case == "AI":
-        return "AI", lambda stratum: _flags_ai(grading, stratum.a, stratum)
+        return "AI", lambda stratum: _flags_ai(grading, stratum)
     full = full_support_stratum_ii(grading)
     return "II", lambda stratum: (stratum.rank == 0, stratum == full, False)
 
@@ -276,29 +276,20 @@ def _route_keys(grading: GradingSpec, a: int) -> tuple[list, list]:
 
 def _image_keys(grading: GradingSpec, a: int, fills, strata) -> list[tuple]:
     """`_image` of every orbital complex at order a (1 for type II), from
-    the walk of `fills` over the grading's box counts.  An orbit comes as
-    its length blocks, each a record that carries its peel: the orbit's
-    rank, multipartition and residual rows join its blocks' ranks, parts
-    and leftover rows, and its part gcd is that of its block lengths.  Its
-    stratum is looked up by the orbit's own rank and residual rows among
-    `strata`: at order a those two fix a record, as d_check is a function
-    of the residual.  A pair no record has gets its own record, made once.
-    So equal strata are one object, and the routes' keys compare by
-    identity.  The moved characters are made once per pair of group
-    orders."""
-    ai, classes = grading.case == "AI", gcd(a, grading.modulus)
+    the walk of `fills` over the grading's box counts: the fold of an
+    orbit's block records gives its part gcd, rank, multipartition and
+    residual rows (`diagrams._fold`).  Its stratum is looked up by the
+    orbit's own rank and residual rows among `strata`: at order a those
+    two fix a record, as d_check is a function of the residual.  A pair
+    no record has gets its own record, made once.  So equal strata are
+    one object, and the routes' keys compare by identity.  The moved
+    characters are made once per pair of group orders."""
+    ai = grading.case == "AI"
     records = {(s.rank, s.mu.rows): s for s in strata}
     moved: dict = {}  # (orbit group order, d_check) -> the moved characters
     image = []
-    for blocks in fills.walk(grading.dims, grading.total):
-        n = rank = 0
-        tau, left = ((),) * classes, ()
-        for rows, _, _, parts, rest, r in blocks:
-            n = gcd(n, rows[0][0])
-            if r:
-                rank += r
-                tau = tuple(map(add, tau, parts))
-            left += rest
+    for rows, blocks in fills.walk(grading.dims, grading.total):
+        n, rank, tau, left = _fold(rows, blocks, fills.classes)
         stratum = records.get((rank, left))
         if stratum is None:
             mu = FilledDiagram(grading.modulus, MINUS, left)
@@ -332,4 +323,4 @@ def cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
     else:
         candidates = [(d * total // m, 1, empty_diagram(m, MINUS)) for d in divisors(m)]
     strata = [Stratum(a, rank, mu, d_check_stratum(a, mu)) for a, rank, mu in candidates]
-    return _labels(grading, [s for s in strata if _is_cuspidal_ai(grading, s.a, s)])
+    return _labels(grading, [s for s in strata if _is_cuspidal_ai(grading, s)])

@@ -383,6 +383,15 @@ def test_unwritable_output_exit_2(run_cli, tmp_path):
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_too_large_a_modulus_exit_2(run_cli):
+    # the walk recurses once per orbit of start labels, 1200 of them here
+    result = run_cli("distinguished", "--case", "AI", "--m", "1200", "--N", "1")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_closed_stdout_exit_2():
     # The read end is closed before the child starts, so its first write to
     # stdout fails with a broken pipe.

@@ -23,6 +23,7 @@ from gradedorbits.diagrams import (
     FilledDiagram,
     _Fills,
     _built_diagram,
+    _fold,
     canonicalize,
     count_by_size,
     count_diagrams,
@@ -53,6 +54,7 @@ from conftest import (
     compositions,
     naive_diagram_counts,
 )
+from test_orbits import reference_peel
 
 K_MAX = 5
 SIZE_MAX = 8
@@ -481,34 +483,39 @@ def test_walks_over_shared_fills_are_the_streams(k, case):
     # verify_bijection walks the orbits and the strata's distinguished
     # residuals over one _Fills.  Whichever walk fills a block first, every
     # walk over the shared memos must yield iter_diagrams' rows in order,
-    # and `walk` must hand out the same diagrams as blocks with their row
-    # counts per label and its peel.  Its distinguished stream is
-    # `rows(..., True)`.
+    # each diagram with its blocks: their rows, their row counts per label
+    # and their peel.  `_fold` joins the blocks into the diagram's part gcd
+    # and its peel at the walk's order, which the reference peel checks.
     if not has_modulus(case, k):
         return
     for order in (1, 2, 3) if case == "AI" else (1,):
         fills = _Fills(k, "-", case=case, order=order)
         rule = {"case": case, "order": order}
+        a, per = (order, 1) if case == "AI" else (1, 2)
         for size in range(SIZE_MAX + 1):
             for dims in compositions(size, k):
                 for distinguished in (False, True) if size % 2 else (True, False):
                     stream = iter_diagrams(k, "-", dims, distinguished=distinguished, **rule)
                     expected = [diagram.rows for diagram in stream]
-                    assert list(fills.rows(dims, size, distinguished)) == expected, (dims, order)
+                    walked = list(fills.walk(dims, size, distinguished))
+                    assert [rows for rows, _ in walked] == expected, (dims, order)
                     if distinguished:
                         continue
-                    walked = []
-                    for blocks in fills.walk(dims, size):
-                        rows = ()
+                    for rows, blocks in walked:
+                        joined = ()
                         for block_rows, counts, _, parts, left, rank in blocks:
                             diagram = FilledDiagram(k, "-", block_rows)
                             assert diagram.parts == (block_rows[0][0],)
                             assert counts == diagram.multiplicities(block_rows[0][0])
                             peel = peel_ai(diagram, order) if case == "AI" else peel_ii(diagram)
                             assert (parts, left, rank) == (peel.tau, peel.residue.rows, peel.rank)
-                            rows += block_rows
-                        walked.append(rows)
-                    assert walked == expected, (dims, order)
+                            joined += block_rows
+                        assert joined == rows, (dims, order)
+                        diagram = FilledDiagram(k, "-", rows)
+                        tau, residue = reference_peel(diagram, a, per)
+                        assert _fold(rows, blocks, gcd(a, k)) == (
+                            diagram.part_gcd, sum(map(sum, tau)), tau, residue.rows
+                        ), (rows, order)
 
 
 @pytest.mark.parametrize("k", range(1, 5))

@@ -302,23 +302,23 @@ UNCHECKED_CONSTRUCTOR = "_built_diagram"
 BUILDING_MODULES = ("diagrams", "orbits")
 
 
-def unchecked_constructor_uses(tree):
+def name_uses(tree, name):
     """The line of each import, name, attribute or string that reaches the
-    unchecked constructor, under any name it is imported as."""
+    module-level `name`, under any name it is imported as."""
     return sorted({
         node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and any(alias.name == UNCHECKED_CONSTRUCTOR for alias in node.names)
-        or isinstance(node, ast.Name) and node.id == UNCHECKED_CONSTRUCTOR
-        or isinstance(node, ast.Attribute) and node.attr == UNCHECKED_CONSTRUCTOR
-        or isinstance(node, ast.Constant) and node.value == UNCHECKED_CONSTRUCTOR
+        if isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names)
+        or isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.Constant) and node.value == name
     })
 
 
 @pytest.mark.parametrize("module", [m for m in ALL_MODULES if m not in BUILDING_MODULES])
 def test_only_the_enumeration_layers_skip_the_diagram_checks(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
-    assert not unchecked_constructor_uses(tree), (
-        f"{module} builds unchecked diagrams on lines {unchecked_constructor_uses(tree)}"
+    assert not name_uses(tree, UNCHECKED_CONSTRUCTOR), (
+        f"{module} builds unchecked diagrams on lines {name_uses(tree, UNCHECKED_CONSTRUCTOR)}"
     )
 
 
@@ -331,12 +331,39 @@ def test_detects_unchecked_diagram_builds():
         ("from . import diagrams\nmake = getattr(diagrams, '_built_diagram')", [2]),
         ("def f(rows):\n    from gradedorbits.diagrams import _built_diagram\n", [2]),
     ):
-        assert unchecked_constructor_uses(ast.parse(source)) == lines, source
+        assert name_uses(ast.parse(source), UNCHECKED_CONSTRUCTOR) == lines, source
     clean = (
         "from .diagrams import FilledDiagram, canonicalize\n"
         "d = FilledDiagram(2, '-', ((1, 1),))\ne = canonicalize(rows, 2, '+')\n"
     )
-    assert unchecked_constructor_uses(ast.parse(clean)) == []
+    assert name_uses(ast.parse(clean), UNCHECKED_CONSTRUCTOR) == []
     # the guard sees the real uses where they are allowed
     for module in BUILDING_MODULES:
-        assert unchecked_constructor_uses(ast.parse((SRC / f"{module}.py").read_text())), module
+        assert name_uses(ast.parse((SRC / f"{module}.py").read_text()), UNCHECKED_CONSTRUCTOR), module
+
+
+# The walk's block records carry `diagrams._peel_block`'s peel, and only
+# `diagrams` reads them: the other layers take a walked diagram's part gcd
+# and peel from its fold, so none of them runs the round rule itself.
+ROUND_RULE = "_peel_block"
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "diagrams"])
+def test_only_diagrams_runs_the_round_rule(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert not name_uses(tree, ROUND_RULE), (
+        f"{module} names {ROUND_RULE} on lines {name_uses(tree, ROUND_RULE)}"
+    )
+
+
+def test_detects_round_rule_uses():
+    for source, lines in (
+        ("from .diagrams import _Fills, _peel_block\n", [1]),
+        ("from .diagrams import _peel_block as peel\npeel(rows, counts, 2, 1)", [1]),
+        ("from . import diagrams\nleft = diagrams._peel_block(rows, counts, a, 1)[1]", [2]),
+        ("def f(a):\n    from gradedorbits.diagrams import _peel_block\n", [2]),
+    ):
+        assert name_uses(ast.parse(source), ROUND_RULE) == lines, source
+    clean = "from .diagrams import _fold, _peel\ng = _fold(rows, blocks, 1)[0]\n"
+    assert name_uses(ast.parse(clean), ROUND_RULE) == []
+    assert name_uses(ast.parse((SRC / "diagrams.py").read_text()), ROUND_RULE)

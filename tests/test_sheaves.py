@@ -420,7 +420,7 @@ def reference_cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
             return []
         stratum = Stratum(total, 0, regular, d_check_stratum(total, regular))
         tau = multipartitions(gcd(total, m), 0)[0]
-        nilp, full, cusp = _flags_ai(grading, total, stratum)
+        nilp, full, cusp = _flags_ai(grading, stratum)
         for psi in exact_order_characters(stratum.d_check, total):
             out.append(SheafLabel("AI", stratum, psi, tau, nilp, full, cusp))
         return out
@@ -433,7 +433,7 @@ def reference_cuspidal_ai(grading: GradingSpec) -> list[SheafLabel]:
             continue
         a = d_prime * uniform
         stratum = Stratum(a, 1, mu, d_check_stratum(a, mu))
-        nilp, full, cusp = _flags_ai(grading, a, stratum)
+        nilp, full, cusp = _flags_ai(grading, stratum)
         for psi in exact_order_characters(stratum.d_check, a):
             for tau in multipartitions(d_prime, 1):
                 out.append(SheafLabel("AI", stratum, psi, tau, nilp, full, cusp))
@@ -596,7 +596,7 @@ def test_verify_bijection_computes_no_flag(monkeypatch, case, dims):
         assert [(lab.stratum, lab.psi, lab.tau) for lab in labels] == image, a
         if case == "AI":
             assert labels == [
-                SheafLabel("AI", *key, *_flags_ai(grading, a, key[0])) for key in image
+                SheafLabel("AI", *key, *_flags_ai(grading, key[0])) for key in image
             ], a
         assert set(labels) == set(catalog(grading, a)), a
 
@@ -721,7 +721,7 @@ def reference_map_sheaf_ai(lam, psi, a, grading):
     stratum = Stratum(a, peel.rank, peel.residue, d_check_stratum(a, peel.residue))
     target = exact_order_characters(stratum.d_check, a)
     moved = target[source.index(psi)]
-    return SheafLabel("AI", stratum, moved, peel.tau, *_flags_ai(grading, a, stratum))
+    return SheafLabel("AI", stratum, moved, peel.tau, *_flags_ai(grading, stratum))
 
 
 def _label_or_error(transport, *args):
