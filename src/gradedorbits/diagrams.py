@@ -26,10 +26,11 @@ The core's one walk hands out each diagram as its rows and its blocks,
 every block fill one record that carries its rows, its row counts per label
 and its peel (parts, leftover rows and rank).  A block's records are
 memoized once, and the distinguished walk keeps those with no round.  Only
-this module reads a record: `_fold` joins a diagram's records into its part
-gcd and its peel, for the strata, the listings, `sheaves.verify_bijection`
-and the peeling maps, which fold the records `_peel` makes, and
-`_unpeeled` peels them again at the listings' other orders.
+this module reads a record: `_gcd_rank` reads a diagram's part gcd and rank
+off its records, for the strata and the listings; `_fold` also joins its
+peel, for `sheaves.verify_bijection` and the peeling maps, which fold the
+records `_peel` makes; and `_unpeeled` peels them again at the listings'
+other orders.
 
 `count_diagrams` and `count_by_size` count without the stream, and without
 enumerating a block: a block's tally, how many of its allowed fills take
@@ -320,16 +321,21 @@ def _peel(diagram, a, per):
     return tau, _built_diagram(diagram.modulus, diagram.sign, left)
 
 
-def _fold(rows, blocks, classes):
-    """A diagram's part gcd (0 when it has no block), rank, multipartition
-    of `classes` components and leftover rows, from its rows and its block
-    records: the gcd of the block lengths, the sum of the blocks' ranks,
-    their parts joined per class and their leftover rows joined, in the
-    canonical order.  With no round the leftover rows are the rows."""
+def _gcd_rank(blocks):
+    """A diagram's part gcd (0 with no block) and rank, from its block records."""
     g = rank = 0
     for record in blocks:
         g = gcd(g, record[0][0][0])
         rank += record[5]
+    return g, rank
+
+
+def _fold(rows, blocks, classes):
+    """A diagram's part gcd, rank (`_gcd_rank`), multipartition of `classes`
+    components and leftover rows, from its rows and its block records: the
+    parts joined per class and the leftover rows joined, in the canonical
+    order.  With no round the leftover rows are the rows."""
+    g, rank = _gcd_rank(blocks)
     tau = ((),) * classes
     if not rank:
         return g, 0, tau, rows
@@ -543,10 +549,11 @@ class _Fills:
         """The start labels whose row counts the case ties together, by
         smallest label, each with its rows per label and in all for one
         unit, and that unit's excess boxes as (label index, boxes) pairs.
-        The labels are tied by `row_partners`.  Memoized per length."""
-        if length in self.orbits:
-            return self.orbits[length]
+        The labels are tied by `row_partners`, and both depend on the length
+        only mod k: memoized per length % k."""
         k = self.k
+        if length % k in self.orbits:
+            return self.orbits[length % k]
         partners = row_partners(self.case, k, length)
         step = 1 if self.sign == MINUS else -1
         orbits = []
@@ -563,7 +570,7 @@ class _Fills:
                     i = (start - 1 + step * t) % k
                     excess[i] = excess.get(i, 0) + per
             orbits.append((labels, per, per * len(labels), list(excess.items())))
-        self.orbits[length] = orbits
+        self.orbits[length % k] = orbits
         return orbits
 
     def _vectors(self, orbits, j, left, counts, slack, keep):

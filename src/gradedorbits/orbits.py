@@ -13,9 +13,9 @@ the round-of-two, single-class case, at order 1 with the trivial component
 group Z/1.  One `diagrams._peel`, one `_strata`, one `Peel` and one
 `Stratum` record serve both.  A peel works one part length at a time, by
 the one round rule of `diagrams`, which peels every block fill its walk
-makes: `_peel` folds the records of the diagram it is given
-(`diagrams._fold`), and the strata, the listings (`orbit_listing`) and
-`sheaves.verify_bijection` fold the walked ones.
+makes: `_peel` and `sheaves.verify_bijection` fold the records of the
+diagrams they peel (`diagrams._fold`), and the strata and the listings
+(`orbit_listing`) read only the part gcd and rank (`diagrams._gcd_rank`).
 
 Diagrams labelling orbits on the negative side of the grading use the '-'
 fill convention; all stratum residuals are stored on that side as well.
@@ -36,7 +36,7 @@ from .diagrams import (
     PLUS,
     _Fills,
     _built_diagram,
-    _fold,
+    _gcd_rank,
     _peel,
     _row_key,
     _target,
@@ -255,7 +255,10 @@ def enumerate_strata(grading: GradingSpec, a: int = 1) -> list[Stratum]:
     fully padded one, which exists exactly when the box counts are uniform.
     """
     a = _label_order(grading, a)
-    return _strata(grading, a, _fills(grading, a))
+    return [
+        Stratum(a, rank, _built_diagram(grading.modulus, MINUS, rows), d_check)
+        for rank, rows, d_check in _strata(grading, a, _fills(grading, a))
+    ]
 
 
 def _fills(grading: GradingSpec, a: int = 1) -> _Fills:
@@ -269,8 +272,8 @@ def orbit_listing(case: str, modulus: int, dims=None, *, size=None, a: int = 1):
     order, as (diagram, part gcd, distinguished): distinguished at order a
     for case AI (`is_distinguished_ai`), in the type II sense otherwise
     (`is_distinguished_ii`).  All three are read off one walk at order 1:
-    the rows are the walk's, the part gcd and the rank are the fold of its
-    block records, and a diagram is distinguished at order 1 when it has no
+    the rows are the walk's, the part gcd and the rank its block records'
+    (`_gcd_rank`), and a diagram is distinguished at order 1 when it has no
     round, its rank 0.  At an order a > 1, a must divide the part gcd and
     the peel at a must find no round in any block: the same one rule."""
     fills = _Fills(modulus, MINUS, case=case)
@@ -283,20 +286,20 @@ def orbit_listing(case: str, modulus: int, dims=None, *, size=None, a: int = 1):
 
 def _listed(walk, k: int, a: int):
     for rows, blocks in walk:
-        g, rank, _, _ = _fold(rows, blocks, 1)
+        g, rank = _gcd_rank(blocks)
         plain = not rank if a == 1 else g % a == 0 and _unpeeled(blocks, a)
         yield _built_diagram(k, MINUS, rows), g, plain
 
 
-def _strata(grading: GradingSpec, a: int, fills: _Fills) -> list[Stratum]:
-    """The strata at order a (1 for type II), ranks ascending: for every
-    rank whose padding leaves no box count negative, every distinguished
-    residual on the boxes left, as the distinguished walk of `fills`, the
-    grading's fills at a, streams them, its d_check read off the residual's
-    block lengths.  A unit of rank pads each label with a / gcd(a, m) boxes
-    for AI and 2 for type II.  One `_Fills` serves every rank, so the ranks
-    share its memos.  The zero AI grading carries
-    just the trivial character, so it has no stratum at a > 1."""
+def _strata(grading: GradingSpec, a: int, fills: _Fills) -> list[tuple]:
+    """The strata at order a (1 for type II) as (rank, residual rows,
+    d_check) triples, ranks ascending: for every rank whose padding leaves
+    no box count negative, every distinguished residual on the boxes left,
+    as the distinguished walk of `fills`, the grading's fills at a, streams
+    them, its d_check read off the residual's block lengths.  A unit of
+    rank pads each label with a / gcd(a, m) boxes for AI and 2 for type II.
+    One `_Fills` serves every rank, so the ranks share its memos.  The zero
+    AI grading carries just the trivial character: no stratum at a > 1."""
     if grading.total == 0 and a > 1:
         return []
     m = grading.modulus
@@ -306,10 +309,9 @@ def _strata(grading: GradingSpec, a: int, fills: _Fills) -> list[Stratum]:
     for rank in range(min(grading.dims) // padding + 1):
         sub = tuple(v - padding * rank for v in grading.dims)
         for rows, blocks in fills.walk(sub, sum(sub), True):
-            g = _fold(rows, blocks, fills.classes)[0]
             # d_check_stratum, with the residual's part gcd read off its blocks
-            d_check = gcd(m * padding, g) if ai else 1
-            strata.append(Stratum(a, rank, _built_diagram(m, MINUS, rows), d_check))
+            d_check = gcd(m * padding, _gcd_rank(blocks)[0]) if ai else 1
+            strata.append((rank, rows, d_check))
     return strata
 
 

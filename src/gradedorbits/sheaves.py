@@ -6,10 +6,12 @@ one key rule and the entry points: a type II stratum sits at order 1 with
 the trivial group Z/1, so its one character is trivial and its
 multipartitions have one component.  The `catalog` keys come from the
 stratum enumeration; independently, `map_sheaf` maps each orbital complex
-through the peeling construction, and `verify_bijection` compares the two
-routes' keys.  The conjectural nilpotent-support, full-support and
-cuspidal flags depend on the stratum alone: `catalog` and `map_sheaf` add
-them to the keys, and only their combinatorics is verified here.
+through the peeling construction.  `verify_bijection` compares the two
+routes on plain (stratum index, residue, tau) keys, with no record built
+per stratum, character or key.  The conjectural nilpotent-support,
+full-support and cuspidal flags depend on the stratum alone: `catalog` and
+`map_sheaf` add them to the keys, and only their combinatorics is verified
+here.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .orbits import (
     admissible_for_case,
     component_group_order,
     d_check_stratum,
+    enumerate_strata,
     full_support_stratum_ii,
     peel_ai,
     peel_ii,
@@ -76,21 +79,18 @@ class CentralCharacter:
 
 
 def exact_order_characters(modulus: int, order: int) -> list[CentralCharacter]:
-    """All residues of exact additive order `order` in Z/modulus, ascending.
-
-    Empty unless the order divides the modulus; the count is Euler phi of the
-    order.  The trivial group Z/1 has the one character 0, of order 1.
-    """
+    """All characters of exact additive order `order` of Z/modulus, by
+    ascending residue (`_residues`): none unless the order divides the
+    modulus, else Euler phi of the order.  Z/1 has the one character 0."""
     check_positive("order", order)
     check_positive("modulus", modulus)
-    if modulus % order:
-        return []
-    step = modulus // order
-    return [
-        CentralCharacter(modulus, c)
-        for c in range(modulus)
-        if gcd(c, modulus) == step
-    ]
+    return [CentralCharacter(modulus, c) for c in _residues(modulus, order)]
+
+
+def _residues(modulus: int, order: int) -> list[int]:
+    """The one rule of `exact_order_characters`, as plain residues."""
+    step, extra = divmod(modulus, order)
+    return [c for c in range(modulus) if not extra and gcd(c, modulus) == step]
 
 
 @dataclass(frozen=True)
@@ -153,32 +153,32 @@ def _flags(grading: GradingSpec):
     return "II", lambda stratum: (stratum.rank == 0, stratum == full, False)
 
 
-def _keys(grading: GradingSpec, stratum: Stratum) -> list[tuple]:
-    """The (stratum, character, tau) keys of one stratum: every exact-order-a
-    character of its cyclic group with every multipartition of its braid
-    rank into gcd(a, m) components, a the stratum's order.  A type II
+def _pairs(grading: GradingSpec, a: int, rank: int, d_check: int) -> list[tuple]:
+    """The (residue, tau) ends of the keys of a stratum at order a: every
+    exact-order-a residue of its cyclic group Z/d_check with every
+    multipartition of its braid rank into gcd(a, m) components.  A type II
     stratum is the one-class case: at order 1 on Z/1 that is the trivial
-    character with each partition of its braid rank."""
-    chars = exact_order_characters(stratum.d_check, stratum.a)
-    classes = gcd(stratum.a, grading.modulus)
-    return [(stratum, psi, tau) for psi in chars for tau in multipartitions(classes, stratum.rank)]
+    residue 0 with each partition of its braid rank."""
+    taus = multipartitions(gcd(a, grading.modulus), rank)
+    return [(c, tau) for c in _residues(d_check, a) for tau in taus]
 
 
 def _labels(grading: GradingSpec, strata) -> list[SheafLabel]:
-    """The strata's keys, each with its stratum's flags, computed once."""
+    """The strata's (stratum, character, tau) keys, from their `_pairs`,
+    each with its stratum's flags, computed once."""
     family, flags = _flags(grading)
     labels = []
-    for stratum in strata:
-        flag = flags(stratum)
-        labels += [SheafLabel(family, *key, *flag) for key in _keys(grading, stratum)]
+    for s in strata:
+        flag = flags(s)
+        labels += [SheafLabel(family, s, CentralCharacter(s.d_check, c), tau, *flag)
+                   for c, tau in _pairs(grading, s.a, s.rank, s.d_check)]
     return labels
 
 
 def catalog(grading: GradingSpec, a: int = 1) -> list[SheafLabel]:
     """The full label catalog at order a (1 for type II): the labels of
     every stratum, each key with its stratum's flags."""
-    a = _label_order(grading, a)
-    return _labels(grading, _strata(grading, a, _fills(grading, a)))
+    return _labels(grading, enumerate_strata(grading, a))
 
 
 def _image(grading: GradingSpec, a: int, lam: FilledDiagram, psi: CentralCharacter) -> tuple:
@@ -195,16 +195,15 @@ def _image(grading: GradingSpec, a: int, lam: FilledDiagram, psi: CentralCharact
         d_check = d_check_stratum(a, peel.residue)
     else:
         peel, d_check = peel_ii(lam), 1
-    stratum = Stratum(a, peel.rank, peel.residue, d_check)
-    return stratum, _moved(psi, a, d_check), peel.tau
+    psi = CentralCharacter(d_check, _moved(psi.index, n, a, d_check))
+    return Stratum(a, peel.rank, peel.residue, d_check), psi, peel.tau
 
 
-def _moved(psi: CentralCharacter, a: int, d_check: int) -> CentralCharacter:
-    """The exact-order-a character of Z/d_check at psi's position among the
-    exact-order-a characters of its own group."""
+def _moved(index: int, n: int, a: int, d_check: int) -> int:
+    """The exact-order-a residue of Z/d_check at the position of `index`
+    among the exact-order-a residues of Z/n: the one moving rule."""
     # the exact-order-a residues of Z/n are (n/a)*u, u a unit mod a, ascending
-    unit = psi.index // (psi.modulus // a)
-    return CentralCharacter(d_check, d_check // a * unit)
+    return d_check // a * (index // (n // a))
 
 
 def map_sheaf(grading: GradingSpec, lam: FilledDiagram, psi: CentralCharacter, a: int = 1) -> SheafLabel:
@@ -241,11 +240,11 @@ class BijectionReport:
 
 
 def verify_bijection(grading: GradingSpec, a: int = 1) -> BijectionReport:
-    """Compare the two label routes on (stratum, character, tau) keys: the
-    orbital complexes mapped through the peeling construction against the
-    keys of the enumerated strata (see `_route_keys`).  The flags depend on
-    the stratum alone, so no flag is computed.  A type II grading ignores
-    the order, but it must still be valid."""
+    """Compare the two label routes on plain (stratum index, residue, tau)
+    keys: the orbital complexes mapped through the peeling construction
+    against the keys of the enumerated strata (see `_route_keys`).  The
+    flags depend on the stratum alone, so no flag is computed.  A type II
+    grading ignores the order, but it must still be valid."""
     a = _label_order(grading, a)
     image, keys = _route_keys(grading, a)
     distinct = set(image)
@@ -254,54 +253,46 @@ def verify_bijection(grading: GradingSpec, a: int = 1) -> BijectionReport:
 
 
 def _route_keys(grading: GradingSpec, a: int) -> tuple[list, list]:
-    """The two routes' keys at order a (1 for type II), over one `_Fills`:
-    the `_image` of every orbital complex, in `orbital_complexes` order, and
-    the `_keys` of every stratum, in `_strata` order.  The strata's
-    residuals are the distinguished walk, the records with no round, of
-    the fills the orbits are walked over, so both routes share its block
-    records.
-    The character and multipartition lists are made once per (group order,
-    rank)."""
+    """The two routes' plain keys at order a (1 for type II), over one
+    `_Fills`: the `_image_keys` of the orbital complexes, and each
+    stratum's `_pairs`, made once per (rank, group order), after its index
+    in `_strata`.  The strata are the distinguished walk of the fills the
+    orbits are walked over, so both routes share its block records."""
     fills = _fills(grading, a)
     strata = _strata(grading, a, fills)
-    pairs: dict = {}
-    keys = []
-    for stratum in strata:
-        shape = (stratum.d_check, stratum.rank)
-        if shape not in pairs:
-            pairs[shape] = [key[1:] for key in _keys(grading, stratum)]
-        keys += [(stratum, psi, tau) for psi, tau in pairs[shape]]
+    pairs = {shape: _pairs(grading, a, *shape) for shape in {(r, d) for r, _, d in strata}}
+    keys = [(i, c, tau) for i, (rank, _, d_check) in enumerate(strata)
+            for c, tau in pairs[rank, d_check]]
     return _image_keys(grading, a, fills, strata), keys
 
 
 def _image_keys(grading: GradingSpec, a: int, fills, strata) -> list[tuple]:
-    """`_image` of every orbital complex at order a (1 for type II), from
-    the walk of `fills` over the grading's box counts: the fold of an
-    orbit's block records gives its part gcd, rank, multipartition and
-    residual rows (`diagrams._fold`).  Its stratum is looked up by the
-    orbit's own rank and residual rows among `strata`: at order a those
-    two fix a record, as d_check is a function of the residual.  A pair
-    no record has gets its own record, made once.  So equal strata are
-    one object, and the routes' keys compare by identity.  The moved
-    characters are made once per pair of group orders."""
+    """`_image` of every orbital complex at order a (1 for type II), in
+    `orbital_complexes` order, as a plain key: the index of its stratum in
+    `strata` (`_strata` triples), its moved residue and tau.  An orbit's
+    walked block records fold to its part gcd, rank, tau and residual rows
+    (`diagrams._fold`), and the rank and the residual fix its stratum.  A
+    pair no stratum has gets a new index past every stratum's."""
     ai = grading.case == "AI"
-    records = {(s.rank, s.mu.rows): s for s in strata}
-    moved: dict = {}  # (orbit group order, d_check) -> the moved characters
+    known = {(rank, rows): (i, d_check) for i, (rank, rows, d_check) in enumerate(strata)}
+    fresh = len(strata)
+    moved: dict = {}  # (orbit group order, d_check) -> the moved residues
     image = []
     for rows, blocks in fills.walk(grading.dims, grading.total):
         n, rank, tau, left = _fold(rows, blocks, fills.classes)
-        stratum = records.get((rank, left))
-        if stratum is None:
+        hit = known.get((rank, left))
+        if hit is None:
             mu = FilledDiagram(grading.modulus, MINUS, left)
-            stratum = Stratum(a, rank, mu, d_check_stratum(a, mu) if ai else 1)
-            records[rank, left] = stratum
+            hit = known[rank, left] = (fresh, d_check_stratum(a, mu) if ai else 1)
+            fresh += 1
+        index, d_check = hit
         # the component group: Z/(part gcd) for AI (Z/1 when empty), Z/1 for type II
         n = (n or 1) if ai else 1
-        target = (n, stratum.d_check)
+        target = (n, d_check)
         if target not in moved:
-            moved[target] = [_moved(psi, a, target[1]) for psi in exact_order_characters(n, a)]
-        for psi in moved[target]:
-            image.append((stratum, psi, tau))
+            moved[target] = [_moved(c, n, a, d_check) for c in _residues(n, a)]
+        for c in moved[target]:
+            image.append((index, c, tau))
     return image
 
 

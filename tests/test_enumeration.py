@@ -24,6 +24,7 @@ from gradedorbits.diagrams import (
     _Fills,
     _built_diagram,
     _fold,
+    _gcd_rank,
     canonicalize,
     count_by_size,
     count_diagrams,
@@ -248,6 +249,20 @@ def test_block_tally_is_the_enumerated_tally(k, sign, case):
             expected = {key: n for key, n in every.items() if key[1] == empty}
             exact = fills._tally(length, 0, slack, distinguished, exact=True)
             assert exact == expected, (order, length, slack, distinguished)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("case", CASES)
+def test_block_orbits_depend_on_the_length_mod_k(k, sign, case):
+    # The orbits of start labels, their rows per unit and their excess
+    # boxes read the length only mod k, so `_orbits` memoizes them per
+    # length % k: fresh objects, which share no memo, agree on l and l + k.
+    if not has_modulus(case, k):
+        return
+    for length in range(1, 3 * k + 1):
+        orbits = _Fills(k, sign, case=case)._orbits(length)
+        assert orbits == _Fills(k, sign, case=case)._orbits(length + k), length
 
 
 @pytest.mark.parametrize("k", range(1, K_MAX + 1))
@@ -516,6 +531,7 @@ def test_walks_over_shared_fills_are_the_streams(k, case):
                         assert _fold(rows, blocks, gcd(a, k)) == (
                             diagram.part_gcd, sum(map(sum, tau)), tau, residue.rows
                         ), (rows, order)
+                        assert _gcd_rank(blocks) == (diagram.part_gcd, sum(map(sum, tau)))
 
 
 @pytest.mark.parametrize("k", range(1, 5))

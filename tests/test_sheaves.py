@@ -477,8 +477,10 @@ def test_cuspidal_visits_only_candidate_strata(monkeypatch):
     def no_walk(*args):
         raise AssertionError("cuspidal_ai walked a stratum enumeration")
 
-    # every stratum walk in sheaves goes through orbits._strata
+    # every stratum walk in sheaves goes through orbits._strata, imported
+    # or through enumerate_strata
     monkeypatch.setattr("gradedorbits.sheaves._strata", no_walk)
+    monkeypatch.setattr("gradedorbits.orbits._strata", no_walk)
     labels = cuspidal_ai(GradingSpec("AI", 30, (1,) * 30))
     # one stratum per divisor d' of 30 at order d', with phi(d') characters
     # and d' multipartitions of 1 into d' components: sum of phi(d') * d'
@@ -588,17 +590,96 @@ def test_verify_bijection_computes_no_flag(monkeypatch, case, dims):
 
         for name in ("_flags_ai", "stratum_dim_ai", "full_support_stratum_ii", "catalog"):
             monkeypatch.setattr(sheaves, name, forbidden)
+        # nor any record per stratum, character or key: the keys are plain
+        for where, name in (
+            (sheaves, "Stratum"), (orbits, "Stratum"), (sheaves, "CentralCharacter"),
+            (sheaves, "FilledDiagram"), (orbits, "_built_diagram"),
+        ):
+            monkeypatch.setattr(where, name, forbidden)
         report = verify_bijection(grading, a)
         image, keys = sheaves._route_keys(grading, a)
         monkeypatch.undo()
         assert report.ok and (len(image), len(keys)) == (report.complexes, report.labels), a
+        strata = enumerate_strata(grading, a)
         labels = [map_sheaf(grading, lam, psi, a) for lam, psi in orbital_complexes(grading, a)]
-        assert [(lab.stratum, lab.psi, lab.tau) for lab in labels] == image, a
+        keyed = [(lab.stratum, lab.psi, lab.tau) for lab in labels]
+        assert plain_keys(keyed, stratum_indices(strata)) == image, a
+        # a plain key with its stratum and that stratum's flags is the label
         if case == "AI":
             assert labels == [
-                SheafLabel("AI", *key, *_flags_ai(grading, key[0])) for key in image
+                SheafLabel("AI", strata[i], CentralCharacter(strata[i].d_check, c), tau,
+                           *_flags_ai(grading, strata[i]))
+                for i, c, tau in image
             ], a
         assert set(labels) == set(catalog(grading, a)), a
+
+
+def stratum_indices(strata):
+    """Each stratum's position in the list, by its rank and residual rows;
+    the strata must be distinct."""
+    index = {(s.rank, s.mu.rows): i for i, s in enumerate(strata)}
+    assert len(index) == len(strata)
+    return index
+
+
+def plain_keys(keys, index):
+    """(stratum, character, tau) keys projected onto verify_bijection's plain
+    keys: the stratum's index, the character's residue and tau."""
+    return [(index[s.rank, s.mu.rows], psi.index, tau) for s, psi, tau in keys]
+
+
+def _drop_one(strata):
+    return strata[: len(strata) // 2] + strata[len(strata) // 2 + 1 :]
+
+
+def _repeat_one(strata):
+    return strata[: len(strata) // 2 + 1] + strata[len(strata) // 2 :]
+
+
+def _off_by_one(real):
+    # the first result of the rule, which the routes reuse per group order,
+    # moves one residue up
+    calls = []
+
+    def shifted(*args):
+        calls.append(args)
+        out = real(*args)
+        if len(calls) > 1:
+            return out
+        if isinstance(out, int):
+            return out + 1
+        (c, tau), *rest = out
+        return [(c + 1, tau), *rest]
+
+    return shifted
+
+
+# (case, dims, order): AI at orders a > 1, with characters of order 2, 3
+# and 4 on groups of several orders, and a type II grading with Z/1
+# characters
+MUTATED_GRADINGS = [
+    ("AI", (3, 3, 3), 3), ("AI", (6, 6), 3), ("AI", (4, 4, 4), 4), ("AI", (2, 2, 2), 2),
+    ("DII", (3, 2, 2, 3), 1),
+]
+
+
+@pytest.mark.parametrize("case, dims, a", MUTATED_GRADINGS)
+@pytest.mark.parametrize("mutation", ["drop", "repeat", "moved", "pairs"])
+def test_verify_bijection_catches_a_mutated_route(monkeypatch, case, dims, a, mutation):
+    # The plain keys still tell a broken route: a stratum dropped or
+    # repeated, or one residue off by one on either route, fails the check.
+    grading = GradingSpec(case, len(dims), dims)
+    assert verify_bijection(grading, a).ok
+    if mutation in ("drop", "repeat"):
+        real = sheaves._strata
+        change = _drop_one if mutation == "drop" else _repeat_one
+        monkeypatch.setattr(sheaves, "_strata", lambda *args: change(real(*args)))
+    else:
+        name = "_" + mutation
+        monkeypatch.setattr(sheaves, name, _off_by_one(getattr(sheaves, name)))
+    report = verify_bijection(grading, a)
+    assert not report.ok, report
+    assert (report.complexes, report.labels) != (0, 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -624,7 +705,8 @@ ROUTE_RANGES = [("AI", m, 8) for m in (1, 2, 3)] + [("AI", 4, 6)] + [
 def test_route_keys_equal_the_one_complex_and_one_stratum_maps(case, m, deepest):
     # verify_bijection's keys come from one shared walk and per-block
     # peels; they must be, in order, _image of each orbital complex and
-    # _keys of each stratum of the unshared enumeration.
+    # the catalog's keys, stratum by stratum of the unshared enumeration,
+    # both projected onto the plain keys.
     checked = 0
     for total in range(deepest + 1):
         for dims in compositions(total, m):
@@ -635,17 +717,22 @@ def test_route_keys_equal_the_one_complex_and_one_stratum_maps(case, m, deepest)
             orders = (1,) if case != "AI" else divisors(total) if total else (1, 2, 3)
             for a in orders:
                 image, keys = sheaves._route_keys(grading, a)
-                assert image == [
+                strata = enumerate_strata(grading, a)
+                index = stratum_indices(strata)
+                mapped = [
                     sheaves._image(grading, a, lam, psi) for lam, psi in orbital_complexes(grading, a)
-                ], (dims, a)
-                assert keys == [
-                    key
-                    for s in orbits._strata(grading, a, sheaves._fills(grading, a))
-                    for key in sheaves._keys(grading, s)
-                ], (dims, a)
-                # the orbits' own records, none taken from the strata route
+                ]
+                assert image == plain_keys(mapped, index), (dims, a)
+                labels = [(lab.stratum, lab.psi, lab.tau) for lab in catalog(grading, a)]
+                assert keys == plain_keys(labels, index), (dims, a)
+                # the orbits' own records, none taken from the strata route:
+                # each residual gets the next index as it first turns up
+                first: dict = {}
+                for s, _, _ in mapped:
+                    first.setdefault((s.rank, s.mu.rows), len(first))
                 fills = sheaves._fills(grading, a)
-                assert sheaves._image_keys(grading, a, fills, []) == image, (dims, a)
+                alone = sheaves._image_keys(grading, a, fills, [])
+                assert alone == plain_keys(mapped, first), (dims, a)
                 checked += 1
     assert checked > 0
 
@@ -654,20 +741,26 @@ def test_route_keys_equal_the_one_complex_and_one_stratum_maps(case, m, deepest)
 def test_verify_bijection_fills_each_block_once(monkeypatch, case, dims):
     # One _Fills serves the orbit walk and the strata's distinguished walk,
     # so a call runs _vectors once per (length, count, slack) block.
-    made, runs = [], []
-    real_init, real_vectors = _Fills.__init__, _Fills._vectors
+    made, runs, block = [], [], []
+    real_init, real_block, real_vectors = _Fills.__init__, _Fills._block, _Fills._vectors
 
     def init(self, *args, **kwargs):
         made.append(self)
         real_init(self, *args, **kwargs)
 
+    # the orbits are shared by the lengths of one residue, so the length
+    # of a run is that of the block being filled
+    def fill_block(self, length, count, slack):
+        block[:] = [length]
+        return real_block(self, length, count, slack)
+
     def vectors(self, orbits, j, left, counts, slack, keep):
         if j == 0:
-            length = next(p for p, known in self.orbits.items() if known is orbits)
-            runs.append((length, left, slack))
+            runs.append((block[0], left, slack))
         return real_vectors(self, orbits, j, left, counts, slack, keep)
 
     monkeypatch.setattr(_Fills, "__init__", init)
+    monkeypatch.setattr(_Fills, "_block", fill_block)
     monkeypatch.setattr(_Fills, "_vectors", vectors)
     grading = GradingSpec(case, len(dims), dims)
     filled = 0
