@@ -21,7 +21,11 @@ uniform round: `_peel_block`, the peel of one length block that
 `orbits.peel_ai` and `peel_ii` also run, finds none (the condition of
 `orbits.is_distinguished_ai` and `is_distinguished_ii`).  Only the wanted
 diagrams are built, and with box counts given the core prunes by the boxes
-each label has left.  `enumerate_diagrams` and `enumerate_by_size` list it.
+each label has left: a shape whose rows' wraps exceed a box count is
+skipped before its blocks are built, and in a block that must use every box
+it is given, as the last of each shape must, an orbit that closes a label
+(`_Fills._orbits`) takes the one count that empties it.  `enumerate_diagrams`
+and `enumerate_by_size` list it.
 The core's one walk hands out each diagram as its rows and its blocks,
 every block fill one record that carries its rows, its row counts per label
 and its peel (parts, leftover rows and rank).  A block's records are
@@ -373,7 +377,9 @@ class _Fills:
     the boxes left, from which the tally takes the p // k of the block's own
     rows.  Since the lengths sum to the total, a fill that keeps the slack
     nonnegative ends on exactly the given box counts.  Without box counts
-    the slack is None.
+    the slack is None.  A block is exact when its slack is its rows'
+    excess, sum(slack) == count * (length % k): every fill leaves no box,
+    which holds for the last block of every shape.
     """
 
     def __init__(self, k, sign, *, case="AI", order=1):
@@ -397,18 +403,20 @@ class _Fills:
         `distinguished`, only the diagrams no block of which has a round."""
         # Type II row counts per length are even, so their shapes double the
         # multiplicities of a partition; AI parts are multiples of the order.
-        step = self.unit * self.copies
+        k, unit, copies = self.k, self.unit, self.copies
+        step = unit * copies
+        floor = None if dims is None else min(dims)
+        slack = None
         for shape in partitions(size // step) if size % step == 0 else ():
-            blocks = [
-                (part * self.unit, shape.count(part) * self.copies)
-                for part in sorted(set(shape), reverse=True)
-            ]
-            slack = None
             if dims is not None:
-                even = sum(count * (length // self.k) for length, count in blocks)
-                slack = tuple(v - even for v in dims)
-                if min(slack) < 0:
+                # the rows' wraps, summed off the parts before any block is built
+                even = 0
+                for part in shape:
+                    even += part * unit // k * copies
+                if even > floor:
                     continue
+                slack = tuple(v - even for v in dims)
+            blocks = [(part * unit, len(tuple(run)) * copies) for part, run in groupby(shape)]
             yield from self._fill(blocks, 0, slack, (), (), distinguished) if blocks else [((), ())]
 
     def count(self, dims, sizes, distinguished=False):
@@ -476,7 +484,8 @@ class _Fills:
                         rows += ((length, s),) * c
                 out.append((rows, counts, rest, *_peel_block(rows, counts, unit, per)))
 
-            self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep)
+            exact = slack is not None and sum(slack) == count * (length % self.k)
+            self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep, exact)
         return out
 
     def _tally(self, length, most, slack, distinguished, exact=False):
@@ -489,28 +498,17 @@ class _Fills:
         form of `_peel_block`'s rule, tested against the records' peel.
         Every row also takes length // k boxes of each label.  With `exact`
         only the fills that leave no box count: they have the total slack
-        over the length rows, so a label that no later orbit takes excess
-        from must already be left with those rows' length // k boxes."""
+        over the length rows, so a label an orbit closes (`_orbits`) must be
+        left with those rows' length // k boxes once that orbit is placed."""
         wraps = length // self.k
-        orbits = self._orbits(length)
         if slack is not None and wraps:
             most = min(most, min(slack) // wraps)
-        # per orbit, the labels whose slack is final once it is placed: with
-        # `exact`, those it is the last orbit to take excess from, and at the
-        # first orbit those no orbit takes excess from
-        closed: list = [[] for _ in orbits]
         if exact:
             most, extra = divmod(sum(slack), length)
             if extra:
                 return {}
-            last = dict.fromkeys(range(self.k), 0)
-            for j, orbit in enumerate(orbits):
-                for i, _ in orbit[3]:
-                    last[i] = j
-            for i, j in last.items():
-                closed[j].append(i)
         states = {(0, slack, 0): 1}
-        for (labels, per, width, excess), done in zip(orbits, closed):
+        for labels, per, width, excess, closed in self._orbits(length):
             below = 0
             if distinguished:
                 for start in labels:
@@ -520,7 +518,8 @@ class _Fills:
                 top = (most - rows) // width
                 if left is not None:
                     for i, e in excess:
-                        top = min(top, left[i] // e)
+                        if left[i] < top * e:
+                            top = left[i] // e
                 for t in range(top + 1):
                     rest = left
                     if left is not None and t and excess:
@@ -528,7 +527,7 @@ class _Fills:
                         for i, e in excess:
                             rest[i] -= t * e
                         rest = tuple(rest)
-                    if done and any(rest[i] != most * wraps for i in done):
+                    if exact and any(rest[i] != most * wraps for i, _ in closed):
                         continue
                     held = mask | below if per * t < self.copies else mask
                     after[rows + width * t, rest, held] += ways
@@ -536,21 +535,25 @@ class _Fills:
         full = (1 << self.classes) - 1 if distinguished else 0
         tally: dict = defaultdict(int)
         for (rows, left, mask), ways in states.items():
-            if mask != full or exact and rows != most:
+            if mask != full:
                 continue
             if left is not None and wraps:
                 left = tuple(v - rows * wraps for v in left)
                 if min(left) < 0:
                     continue
+            if exact and any(left):
+                continue
             tally[rows, left] += ways
         return tally
 
     def _orbits(self, length):
         """The start labels whose row counts the case ties together, by
         smallest label, each with its rows per label and in all for one
-        unit, and that unit's excess boxes as (label index, boxes) pairs.
-        The labels are tied by `row_partners`, and both depend on the length
-        only mod k: memoized per length % k."""
+        unit, that unit's excess boxes as (label index, boxes) pairs, and
+        the pairs of the labels it closes: a label is closed at the last
+        orbit that takes excess from it, so its slack is final once that
+        orbit is placed.  The labels are tied by `row_partners`, and all of
+        it depends on the length only mod k: memoized per length % k."""
         k = self.k
         if length % k in self.orbits:
             return self.orbits[length % k]
@@ -558,6 +561,7 @@ class _Fills:
         step = 1 if self.sign == MINUS else -1
         orbits = []
         seen = set()
+        last: dict = {}
         for a in range(1, k + 1):
             if a in seen:
                 continue
@@ -569,27 +573,39 @@ class _Fills:
                 for t in range(length % k):
                     i = (start - 1 + step * t) % k
                     excess[i] = excess.get(i, 0) + per
-            orbits.append((labels, per, per * len(labels), list(excess.items())))
+            for i, e in excess.items():
+                last[i] = len(orbits), e
+            orbits.append((labels, per, per * len(labels), list(excess.items()), []))
+        for i, (j, e) in last.items():
+            orbits[j][4].append((i, e))
         self.orbits[length % k] = orbits
         return orbits
 
-    def _vectors(self, orbits, j, left, counts, slack, keep):
+    def _vectors(self, orbits, j, left, counts, slack, keep, exact):
         """Set the counts of orbit j and on, largest first, to place the
         `left` rows still due, and call keep(counts, slack after) on every
-        fill; the counts list is reused."""
-        labels, per, width, excess = orbits[j]
-        last = j == len(orbits) - 1
+        fill; the counts list is reused.  The last orbit takes every row
+        still due, settled in the frame of the orbit before it.  In an
+        `exact` block (see `_Fills`) every fill leaves no box, so an orbit
+        that closes a label takes the one count that empties it."""
+        labels, per, width, excess, closed = orbits[j]
+        end = len(orbits) - 1
         top = left // width
         if slack is not None:
             for i, e in excess:
-                top = min(top, slack[i] // e)
-        if last:
-            # the last orbit takes every row still due
-            if left % width or left // width > top:
-                return
-            choices = (left // width,)
+                if slack[i] < top * e:
+                    top = slack[i] // e
+        if j == end:  # a block of one orbit
+            choices = (top,) if top * width == left else ()
+        elif exact and closed:
+            for i, e in closed:
+                if slack[i] != top * e:
+                    return
+            choices = (top,)
         else:
             choices = range(top, -1, -1)
+        if j + 1 == end:
+            labels_end, per_end, width_end, excess_end, _ = orbits[end]
         for t in choices:
             for start in labels:
                 counts[start - 1] = per * t
@@ -599,10 +615,23 @@ class _Fills:
                 for i, e in excess:
                     rest[i] -= t * e
                 rest = tuple(rest)
-            if not last:
-                self._vectors(orbits, j + 1, left - width * t, counts, rest, keep)
-            else:
-                keep(counts, rest)
+            if j + 1 < end:
+                self._vectors(orbits, j + 1, left - width * t, counts, rest, keep, exact)
+                continue
+            if j < end:
+                u, extra = divmod(left - width * t, width_end)
+                if extra:
+                    continue
+                if rest is not None and u and excess_end:
+                    rest = list(rest)
+                    for i, e in excess_end:
+                        rest[i] -= u * e
+                    if min(rest) < 0:
+                        continue
+                    rest = tuple(rest)
+                for start in labels_end:
+                    counts[start - 1] = per_end * u
+            keep(counts, rest)
 
 
 def iter_diagrams(

@@ -304,6 +304,109 @@ def test_block_records_carry_the_peel_of_their_block(k, sign, case):
     assert checked
 
 
+def reference_vectors(orbits, j, left, counts, slack, keep):
+    """The reference for `_Fills._vectors`: one frame per orbit, each
+    trying every count from the largest down, the last orbit in a frame of
+    its own, and no rule for the blocks that must leave no box."""
+    labels, per, width, excess = orbits[j][:4]
+    last = j == len(orbits) - 1
+    top = left // width
+    if slack is not None:
+        for i, e in excess:
+            top = min(top, slack[i] // e)
+    if last:
+        if left % width or left // width > top:
+            return
+        choices = (left // width,)
+    else:
+        choices = range(top, -1, -1)
+    for t in choices:
+        for start in labels:
+            counts[start - 1] = per * t
+        rest = slack
+        if slack is not None and t and excess:
+            rest = list(slack)
+            for i, e in excess:
+                rest[i] -= t * e
+            rest = tuple(rest)
+        if not last:
+            reference_vectors(orbits, j + 1, left - width * t, counts, rest, keep)
+        else:
+            keep(counts, rest)
+
+
+def reference_fills(fills, length, count, slack):
+    """Every fill of one block as (rows, row counts, slack after), in the
+    order of `reference_vectors`."""
+    out = []
+
+    def keep(counts, rest):
+        rows = tuple((length, s) for s, c in enumerate(counts, 1) for _ in range(c))
+        out.append((rows, tuple(counts), rest))
+
+    reference_vectors(fills._orbits(length), 0, count, [0] * fills.k, slack, keep)
+    return out
+
+
+@pytest.fixture(scope="module")
+def walked_fills():
+    """One `_Fills` per rule, with every block key its walks build: by size
+    and by every box-count vector of that size.  AI: m <= 5, both signs,
+    orders a <= 4, N <= 8; AII at m0 in {1, 3, 5}, CII and DII at m in
+    {2, 4, 6}, N <= 10, which hold self-paired orbits (two rows a unit)."""
+    rules = [(m, sign, "AI", a, 8) for m in range(1, 6) for sign in "+-" for a in range(1, 5)]
+    rules += [(m, sign, "AII", 1, 10) for m in (1, 3, 5) for sign in "+-"]
+    rules += [(m, sign, case, 1, 10) for case in ("CII", "DII") for m in (2, 4, 6) for sign in "+-"]
+    made = []
+    for m, sign, case, a, top in rules:
+        fills = _Fills(m, sign, case=case, order=a)
+        for size in range(top + 1):
+            for _ in fills.walk(None, size):
+                pass
+            for dims in compositions(size, m):
+                for _ in fills.walk(dims, size):
+                    pass
+        assert fills.fills, (m, sign, case, a)
+        made.append(fills)
+    return made
+
+
+def test_block_fills_are_the_reference_fills(walked_fills):
+    # The walk's fills of every block key, with the last orbit settled in
+    # its parent's frame and the exact rule, are the reference's, list for
+    # list: the same rows and row counts in the same order, with the same
+    # slack after.
+    checked = 0
+    for fills in walked_fills:
+        for (length, count, slack), records in fills.fills.items():
+            got = [(rows, counts, rest) for rows, counts, rest, *_ in records]
+            assert got == reference_fills(fills, length, count, slack), (fills.k, length, count)
+            checked += 1
+    assert checked > 100_000
+
+
+def test_exact_blocks_leave_no_box_and_match_the_exact_tally(walked_fills):
+    # A block whose slack is the excess of its rows, sum(slack) == count *
+    # (length % k), leaves no box in any fill, and has as many fills, or
+    # distinguished fills, as the count's exact tally: that tally takes the
+    # boxes left with the block's own wraps, length // k per row and label.
+    exact = 0
+    for fills in walked_fills:
+        k = fills.k
+        for (length, count, slack), records in fills.fills.items():
+            if slack is None or sum(slack) != count * (length % k):
+                continue
+            assert all(rest == (0,) * k for _, _, rest, *_ in records), (k, length, slack)
+            boxes = tuple(v + count * (length // k) for v in slack)
+            for distinguished in (False, True):
+                kept = [r for r in records if not distinguished or r[4] is r[0]]
+                tally = fills._tally(length, 0, boxes, distinguished, exact=True)
+                assert sum(tally.values()) == len(kept), (k, length, count, slack)
+                assert set(tally) <= {(count, (0,) * k)}, tally
+            exact += 1
+    assert exact > 50_000
+
+
 def test_count_tallies_each_block_once_without_enumerating(monkeypatch):
     # A table counts every size from one run of the dynamic program: no
     # block is enumerated, and no block is tallied twice for one slack.

@@ -754,10 +754,10 @@ def test_verify_bijection_fills_each_block_once(monkeypatch, case, dims):
         block[:] = [length]
         return real_block(self, length, count, slack)
 
-    def vectors(self, orbits, j, left, counts, slack, keep):
+    def vectors(self, orbits, j, left, counts, slack, *args):
         if j == 0:
             runs.append((block[0], left, slack))
-        return real_vectors(self, orbits, j, left, counts, slack, keep)
+        return real_vectors(self, orbits, j, left, counts, slack, *args)
 
     monkeypatch.setattr(_Fills, "__init__", init)
     monkeypatch.setattr(_Fills, "_block", fill_block)
