@@ -7,15 +7,12 @@ serves both of the oracle's jobs.  Its equations are read straight off the
 diagram's rows (`_string_entries`); dense 0/1 blocks are built only by
 `build_representative`, for `distinguished --dump-matrices` and the tests.
 x has at most one 1 in each row and each column, so at every degree of z
-each equation sets two cells of z equal or one cell zero, and one
-union-find pass over the cells, each known by its number (`_cell_roots`),
-gives each cell's component.  A component with no zero cell is a live one,
-one element of that degree's centralizer 0/1 basis.  At degree 0 the live
-components count the block-diagonal centralizer dimension
-(`centralizer_dim_gl`).  At degree -(deg x), on the diagram's own string,
-distinguishedness is decided on the m-step cycle product at a smallest
-label by a reachability walk of its coordinates through the live cells
-(`_reaches_nothing`), certain both ways (see `is_distinguished_oracle`).
+each equation sets two cells of z equal or one cell zero.  A component of
+equal cells with no zero cell is a live one, one element of that degree's
+centralizer 0/1 basis.  At degree 0 a union-find pass over the cells
+(`_cell_roots`) counts the live components (`centralizer_dim_gl`).  At
+degree -(deg x), `is_distinguished_oracle` walks through the live cells,
+each read off the two ends of its diagonal of equal cells.
 
 The library's orbit and stratum dimensions come from the closed form in
 `orbits` (`centralizer_dim`, `orbit_dim`, `stratum_dim_ai`), which counts
@@ -23,19 +20,18 @@ pairs of rows; the component count here (`centralizer_dim_gl`) is the
 independent reference that the tests compare them against.
 
 Everything is exact: no floating point is used, no `Fraction` is formed and
-no system is eliminated.  The fraction-free elimination of the same systems
-is the tests' reference for the union-find.
+no system is eliminated.  The tests' references are the fraction-free
+elimination of the same systems and, for the end rule, the union-find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagrams import FilledDiagram, PLUS
 from .orbits import GradingSpec
 
-Matrix = tuple[tuple[int | Fraction, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def _zero_blocks(dims, degree: int) -> list[list[list[int]]]:
@@ -166,32 +162,19 @@ def centralizer_dim_gl(diagram: FilledDiagram) -> int:
     return len({find(k) for k in range(base[-1])} - dead)
 
 
-def _reaches_nothing(base, find, dead, dims, z_degree: int, start: int) -> bool:
-    """Whether every word in the basis blocks of the centralizer at degree
-    d = `z_degree` kills the label-s summand V_s, s = `start`, walked over
-    `_cell_roots`' live cells.  A basis element is one live component, and
-    each equation joins two cells whose columns are consecutive boxes of one
-    string, so it has at most one cell, a 1, in each (block, column): it
-    maps each coordinate vector to one or to 0.  So the words of length t
-    map V_s into the span of a set R_t of coordinates of V_{s-td}: R_0 is
-    every coordinate of V_s, and R_{t+1} the rows r of the live cells
-    (s - td, r, c) with c in R_t.  The walk stops with True on the empty
-    set and with False on a round of m steps that keeps its size;
-    `is_distinguished_oracle` proves both verdicts."""
-    m = len(dims)
-    reach = range(dims[start])
-    i = start
-    while True:
-        before = len(reach)
-        for _ in range(m):
-            n, b = dims[i], base[i]
-            rows = range(dims[(i - z_degree) % m])
-            reach = {r for c in reach for r in rows if find(b + r * n + c) not in dead}
-            if not reach:
-                return True
-            i = (i - z_degree) % m
-        if len(reach) == before:
-            return False
+def _box_positions(diagram: FilledDiagram):
+    """The degree of the diagram's string x and each label's boxes, in
+    `_string_entries`' numbering, as (above, rest) pairs: above boxes come
+    before the box in its row, and rest is its row's length minus above."""
+    m = diagram.modulus
+    degree = 1 if diagram.sign == PLUS else -1
+    boxes = [[] for _ in range(m)]
+    for length, start in diagram.rows:
+        i = start - 1
+        for above in range(length):
+            boxes[i].append((above, length - above))
+            i = (i - degree) % m
+    return degree, boxes
 
 
 def is_distinguished_oracle(diagram: FilledDiagram) -> bool:
@@ -201,26 +184,53 @@ def is_distinguished_oracle(diagram: FilledDiagram) -> bool:
     transpose of the '-' one, up to a permutation inside each label, so a
     dual pair gets one verdict.
 
-    Works on that centralizer's 0/1 basis, read off its equations by
-    union-find (`_cell_roots`).  As y has pure degree, y^m is block
-    diagonal with the cycle products of its blocks, which share their
-    nonzero eigenvalues; so only the d x d cycle product at a label s of
-    smallest dimension d is tested, and with d = 0 the verdict True is
-    certain.  Otherwise the reachability walk `_reaches_nothing` decides,
-    both ways.  When its set empties, every word of some length t in the
-    basis blocks kills V_s, so every combination y has a nilpotent cycle
-    product at s: True is certain.  For False, let y_1 be the sum of the
+    Works on that centralizer's 0/1 basis, its live components.  A cell
+    (c -> t) of y maps box c at label i to box t at label i + e.  Entry (r,
+    c) of x y = y x reads y[c -> pred r] = y[succ c -> r], or, with pred r
+    or succ c missing, sets the other cell zero.  So each component is a
+    diagonal (c -> t), (succ c -> succ t), ..., which keeps above(t) -
+    above(c) and rest(c) - rest(t), and a zero lands only on its first
+    cell, when t opens its row and c does not, or on its last, when c
+    closes its row and t does not.  So (c -> t) is live exactly when
+    above(c) <= above(t) and rest(t) <= rest(c) (`_box_positions`).
+
+    As y has pure degree, y^m is block diagonal with the cycle products of
+    its blocks, which share their nonzero eigenvalues; so only the d x d
+    cycle product at a label s of smallest dimension d is tested, and with
+    d = 0 the verdict True is certain.  Otherwise a walk decides, both
+    ways.  A basis element has at most one cell, a 1, in each (block,
+    column), so the words of length t map V_s into the span of a set R_t of
+    coordinates of V_{s+te}: R_0 is every coordinate of V_s, R_{t+1} the
+    boxes b with a live cell (c -> b) for some c in R_t.  When the set
+    empties, every word of some length t in the basis kills V_s, so every y
+    has a nilpotent cycle product at s: True is certain.  A round of m steps
+    that keeps the set's size gives False.  Let y_1 be the sum of the
     basis.  Each live cell is a 1 in exactly one basis element, so y_1 is
     the 0/1 matrix of the live cells, and it commutes with x.  y_1 has no
-    negative entry, so its images have no cancellation: the walk's set R_t
-    is the support of y_1^t applied to the all-ones vector of V_s.  The
-    support of an image grows with the support it comes from, so
-    R_{(k+1)m} lies in R_{km}, and a round that keeps the size keeps the
-    set for good.  Then P_1^k is nonzero for every k, P_1 the cycle product
-    of y_1 at s: y_1 is a non-nilpotent witness, and False is certain too.
+    negative entry, so its images have no cancellation: R_t is the support
+    of y_1^t applied to the all-ones vector of V_s.  The support of an image
+    grows with the support it comes from, so R_{(k+1)m} lies in R_{km}, and
+    a round that keeps the size keeps the set for good.  Then P_1^k is
+    nonzero for every k, P_1 the cycle product of y_1 at s: y_1 is a
+    non-nilpotent witness, and False is certain too.
     """
-    degree, entries, dims = _string_entries(diagram)
-    d = min(dims)
-    return d == 0 or _reaches_nothing(
-        *_cell_roots(degree, entries, dims, -degree), dims, -degree, dims.index(d)
-    )
+    degree, boxes = _box_positions(diagram)
+    reach = min(boxes, key=len)
+    if not reach:
+        return True
+    i, m = boxes.index(reach), len(boxes)
+    while True:
+        before = len(reach)
+        for _ in range(m):
+            i = (i + degree) % m
+            step = []
+            for above, rest in boxes[i]:
+                for a, r in reach:
+                    if a <= above and rest <= r:
+                        step.append((above, rest))
+                        break
+            reach = step
+            if not reach:
+                return True
+        if len(reach) == before:
+            return False

@@ -6,6 +6,9 @@ The check parses the sources instead of importing them, because importing
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -367,3 +370,17 @@ def test_detects_round_rule_uses():
     clean = "from .diagrams import _fold, _peel\ng = _fold(rows, blocks, 1)[0]\n"
     assert name_uses(ast.parse(clean), ROUND_RULE) == []
     assert name_uses(ast.parse((SRC / "diagrams.py").read_text()), ROUND_RULE)
+
+
+def test_cli_start_loads_no_fractions_or_decimal():
+    """Starting the CLI loads neither `fractions` nor `decimal`, which
+    `fractions` imports, beyond what a bare interpreter has: the library's
+    arithmetic is in ints, and no source module imports either."""
+    code = (
+        "import sys; bare = set(sys.modules)\n"
+        "import gradedorbits.cli; gradedorbits.cli.build_parser()\n"
+        "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - bare)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gradedorbits import oracle
 from gradedorbits.diagrams import (
     canonicalize,
     dimension_vector,
@@ -24,8 +25,8 @@ from gradedorbits.orbits import (
 )
 from gradedorbits.oracle import (
     GradedMatrix,
+    _box_positions,
     _cell_roots,
-    _reaches_nothing,
     _string_entries,
     _zero_blocks,
     build_representative,
@@ -155,6 +156,53 @@ def cell_roots(degree: int, entries, dims, z_degree: int):
     return cells, [find(k) for k in range(len(cells))], dead
 
 
+def _reaches_nothing(base, find, dead, dims, z_degree: int, start: int) -> bool:
+    """The oracle's set walk over `_cell_roots`' live cells, the reference
+    of its end rule: whether every word in the basis blocks of the
+    centralizer at degree d = `z_degree` kills the label-s summand V_s,
+    s = `start`.  R_0 is every coordinate of V_s, and R_{t+1} the rows r of
+    the live cells (s - td, r, c) with c in R_t; the walk stops with True
+    on the empty set and with False on a round of m steps that keeps its
+    size."""
+    m = len(dims)
+    reach = range(dims[start])
+    i = start
+    while True:
+        before = len(reach)
+        for _ in range(m):
+            n, b = dims[i], base[i]
+            rows = range(dims[(i - z_degree) % m])
+            reach = {r for c in reach for r in rows if find(b + r * n + c) not in dead}
+            if not reach:
+                return True
+            i = (i - z_degree) % m
+        if len(reach) == before:
+            return False
+
+
+def root_live_cells(lam):
+    """The cells (i, r, c) of the centralizer at the opposite degree whose
+    `_cell_roots` component holds no zero cell."""
+    degree, entries, dims = _string_entries(lam)
+    cells, roots, dead = cell_roots(degree, entries, dims, -degree)
+    return {cell for cell, root in zip(cells, roots) if root not in dead}
+
+
+def rule_live_cells(lam):
+    """The same cells by the oracle's end rule: (c -> t) from box c at
+    label i to box t at label i + e is live when above(c) <= above(t) and
+    rest(t) <= rest(c)."""
+    degree, boxes = _box_positions(lam)
+    m = len(boxes)
+    return {
+        (i, r, c)
+        for i in range(m)
+        for c, (above_c, rest_c) in enumerate(boxes[i])
+        for r, (above_t, rest_t) in enumerate(boxes[(i + degree) % m])
+        if above_c <= above_t and rest_t <= rest_c
+    }
+
+
 def _commutator_rows(x: GradedMatrix, degree: int):
     """`_commutator_system` for the nonzero entries of x's blocks."""
     entries = [
@@ -226,7 +274,7 @@ def _words_kill(elements, dims, start: int, degree: int = -1) -> bool:
     most d rounds, m d steps.  On one element y,
     W_{(k+1)m} = P W_{km} with P y's cycle product at s, so the walk decides
     exactly whether P is nilpotent.  On the basis it is the span reference
-    of the oracle's set walk `_reaches_nothing`."""
+    of the oracle's set walk, and of the union-find walk `_reaches_nothing`."""
     m = len(dims)
     # by_label[i]: each element's (row, column, value) cells in its block
     # at label i, for the elements with any
@@ -780,6 +828,24 @@ def test_nil_certificate_holds_exactly_on_distinguished_diagrams():
     assert checked == 6736
 
 
+def test_end_rule_gives_the_union_find_live_cells():
+    """The oracle reads each cell as live or dead off the two ends of its
+    diagonal; the union-find over every cell is its reference, cell by
+    cell, with y of degree -e mapping label i to label i + e."""
+    checked = 0
+    for lam in small_ai_diagrams(4, 7):
+        degree, boxes = _box_positions(lam)
+        x_degree, entries, dims = _string_entries(lam)
+        assert degree == x_degree and tuple(map(len, boxes)) == dims, lam
+        # x maps box c at label i to box r at label i - e, one step down its row
+        for i, r, c, _ in entries:
+            above, rest = boxes[i][c]
+            assert boxes[(i - degree) % len(dims)][r] == (above + 1, rest - 1), lam
+        assert rule_live_cells(lam) == root_live_cells(lam), lam
+        checked += 1
+    assert checked == 6736
+
+
 def test_reachability_certificate_is_the_span_walk_on_the_basis():
     """The oracle's certificate walks sets of coordinates through the live
     cells; the span walk on the basis is its reference.  The set walk is
@@ -788,32 +854,57 @@ def test_reachability_certificate_is_the_span_walk_on_the_basis():
     checked = 0
     for lam in small_ai_diagrams(4, 7):
         degree, entries, dims = _string_entries(lam)
-        found = _cell_roots(degree, entries, dims, -degree)
         basis = _opposite_basis(*cell_roots(degree, entries, dims, -degree))
         for element in basis:
             columns = [(i, c) for (i, _, c), _ in element]
             assert len(columns) == len(set(columns)), lam
         start = dims.index(min(dims))
-        walked = _reaches_nothing(*found, dims, -degree, start)
-        assert walked == _words_kill(basis, dims, start, -degree), lam
+        assert is_distinguished_oracle(lam) == _words_kill(basis, dims, start, -degree), lam
         checked += 1
     assert checked == 6736
 
 
+class _Reads(list):
+    """A list that records the indexes read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def test_oracle_walks_in_the_direction_of_y(monkeypatch):
+    """y of degree -e maps label i to label i + e, so the walk reads labels
+    s + e, s + 2e, ...  A walk stepping i -> i - e gives the same verdicts,
+    as a dual pair gets one verdict, but tests the other centralizer."""
+    stepped = 0
+    for lam in small_ai_diagrams(4, 6):
+        degree, boxes = _box_positions(lam)
+        m, reads = len(boxes), _Reads(boxes)
+        monkeypatch.setattr(oracle, "_box_positions", lambda _: (degree, reads))
+        is_distinguished_oracle(lam)
+        monkeypatch.undo()
+        start = boxes.index(min(boxes, key=len))
+        assert reads.read == [(start + t * degree) % m for t in range(1, len(reads.read) + 1)], lam
+        stepped += m > 2 and bool(reads.read)
+    assert stepped == 1272
+
+
 def test_every_false_verdict_has_a_non_nilpotent_witness():
-    """Where the walk keeps a nonempty set, the sum y_1 of the basis, the
-    0/1 matrix of the live cells, commutes with x and is not nilpotent by
-    the trace kernel, a reference independent of the walk."""
+    """Where the oracle's walk keeps a nonempty set, y_1, the 0/1 matrix of
+    the end rule's live cells, commutes with x and is not nilpotent by the
+    trace kernel, a reference independent of the walk."""
     witnessed = 0
     for lam in small_ai_diagrams(4, 7):
-        degree, entries, dims = _string_entries(lam)
-        found = _cell_roots(degree, entries, dims, -degree)
-        if min(dims) == 0 or _reaches_nothing(*found, dims, -degree, dims.index(min(dims))):
+        if is_distinguished_oracle(lam):
             continue
+        degree, _, dims = _string_entries(lam)
         blocks = _zero_blocks(dims, -degree)
-        for element in _opposite_basis(*cell_roots(degree, entries, dims, -degree)):
-            for (i, r, c), v in element:
-                blocks[i][r][c] += v
+        for i, r, c in rule_live_cells(lam):
+            blocks[i][r][c] = 1
         grading = GradingSpec("AI", len(dims), dims)
         y = full_matrix(GradedMatrix(grading, -degree, tuple(tuple(map(tuple, b)) for b in blocks)))
         x = full_matrix(build_representative(lam))
@@ -882,14 +973,13 @@ def test_nil_certificate_stops_within_m_rounds_per_dimension(monkeypatch):
 
 
 def test_oracle_agrees_with_predicate_beyond_n_nine():
+    checked = 0
     for k in (1, 2, 3):
         for size in (10, 11, 12):
-            found = {True: 0, False: 0}
             for lam in enumerate_by_size(k, "-", size):
-                want = is_distinguished_ai(lam, 1)
-                if found[want] < 2:
-                    found[want] += 1
-                    assert is_distinguished_oracle(lam) == want, lam
+                assert is_distinguished_oracle(lam) == is_distinguished_ai(lam, 1), lam
+                checked += 1
+    assert checked == 17680
 
 
 def reference_oracle(diagram, trials=20, seed=0):
@@ -962,18 +1052,29 @@ def test_dense_stratum_dimension():
 
 
 @st.composite
-def small_diagrams(draw):
-    """A diagram of either sign with modulus <= 4 and at most 8 boxes, built
-    row by row."""
-    m = draw(st.integers(1, 4))
+def small_diagrams(draw, max_m=4, max_size=8):
+    """A diagram of either sign with modulus <= `max_m` and at most
+    `max_size` boxes, built row by row."""
+    m = draw(st.integers(1, max_m))
     sign = draw(st.sampled_from(["+", "-"]))
-    room = draw(st.integers(0, 8))
+    room = draw(st.integers(0, max_size))
     rows = []
     while room:
         length = draw(st.integers(1, room))
         rows.append((length, draw(st.integers(1, m))))
         room -= length
     return canonicalize(rows, m, sign)
+
+
+@given(small_diagrams(8, 16))
+def test_end_rule_walk_matches_the_union_find_walk(lam):
+    """On random diagrams past the exhaustive range, the oracle's verdict
+    is the union-find walk's, and its live cells are the union-find's."""
+    degree, entries, dims = _string_entries(lam)
+    start = dims.index(min(dims))
+    found = _cell_roots(degree, entries, dims, -degree)
+    assert is_distinguished_oracle(lam) == _reaches_nothing(*found, dims, -degree, start)
+    assert rule_live_cells(lam) == root_live_cells(lam)
 
 
 @given(small_diagrams())
