@@ -26,9 +26,9 @@ from .diagrams import (
 from .orbits import (
     CASES,
     GradingSpec,
+    centralizer_dim,
     component_group_order,
     duality,
-    orbit_dim,
     orbit_listing,
 )
 from .oracle import build_representative, is_distinguished_oracle
@@ -236,9 +236,11 @@ def cmd_orbits(args) -> int:
     grading = _grading_from_args(args)
     if grading.case == "AI":
         header = ["diagram", "d_lambda", "distinguished", "orbit_dim"]
+        # `orbit_dim`, with the box counts every listed diagram has
+        squares = sum(v * v for v in grading.dims)
 
         def describe(lam, g, plain):
-            return lam, g, plain, orbit_dim(lam)
+            return lam, g, plain, squares - centralizer_dim(lam)
     else:
         header = ["diagram", "component_group", "distinguished"]
 

@@ -24,7 +24,7 @@ diagrams are built, and with box counts given the core prunes by the boxes
 each label has left: a shape whose rows' wraps exceed a box count is
 skipped before its blocks are built, and in a block that must use every box
 it is given, as the last of each shape must, an orbit that closes a label
-(`_Fills._orbits`) takes the one count that empties it.  `enumerate_diagrams`
+(`_block_orbits`) takes the one count that empties it.  `enumerate_diagrams`
 and `enumerate_by_size` list it.
 The core's one walk hands out each diagram as its rows and its blocks,
 every block fill one record that carries its rows, its row counts per label
@@ -357,18 +357,53 @@ def _unpeeled(blocks, a):
     return all(_peel_block(rows, counts, a, 1)[1] is rows for rows, counts, _, _, _, _ in blocks)
 
 
+@cache
+def _block_orbits(case, sign, k, residue):
+    """The orbits of start labels whose row counts the case ties together
+    in a block of rows of length = residue mod k, by smallest label, each
+    as (labels, rows per label and in all for one unit, that unit's excess
+    boxes as (label index, boxes) pairs, the pairs of the labels it
+    closes): a label is closed at the last orbit that takes excess from
+    it, so its slack is final once that orbit is placed.  The labels are
+    tied by `row_partners`, which reads the length only mod k.  Tuples all
+    through, since every `_Fills` of the rule shares them."""
+    partners = row_partners(case, k, residue)
+    step = 1 if sign == MINUS else -1
+    orbits = []
+    seen = set()
+    last: dict = {}
+    for a in range(1, k + 1):
+        if a in seen:
+            continue
+        b = partners[a - 1]
+        seen.update((a, b))
+        labels, per = ((a,), 1 + (case != "AI")) if a == b else ((a, b), 1)
+        excess: dict = {}
+        for start in labels:
+            for t in range(residue):
+                i = (start - 1 + step * t) % k
+                excess[i] = excess.get(i, 0) + per
+        for i, e in excess.items():
+            last[i] = len(orbits), e
+        orbits.append((labels, per, per * len(labels), tuple(excess.items()), []))
+    for i, (j, e) in last.items():
+        orbits[j][4].append((i, e))
+    return tuple((*orbit[:4], tuple(orbit[4])) for orbit in orbits)
+
+
 class _Fills:
     """The fills of one rule, the keyword arguments of `iter_diagrams` but
     `distinguished`, for any box counts or size, with every part a multiple
     of the order: `walk` gives each diagram's rows and blocks and `count`
     their number at each of several sizes, both over every fill or only the
-    distinguished ones.  The walk's memos live as long as the object, so
+    distinguished ones.  The walk's fills live as long as the object, so
     every walk on one object shares one run of `_vectors` per block: each
     fill is one record carrying its rows and its peel at the order, and the
     distinguished fills of a block are its records with no round.  The count
     enumerates no fill: it tallies each block per orbit (`_tally`), and one
     forward pass over the blocks serves every size; its tallies last one
-    call.
+    call.  A block's orbits of start labels come from `_block_orbits`, one
+    memo for every object.
 
     A row of length p takes p // k boxes of each label and p % k excess
     boxes.  With box counts given, `slack` is, per label, the boxes the
@@ -393,7 +428,6 @@ class _Fills:
         self.unit = order
         self.copies = 1 if case == "AI" else 2
         self.classes = gcd(order, k)
-        self.orbits: dict = {}
         self.fills: dict = {}
 
     def walk(self, dims, size, distinguished=False):
@@ -485,7 +519,8 @@ class _Fills:
                 out.append((rows, counts, rest, *_peel_block(rows, counts, unit, per)))
 
             exact = slack is not None and sum(slack) == count * (length % self.k)
-            self._vectors(self._orbits(length), 0, count, [0] * self.k, slack, keep, exact)
+            orbits = _block_orbits(self.case, self.sign, self.k, length % self.k)
+            self._vectors(orbits, 0, count, [0] * self.k, slack, keep, exact)
         return out
 
     def _tally(self, length, most, slack, distinguished, exact=False):
@@ -498,8 +533,9 @@ class _Fills:
         form of `_peel_block`'s rule, tested against the records' peel.
         Every row also takes length // k boxes of each label.  With `exact`
         only the fills that leave no box count: they have the total slack
-        over the length rows, so a label an orbit closes (`_orbits`) must be
-        left with those rows' length // k boxes once that orbit is placed."""
+        over the length rows, so a label an orbit closes (`_block_orbits`)
+        must be left with those rows' length // k boxes once that orbit is
+        placed."""
         wraps = length // self.k
         if slack is not None and wraps:
             most = min(most, min(slack) // wraps)
@@ -508,7 +544,8 @@ class _Fills:
             if extra:
                 return {}
         states = {(0, slack, 0): 1}
-        for labels, per, width, excess, closed in self._orbits(length):
+        orbits = _block_orbits(self.case, self.sign, self.k, length % self.k)
+        for labels, per, width, excess, closed in orbits:
             below = 0
             if distinguished:
                 for start in labels:
@@ -546,56 +583,21 @@ class _Fills:
             tally[rows, left] += ways
         return tally
 
-    def _orbits(self, length):
-        """The start labels whose row counts the case ties together, by
-        smallest label, each with its rows per label and in all for one
-        unit, that unit's excess boxes as (label index, boxes) pairs, and
-        the pairs of the labels it closes: a label is closed at the last
-        orbit that takes excess from it, so its slack is final once that
-        orbit is placed.  The labels are tied by `row_partners`, and all of
-        it depends on the length only mod k: memoized per length % k."""
-        k = self.k
-        if length % k in self.orbits:
-            return self.orbits[length % k]
-        partners = row_partners(self.case, k, length)
-        step = 1 if self.sign == MINUS else -1
-        orbits = []
-        seen = set()
-        last: dict = {}
-        for a in range(1, k + 1):
-            if a in seen:
-                continue
-            b = partners[a - 1]
-            seen.update((a, b))
-            labels, per = ((a,), 1 + (self.case != "AI")) if a == b else ((a, b), 1)
-            excess: dict = {}
-            for start in labels:
-                for t in range(length % k):
-                    i = (start - 1 + step * t) % k
-                    excess[i] = excess.get(i, 0) + per
-            for i, e in excess.items():
-                last[i] = len(orbits), e
-            orbits.append((labels, per, per * len(labels), list(excess.items()), []))
-        for i, (j, e) in last.items():
-            orbits[j][4].append((i, e))
-        self.orbits[length % k] = orbits
-        return orbits
-
     def _vectors(self, orbits, j, left, counts, slack, keep, exact):
         """Set the counts of orbit j and on, largest first, to place the
         `left` rows still due, and call keep(counts, slack after) on every
         fill; the counts list is reused.  The last orbit takes every row
-        still due, settled in the frame of the orbit before it.  In an
-        `exact` block (see `_Fills`) every fill leaves no box, so an orbit
-        that closes a label takes the one count that empties it."""
+        still due, when the slack holds them.  In an `exact` block (see
+        `_Fills`) every fill leaves no box, so an orbit that closes a label
+        takes the one count that empties it."""
         labels, per, width, excess, closed = orbits[j]
-        end = len(orbits) - 1
+        last = j + 1 == len(orbits)
         top = left // width
         if slack is not None:
             for i, e in excess:
                 if slack[i] < top * e:
                     top = slack[i] // e
-        if j == end:  # a block of one orbit
+        if last:
             choices = (top,) if top * width == left else ()
         elif exact and closed:
             for i, e in closed:
@@ -604,8 +606,6 @@ class _Fills:
             choices = (top,)
         else:
             choices = range(top, -1, -1)
-        if j + 1 == end:
-            labels_end, per_end, width_end, excess_end, _ = orbits[end]
         for t in choices:
             for start in labels:
                 counts[start - 1] = per * t
@@ -615,23 +615,10 @@ class _Fills:
                 for i, e in excess:
                     rest[i] -= t * e
                 rest = tuple(rest)
-            if j + 1 < end:
+            if last:
+                keep(counts, rest)
+            else:
                 self._vectors(orbits, j + 1, left - width * t, counts, rest, keep, exact)
-                continue
-            if j < end:
-                u, extra = divmod(left - width * t, width_end)
-                if extra:
-                    continue
-                if rest is not None and u and excess_end:
-                    rest = list(rest)
-                    for i, e in excess_end:
-                        rest[i] -= u * e
-                    if min(rest) < 0:
-                        continue
-                    rest = tuple(rest)
-                for start in labels_end:
-                    counts[start - 1] = per_end * u
-            keep(counts, rest)
 
 
 def iter_diagrams(

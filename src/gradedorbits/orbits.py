@@ -298,8 +298,9 @@ def _strata(grading: GradingSpec, a: int, fills: _Fills) -> list[tuple]:
     as the distinguished walk of `fills`, the grading's fills at a, streams
     them, its d_check read off the residual's block lengths.  A unit of
     rank pads each label with a / gcd(a, m) boxes for AI and 2 for type II.
-    One `_Fills` serves every rank, so the ranks share its memos.  The zero
-    AI grading carries just the trivial character: no stratum at a > 1."""
+    One `_Fills` serves every rank, so the ranks share its block fills.
+    The zero AI grading carries just the trivial character: no stratum at
+    a > 1."""
     if grading.total == 0 and a > 1:
         return []
     m = grading.modulus

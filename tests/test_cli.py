@@ -392,6 +392,15 @@ def test_too_large_a_modulus_exit_2(run_cli):
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_a_modulus_below_the_recursion_limit_runs(run_cli):
+    # The recursion headroom from below: 900 orbits of start labels still
+    # fit under Python's default limit (on CPython 3.11, 986 do and 987
+    # exit 2).
+    result = run_cli("distinguished", "--case", "AI", "--m", "900", "--N", "1")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+
+
 def test_closed_stdout_exit_2():
     # The read end is closed before the child starts, so its first write to
     # stdout fails with a broken pipe.

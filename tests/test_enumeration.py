@@ -22,6 +22,7 @@ from gradedorbits.diagrams import (
     CASES,
     FilledDiagram,
     _Fills,
+    _block_orbits,
     _built_diagram,
     _fold,
     _gcd_rank,
@@ -34,6 +35,7 @@ from gradedorbits.diagrams import (
     iter_diagrams,
     multipartitions,
     partitions,
+    row_partners,
 )
 from gradedorbits.orbits import (
     admissible_for_case,
@@ -255,14 +257,58 @@ def test_block_tally_is_the_enumerated_tally(k, sign, case):
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("case", CASES)
 def test_block_orbits_depend_on_the_length_mod_k(k, sign, case):
-    # The orbits of start labels, their rows per unit and their excess
-    # boxes read the length only mod k, so `_orbits` memoizes them per
-    # length % k: fresh objects, which share no memo, agree on l and l + k.
+    # `_block_orbits` reads a block's length only mod k.  Its orbits at
+    # l % k, made afresh with no memo, are checked against the full length
+    # l: the labels of an orbit are a start label and its `row_partners`
+    # partner at l, one unit's excess boxes are those of its rows' diagram
+    # less their wraps, and a label is closed by the last orbit with
+    # excess on it.
     if not has_modulus(case, k):
         return
     for length in range(1, 3 * k + 1):
-        orbits = _Fills(k, sign, case=case)._orbits(length)
-        assert orbits == _Fills(k, sign, case=case)._orbits(length + k), length
+        orbits = _block_orbits.__wrapped__(case, sign, k, length % k)
+        partners = row_partners(case, k, length)
+        closer = {}
+        for j, (labels, per, width, excess, _) in enumerate(orbits):
+            a = labels[0]
+            assert set(labels) == {a, partners[a - 1]}, (length, labels)
+            assert per == (2 if case != "AI" and len(labels) == 1 else 1)
+            assert width == per * len(labels)
+            unit = canonicalize([(length, s) for s in labels for _ in range(per)], k, sign)
+            boxes = [v - width * (length // k) for v in dimension_vector(unit)]
+            assert dict(excess) == {i: v for i, v in enumerate(boxes) if v}, length
+            closer.update((i, (j, e)) for i, e in excess)
+        assert sorted(a for orbit in orbits for a in orbit[0]) == list(range(1, k + 1))
+        for j, orbit in enumerate(orbits):
+            assert {i: (j, e) for i, e in orbit[4]} == {
+                i: last for i, last in closer.items() if last[0] == j
+            }, length
+
+
+def test_block_orbits_are_one_shared_tuple(monkeypatch):
+    # Every `_Fills` of one rule reads the same block orbits, which no
+    # caller can change: tuples at every level.
+    seen = []
+    real_vectors = _Fills._vectors
+
+    def vectors(self, orbits, j, *args):
+        if j == 0:
+            seen.append(orbits)
+        return real_vectors(self, orbits, j, *args)
+
+    def tuples(value):
+        return not isinstance(value, (list, dict, set)) and (
+            not isinstance(value, tuple) or all(map(tuples, value))
+        )
+
+    monkeypatch.setattr(_Fills, "_vectors", vectors)
+    for k, sign, case in ((4, "-", "AI"), (3, "+", "AII"), (4, "-", "DII")):
+        seen.clear()
+        for _ in range(2):
+            _Fills(k, sign, case=case)._block(k + 1, 2, None)
+        assert len(seen) == 2 and seen[0] is seen[1], (k, sign, case)
+        assert seen[0] is _block_orbits(case, sign, k, 1)
+        assert type(seen[0]) is tuple and tuples(seen[0]), seen[0]
 
 
 @pytest.mark.parametrize("k", range(1, K_MAX + 1))
@@ -306,8 +352,9 @@ def test_block_records_carry_the_peel_of_their_block(k, sign, case):
 
 def reference_vectors(orbits, j, left, counts, slack, keep):
     """The reference for `_Fills._vectors`: one frame per orbit, each
-    trying every count from the largest down, the last orbit in a frame of
-    its own, and no rule for the blocks that must leave no box."""
+    trying every count from the largest down, the last orbit the one that
+    places every row still due, and no rule for the blocks that must leave
+    no box."""
     labels, per, width, excess = orbits[j][:4]
     last = j == len(orbits) - 1
     top = left // width
@@ -344,7 +391,8 @@ def reference_fills(fills, length, count, slack):
         rows = tuple((length, s) for s, c in enumerate(counts, 1) for _ in range(c))
         out.append((rows, tuple(counts), rest))
 
-    reference_vectors(fills._orbits(length), 0, count, [0] * fills.k, slack, keep)
+    orbits = _block_orbits(fills.case, fills.sign, fills.k, length % fills.k)
+    reference_vectors(orbits, 0, count, [0] * fills.k, slack, keep)
     return out
 
 
@@ -372,10 +420,9 @@ def walked_fills():
 
 
 def test_block_fills_are_the_reference_fills(walked_fills):
-    # The walk's fills of every block key, with the last orbit settled in
-    # its parent's frame and the exact rule, are the reference's, list for
-    # list: the same rows and row counts in the same order, with the same
-    # slack after.
+    # The walk's fills of every block key, with the exact rule, are the
+    # reference's, list for list: the same rows and row counts in the same
+    # order, with the same slack after.
     checked = 0
     for fills in walked_fills:
         for (length, count, slack), records in fills.fills.items():
