@@ -28,13 +28,14 @@ it is given, as the last of each shape must, an orbit that closes a label
 and `enumerate_by_size` list it.
 The core's one walk hands out each diagram as its rows and its blocks,
 every block fill one record that carries its rows, its row counts per label
-and its peel (parts, leftover rows and rank).  A block's records are
-memoized once, and the distinguished walk keeps those with no round.  Only
-this module reads a record: `_gcd_rank` reads a diagram's part gcd and rank
-off its records, for the strata and the listings; `_fold` also joins its
-peel, for `sheaves.verify_bijection` and the peeling maps, which fold the
-records `_peel` makes; and `_unpeeled` peels them again at the listings'
-other orders.
+and its peel (parts, leftover rows and rank), its rank its verdict: 0
+exactly when it has no round.  A block's records are memoized once, and the
+distinguished walk keeps those of rank 0.  Only this module reads a record:
+`_gcd_rank` reads a diagram's part gcd and rank off its records, for the
+strata and the listings; `_fold` also joins its peel, for
+`sheaves.verify_bijection` and the peeling maps, which fold the records
+`_peel` makes; and `_unpeeled` peels them again at the listings' other
+orders.
 
 `count_diagrams` and `count_by_size` count without the stream, and without
 enumerating a block: a block's tally, how many of its allowed fills take
@@ -289,10 +290,10 @@ def _peel_block(rows, counts, a, per):
     counts per label: per label class mod d = gcd(a, m), the largest number
     of uniform rounds of `per` rows at every label of the class, as that
     many parts length / a, the rows left over, starts ascending, and the
-    rank, the sum of the parts.  A block with no round leaves its own rows,
-    the `rows` tuple itself, which tells it apart also at a length below a,
-    where a round's parts are 0.  The one home of the rule: a diagram is
-    distinguished when no block of it has a round."""
+    rank, the sum of the parts: the block's verdict, 0 exactly when it has
+    no round, as every record and peel is made at a length a divides.  The
+    one home of the rule: a diagram is distinguished when no block of it
+    has a round."""
     d = gcd(a, len(counts))
     # the walk peels every fill, and most have one class and no round
     if d == 1 and min(counts) < per:
@@ -353,8 +354,9 @@ def _fold(rows, blocks, classes):
 
 def _unpeeled(blocks, a):
     """Whether the peel at order a, one row per label, finds no round in
-    any of a diagram's block records: each block leaves its own rows."""
-    return all(_peel_block(rows, counts, a, 1)[1] is rows for rows, counts, _, _, _, _ in blocks)
+    any of a diagram's block records, whose lengths a divides: every rank,
+    the verdict, is 0."""
+    return not any(_peel_block(rows, counts, a, 1)[2] for rows, counts, _, _, _, _ in blocks)
 
 
 @cache
@@ -486,8 +488,8 @@ class _Fills:
         # fill of the block before last
         nested = i + 2 < len(blocks)
         for record in self._block(*blocks[i], slack):
-            # a block with no round leaves its own rows (`_peel_block`)
-            if distinguished and record[4] is not record[0]:
+            # a record's rank is its verdict: 0 exactly when it has no round
+            if distinguished and record[5]:
                 continue
             joined, share = rows + record[0], records + (record,)
             if i + 1 == len(blocks):
@@ -496,7 +498,7 @@ class _Fills:
                 yield from self._fill(blocks, i + 1, record[2], joined, share, distinguished)
             else:
                 for end in self._block(*blocks[i + 1], record[2]):
-                    if not distinguished or end[4] is end[0]:
+                    if not distinguished or not end[5]:
                         yield joined + end[0], share + (end,)
 
     def _block(self, length, count, slack):

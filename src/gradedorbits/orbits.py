@@ -134,23 +134,22 @@ def is_distinguished_ai(diagram: FilledDiagram, a: int) -> bool:
     no row of that length.
     """
     check_positive("order", a)
-    if diagram.part_gcd % a:
-        return False
-    m = diagram.modulus
-    d = gcd(a, m)
-    for length in diagram.parts:
-        p = diagram.multiplicities(length)
-        for i in range(1, d + 1):
-            if all(p[i + j * d - 1] for j in range(m // d)):
-                return False
-    return True
+    return diagram.part_gcd % a == 0 and _no_round(diagram, gcd(a, diagram.modulus), 1)
 
 
 def is_distinguished_ii(diagram: FilledDiagram) -> bool:
     """Type II distinguishedness: every part length has some label with at
     most one row (zero multiplicities count)."""
+    return _no_round(diagram, 1, 2)
+
+
+def _no_round(diagram: FilledDiagram, classes: int, per: int) -> bool:
+    """Whether each part length has, in every class of labels mod
+    `classes`, a label with fewer than `per` rows of that length: no
+    uniform round.  Type II is the one-class, two-row case."""
     for length in diagram.parts:
-        if min(diagram.multiplicities(length)) > 1:
+        p = diagram.multiplicities(length)
+        if any(min(p[i::classes]) >= per for i in range(classes)):
             return False
     return True
 

@@ -5,6 +5,12 @@ Each generating function is an infinite product over k >= 1 of factors
 retained coefficient exact.  The product is formed by stride updates of one
 integer coefficient list; there is no truncated-series arithmetic API, and
 `TruncSeries` only holds the result.
+
+The partition weights are multiplicative: `mult` parts of length `part`
+weigh the coefficient of t^mult in (1 - t^gap)^d / (1 - t)^v.  A, C, D have
+d = 0 and v = l + 1 for every A part, odd C part and even D part, else l;
+dist-A/C/D the same v, d = 1 and gap the modulus (`family_modulus`); dist-AI
+v = m, d = gcd(a, m) and gap = m / d.
 """
 
 from __future__ import annotations
@@ -115,16 +121,6 @@ def gf_distinguished_ii(case: str, l: int, n_max: int) -> TruncSeries:
     return _product(_family_factors(case, l) + ((family_modulus(case, l), -1),), n_max)
 
 
-def _stars_and_bars_with_gap(k: int, nvars: int, gap: int) -> int:
-    """Coefficient of t^k in (1 - t^gap) / (1 - t)^nvars: the number of ways
-    to write k as an ordered sum of nvars nonnegative integers, minus those
-    where a forced block of size gap fits."""
-    c = comb(k + nvars - 1, nvars - 1)
-    if k >= gap:
-        c -= comb(k - gap + nvars - 1, nvars - 1)
-    return c
-
-
 def _check_weight_family(family, l, m, a) -> None:
     if family not in COUNT_FAMILIES:
         raise ValueError(f"family must be one of {COUNT_FAMILIES}, got {family!r}")
@@ -182,29 +178,17 @@ def weight_sum(n: int, family: str, *, l=None, m=None, a=None) -> int:
 
 
 def _part_weight(family, part, mult, l, m, a):
-    if family == "A":
-        return comb(mult + l, l)
-    if family == "C":
-        return comb(mult + l, l) if part % 2 else comb(mult + l - 1, l - 1)
-    if family == "D":
-        return comb(mult + l - 1, l - 1) if part % 2 else comb(mult + l, l)
-    if family == "dist-A":
-        return _stars_and_bars_with_gap(mult, l + 1, 2 * l + 1)
-    if family == "dist-C":
-        if part % 2:
-            return _stars_and_bars_with_gap(mult, l + 1, 2 * l)
-        return _stars_and_bars_with_gap(mult, l, 2 * l)
-    if family == "dist-D":
-        if part % 2:
-            return _stars_and_bars_with_gap(mult, l, 2 * l)
-        return _stars_and_bars_with_gap(mult, l + 1, 2 * l)
-    # dist-AI: coefficient of t^mult in (1 - t^(m/d))^d / (1 - t)^m
-    d = gcd(a, m)
-    step = m // d
+    """The weight of `mult` parts of length `part` (the module's formula),
+    by inclusion-exclusion over the d forced blocks of gap."""
+    if family == "dist-AI":
+        v, d, gap = m, gcd(a, m), m // gcd(a, m)
+    else:
+        case = family.removeprefix("dist-")
+        # l + 1 variables for an A part, an odd C part and an even D part;
+        # kept apart from `_family_factors`, so the two columns check each other
+        v = l + (case == "A" or part % 2 == (case == "C"))
+        d, gap = int(family != case), family_modulus(case, l)
     total = 0
-    for i in range(d + 1):
-        rest = mult - i * step
-        if rest < 0:
-            break
-        total += (-1) ** i * comb(d, i) * comb(rest + m - 1, m - 1)
+    for i in range(min(d, mult // gap) + 1):
+        total += (-1) ** i * comb(d, i) * comb(mult - i * gap + v - 1, v - 1)
     return total

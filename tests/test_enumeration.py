@@ -212,7 +212,7 @@ def test_counts_by_dims_match_stream_and_brute_force(k, sign):
 def enumerated_tally(fills, length, most, slack, distinguished):
     """The reference for `_Fills._tally`: `_block`'s enumerated fills of
     every row count up to `most`, with `distinguished` only its records
-    with no round, which leave their own rows, per (rows, slack after)."""
+    with no round, of rank 0, per (rows, slack after)."""
     wraps = length // fills.k
     tally = defaultdict(int)
     for rows in range(most + 1):
@@ -221,8 +221,8 @@ def enumerated_tally(fills, length, most, slack, distinguished):
             block_slack = tuple(v - rows * wraps for v in slack)
             if min(block_slack) < 0:
                 continue
-        for block_rows, _, rest, _, left, _ in fills._block(length, rows, block_slack):
-            if not distinguished or left == block_rows:
+        for _, _, rest, _, _, rank in fills._block(length, rows, block_slack):
+            if not distinguished or not rank:
                 tally[rows, rest] += 1
     return tally
 
@@ -231,8 +231,9 @@ def enumerated_tally(fills, length, most, slack, distinguished):
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("case", CASES)
 def test_block_tally_is_the_enumerated_tally(k, sign, case):
-    # The count's per-orbit tally against the walk's enumeration: every
-    # length <= 2k, row count <= 6, slack None or with entries <= 3, and,
+    # The count's per-orbit tally against the walk's enumeration: the
+    # first 2k multiples of the order, the lengths the walk and the count
+    # make blocks at, row count <= 6, slack None or with entries <= 3, and,
     # for the last block of a count by box counts, the fills that leave no
     # box, of any row count.
     if not has_modulus(case, k):
@@ -240,7 +241,8 @@ def test_block_tally_is_the_enumerated_tally(k, sign, case):
     slacks = [None, *product(range(4), repeat=k)]
     for order in (1, 2, 3) if case == "AI" else (1,):
         fills = _Fills(k, sign, case=case, order=order)
-        for length, slack, distinguished in product(range(1, 2 * k + 1), slacks, (False, True)):
+        lengths = range(order, 2 * k * order + 1, order)
+        for length, slack, distinguished in product(lengths, slacks, (False, True)):
             expected = enumerated_tally(fills, length, 6, slack, distinguished)
             tally = fills._tally(length, 6, slack, distinguished)
             assert tally == expected, (order, length, slack, distinguished)
@@ -446,7 +448,7 @@ def test_exact_blocks_leave_no_box_and_match_the_exact_tally(walked_fills):
             assert all(rest == (0,) * k for _, _, rest, *_ in records), (k, length, slack)
             boxes = tuple(v + count * (length // k) for v in slack)
             for distinguished in (False, True):
-                kept = [r for r in records if not distinguished or r[4] is r[0]]
+                kept = [r for r in records if not distinguished or not r[5]]
                 tally = fills._tally(length, 0, boxes, distinguished, exact=True)
                 assert sum(tally.values()) == len(kept), (k, length, count, slack)
                 assert set(tally) <= {(count, (0,) * k)}, tally

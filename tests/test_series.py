@@ -1,6 +1,7 @@
 import json
 import re
-from math import gcd
+from itertools import product
+from math import comb, gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from gradedorbits.orbits import (
 )
 from gradedorbits.series import (
     TruncSeries,
+    _part_weight,
     gf_distinguished_ai,
     gf_distinguished_ii,
     gf_orbit_count,
@@ -205,6 +207,59 @@ def test_weight_sum_matches_summed_weight_counts(family, params):
     assert [weight_sum(n, family, **params) for n in range(13)] == listed
     # one pass gives every degree of a table
     assert weight_sums(12, family, **params) == listed
+
+
+def stars_and_bars_with_gap(k, nvars, gap):
+    """Coefficient of t^k in (1 - t^gap) / (1 - t)^nvars: the ordered sums
+    of k over nvars nonnegative integers, less those holding a forced block
+    of size gap."""
+    c = comb(k + nvars - 1, nvars - 1)
+    if k >= gap:
+        c -= comb(k - gap + nvars - 1, nvars - 1)
+    return c
+
+
+def closed_form_weight(family, part, mult, l, m, a):
+    """The reference for `_part_weight`: each family's weight as a closed
+    form of its own."""
+    if family == "A":
+        return comb(mult + l, l)
+    if family == "C":
+        return comb(mult + l, l) if part % 2 else comb(mult + l - 1, l - 1)
+    if family == "D":
+        return comb(mult + l - 1, l - 1) if part % 2 else comb(mult + l, l)
+    if family == "dist-A":
+        return stars_and_bars_with_gap(mult, l + 1, 2 * l + 1)
+    if family == "dist-C":
+        return stars_and_bars_with_gap(mult, l + 1 if part % 2 else l, 2 * l)
+    if family == "dist-D":
+        return stars_and_bars_with_gap(mult, l if part % 2 else l + 1, 2 * l)
+    # dist-AI: coefficient of t^mult in (1 - t^(m/d))^d / (1 - t)^m
+    d = gcd(a, m)
+    total = 0
+    for i in range(d + 1):
+        rest = mult - i * (m // d)
+        if rest < 0:
+            break
+        total += (-1) ** i * comb(d, i) * comb(rest + m - 1, m - 1)
+    return total
+
+
+def test_part_weight_matches_each_familys_closed_form():
+    # The one weight formula against the seven closed forms: l <= 5 for A,
+    # C, D and their distinguished families, dist-AI at m <= 7 for every
+    # order a <= 2m with gcd(a, m) < m, parts and multiplicities <= 13.
+    families = ("A", "C", "D", "dist-A", "dist-C", "dist-D")
+    params = [(f, l, None, None) for f in families for l in range(1, 6)]
+    params += [
+        ("dist-AI", None, m, a) for m in range(2, 8) for a in range(1, 2 * m + 1) if gcd(a, m) < m
+    ]
+    checked = 0
+    for (family, l, m, a), part, mult in product(params, range(1, 14), range(14)):
+        expected = closed_form_weight(family, part, mult, l, m, a)
+        assert _part_weight(family, part, mult, l, m, a) == expected, (family, l, m, a, part, mult)
+        checked += 1
+    assert checked == 13_104
 
 
 @pytest.mark.parametrize(
