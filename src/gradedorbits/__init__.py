@@ -42,12 +42,10 @@ from .orbits import (
     stratum_dim_ai,
 )
 from .series import (
-    TruncSeries,
     gf_distinguished_ai,
     gf_distinguished_ii,
     gf_orbit_count,
     weight_count,
-    weight_sum,
     weight_sums,
 )
 from .oracle import (

@@ -289,7 +289,7 @@ def _count_rows(args):
     sums = weight_sums(n_max, family, **weight_params)
     rows = []
     for n, (enum, weights) in enumerate(zip(counts, sums)):
-        coeff = gf.coefficient(n)
+        coeff = gf[n]
         rows.append({
             "n": n,
             "gf_coeff": coeff,

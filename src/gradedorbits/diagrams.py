@@ -208,12 +208,9 @@ class FilledDiagram:
                 out[start - 1] += 1
         return tuple(out)
 
-    def start_labels(self) -> tuple[int, ...]:
-        return tuple(start for _, start in self.rows)
-
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # underlying partition decreasing lexicographically, then starts increasing
-        return (tuple(-p for p in self.partition), self.start_labels())
+        return (tuple(-p for p in self.partition), tuple(start for _, start in self.rows))
 
     def __str__(self) -> str:
         if not self.rows:

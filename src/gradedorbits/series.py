@@ -3,8 +3,8 @@
 Each generating function is an infinite product over k >= 1 of factors
 (1 - x^(step k))^(-e), cut at the truncation degree, which leaves every
 retained coefficient exact.  The product is formed by stride updates of one
-integer coefficient list; there is no truncated-series arithmetic API, and
-`TruncSeries` only holds the result.
+integer coefficient list, and each series comes back as the tuple of its
+coefficients of degrees 0..n_max.
 
 The partition weights are multiplicative: `mult` parts of length `part`
 weigh the coefficient of t^mult in (1 - t^gap)^d / (1 - t)^v.  A, C, D have
@@ -16,7 +16,6 @@ v = m, d = gcd(a, m) and gap = m / d.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import Sequence
 
@@ -25,28 +24,6 @@ from .diagrams import check_integer, check_positive
 ORBIT_FAMILIES = ("A", "C", "D")
 DIST_FAMILIES = ("dist-A", "dist-C", "dist-D")
 COUNT_FAMILIES = ORBIT_FAMILIES + DIST_FAMILIES + ("dist-AI",)
-
-
-@dataclass(frozen=True)
-class TruncSeries:
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if not coeffs:
-            raise ValueError("a truncated series needs at least the constant term")
-        for c in coeffs:
-            check_integer("coefficient", c)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> int:
-        if not 0 <= n <= self.truncation:
-            raise ValueError(f"degree {n} beyond truncation {self.truncation}")
-        return self.coeffs[n]
 
 
 def _family_factors(case: str, l: int) -> tuple[tuple[int, int], ...]:
@@ -64,7 +41,7 @@ def _family_factors(case: str, l: int) -> tuple[tuple[int, int], ...]:
     return ((1, l), (2, 1))
 
 
-def _product(factors, n_max: int) -> TruncSeries:
+def _product(factors, n_max: int) -> tuple[int, ...]:
     """The product over k = 1..n_max of (1 - x^(step k))^(-e) over the
     (step, e) factors, truncated at degree n_max, by |e| in-place passes of
     stride step*k per factor: dividing by 1 - x^(step k) is a running sum,
@@ -83,7 +60,7 @@ def _product(factors, n_max: int) -> TruncSeries:
                 else:
                     for i in range(n_max, j - 1, -1):
                         c[i] -= c[i - j]
-    return TruncSeries(tuple(c))
+    return tuple(c)
 
 
 def family_modulus(case: str, l: int) -> int:
@@ -91,15 +68,16 @@ def family_modulus(case: str, l: int) -> int:
     return 2 * l + 1 if case == "A" else 2 * l
 
 
-def gf_orbit_count(case: str, l: int, n_max: int) -> TruncSeries:
-    """Series whose n-th coefficient counts the admissible diagrams with 2n
-    boxes for the family, over its modulus (`family_modulus`)."""
+def gf_orbit_count(case: str, l: int, n_max: int) -> tuple[int, ...]:
+    """Coefficients 0..n_max of the series whose n-th counts the admissible
+    diagrams with 2n boxes for the family, over its modulus (`family_modulus`)."""
     return _product(_family_factors(case, l), n_max)
 
 
-def gf_distinguished_ai(m: int, a: int, n_max: int) -> TruncSeries:
-    """Series whose j-th coefficient counts the AI diagrams of size a*j that
-    are distinguished at order a (modulus m).  Undefined when gcd(a, m) = m."""
+def gf_distinguished_ai(m: int, a: int, n_max: int) -> tuple[int, ...]:
+    """Coefficients 0..n_max of the series whose j-th counts the AI diagrams
+    of size a*j that are distinguished at order a (modulus m).  Undefined when
+    gcd(a, m) = m."""
     _check_ai_family(m, a)
     d = gcd(a, m)
     return _product(((1, m), (m // d, -d)), n_max)
@@ -114,9 +92,9 @@ def _check_ai_family(m: int, a: int) -> None:
         raise ValueError("family is empty when gcd(a, m) equals the modulus")
 
 
-def gf_distinguished_ii(case: str, l: int, n_max: int) -> TruncSeries:
-    """Series whose n-th coefficient counts the admissible distinguished
-    diagrams with 2n boxes for the family: the orbit count times
+def gf_distinguished_ii(case: str, l: int, n_max: int) -> tuple[int, ...]:
+    """Coefficients 0..n_max of the series whose n-th counts the admissible
+    distinguished diagrams with 2n boxes for the family: the orbit count times
     (1 - x^(modulus k)) at every k."""
     return _product(_family_factors(case, l) + ((family_modulus(case, l), -1),), n_max)
 
@@ -149,7 +127,7 @@ def weight_count(mu: Sequence[int], family: str, *, l=None, m=None, a=None) -> i
             raise ValueError("partition parts must be positive")
     total = 1
     for part, mult in sorted(Counter(parts).items()):
-        total *= _part_weight(family, part, mult, l, m, a)
+        total *= _part_weights(family, part, (mult,), l, m, a)[0]
     return total
 
 
@@ -164,22 +142,17 @@ def weight_sums(n_max: int, family: str, *, l=None, m=None, a=None) -> list[int]
         raise ValueError("n must be nonnegative")
     sums = [1] + [0] * n_max
     for part in range(1, n_max + 1):
-        weights = [_part_weight(family, part, k, l, m, a) for k in range(1, n_max // part + 1)]
+        weights = _part_weights(family, part, range(1, n_max // part + 1), l, m, a)
         # boxes from the top down, so sums[b - k * part] still excludes part
         for b in range(n_max, part - 1, -1):
             sums[b] += sum(w * sums[b - k * part] for k, w in enumerate(weights[: b // part], 1))
     return sums
 
 
-def weight_sum(n: int, family: str, *, l=None, m=None, a=None) -> int:
-    """The sum of `weight_count` over the partitions of n: the last entry
-    of `weight_sums`."""
-    return weight_sums(n, family, l=l, m=m, a=a)[-1]
-
-
-def _part_weight(family, part, mult, l, m, a):
-    """The weight of `mult` parts of length `part` (the module's formula),
-    by inclusion-exclusion over the d forced blocks of gap."""
+def _part_weights(family, part, mults, l, m, a) -> list[int]:
+    """The weight of k parts of length `part` (the module's formula) for each
+    k in `mults`, by inclusion-exclusion over the d forced blocks of gap; v, d
+    and gap are derived once for the part."""
     if family == "dist-AI":
         v, d, gap = m, gcd(a, m), m // gcd(a, m)
     else:
@@ -188,7 +161,10 @@ def _part_weight(family, part, mult, l, m, a):
         # kept apart from `_family_factors`, so the two columns check each other
         v = l + (case == "A" or part % 2 == (case == "C"))
         d, gap = int(family != case), family_modulus(case, l)
-    total = 0
-    for i in range(min(d, mult // gap) + 1):
-        total += (-1) ** i * comb(d, i) * comb(mult - i * gap + v - 1, v - 1)
-    return total
+    weights = []
+    for mult in mults:
+        total = 0
+        for i in range(min(d, mult // gap) + 1):
+            total += (-1) ** i * comb(d, i) * comb(mult - i * gap + v - 1, v - 1)
+        weights.append(total)
+    return weights

@@ -15,8 +15,6 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from gradedorbits.series import TruncSeries
-
 settings.register_profile("det", derandomize=True)
 settings.load_profile("det")
 
@@ -87,27 +85,29 @@ def compositions(total, slots):
 
 
 # Truncated-series arithmetic, the reference for the generating functions'
-# stride products: each factor expanded in full and convolved in.
+# stride products: each factor expanded in full and convolved in.  A series
+# is the tuple of its coefficients of degrees 0..n, as the generating
+# functions return it.
 
 
-def series_one(n_max: int) -> TruncSeries:
-    return TruncSeries((1,) + (0,) * n_max)
+def series_one(n_max: int) -> tuple[int, ...]:
+    return (1,) + (0,) * n_max
 
 
-def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
+def series_mul(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     """Product truncated to the smaller truncation degree."""
-    n = min(f.truncation, g.truncation)
+    n = min(len(f), len(g)) - 1
     out = [0] * (n + 1)
-    for i, a in enumerate(f.coeffs[: n + 1]):
+    for i, a in enumerate(f[: n + 1]):
         if a:
             for j in range(n - i + 1):
-                b = g.coeffs[j]
+                b = g[j]
                 if b:
                     out[i + j] += a * b
-    return TruncSeries(tuple(out))
+    return tuple(out)
 
 
-def series_geom_pow(j: int, e: int, n_max: int) -> TruncSeries:
+def series_geom_pow(j: int, e: int, n_max: int) -> tuple[int, ...]:
     """Expansion of (1 - x^j)^(-e); a negative e gives the polynomial
     (1 - x^j)^(-e) with alternating binomial coefficients."""
     if j < 1:
@@ -124,7 +124,7 @@ def series_geom_pow(j: int, e: int, n_max: int) -> TruncSeries:
             p = -e
             c = (-1) ** t * comb(p, t) if t <= p else 0
         out[j * t] = c
-    return TruncSeries(tuple(out))
+    return tuple(out)
 
 
 @pytest.fixture

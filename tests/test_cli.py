@@ -43,6 +43,10 @@ def test_orbits_invalid_dims_exit_2(run_cli, command, dims):
 def test_orbits_missing_modulus_exit_2(run_cli):
     result = run_cli("orbits", "--case", "AI", "--dims", "1,1")
     assert result.returncode == 2
+    # the box counts are required too
+    result = run_cli("orbits", "--case", "AI", "--m", "2")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: this command requires --dims\n"
 
 
 def test_count_family_a_csv(run_cli):

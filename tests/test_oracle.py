@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -559,6 +560,21 @@ def test_build_representative_blocks():
     assert x.degree == 1
     assert x.blocks[0] == ((Fraction(1),),)
     assert x.blocks[1] == ((Fraction(0),),)
+
+
+# A graded matrix on the grading (1, 2) of Z/2 whose degree, block count or
+# block shape is wrong, and the error it gives.
+@pytest.mark.parametrize(
+    "degree, blocks, message",
+    [
+        (0, ((), ()), "degree must be +1 or -1"),
+        (1, (((0, 0),),), "expected 2 blocks, got 1"),
+        (1, (((0, 0),), ((0, 0),)), "block 1 has the wrong shape"),
+    ],
+)
+def test_graded_matrix_rejects_bad_blocks(degree, blocks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GradedMatrix(GradingSpec("AI", 2, (1, 2)), degree, blocks)
 
 
 def representative_strings(x):

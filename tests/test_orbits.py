@@ -674,3 +674,7 @@ def test_dimension_input_checks():
         stratum_dim_ai(Stratum(1, 1, lam, 2), g)
     with pytest.raises(ValueError):
         stratum_dim_ai(Stratum(1, 0, canonicalize([(2, 1)], 3, "-"), 1), g)
+    with pytest.raises(ValueError, match="^dim_g1 is implemented for case AI only$"):
+        GradingSpec("AII", 3, (1, 0, 1)).dim_g1
+    with pytest.raises(ValueError, match="^type II strata require case AII, CII or DII$"):
+        full_support_stratum_ii(g)
