@@ -454,8 +454,8 @@ def _add_grading_flags(parser) -> None:
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built on the first call; every later call
-    in the process returns that same parser, which `main` reuses."""
+    """The CLI's parser, built on the first call and reused by `main`, with
+    `commands`, the name-to-parser map its subcommand action dispatches on."""
     parser = argparse.ArgumentParser(
         prog="gradedorbits",
         description="Enumerate graded nilpotent orbits, verify counting series "
@@ -463,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("orbits", help="list orbit diagrams for a grading")
     _add_grading_flags(p)
@@ -512,7 +513,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command argv names (default `sys.argv[1:]`) and return its exit
+    code.  A command's tokens go to its parser alone; no command, leftovers or
+    a `-=`/`--=` token take the full parse, for its top-level error report."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    args = extras = None
+    if command is not None and not any(t.startswith(("-=", "--=")) for t in argv[1:]):
+        args, extras = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if args is None or extras:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -15,6 +17,7 @@ from gradedorbits.orbits import GradingSpec, enumerate_strata
 from gradedorbits.sheaves import catalog
 
 from conftest import PKG_ROOT
+from test_cli_golden import GOLDEN_ARGV
 from test_readme import README_EXAMPLES
 
 
@@ -456,6 +459,10 @@ ONE_PROCESS_RUNS = README_EXAMPLES + [
     ("count", "--family", "A", "--l", "1", "--n", "6"),
     ("count", "--family", "A", "--n", "3"),
     ("count", "--family", "B", "--l", "1", "--n", "3"),
+    # the two routes back to the full parse: a token no parser takes, and a
+    # `--=` token after the command
+    ("count", "--family", "A", "--l", "1", "--n", "2", "--bogus"),
+    ("count", "--family", "A", "--l", "1", "--n", "2", "--=x"),
 ]
 
 
@@ -476,11 +483,12 @@ def parser_builds(monkeypatch):
     cli.build_parser.cache_clear()
 
 
-def test_one_process_runs_match_fresh_processes(capsys, parser_builds):
+def test_one_process_runs_match_fresh_processes(capsys, monkeypatch, parser_builds):
     """Each argv twice through cli.main in one process, the second pass in
     reverse so that subcommands and formats interleave: stdout, stderr and
     the exit code equal those of a fresh process, and one parser serves
-    every call."""
+    every call.  Both sides wrap usage lines to the same width."""
+    monkeypatch.setenv("COLUMNS", "80")
     # The fresh processes run side by side; each is small.
     children = {
         argv: subprocess.Popen(
@@ -510,6 +518,87 @@ def test_one_process_runs_match_fresh_processes(capsys, parser_builds):
     assert after_first > 0
     assert len(parser_builds) == after_first
     assert {code for code, _, _ in fresh.values()} == {0, 2}
+
+
+# Tokens that argparse reads in odd ways: the separator, `=` forms with
+# empty stems and values, abbreviations of top-level and command options,
+# negative numbers and stray positionals.
+ODD_TOKENS = (
+    "--", "---", "-", "=", "--=", "--=x", "-=", "-=x", "-h", "-hx", "-h=1", "--h",
+    "--help", "--help=1", "--ver", "--version", "--version=", "-1", "-1,2", "-x",
+    "--fo=json", "--format=csv", "--m=", "--m=3", "--n=", "--a", "--out", "--bogus",
+    "x", "count",
+)
+PARSE_BASES = [
+    ("count", "--family", "A", "--l", "1", "--n", "3"),
+    ("orbits", "--case", "AI", "--m", "2", "--dims", "2,1"),
+    ("distinguished", "--case", "AI", "--m", "2", "--N", "4", "--oracle"),
+    ("sheaves", "--case", "AII", "--m0", "3", "--dims", "1,0,1"),
+]
+
+
+@pytest.fixture
+def main_parse():
+    """`cli.main` with every command replaced by one that returns the
+    Namespace it is handed, on a parser of its own."""
+    cli.build_parser.cache_clear()
+    for command in cli.build_parser().commands.values():
+        command.set_defaults(func=lambda args: args)
+    yield cli.main
+    cli.build_parser.cache_clear()
+
+
+def parse_outcome(parse, argv):
+    """The Namespace's vars, or the SystemExit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_main_parses_as_argparse(main_parse, argvs):
+    """Assert that each argv has one outcome both ways; return the set of
+    outcome kinds seen (True for a Namespace, False for an exit)."""
+    outcomes = set()
+    for argv in argvs:
+        got = parse_outcome(main_parse, argv)
+        assert got == parse_outcome(cli.build_parser().parse_args, argv), argv
+        outcomes.add(isinstance(got[0], dict))
+    return outcomes
+
+
+def test_main_parses_the_golden_argv_as_argparse_does(main_parse):
+    assert assert_main_parses_as_argparse(main_parse, GOLDEN_ARGV) == {True, False}
+
+
+@pytest.mark.parametrize("base", PARSE_BASES, ids=" ".join)
+def test_main_parses_odd_tokens_as_argparse_does(main_parse, base):
+    """Each odd token right after the command, mid-way and at the end:
+    `main`'s dispatch gives argparse's Namespace, or its exit and bytes."""
+    argvs = [
+        (*base[:at], token, *base[at:])
+        for token in ODD_TOKENS
+        for at in (1, len(base) // 2, len(base))
+    ]
+    assert assert_main_parses_as_argparse(main_parse, argvs) == {True, False}
+
+
+def test_a_valid_argv_is_parsed_in_one_pass(monkeypatch, tmp_path):
+    """Only the command's parser reads a valid argv, once."""
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    argv = ["count", "--family", "A", "--l", "1", "--n", "3", "--output", str(tmp_path / "t")]
+    assert cli.main(argv) == 0
+    assert calls == ["gradedorbits count"]
 
 
 def written_json(payload) -> str:

@@ -5,7 +5,8 @@ SHA-256 digests of its stdout and stderr must equal the digests recorded in
 `tests/data/cli_golden.json`.  The corpus covers every subcommand in text,
 CSV and JSON, `--dump-matrices`, the README examples and usage errors.  No
 run of correct code fails a verification, so none exits 1;
-`tests/test_cli.py` reaches that exit with a stand-in oracle.
+`tests/test_cli.py` reaches that exit with a stand-in oracle.  Usage lines
+wrap to the terminal width, so every run here sees `COLUMNS=80`.
 
 To record the file again after an intended output change, run
 
@@ -16,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +29,8 @@ from test_readme import README_EXAMPLES
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 FORMATS = ("text", "csv", "json")
+# argparse wraps usage lines to this width, read from the environment
+COLUMNS = "80"
 
 
 def _in_formats(*argvs):
@@ -109,6 +113,13 @@ USAGE_ERRORS = [
     ("distinguished", "--case", "AI", "--m", "2", "--N", "2", "--oracle", "--seed", "-5"),
     ("distinguished", "--case", "AI", "--m", "2", "--dims", "1,1", "--dump-matrices"),
     ("frobnicate",),
+    # argparse's own errors: a token no parser takes (reported with the
+    # top-level usage line), a missing required flag, a `--=` token after a
+    # command (an ambiguous option to the top-level parser) and no command
+    ("count", "--family", "A", "--l", "1", "--n", "2", "--bogus"),
+    ("count", "--family", "A", "--l", "1"),
+    ("count", "--family", "A", "--l", "1", "--n", "2", "--=x"),
+    (),
 ]
 GOLDEN_ARGV = (
     _ORBITS + _COUNT + _SHEAVES + _VERIFY + _CUSPIDAL + _DISTINGUISHED
@@ -135,6 +146,11 @@ def _key(argv) -> str:
     return " ".join(argv)
 
 
+@pytest.fixture(autouse=True)
+def terminal_width(monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -152,6 +168,7 @@ def test_cli_bytes_match_the_recorded_digests(golden, argv):
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = COLUMNS
     records = {_key(argv): run_in_process(argv) for argv in GOLDEN_ARGV}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
