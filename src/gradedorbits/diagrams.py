@@ -49,12 +49,11 @@ label, and serves every size of a table at once.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
 from itertools import groupby, product
 from math import gcd
-from operator import add, itemgetter
-from typing import Iterable, Iterator, Sequence
+from operator import add, attrgetter, itemgetter
 
 PLUS = "+"
 MINUS = "-"
@@ -65,6 +64,79 @@ Partition = tuple[int, ...]
 Row = tuple[int, int]
 MultiPartition = tuple[Partition, ...]
 DimensionVector = tuple[int, ...]
+
+_new, _set = object.__new__, object.__setattr__
+
+
+class _DataclassView:
+    """The `dataclasses` table of a `_Frozen` class, made on first read, so
+    that `dataclasses.replace`, `fields` and `asdict` still take the
+    library's values though no module imports `dataclasses`."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, cls):
+        from dataclasses import make_dataclass
+
+        twin = make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        cls.__dataclass_params__ = twin.__dataclass_params__
+        return getattr(cls, self.name)
+
+
+class _Frozen:
+    """Base of the library's frozen values, in place of
+    `dataclass(frozen=True)`, whose import brings `inspect` and costs a
+    start about 12 ms on Python 3.11.  A subclass names its fields, two or
+    more, in `__slots__`, and gets what the dataclass gave: a constructor by
+    position or keyword that then runs the class's `__post_init__`, if any;
+    `==` by exact type and fields, and a hash of the field tuple; the
+    `Name(field=value, ...)` repr; and no assignment or deletion.  Pickling
+    and copying rebuild through the constructor."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassView()
+    __dataclass_params__ = _DataclassView()
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        cls.__match_args__ = names
+        cls._values = attrgetter(*names)
+        # one compiled __init__ per class, as `dataclasses` makes: a generic
+        # one over *args took 20-55% longer per call, and a real signature
+        # raises Python's own TypeError for a missing, unknown or repeated field
+        body = [f"_set(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {}
+        exec(f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body),
+             {"_set": _set}, namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
 
 def reduce_label(value: int, k: int) -> int:
@@ -149,8 +221,8 @@ def _check_row(row: Row, k: int) -> None:
         raise ValueError(f"row start {start} out of range [1, {k}]")
 
 
-@dataclass(frozen=True)
-class FilledDiagram:
+class FilledDiagram(_Frozen):
+    __slots__ = ("modulus", "sign", "rows")
     modulus: int
     sign: str
     rows: tuple[Row, ...]
@@ -226,9 +298,6 @@ class FilledDiagram:
         )
 
 
-_new, _set = object.__new__, object.__setattr__
-
-
 def _built_diagram(k: int, sign: str, rows: tuple[Row, ...]) -> FilledDiagram:
     """A diagram whose fields the library has already made valid: k and
     the sign checked, and the rows well formed and in canonical order.  It
@@ -236,8 +305,7 @@ def _built_diagram(k: int, sign: str, rows: tuple[Row, ...]) -> FilledDiagram:
     on rows they built themselves; user input goes through the public
     constructor or `canonicalize`."""
     diagram = _new(FilledDiagram)
-    # as the dataclass's own __init__ does; reading __dict__ would give each
-    # diagram a dict of its own, more than twice its size
+    # into its slots, past the blocked __setattr__, as its own __init__ does
     _set(diagram, "modulus", k)
     _set(diagram, "sign", sign)
     _set(diagram, "rows", rows)

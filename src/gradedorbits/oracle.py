@@ -26,9 +26,7 @@ elimination of the same systems and, for the end rule, the union-find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .diagrams import FilledDiagram, PLUS
+from .diagrams import FilledDiagram, PLUS, _Frozen
 from .orbits import GradingSpec
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -41,11 +39,11 @@ def _zero_blocks(dims, degree: int) -> list[list[list[int]]]:
     return [[[0] * dims[i] for _ in range(dims[(i - degree) % m])] for i in range(m)]
 
 
-@dataclass(frozen=True)
-class GradedMatrix:
+class GradedMatrix(_Frozen):
     """Block matrix of pure degree: blocks[i - 1] maps the label-i summand
     to the label-(i - degree) summand."""
 
+    __slots__ = ("grading", "degree", "blocks")
     grading: GradingSpec
     degree: int
     blocks: tuple[Matrix, ...]

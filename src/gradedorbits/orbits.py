@@ -24,7 +24,6 @@ fill convention; all stratum residuals are stored on that side as well.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 from .diagrams import (
@@ -35,6 +34,7 @@ from .diagrams import (
     MultiPartition,
     PLUS,
     _Fills,
+    _Frozen,
     _built_diagram,
     _gcd_rank,
     _peel,
@@ -53,10 +53,10 @@ from .diagrams import (
 TYPE_II_CASES = ("AII", "CII", "DII")
 
 
-@dataclass(frozen=True)
-class GradingSpec:
+class GradingSpec(_Frozen):
     """A grading family, its modulus and the box counts per label."""
 
+    __slots__ = ("case", "modulus", "dims")
     case: str
     modulus: int
     dims: DimensionVector
@@ -170,12 +170,12 @@ def duality(diagram: FilledDiagram) -> FilledDiagram:
     return _built_diagram(k, sign, tuple(sorted(rows, key=_row_key)))
 
 
-@dataclass(frozen=True)
-class Peel:
+class Peel(_Frozen):
     """Result of a peeling: the multipartition of the uniform rounds, with
     gcd(a, m) components at order a (one for type II), and the
     distinguished residual diagram."""
 
+    __slots__ = ("tau", "residue")
     tau: MultiPartition
     residue: FilledDiagram
 
@@ -226,12 +226,12 @@ def d_check_dual(diagram: FilledDiagram) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(_Frozen):
     """Stratum label: order a, braid rank, residual diagram and the order of
     the attached cyclic group.  A type II stratum is Stratum(1, rank, mu, 1):
     order 1 and the trivial group Z/1."""
 
+    __slots__ = ("a", "rank", "mu", "d_check")
     a: int
     rank: int
     mu: FilledDiagram

@@ -16,8 +16,8 @@ v = m, d = gcd(a, m) and gap = m / d.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from math import comb, gcd
-from typing import Sequence
 
 from .diagrams import check_integer, check_positive
 

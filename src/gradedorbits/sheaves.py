@@ -16,13 +16,13 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .diagrams import (
     FilledDiagram,
     MINUS,
     MultiPartition,
+    _Frozen,
     _fold,
     check_integer,
     check_positive,
@@ -59,11 +59,11 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, n + 1) if n % k == 0)
 
 
-@dataclass(frozen=True)
-class CentralCharacter:
+class CentralCharacter(_Frozen):
     """Residue `index` in Z/modulus, standing for a character of that exact
     additive order.  The trivial group is Z/1, with the one character 0."""
 
+    __slots__ = ("modulus", "index")
     modulus: int
     index: int
 
@@ -93,8 +93,9 @@ def _residues(modulus: int, order: int) -> list[int]:
     return [c for c in range(modulus) if not extra and gcd(c, modulus) == step]
 
 
-@dataclass(frozen=True)
-class SheafLabel:
+class SheafLabel(_Frozen):
+    __slots__ = ("case", "stratum", "psi", "tau", "nilpotent_support", "full_support",
+                 "cuspidal_conjectural")
     case: str  # "AI" or "II"
     stratum: Stratum
     psi: CentralCharacter
@@ -224,8 +225,8 @@ def map_sheaf(grading: GradingSpec, lam: FilledDiagram, psi: CentralCharacter, a
     return SheafLabel(family, *key, *flags(key[0]))
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(_Frozen):
+    __slots__ = ("case", "a", "complexes", "labels", "counts_equal", "injective", "surjective")
     case: str
     a: int
     complexes: int

@@ -38,6 +38,7 @@ from gradedorbits.diagrams import (
     row_partners,
 )
 from gradedorbits.orbits import (
+    GradingSpec,
     admissible_for_case,
     is_distinguished_ai,
     is_distinguished_ii,
@@ -50,6 +51,7 @@ from gradedorbits.series import (
     gf_orbit_count,
     weight_sums,
 )
+from gradedorbits.sheaves import catalog
 
 from conftest import (
     brute_force_by_size,
@@ -57,7 +59,7 @@ from conftest import (
     compositions,
     naive_diagram_counts,
 )
-from test_orbits import reference_peel
+from test_orbits import assert_same_diagram, reference_peel
 
 K_MAX = 5
 SIZE_MAX = 8
@@ -608,10 +610,12 @@ def test_core_rejects_bad_arguments():
         lambda: count_by_size(3, "-", range(0, 13, 2), case="AII", distinguished=True),
         lambda: partitions.__wrapped__(7),
         lambda: multipartitions(3, 4),
+        # the frozen values: strata, characters and sheaf labels
+        lambda: catalog(GradingSpec("AI", 3, (2, 2, 2))),
     ],
     ids=["enumerate_diagrams", "enumerate_by_size", "iter_diagrams", "count_diagrams",
          "count_diagrams_order", "count_diagrams_dims", "count_by_size", "partitions",
-         "multipartitions"],
+         "multipartitions", "catalog"],
 )
 def test_enumeration_leaves_no_reference_cycles(call):
     was_enabled = gc.isenabled()
@@ -639,9 +643,7 @@ def public_rebuild(diagram):
 
 
 def assert_passes_the_public_checks(diagram):
-    rebuilt = public_rebuild(diagram)
-    assert vars(diagram) == vars(rebuilt), diagram
-    assert hash(diagram) == hash(rebuilt), diagram
+    assert_same_diagram(diagram, public_rebuild(diagram))
 
 
 @pytest.mark.parametrize("k", range(1, 5))
@@ -710,7 +712,8 @@ def test_streamed_diagrams_equal_their_public_rebuild(k, sign, case):
 
 
 def test_streamed_diagrams_take_no_more_memory_than_public_ones():
-    # fields set through __dict__ would give each diagram a dict of its own
+    # the fields are slots; set through __dict__ they would give each
+    # diagram a dict of its own
     diagrams = enumerate_by_size(3, "-", 8)
 
     def traced(build):

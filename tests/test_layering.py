@@ -372,15 +372,25 @@ def test_detects_round_rule_uses():
     assert name_uses(ast.parse((SRC / "diagrams.py").read_text()), ROUND_RULE)
 
 
-def test_cli_start_loads_no_fractions_or_decimal():
-    """Starting the CLI loads neither `fractions` nor `decimal`, which
-    `fractions` imports, beyond what a bare interpreter has: the library's
-    arithmetic is in ints, and no source module imports either."""
+# Modules the CLI has no use for at start-up: the library's arithmetic is
+# in ints, so neither `fractions` nor `decimal`, which `fractions` imports;
+# its frozen values are not built by `dataclasses`, which brings `inspect`;
+# and its annotations are never evaluated, so no `typing`.
+UNUSED_AT_START = ("dataclasses", "decimal", "fractions", "inspect", "typing")
+
+
+# a site hook (a `.pth` file) may load `typing` before the check can see it
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_cli_start_loads_no_unused_module(flags):
+    """Starting the CLI loads none of `UNUSED_AT_START` beyond what a bare
+    interpreter has, and no source module imports one."""
     code = (
         "import sys; bare = set(sys.modules)\n"
         "import gradedorbits.cli; gradedorbits.cli.build_parser()\n"
-        "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - bare)))"
+        f"print(sorted(set({UNUSED_AT_START!r}) & (set(sys.modules) - bare)))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    run = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
     assert run.stdout.strip() == "[]"

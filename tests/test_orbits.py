@@ -1,5 +1,6 @@
 import re
 from math import gcd
+from operator import attrgetter
 
 import pytest
 
@@ -573,12 +574,19 @@ def test_strata_ii_match_brute_force():
             assert enumerate_strata(g) == expected
 
 
+def assert_same_diagram(diagram, rebuilt):
+    """The two have one type and equal fields, which is all the state a
+    diagram has, and equal hashes."""
+    assert type(diagram) is type(rebuilt), diagram
+    fields = attrgetter("modulus", "sign", "rows")
+    assert fields(diagram) == fields(rebuilt), diagram
+    assert hash(diagram) == hash(rebuilt), diagram
+
+
 def assert_canonical(diagram):
     """The diagram, built without `FilledDiagram`'s checks, equals its
     rebuild through `canonicalize`, which checks and sorts its rows."""
-    rebuilt = canonicalize(diagram.rows, diagram.modulus, diagram.sign)
-    assert vars(diagram) == vars(rebuilt), diagram
-    assert hash(diagram) == hash(rebuilt), diagram
+    assert_same_diagram(diagram, canonicalize(diagram.rows, diagram.modulus, diagram.sign))
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
