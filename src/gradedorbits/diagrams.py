@@ -77,9 +77,15 @@ class _DataclassView:
         self.name = name
 
     def __get__(self, instance, cls):
+        if cls is _Frozen:
+            raise AttributeError(self.name)
         from dataclasses import make_dataclass
 
-        twin = make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+        types = {}
+        for base in reversed(cls.__mro__):
+            types.update(getattr(base, "__annotations__", {}))
+        fields = [(name, types.get(name, "typing.Any")) for name in cls.__match_args__]
+        twin = make_dataclass(cls.__name__, fields, frozen=True)
         cls.__dataclass_fields__ = twin.__dataclass_fields__
         cls.__dataclass_params__ = twin.__dataclass_params__
         return getattr(cls, self.name)
@@ -88,20 +94,29 @@ class _DataclassView:
 class _Frozen:
     """Base of the library's frozen values, in place of
     `dataclass(frozen=True)`, whose import brings `inspect` and costs a
-    start about 12 ms on Python 3.11.  A subclass names its fields, two or
-    more, in `__slots__`, and gets what the dataclass gave: a constructor by
-    position or keyword that then runs the class's `__post_init__`, if any;
-    `==` by exact type and fields, and a hash of the field tuple; the
-    `Name(field=value, ...)` repr; and no assignment or deletion.  Pickling
-    and copying rebuild through the constructor."""
+    start about 12 ms on Python 3.11.  A subclass names its fields in
+    `__slots__`, two or more with those of its bases, and gets what the
+    dataclass gave: a constructor by position or keyword that then runs the
+    class's `__post_init__`, if any; `==` by exact type and fields, and a
+    hash of the field tuple; the `Name(field=value, ...)` repr; and no
+    assignment or deletion.  Pickling and copying rebuild through the
+    constructor.  Unlike the dataclass, an instance takes no weak
+    reference."""
 
     __slots__ = ()
     __dataclass_fields__ = _DataclassView()
     __dataclass_params__ = _DataclassView()
 
     def __init_subclass__(cls):
-        names = cls.__slots__
+        # the fields are the slots of the class and its bases, base first
+        names = tuple(name for base in reversed(cls.__mro__)
+                      for name in vars(base).get("__slots__", ()))
+        if len(names) < 2:
+            raise TypeError(f"{cls.__qualname__} must name two or more fields in __slots__")
         cls.__match_args__ = names
+        # a base's table, once made, does not hold a subclass's fields
+        for view in ("__dataclass_fields__", "__dataclass_params__"):
+            setattr(cls, view, vars(_Frozen)[view])
         cls._values = attrgetter(*names)
         # one compiled __init__ per class, as `dataclasses` makes: a generic
         # one over *args took 20-55% longer per call, and a real signature
@@ -126,7 +141,7 @@ class _Frozen:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = zip(self.__slots__, self._values(self))
+        fields = zip(self.__match_args__, self._values(self))
         return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
     def __setattr__(self, name, value):

@@ -53,9 +53,17 @@ CLASSES = list(SAMPLES)
 
 
 def twin(cls):
-    """A frozen dataclass with the class's name, fields and `__post_init__`."""
+    """A frozen dataclass with the class's name, fields, their annotations
+    and `__post_init__`."""
     namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
-    return dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True, namespace=namespace)
+    fields = [(name, cls.__annotations__[name]) for name in cls.__slots__]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True, namespace=namespace)
+
+
+def field_list(value):
+    """The names and annotations of a dataclass's fields, as `dataclasses`
+    reads them."""
+    return [(field.name, field.type) for field in dataclasses.fields(value)]
 
 
 def outcome(call):
@@ -72,7 +80,8 @@ def pair(request):
 
 
 def test_every_value_class_is_covered():
-    assert set(CLASSES) == set(_Frozen.__subclasses__())
+    ours = {cls for cls in _Frozen.__subclasses__() if cls.__module__.startswith("gradedorbits.")}
+    assert set(CLASSES) == ours
 
 
 def test_repr_eq_and_hash_match(pair):
@@ -153,13 +162,43 @@ def test_assignment_and_deletion_are_blocked(pair):
     assert not hasattr(ours, "__dict__")
 
 
-def test_a_subclass_keeps_the_fields_and_is_unequal_to_its_base(pair):
+@pytest.mark.parametrize("namespace", [{}, {"__slots__": ()}], ids=["dict", "slots"])
+def test_a_subclass_keeps_the_fields_and_is_unequal_to_its_base(pair, namespace):
     cls, dc = pair
-    ours, theirs = type("Sub", (cls,), {}), type("Sub", (dc,), {})
+    ours, theirs = type("Sub", (cls,), dict(namespace)), type("Sub", (dc,), {})
     args = SAMPLES[cls][0]
     assert repr(ours(*args)) == repr(theirs(*args))
     assert hash(ours(*args)) == hash(theirs(*args))
     assert ours(*args) == ours(*args) and ours(*args) != cls(*args) and cls(*args) != ours(*args)
+    assert field_list(ours(*args)) == field_list(theirs(*args))
+
+
+def test_a_subclass_adds_its_slots_after_its_bases_fields(pair):
+    cls, dc = pair
+    # read the base's table first, so that the subclass cannot inherit it
+    assert field_list(cls) == field_list(dc)
+    ours = type("Sub", (cls,), {"__slots__": ("extra",), "__annotations__": {"extra": "int"}})
+    theirs = dataclasses.make_dataclass("Sub", [("extra", "int")], bases=(dc,), frozen=True)
+    args = (*SAMPLES[cls][0], 7)
+    assert repr(ours(*args)) == repr(theirs(*args))
+    assert hash(ours(*args)) == hash(theirs(*args))
+    assert ours(*args) != ours(*args[:-1], 8)
+    assert copy.copy(ours(*args)) == copy.deepcopy(ours(*args)) == ours(*args)
+    assert field_list(ours) == field_list(theirs)
+    assert dataclasses.replace(ours(*args), extra=8) == ours(*args[:-1], 8)
+
+
+@pytest.mark.parametrize("slots", [(), ("only",)])
+def test_a_base_with_fewer_than_two_fields_is_refused(slots):
+    with pytest.raises(TypeError, match="two or more fields"):
+        type("Small", (_Frozen,), {"__slots__": slots})
+
+
+def test_the_base_itself_is_no_dataclass():
+    assert not dataclasses.is_dataclass(_Frozen)
+    assert not hasattr(_Frozen, "__dataclass_fields__")
+    # reading the base leaves its subclasses' tables as they were
+    assert field_list(FilledDiagram) == field_list(twin(FilledDiagram))
 
 
 def test_pickle_and_copy_round_trips(pair):
@@ -178,7 +217,7 @@ def test_the_dataclasses_functions_still_apply(pair):
     cls, dc = pair
     ours, theirs = cls(*SAMPLES[cls][0]), dc(*SAMPLES[cls][0])
     assert dataclasses.is_dataclass(ours)
-    assert [f.name for f in dataclasses.fields(ours)] == [f.name for f in dataclasses.fields(theirs)]
+    assert field_list(ours) == field_list(theirs)
     assert repr(dataclasses.astuple(ours)) == repr(dataclasses.astuple(theirs))
     other = SAMPLES[cls][1]
     assert dataclasses.replace(ours, **dict(zip(cls.__slots__, other))) == cls(*other)
